@@ -8,12 +8,13 @@ Recovery model: branch mispredictions squash younger same-thread uops and
 restore the rename map by walking the ROB from the tail (per-uop previous
 mappings).  Load-order violations squash from the offending load inclusive.
 Predictor global history, the return-address stack, and the pre-execution
-engine's speculative pointers (Phelps ``spec_head``) are restored from
-per-uop checkpoints taken at fetch (paper Section IV-B).
+engine's speculative pointers (Phelps ``spec_head``) are restored from the
+checkpoint each main-thread uop carries from fetch (paper Section IV-B);
+the uops fetched between two branches share one checkpoint tuple.
 """
 
 import time
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from operator import attrgetter
@@ -47,6 +48,16 @@ _ISSUE_ORDER = attrgetter("fetch_cycle", "thread_id", "seq")
 # cycles (the pure-Python core sustains ~5-20k cycles/sec, so 256 cycles
 # is tens of milliseconds — far finer than any sane heartbeat interval).
 _HB_STRIDE = 256
+
+
+def _engine_hook(engine: PreExecutionEngine, name: str):
+    """``engine``'s hook ``name``, or None when neither its class nor the
+    instance overrides the no-op default.  Looked up per use, not once per
+    core, so wrappers installed on the instance later still see calls."""
+    hook = getattr(engine, name)
+    if getattr(hook, "__func__", None) is getattr(PreExecutionEngine, name):
+        return None
+    return hook
 
 
 class Core:
@@ -237,14 +248,7 @@ class Core:
         """
         oldest_mark = None
         if self.oracle is not None:
-            oldest = None
-            for _, u in self.main.frontend_q:
-                if oldest is None or u.seq < oldest.seq:
-                    oldest = u
-            if self.main.rob:
-                head = self.main.rob[0]
-                if oldest is None or head.seq < oldest.seq:
-                    oldest = head
+            oldest = self._oldest_main_uop()
             if oldest is not None:
                 oldest_mark = oldest.oracle_mark
         self.engine.quiesce()
@@ -329,21 +333,14 @@ class Core:
         if self.obs is not None:
             self.obs.events.full_squash(self.cycle)
         # Restore MT speculative state from the oldest squashed MT uop.
-        oldest = None
-        for _, u in self.main.frontend_q:
-            if oldest is None or u.seq < oldest.seq:
-                oldest = u
-        if self.main.rob:
-            head = self.main.rob[0]
-            if oldest is None or head.seq < oldest.seq:
-                oldest = head
+        oldest = self._oldest_main_uop()
         for thread in self.threads:
             if thread.rob:
                 self._squash_thread(thread, thread.rob[0].seq)
             else:
                 self._squash_thread(thread, 0)
         if oldest is not None:
-            self._restore_speculative_state(self.main, oldest)
+            self._restore_speculative_state(oldest)
         self.main.fetch.redirect(self.main.resume_pc)
         self.main.fetch_halted = False
         self.main.wait_for_moves = False
@@ -351,29 +348,36 @@ class Core:
     # ------------------------------------------------------------------
     # Squash machinery.
     # ------------------------------------------------------------------
-    def _restore_speculative_state(self, thread: ThreadContext, uop: Uop) -> None:
-        """Restore predictor/RAS/engine state to just before ``uop`` fetched."""
-        if thread.kind is not ThreadKind.MAIN:
+    def _oldest_main_uop(self) -> Optional[Uop]:
+        """The ROB head, else the seq-ordered frontend queue's head."""
+        main = self.main
+        if main.rob:
+            return main.rob[0]
+        return main.frontend_q[0][1] if main.frontend_q else None
+
+    def _restore_speculative_state(self, uop: Uop) -> None:
+        """Restore predictor/RAS/engine state to just before ``uop`` fetched
+        (a no-op for helper-thread uops, which carry no checkpoint)."""
+        if uop.spec_ckpt is None:
             return
-        if uop.predictor_checkpoint is not None:
-            self.predictor.restore(uop.predictor_checkpoint)
-        if uop.ras_checkpoint is not None:
-            self.ras.restore(uop.ras_checkpoint)
-        if uop.engine_checkpoint is not None:
-            self.engine.restore(uop.engine_checkpoint)
+        predictor_state, ras_state, engine_state = uop.spec_ckpt
+        if predictor_state is not None:
+            self.predictor.restore(predictor_state)
+        if ras_state is not None:
+            self.ras.restore(ras_state)
+        if engine_state is not None:
+            self.engine.restore(engine_state)
 
     def _squash_thread(self, thread: ThreadContext, cutoff_seq: int) -> List[Uop]:
         """Squash all uops with seq >= cutoff in ``thread``; returns them."""
         squashed: List[Uop] = []
-        kept_fq = deque()
-        for ready_cycle, u in thread.frontend_q:
-            if u.seq >= cutoff_seq:
-                u.state = UopState.SQUASHED
-                squashed.append(u)
-            else:
-                kept_fq.append((ready_cycle, u))
-        thread.frontend_q = kept_fq
+        fq = thread.frontend_q
+        while fq and fq[-1][1].seq >= cutoff_seq:
+            u = fq.pop()[1]
+            u.state = UopState.SQUASHED
+            squashed.append(u)
 
+        on_squash = _engine_hook(self.engine, "on_squash")
         while thread.rob and thread.rob[-1].seq >= cutoff_seq:
             u = thread.rob.pop()
             if u.state is UopState.DISPATCHED:
@@ -391,7 +395,8 @@ class Core:
                 thread.sq.remove(u)
             u.state = UopState.SQUASHED
             squashed.append(u)
-            self.engine.on_squash(thread, u)
+            if on_squash is not None:
+                on_squash(thread, u)
         return squashed
 
     def _recover_to(self, thread: ThreadContext, uop: Uop, refetch_pc: int,
@@ -400,12 +405,10 @@ class Core:
         cutoff = uop.seq if inclusive else uop.seq + 1
         self._squash_thread(thread, cutoff)
         if thread.kind is ThreadKind.MAIN:
-            if inclusive:
-                self._restore_speculative_state(thread, uop)
-            else:
+            self._restore_speculative_state(uop)
+            if not inclusive:
                 # State just after the branch: its pre-fetch checkpoint plus
                 # the actual outcome.
-                self._restore_speculative_state(thread, uop)
                 if uop.inst.is_cond_branch:
                     self.predictor.spec_update(uop.pc, bool(uop.taken))
                     self.engine.note_refetched(thread, uop)
@@ -435,7 +438,8 @@ class Core:
         if len(fq) >= width * (self._fe_depth + 1):
             return
 
-        if thread.kind is ThreadKind.MAIN:
+        is_main = thread.kind is ThreadKind.MAIN
+        if is_main:
             inst0 = thread.fetch.peek()
             if inst0 is not None:
                 ready = self.hierarchy.ifetch(inst0.pc, cycle)
@@ -446,9 +450,13 @@ class Core:
         # ``thread.fetch`` is looked up per iteration on purpose: the
         # engine's ``note_fetched`` hook may retarget the helper's fetch
         # unit mid-group.
+        engine = self.engine
         predict = self._predict
-        note_fetched = self.engine.note_fetched
-        alloc_seq = thread.alloc_seq
+        note_fetched = _engine_hook(engine, "note_fetched")
+        oracle = self.oracle if is_main else None
+        # Only branches move predictor/RAS/engine speculative state, so the
+        # main-thread uops of a group up to a branch share one checkpoint.
+        spec_ckpt = None
         tid = thread.id
         ready_at = cycle + self._fe_depth
         fetched = 0
@@ -457,11 +465,28 @@ class Core:
             inst = fetch.peek()
             if inst is None:
                 break
-            uop = Uop(inst, tid, alloc_seq(), cycle)
+            seq = thread.next_seq
+            thread.next_seq = seq + 1
+            uop = Uop(inst, tid, seq, cycle)
             fetch.annotate_uop(uop)
-            taken, target = predict(thread, uop)
+            if is_main:
+                if spec_ckpt is None:
+                    spec_ckpt = (self.predictor.checkpoint(),
+                                 self.ras.checkpoint(), engine.checkpoint())
+                uop.spec_ckpt = spec_ckpt
+                if oracle is not None:
+                    uop.oracle_mark = oracle.undo.mark()
+                    if not oracle.halted:
+                        uop.oracle_outcome = oracle.step()
+                    uop.oracle_mark_after = oracle.undo.mark()
+            if inst.is_branch:
+                taken, target = predict(thread, uop)
+                spec_ckpt = None
+            else:  # PRED uops compute a predicate but never steer fetch
+                taken, target = False, None
             fq.append((ready_at, uop))
-            note_fetched(thread, uop)
+            if note_fetched is not None:
+                note_fetched(thread, uop)
             thread.fetch.advance(taken, target)
             fetched += 1
             if inst.opcode is Opcode.HALT:
@@ -473,26 +498,10 @@ class Core:
             self._tick_work = True  # fetch group ends at a predicted-taken transfer
 
     def _predict(self, thread: ThreadContext, uop: Uop) -> Tuple[bool, Optional[int]]:
-        """Next-PC selection; records prediction state on the uop."""
+        """Next-PC selection for a branch; records the prediction on the
+        uop."""
         inst = uop.inst
         is_main = thread.kind is ThreadKind.MAIN
-
-        if is_main:
-            uop.predictor_checkpoint = self.predictor.checkpoint()
-            uop.ras_checkpoint = self.ras.checkpoint()
-            uop.engine_checkpoint = self.engine.checkpoint()
-            if self.oracle is not None:
-                uop.oracle_mark = self.oracle.undo.mark()
-                if not self.oracle.halted:
-                    uop.oracle_outcome = self.oracle.step()
-                uop.oracle_mark_after = self.oracle.undo.mark()
-
-        if not inst.is_branch:
-            # Non-transfer instruction: never redirects fetch.  (PRED uops
-            # compute a predicate at execute but do not steer the frontend.)
-            uop.pred_taken, uop.pred_target = False, None
-            return False, None
-
         taken, target = False, None
         if inst.is_cond_branch:
             if is_main:
@@ -562,10 +571,7 @@ class Core:
             if not fq:
                 return
             ready_cycle, uop = fq[0]
-            if ready_cycle > cycle or uop.squashed:
-                if uop.squashed:
-                    fq.popleft()
-                    continue
+            if ready_cycle > cycle:
                 return
             inst = uop.inst
             needs_iq = inst.needs_iq
@@ -589,15 +595,16 @@ class Core:
             fq.popleft()
             self._tick_work = True
 
-            # Source rename: direct reads on the rename-map column.
+            # Source rename, unrolled for 0-2 sources (phys_srcs starts empty).
+            srcs = inst.src_regs
             if inst.opcode is Opcode.MOV_LIVEIN:
                 if uop.livein_value is None:
                     # Live-in copy from the *main thread's* rename map.
                     uop.phys_srcs = [self.main.rmt.map[inst.rs1]]
-                else:
-                    uop.phys_srcs = []
-            else:
-                uop.phys_srcs = [rmt_map[s] for s in inst.src_regs]
+            elif len(srcs) == 2:
+                uop.phys_srcs = [rmt_map[srcs[0]], rmt_map[srcs[1]]]
+            elif srcs:
+                uop.phys_srcs = [rmt_map[srcs[0]]]
             if inst.pred_rs is not None:
                 uop.pred_phys_src = thread.pred_rmt.map[inst.pred_rs]
             if inst.pred_rs2 is not None:
@@ -844,10 +851,6 @@ class Core:
                     self._wake(waiter)
             if uop.inst.is_branch:
                 self._resolve_branch(thread, uop)
-            elif uop.inst.is_store and thread.kind is not ThreadKind.MAIN:
-                # Helper-thread loads wait on older store addresses; now that
-                # this store resolved, blocked loads may proceed next cycle.
-                pass
 
     def _wake(self, uop: Uop) -> None:
         if uop.state is not UopState.DISPATCHED:
@@ -1031,8 +1034,6 @@ class Core:
             fq = thread.frontend_q
             if fq:
                 ready_cycle, head = fq[0]
-                if head.squashed:
-                    return cycle  # dispatch would pop it
                 if ready_cycle > cycle:
                     if ready_cycle < bound:
                         bound = ready_cycle

@@ -131,11 +131,6 @@ class ThreadContext:
         self.commit_store: Optional[Callable[[int, int], None]] = None
 
     # ------------------------------------------------------------------
-    def alloc_seq(self) -> int:
-        seq = self.next_seq
-        self.next_seq += 1
-        return seq
-
     def rob_full(self) -> bool:
         return len(self.rob) >= self.share.rob
 

@@ -57,16 +57,19 @@ class PipelineTracer:
     def _install(self, core) -> None:
         tracer = self
 
-        orig_predict = core._predict
+        orig_fetch = core._fetch_thread
         orig_dispatch = core._dispatch_thread
         orig_execute = core._execute
         orig_writeback = core._writeback
         orig_retire_uop = core._retire_uop
         orig_squash = core._squash_thread
 
-        def predict(thread, uop):
-            tracer._note(uop).fetch = core.cycle
-            return orig_predict(thread, uop)
+        def fetch_thread(thread):
+            first = thread.next_seq
+            orig_fetch(thread)
+            for _, u in thread.frontend_q:
+                if u.seq >= first:
+                    tracer._note(u).fetch = core.cycle
 
         def execute(thread, uop):
             tracer._note(uop).issue = core.cycle
@@ -100,7 +103,7 @@ class PipelineTracer:
                     if t.dispatch < 0:
                         t.dispatch = core.cycle
 
-        core._predict = predict
+        core._fetch_thread = fetch_thread
         core._dispatch_thread = dispatch_thread
         core._execute = execute
         core._writeback = writeback

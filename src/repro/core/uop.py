@@ -1,7 +1,7 @@
 """In-flight micro-op record."""
 
 import enum
-from typing import Any, List, Optional
+from typing import Any, Optional, Sequence
 
 from repro.isa.instruction import Instruction
 
@@ -21,9 +21,9 @@ class Uop:
     __slots__ = (
         "inst", "thread_id", "seq", "pc", "state",
         # fetch-time prediction info
-        "pred_taken", "pred_target", "predictor_meta", "predictor_checkpoint",
-        "ras_checkpoint", "queue_token", "engine_checkpoint",
-        "oracle_mark", "oracle_mark_after", "oracle_outcome", "pending",
+        "pred_taken", "pred_target", "predictor_meta", "spec_ckpt",
+        "queue_token", "oracle_mark", "oracle_mark_after", "oracle_outcome",
+        "pending",
         # rename info
         "phys_srcs", "phys_dest", "old_phys_dest",
         "pred_phys_src", "pred_phys_src2", "pred_phys_dest", "old_pred_phys_dest",
@@ -41,18 +41,18 @@ class Uop:
         self.seq = seq
         self.pc = inst.pc
         self.state = UopState.FETCHED
-        self.pred_taken: Optional[bool] = None
+        self.pred_taken = False  # only branches are predicted
         self.pred_target: Optional[int] = None
         self.predictor_meta: Any = None
-        self.predictor_checkpoint: Any = None
-        self.ras_checkpoint: Any = None
+        # Main thread: the (predictor, RAS, engine) speculative state before
+        # this uop was fetched, shared by the uops between two branches.
+        self.spec_ckpt: Optional[tuple] = None
         self.queue_token: Any = None        # prediction-queue consumption record
-        self.engine_checkpoint: Any = None  # spec_head pointer snapshot
         self.oracle_mark: Optional[int] = None
         self.oracle_mark_after: Optional[int] = None
         self.oracle_outcome: Any = None
         self.pending = 0
-        self.phys_srcs: List[int] = []
+        self.phys_srcs: Sequence[int] = ()  # renamed at dispatch
         self.phys_dest: Optional[int] = None
         self.old_phys_dest: Optional[int] = None
         self.pred_phys_src: Optional[int] = None
@@ -71,10 +71,6 @@ class Uop:
         self.is_wrong_path_marker = False
         self.livein_value: Optional[int] = None  # MOV_LIVEIN immediate value path
         self.fetch_cycle = fetch_cycle
-
-    @property
-    def squashed(self) -> bool:
-        return self.state is UopState.SQUASHED
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<uop t{self.thread_id} #{self.seq} {self.inst.opcode.value}"

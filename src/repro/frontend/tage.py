@@ -57,21 +57,16 @@ class TageConfig:
 
 
 class _TaggedTable:
-    """One TAGE component table.
+    """One TAGE component table: tag/counter/useful columns.
 
-    Index/tag hashing is memoised per ``(pc, masked-history)`` pair: loop
-    workloads revisit a small set of branch PCs under recurring history
-    patterns, so the XOR-fold chains (six ``fold_bits`` calls per probe)
-    collapse to one dict hit.  The cache is a pure-function memo — it never
-    changes results — and is bounded (cleared when it outgrows its cap) and
-    dropped from pickles.
+    A probe's (index, tag) XORs a PC fold with two differently-folded
+    images of the table's history, one shifted, so that short histories
+    cannot cancel out of the index.  The history images are the owning
+    :class:`TageSCL`'s :class:`_FoldedHistories` registers.
     """
 
     __slots__ = ("entries", "index_bits", "tag_bits", "history_len",
-                 "tags", "ctrs", "useful", "_mask", "_hist_mask", "_memo",
-                 "_pc_fold")
-
-    _MEMO_CAP = 1 << 16
+                 "tags", "ctrs", "useful", "_mask", "_tag_mask")
 
     def __init__(self, entries: int, tag_bits: int, history_len: int):
         if entries & (entries - 1):
@@ -81,50 +76,10 @@ class _TaggedTable:
         self.tag_bits = tag_bits
         self.history_len = history_len
         self._mask = entries - 1
-        # ``fold_bits`` truncates its input to 64 bits, so histories longer
-        # than that cannot influence the hash — clamping the memo key's
-        # mask to 64 bits is exact and stops >64-bit tables from
-        # fragmenting their cache across hash-identical histories.
-        self._hist_mask = (1 << min(history_len, 64)) - 1
-        self._memo = {}
-        self._pc_fold = {}
+        self._tag_mask = (1 << tag_bits) - 1
         self.tags = [0] * entries
         self.ctrs = [4] * entries  # 3-bit, 0..7, taken when >= 4
         self.useful = [0] * entries
-
-    def _hash(self, pc: int, h: int) -> tuple:
-        # Two differently-folded history images (one shifted) so that short
-        # histories cannot cancel out of the index.  The PC folds do not
-        # depend on the history, so they memoise per PC.
-        pcf = self._pc_fold.get(pc)
-        if pcf is None:
-            pcf = self._pc_fold[pc] = (fold_bits(pc >> 2, self.index_bits),
-                                       fold_bits(pc >> 2, self.tag_bits))
-        idx = (pcf[0]
-               ^ fold_bits(h, self.index_bits)
-               ^ (fold_bits(h, max(1, self.index_bits - 2)) << 1)) & self._mask
-        t = (pcf[1]
-             ^ fold_bits(h, self.tag_bits)
-             ^ (fold_bits(h, self.tag_bits - 1) << 1))
-        tag = t & ((1 << self.tag_bits) - 1) or 1  # tag 0 means "invalid"
-        return idx, tag
-
-    def index_tag(self, pc: int, history: int) -> tuple:
-        """Memoised (index, tag) for a probe."""
-        key = (pc, history & self._hist_mask)
-        hit = self._memo.get(key)
-        if hit is None:
-            memo = self._memo
-            if len(memo) >= self._MEMO_CAP:
-                memo.clear()
-            hit = memo[key] = self._hash(key[0], key[1])
-        return hit
-
-    def index(self, pc: int, history: int) -> int:
-        return self.index_tag(pc, history)[0]
-
-    def tag(self, pc: int, history: int) -> int:
-        return self.index_tag(pc, history)[1]
 
     def __getstate__(self):
         return {
@@ -143,6 +98,77 @@ class _TaggedTable:
         self.tags = tags.tolist()
         self.ctrs = list(state["ctrs"])
         self.useful = list(state["useful"])
+
+
+class _FoldedHistories:
+    """Folded-history registers (Seznec & Michaud, JILP 2006).
+
+    There is one register per distinct (history length, output width) pair
+    the tagged tables hash with, updated incrementally on every history
+    shift instead of refolding the whole history on every probe.  Register
+    ``(hist, width)`` always equals ``fold_bits(ghr & ((1 << hist) - 1),
+    width)``; ``fold_bits`` truncates its input to 64 bits, so history
+    lengths are clamped to 64.
+
+    All registers live in one Python int, ``bits``: a ``stride``-bit lane
+    per register, grouped by width, so a shift updates every register with
+    a handful of big-int operations.  Within a width's group, lane ``i``
+    holds the ``i``-th shortest history length.
+    """
+
+    __slots__ = ("hists", "widths", "stride", "ones", "bits", "_all_ones",
+                 "_carry", "_wraps", "_out_sel", "_out_masks")
+
+    def __init__(self, hists: List[int], widths: Tuple[int, ...]):
+        self.hists = tuple(sorted({min(h, 64) for h in hists}))
+        self.widths = tuple(sorted(set(widths)))
+        # Room per lane for the widest fold, its carry out of a shift, and
+        # the extra bit of a fold shifted left by one when hashing.
+        self.stride = max(self.widths) + 2
+        # Bit 0 of every lane in one width's group, and in all groups.
+        self.ones = sum(1 << (self.stride * lane)
+                        for lane in range(len(self.hists)))
+        self._all_ones = sum(self.ones << self.group_base(w) for w in self.widths)
+        # Each group's carry bits, and the shift that wraps them to bit 0.
+        self._wraps = tuple((self.ones << (self.group_base(w) + w), w)
+                            for w in self.widths)
+        self._carry = sum(mask for mask, _ in self._wraps)
+        self._out_sel = sum(1 << (h - 1) for h in self.hists)
+        self._out_masks: Dict[int, int] = {}
+        self.bits = 0
+
+    def group_base(self, width: int) -> int:
+        """Bit offset of the lanes of the registers of width ``width``."""
+        return self.stride * len(self.hists) * self.widths.index(width)
+
+    def lane_shift(self, hist: int) -> int:
+        """Bit offset of history length ``hist``'s lane within a group."""
+        return self.stride * self.hists.index(min(hist, 64))
+
+    def refold(self, ghr: int) -> None:
+        self.bits = sum(
+            fold_bits(ghr & ((1 << h) - 1), w) << (self.group_base(w)
+                                                   + self.lane_shift(h))
+            for w in self.widths for h in self.hists)
+
+    def shift_in(self, ghr: int, taken: bool) -> None:
+        """Shift one outcome into every register; ``ghr`` is the history
+        before the shift.  Each lane rotates left by one, takes the new
+        outcome in bit 0 and cancels the outcome leaving its window."""
+        key = ghr & self._out_sel
+        out = self._out_masks.get(key)
+        if out is None:
+            out = self._out_masks[key] = sum(
+                1 << (self.group_base(w) + self.lane_shift(h) + h % w)
+                for w in self.widths for h in self.hists if key >> (h - 1) & 1)
+        bits = (self.bits << 1) ^ out
+        if taken:
+            bits ^= self._all_ones
+        carry = bits & self._carry
+        bits ^= carry
+        for mask, width in self._wraps:
+            bits ^= (carry & mask) >> width
+        self.bits = bits
 
 
 class _LoopEntry:
@@ -169,6 +195,7 @@ class TageSCL(BranchPredictor):
         self._base_mask = cfg.base_entries - 1
         self._ghr = 0
         self._ghr_mask = (1 << cfg.max_history) - 1
+        self._init_folds()
         self._use_alt_on_na = 7  # 4-bit centered counter, 0..15 (>=8 favours alt)
         self._update_count = 0
         # Statistical corrector: two tables of centered weights.
@@ -179,9 +206,9 @@ class TageSCL(BranchPredictor):
         self._loops: Dict[int, _LoopEntry] = {}
         self._loop_spec_iter: Dict[int, int] = {}
         # Copy-on-write checkpoint cache: the pipeline checkpoints the
-        # predictor on every fetched uop, but speculative state only
-        # mutates on branches, so consecutive checkpoints share one frozen
-        # (ghr, dict-copy) tuple.  Invalidated by every mutation of the
+        # predictor at every fetch group and after every branch, but
+        # speculative state only mutates on branches, so consecutive
+        # checkpoints share one frozen (ghr, dict-copy) tuple.  Invalidated by every mutation of the
         # ghr or the speculative loop iterators; ``restore`` copies, so a
         # shared checkpoint is never mutated through the live dict.
         self._ckpt = None
@@ -198,18 +225,34 @@ class TageSCL(BranchPredictor):
         return (pc >> 2) & self._base_mask
 
     def _tage_lookup(self, pc: int) -> Tuple[bool, dict]:
-        ghr = self._ghr
-        lookups = [table.index_tag(pc, ghr) for table in self._tables]
-        # Provider = longest-history hit; alt = next-longest.
+        t0 = self._tables[0]
+        fh = self._folds
+        pc_folds = self._pc_folds.get(pc)
+        if pc_folds is None:
+            # The PC folds, repeated in every lane.
+            pc_folds = self._pc_folds[pc] = (
+                fold_bits(pc >> 2, t0.index_bits) * fh.ones,
+                fold_bits(pc >> 2, t0.tag_bits) * fh.ones)
+        bits = fh.bits
+        b_idx, b_idx2, b_tag, b_tag2 = self._fold_roles
+        # Every lane's index and tag hash at once; each table reads its
+        # history length's lane.
+        idx_lanes = pc_folds[0] ^ (bits >> b_idx) ^ ((bits >> b_idx2) << 1)
+        tag_lanes = pc_folds[1] ^ (bits >> b_tag) ^ ((bits >> b_tag2) << 1)
+        idx_mask, tag_mask = t0._mask, t0._tag_mask
+        lookups = [None] * len(self._tables)
+        # Longest history first: provider = longest-history hit, alt =
+        # next-longest.  Every table's (index, tag) is kept for allocation.
         provider, alt = None, None
-        for t in range(len(self._tables) - 1, -1, -1):
-            idx, tag = lookups[t]
-            if self._tables[t].tags[idx] == tag:
+        for t, table, shift in self._probes:
+            idx = (idx_lanes >> shift) & idx_mask
+            tag = ((tag_lanes >> shift) & tag_mask) or 1  # 0 means "invalid"
+            lookups[t] = (idx, tag)
+            if alt is None and table.tags[idx] == tag:
                 if provider is None:
                     provider = (t, idx)
-                elif alt is None:
+                else:
                     alt = (t, idx)
-                    break
         base_idx = self._base_index(pc)
         base_pred = self._base[base_idx] >= 2
 
@@ -290,9 +333,31 @@ class TageSCL(BranchPredictor):
     # ------------------------------------------------------------------
     # Speculative history.
     # ------------------------------------------------------------------
+    def _init_folds(self) -> None:
+        """Lay out the folded-history registers and fill them from the GHR.
+
+        Every table hashes its history with folds of four widths: the
+        index, its shifted twin, the tag and its shifted twin.  All tables
+        share one geometry, so the widths are the same for each.
+        """
+        t0 = self._tables[0]
+        widths = (t0.index_bits, max(1, t0.index_bits - 2),
+                  t0.tag_bits, t0.tag_bits - 1)
+        fh = self._folds = _FoldedHistories(
+            [table.history_len for table in self._tables], widths)
+        self._fold_roles = tuple(fh.group_base(w) for w in widths)
+        # (table number, table, lane offset), longest history first.
+        self._probes = tuple(
+            (t, table, fh.lane_shift(table.history_len))
+            for t, table in reversed(list(enumerate(self._tables))))
+        self._pc_folds: Dict[int, Tuple[int, int]] = {}
+        fh.refold(self._ghr)
+
     def spec_update(self, pc: int, taken: bool) -> None:
         self._ckpt = None
-        self._ghr = ((self._ghr << 1) | int(taken)) & self._ghr_mask
+        ghr = self._ghr
+        self._folds.shift_in(ghr, taken)
+        self._ghr = ((ghr << 1) | int(taken)) & self._ghr_mask
         if self.config.use_loop and pc in self._loops:
             entry = self._loops[pc]
             cur = self._loop_spec_iter.get(pc, entry.arch_iter)
@@ -306,6 +371,8 @@ class TageSCL(BranchPredictor):
 
     def restore(self, state: Any) -> None:
         self._ckpt = None
+        if state[0] != self._ghr:
+            self._folds.refold(state[0])
         self._ghr, self._loop_spec_iter = state[0], dict(state[1])
 
     # ------------------------------------------------------------------
@@ -445,8 +512,9 @@ class TageSCL(BranchPredictor):
             self._update_loop(pc, taken)
 
     # ------------------------------------------------------------------
-    # Compact serialization: counter columns pickle as packed bytes, and
-    # the pure-function memos are dropped (rebuilt on demand).
+    # Compact serialization: counter columns pickle as packed bytes, the
+    # pure-function memos are dropped (rebuilt on demand), and the folded
+    # histories are recomputed from the GHR.
     # ------------------------------------------------------------------
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -455,6 +523,8 @@ class TageSCL(BranchPredictor):
         state["_sc_hist"] = array("b", state["_sc_hist"]).tobytes()
         state["_sc_fold"] = {}
         state["_ckpt"] = None
+        for key in ("_folds", "_fold_roles", "_probes", "_pc_folds"):
+            del state[key]
         return state
 
     def __setstate__(self, state):
@@ -464,3 +534,4 @@ class TageSCL(BranchPredictor):
             col.frombytes(state[key])
             state[key] = col.tolist()
         self.__dict__.update(state)
+        self._init_folds()

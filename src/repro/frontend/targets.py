@@ -68,10 +68,10 @@ class BranchTargetBuffer:
 class ReturnAddressStack:
     """Fixed-depth RAS; overflow wraps (oldest entry lost).
 
-    ``checkpoint`` is copy-on-write: the main pipeline checkpoints the RAS
-    on *every* fetched uop, but the stack only mutates on call/return, so
-    consecutive checkpoints share one frozen copy.  ``restore`` copies the
-    incoming state, so shared checkpoint lists are never mutated.
+    ``checkpoint`` is copy-on-write: the pipeline checkpoints the RAS per
+    fetch group and after each branch, but the stack only mutates on
+    call/return, so consecutive checkpoints share one frozen copy.
+    ``restore`` copies the incoming state, so shared lists never mutate.
     """
 
     def __init__(self, depth: int = 32):

@@ -71,3 +71,13 @@ class TestHookDelivery:
         assert retired == [0x1000, 0x1004, 0x1008, 0x100c]
         # Every retired instruction was fetched first.
         assert set(retired) <= set(fetched)
+
+    def test_hook_wrapped_after_construction_is_called(self):
+        """The core skips the no-op ``note_fetched``, but a wrapper put on
+        the engine instance after the core is built (a profiler, a
+        tracer) still sees every fetched uop."""
+        core = Core(_tiny_program(), config=CoreConfig().scaled())
+        fetched = []
+        core.engine.note_fetched = lambda thread, uop: fetched.append(uop.pc)
+        core.run()
+        assert fetched[:4] == [0x1000, 0x1004, 0x1008, 0x100c]

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,19 @@ from repro.frontend import (
     TageConfig,
     TageSCL,
 )
+from repro.utils.bits import fold_bits
+
+
+def _fold_bits_index_tag(table, pc, ghr):
+    """A tagged table's (index, tag) hashed directly from the GHR with
+    ``fold_bits`` (which truncates its input to 64 bits)."""
+    h = ghr & ((1 << min(table.history_len, 64)) - 1)
+    ib, tb = table.index_bits, table.tag_bits
+    idx = (fold_bits(pc >> 2, ib) ^ fold_bits(h, ib)
+           ^ (fold_bits(h, max(1, ib - 2)) << 1)) & (table.entries - 1)
+    tag = (fold_bits(pc >> 2, tb) ^ fold_bits(h, tb)
+           ^ (fold_bits(h, tb - 1) << 1)) & ((1 << tb) - 1)
+    return idx, tag or 1
 
 
 def _train_and_measure(predictor, stream, warmup=0):
@@ -187,6 +201,33 @@ class TestTage:
         p.spec_update(0x1004, False)
         p.restore(cp)
         assert p._ghr == ghr_before
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([
+               TageConfig(),
+               # Histories shorter than a fold width, and one past 64 bits.
+               TageConfig(num_tables=5, table_entries=64, tag_bits=7,
+                          min_history=3, max_history=200)]),
+           st.lists(st.tuples(
+               st.sampled_from(("shift", "shift", "shift", "checkpoint",
+                                "restore", "pickle")),
+               st.booleans(), st.integers(0, 1 << 16)), max_size=300))
+    def test_folded_histories_match_fold_bits(self, cfg, steps):
+        p = TageSCL(cfg)
+        ckpts = [p.checkpoint()]
+        for op, taken, pick in steps:
+            if op == "shift":
+                p.spec_update(0x1000, taken)
+            elif op == "checkpoint":
+                ckpts.append(p.checkpoint())
+            elif op == "restore":
+                p.restore(ckpts[pick % len(ckpts)])
+            else:
+                p = pickle.loads(pickle.dumps(p))
+            pc = 0x1000 + 4 * pick
+            _, info = p._tage_lookup(pc)
+            assert info["lookups"] == [_fold_bits_index_tag(t, pc, p._ghr)
+                                       for t in p._tables]
 
     def test_history_lengths_are_geometric(self):
         cfg = TageConfig(num_tables=6, min_history=4, max_history=128)
