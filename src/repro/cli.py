@@ -619,7 +619,6 @@ def _cmd_service(args) -> int:
         max_attempts=args.max_attempts,
         heartbeat_interval=args.heartbeat_interval,
         drain_seconds=args.drain_seconds,
-        expose_dir=not args.no_expose_dir,
         tenants=tenants,
         audit_rate=args.audit_rate,
         audit_seed=args.audit_seed,
@@ -635,16 +634,11 @@ def _cmd_service(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    """One pull-model campaign worker (standalone or daemon-connected)."""
-    from repro.service import WorkerOptions, work_campaign_dir, work_service
+    """One pull-model campaign worker connected to a daemon."""
+    from repro.service import WorkerOptions, work_service
 
-    if bool(args.connect) == bool(args.dir):
-        print("worker: exactly one of --connect URL or --dir DIR is "
-              "required", file=sys.stderr)
-        return 2
     options = WorkerOptions(
         worker_id=args.id or "",
-        lease_seconds=args.lease_seconds,
         heartbeat_interval=args.heartbeat_interval,
         poll_interval=args.poll_interval,
         max_idle_polls=args.max_idle_polls,
@@ -652,15 +646,11 @@ def _cmd_worker(args) -> int:
         max_misses=args.max_misses,
         cache_dir=args.cache_dir,
         log=not args.quiet)
-    if args.connect:
-        report = work_service(args.connect, options)
-    else:
-        report = work_campaign_dir(args.dir, options)
+    report = work_service(args.connect, options)
     print(f"worker {report.worker_id}: {report.completed} completed "
           f"({report.cache_hits} from cache), {report.failed} failed, "
           f"{report.lease_lost} leases lost, {report.claimed} claims")
-    if args.connect and (report.http_retries or report.breaker_opens
-                         or report.renew_misses):
+    if report.http_retries or report.breaker_opens or report.renew_misses:
         print(f"worker {report.worker_id}: transport "
               f"{report.http_retries} retries, "
               f"{report.breaker_opens} breaker opens, "
@@ -1032,10 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="SIGTERM grace: stop offering work, wait "
                               "this long for leased points to land, "
                               "record the interruption, then exit")
-    service.add_argument("--no-expose-dir", action="store_true",
-                         help="never reveal campaign directories over "
-                              "/schedule (enforces filesystem-free "
-                              "workers)")
     service.add_argument("--tenant", action="append", metavar="SPEC",
                          help="tenant policy name=weight[:max_leased], "
                               "repeatable (e.g. --tenant ci=2.0:4)")
@@ -1057,17 +1043,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker", help="pull-model campaign worker: claim leased points "
-                       "from a daemon (--connect) or a campaign "
-                       "directory (--dir)")
-    worker.add_argument("--connect", metavar="URL", default=None,
+                       "from a campaign daemon over HTTP")
+    worker.add_argument("--connect", metavar="URL", required=True,
                         help="campaign-service base URL to pull work from")
-    worker.add_argument("--dir", metavar="DIR", default=None,
-                        help="drain one campaign directory directly "
-                             "(no daemon needed)")
     worker.add_argument("--id", default=None,
                         help="worker id recorded in leases "
                              "(default: w<pid>)")
-    worker.add_argument("--lease-seconds", type=float, default=30.0)
     worker.add_argument("--heartbeat-interval", type=float, default=1.0)
     worker.add_argument("--poll-interval", type=float, default=0.5,
                         help="idle wait between /schedule polls")
@@ -1082,10 +1063,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "polls (0 = never: the circuit breaker "
                              "paces reconnection to a dead daemon)")
     worker.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="local run cache (connected workers never "
-                             "use the daemon's filesystem; results "
-                             "still reach the daemon's cache through "
-                             "POST /complete)")
+                        help="local run cache (workers never use the "
+                             "daemon's filesystem; results still reach "
+                             "the daemon's cache through POST /complete)")
     worker.add_argument("-q", "--quiet", action="store_true")
     worker.set_defaults(fn=_cmd_worker)
 

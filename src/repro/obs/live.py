@@ -38,7 +38,7 @@ from typing import Dict, List, Optional
 from repro.utils.shards import atomic_write_json
 
 __all__ = ["HeartbeatTicker", "LiveStatus", "live_view", "read_live",
-           "read_campaign", "render_watch", "LIVE_NAME"]
+           "read_campaign", "campaign_view", "render_watch", "LIVE_NAME"]
 
 _SCHEMA = 1
 LIVE_NAME = "live.json"
@@ -201,7 +201,7 @@ def read_live(campaign_dir) -> Optional[Dict]:
 def read_campaign(campaign_dir) -> Optional[Dict]:
     """Read-only view of a campaign journal: manifest + per-point shards.
 
-    Returns ``{"manifest": .., "points": {key: shard}, "counts": ..}`` or
+    Returns ``{"manifest": .., "points": {key: view}, "counts": ..}`` or
     None when no manifest exists.  Never writes, never quarantines — a
     watcher that repaired the store it was watching would race the sweep
     that owns it; unreadable shards simply count as ``pending``.
@@ -212,19 +212,34 @@ def read_campaign(campaign_dir) -> Optional[Dict]:
     except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError,
             OSError):
         return None
-    now = time.time()
-    points: Dict[str, Dict] = {}
-    counts: Dict[str, int] = {}
-    lease_expired = 0
+    shards: Dict[str, Dict] = {}
     for meta in manifest.get("points", ()):
         key = meta.get("key")
         if not key:
             continue
         try:
-            shard = json.loads((root / f"{key}.json").read_text())
+            shards[key] = json.loads((root / f"{key}.json").read_text())
         except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError,
                 OSError):
-            shard = {}
+            shards[key] = {}
+    return {"manifest": manifest,
+            **campaign_view(manifest.get("points", ()), shards)}
+
+
+def campaign_view(metas, shards: Dict[str, Dict],
+                  now: Optional[float] = None) -> Dict:
+    """``points``/``counts``/``total``/``lease_expired`` from manifest
+    point entries and their shards — the one derivation shared by
+    :func:`read_campaign` and the campaign daemon's in-memory table."""
+    now = time.time() if now is None else now
+    points: Dict[str, Dict] = {}
+    counts: Dict[str, int] = {}
+    lease_expired = 0
+    for meta in metas:
+        key = meta.get("key")
+        if not key:
+            continue
+        shard = shards.get(key) or {}
         status = shard.get("status", "pending")
         # Lease health is derived at read time from the shard's expiry —
         # a dead worker cannot write its own obituary, so "running with a
@@ -251,8 +266,8 @@ def read_campaign(campaign_dir) -> Optional[Dict]:
             "failed_workers": shard.get("failed_workers"),
         }
         counts[status] = counts.get(status, 0) + 1
-    return {"manifest": manifest, "points": points, "counts": counts,
-            "total": len(points), "lease_expired": lease_expired}
+    return {"points": points, "counts": counts, "total": len(points),
+            "lease_expired": lease_expired}
 
 
 def live_view(doc: Dict, now: Optional[float] = None,

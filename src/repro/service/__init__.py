@@ -4,29 +4,27 @@ The harness packages built every single-host primitive — the sharded
 atomic :class:`~repro.harness.runcache.RunCache`, the write-ahead
 :class:`~repro.harness.campaign.CampaignJournal` with bit-identical
 resume, and the live telemetry endpoint.  This package lifts them into a
-standing service:
+standing service with one lease authority, the daemon:
 
-* :mod:`repro.service.lease` — the lease layer: workers *claim* journal
-  points through an atomic exclusive-create protocol, renew a lease while
-  simulating, and a reaper requeues points whose lease lapsed, so a
-  SIGKILLed worker loses its in-flight work but never strands it.
+* :mod:`repro.service.lease` — the point state machine as pure
+  transitions on a shard dict (generation-fenced claims, renewals,
+  first-done-wins completion, retry cap, poison breaker) and the
+  :class:`~repro.service.lease.PointTable` that holds one campaign in
+  memory and writes every transition through to its journal.
 * :mod:`repro.service.queue` — submission specs, tenants, quotas,
   priorities, weighted fair scheduling, and back-pressure accounting.
-* :mod:`repro.service.worker` — the pull-model worker loop: claim a
-  point, simulate it (renewing the lease from the heartbeat hook), flush
-  the result to the journal and run cache, repeat.  Runs against a
-  journal directory directly or connected to a daemon over HTTP.
-* :mod:`repro.service.daemon` — the long-running asyncio daemon: an
-  HTTP/JSON API (``POST /campaigns``, status/results/stream routes, the
-  five ``POST`` lease endpoints of the remote-execution protocol), an
-  in-daemon worker pool, the lease reaper, and Prometheus service gauges.
+* :mod:`repro.service.worker` — the pull-model worker loop: ask the
+  daemon for a point, simulate it (renewing the lease from the heartbeat
+  hook), publish the result, repeat — all over HTTP, never touching the
+  campaign filesystem.
+* :mod:`repro.service.daemon` — the daemon: an HTTP/JSON API
+  (``POST /campaigns``, status/results/stream routes, the five ``POST``
+  lease endpoints), the in-memory point tables, one control thread that
+  activates, reaps and supervises the in-daemon worker pool, and
+  Prometheus service gauges.
 * :mod:`repro.service.httpclient` — the resilient worker-side HTTP
   client: timeouts, deterministic-jitter retries, status-aware error
   handling, a circuit breaker, idempotency keys.
-* :mod:`repro.service.transport` — the worker's execution surface:
-  :class:`~repro.service.transport.LocalJournal` over a mounted campaign
-  directory, :class:`~repro.service.transport.RemoteJournal` over the
-  daemon's lease protocol (filesystem-free workers).
 * :mod:`repro.service.chaosproxy` — a seeded network-fault proxy
   (latency, drops, 500s, truncation, duplicate delivery, response-body
   corruption) the chaos suites and CI put between workers and the
@@ -38,35 +36,25 @@ standing service:
   breaker that stops a crash-looping config from burning the fleet.
 """
 
-from repro.service.lease import (DEFAULT_LEASE_SECONDS, LeaseLost,
-                                 claim_next, claim_point, complete_point,
-                                 fail_point, reap_expired, release_point,
-                                 renew_lease)
+from repro.service.lease import DEFAULT_LEASE_SECONDS, LeaseLost, PointTable
 from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
                                  SweepSpec, TenantPolicy, ValidationError,
+                                 config_from_doc, config_to_doc,
                                  configs_from_spec)
 from repro.service.httpclient import (CircuitOpen, ClientStats,
                                       HttpStatusError, NotFound,
                                       ServiceClient, TransportError)
-from repro.service.transport import (LocalJournal, RemoteJournal,
-                                     config_from_doc, config_to_doc)
 from repro.service.chaosproxy import ChaosProxy, FaultPlan
 from repro.service.integrity import (IntegrityConfig, IntegrityMonitor,
                                      IntegrityViolation, WorkerReputation,
                                      should_audit)
-from repro.service.worker import WorkerOptions, work_campaign_dir, work_service
+from repro.service.worker import RemoteJournal, WorkerOptions, work_service
 from repro.service.daemon import CampaignService, ServiceConfig
 
 __all__ = [
     "DEFAULT_LEASE_SECONDS",
     "LeaseLost",
-    "claim_point",
-    "claim_next",
-    "renew_lease",
-    "complete_point",
-    "fail_point",
-    "release_point",
-    "reap_expired",
+    "PointTable",
     "SweepSpec",
     "ValidationError",
     "BackPressure",
@@ -74,16 +62,15 @@ __all__ = [
     "CampaignRecord",
     "ServiceState",
     "configs_from_spec",
+    "config_to_doc",
+    "config_from_doc",
     "ServiceClient",
     "ClientStats",
     "HttpStatusError",
     "NotFound",
     "TransportError",
     "CircuitOpen",
-    "LocalJournal",
     "RemoteJournal",
-    "config_to_doc",
-    "config_from_doc",
     "ChaosProxy",
     "FaultPlan",
     "IntegrityConfig",
@@ -92,7 +79,6 @@ __all__ = [
     "WorkerReputation",
     "should_audit",
     "WorkerOptions",
-    "work_campaign_dir",
     "work_service",
     "CampaignService",
     "ServiceConfig",

@@ -1,18 +1,25 @@
 """The campaign daemon: simulation-as-a-service over HTTP.
 
-:class:`CampaignService` is a long-running process built from three
-asyncio control loops plus a threaded stdlib HTTP server:
+:class:`CampaignService` is the single writer of its campaigns' point
+shards.  Each active campaign lives in memory as a
+:class:`~repro.service.lease.PointTable` (loaded once, at activation or
+recovery); every lease transition — claim, renew, complete, fail,
+release, requeue, poison, audit mark — runs under one lock and writes its
+shard through to the journal before the RPC answers.  Counts, terminal
+status, scheduling, results and drain all come from the tables; after
+start-up the daemon never reads a shard back.  Around the tables run a
+threaded stdlib HTTP server and one plain **control thread** that
 
-* the **scheduler** activates queued campaigns (write-ahead journal +
-  run-cache dedup) and folds journal scans back into the in-memory
-  records, so campaign status/completion is always derived from the
-  same shards a ``sweep --resume`` would read;
-* the **reaper** requeues points whose lease lapsed (dead workers) and
-  retries failed points up to ``max_attempts``;
-* the **supervisor** keeps the in-daemon worker pool populated — the
-  pool is just ``python -m repro worker --connect <own-url>``
-  subprocesses, byte-for-byte the same worker an operator would start on
-  another host, so there is exactly one execution path to trust.
+* activates queued campaigns (write-ahead journal + run-cache dedup);
+* reaps: requeues points whose lease lapsed (dead workers) and retries
+  failed points up to ``max_attempts``;
+* supervises the in-daemon worker pool — just ``python -m repro worker
+  --connect <own-url>`` subprocesses, byte-for-byte the worker an
+  operator would start on another host, so there is exactly one
+  execution path to trust.
+
+It wakes when a campaign is submitted, cancelled or finishes, on stop,
+and otherwise every ``reap_interval``.
 
 HTTP API (JSON unless noted)::
 
@@ -25,9 +32,9 @@ HTTP API (JSON unless noted)::
     GET    /campaigns/<id>/stream   SSE: one status frame per interval
     DELETE /campaigns/<id>        cooperative cancel
     GET    /schedule?worker=ID    worker pull: which campaign to claim from
-    POST   /claim                 {campaign, worker, keys?, lease_seconds?}
+    POST   /claim                 {campaign, worker}
                                   -> {key, config, shard} or {key: null}
-    POST   /renew                 {campaign, worker, key, lease_seconds, hb?}
+    POST   /renew                 {campaign, worker, key, hb?}
                                   -> 200 ok / 409 lease lost
     POST   /complete              {campaign, worker, key, entry, source?}
                                   -> {accepted} (idempotent; publishes to
@@ -37,10 +44,11 @@ HTTP API (JSON unless noted)::
     GET    /metrics               Prometheus text (service gauges)
     GET    /healthz               liveness probe
 
-The five ``POST`` lease endpoints are the remote-execution protocol: the
-daemon performs the :mod:`repro.service.lease` file operations on the
-workers' behalf (generation-fenced, idempotent first-done-wins
-preserved), so connected workers need no shared filesystem.
+The five ``POST`` lease endpoints are the remote-execution protocol:
+workers never see the campaign filesystem (``/schedule`` carries no
+path; only the operator views under ``/campaigns`` show ``dir``).
+``/claim`` hands out the next pending point in manifest order, and the
+lease length is always the daemon's ``lease_seconds``.
 ``complete``/``fail`` honour ``Idempotency-Key`` headers through a
 bounded replay store — a retried publish whose first response was lost
 returns the recorded answer instead of re-applying.
@@ -57,7 +65,6 @@ Every response carries ``Cache-Control: no-store`` — these are live
 views; a cached 404 or stale counts would actively mislead.
 """
 
-import asyncio
 import collections
 import json
 import os
@@ -77,16 +84,13 @@ from repro.harness.campaign import CampaignJournal
 from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.simulator import simulate
 from repro.obs.events import EventTrace
-from repro.obs.live import read_campaign
 from repro.obs.promtext import CONTENT_TYPE, prom_line, render_prometheus
 from repro.service.integrity import IntegrityConfig, IntegrityMonitor
-from repro.service.lease import (LeaseLost, _distinct_failures, claim_next,
-                                 complete_point, fail_point, reap_expired,
-                                 release_point, renew_lease)
+from repro.service.lease import LeaseLost, PointTable
 from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
                                  TenantPolicy, ValidationError,
+                                 config_from_doc, config_to_doc,
                                  configs_from_spec)
-from repro.service.transport import config_from_doc, config_to_doc
 from repro.workloads import workload_names
 
 __all__ = ["CampaignService", "ServiceConfig"]
@@ -113,8 +117,7 @@ class ServiceConfig:
     port: int = 0                  # 0 = ephemeral (bound port on .port)
     workers: int = 2               # in-daemon worker pool size (0 = none)
     lease_seconds: float = 30.0
-    reap_interval: float = 2.0
-    tick_interval: float = 0.2     # scheduler cadence
+    reap_interval: float = 2.0     # control-thread cadence when idle
     stream_interval: float = 1.0   # SSE frame period
     heartbeat_interval: float = 1.0
     cache_dir: Optional[str] = None
@@ -123,9 +126,6 @@ class ServiceConfig:
     max_attempts: int = 3          # failed-point retries (reaper)
     retry_after: float = 5.0       # the 429 Retry-After hint
     drain_seconds: float = 30.0    # SIGTERM: grace for leased points
-    expose_dir: bool = True        # include the campaign dir in /schedule
-    #                                (False enforces filesystem-free
-    #                                workers: the path is never revealed)
     tenants: Dict[str, TenantPolicy] = field(default_factory=dict)
     log: bool = True
     # Result-integrity subsystem (repro.service.integrity).
@@ -153,7 +153,6 @@ class CampaignService:
         self.cache = (RunCache(self.config.cache_dir)
                       if self.config.cache_dir else None)
         self.lease_expirations = 0
-        self.stale_claims = 0
         self.retries = 0
         self.worker_respawns = 0
         self.points_poisoned = 0
@@ -179,14 +178,17 @@ class CampaignService:
         self._idem: "collections.OrderedDict[str, Tuple[int, Dict]]" = \
             collections.OrderedDict()
         self._idem_cap = 4096
+        # The point tables: every transition holds this one lock.
+        self._lock = threading.RLock()
+        self._tables: Dict[str, PointTable] = {}
         self._config_maps: Dict[str, Dict] = {}   # cid -> key -> RunConfig
         self._draining = threading.Event()
         self._spawned = 0        # monotonic: worker ids never repeat
         self._workers: List[Tuple[str, subprocess.Popen]] = []
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[threading.Thread] = None
+        self._control_thread: Optional[threading.Thread] = None
+        self._wake = threading.Event()
         self._stopping = threading.Event()
 
     # ------------------------------------------------------------ control
@@ -220,24 +222,18 @@ class CampaignService:
             target=self._httpd.serve_forever, name="repro-service-http",
             daemon=True)
         self._http_thread.start()
-        self._loop_thread = threading.Thread(
-            target=self._run_control_loop, name="repro-service-control",
-            daemon=True)
-        self._loop_thread.start()
+        self._control_thread = threading.Thread(
+            target=self._control, name="repro-service-control", daemon=True)
+        self._control_thread.start()
         self._log(f"listening at {self.url} "
                   f"(root={self.root}, workers={self.config.workers})")
         return self
 
     def stop(self) -> None:
         self._stopping.set()
-        if self._loop is not None:
-            try:
-                # Wake the control loops so they observe the stop flag.
-                self._loop.call_soon_threadsafe(lambda: None)
-            except RuntimeError:
-                pass  # loop already closed: stop() is idempotent
-        if self._loop_thread is not None:
-            self._loop_thread.join(timeout=10.0)
+        self._wake.set()
+        if self._control_thread is not None:
+            self._control_thread.join(timeout=10.0)
         for _wid, proc in self._workers:
             if proc.poll() is None:
                 proc.terminate()
@@ -309,29 +305,20 @@ class CampaignService:
                   "for leased points")
         deadline = time.monotonic() + max(0.0, grace)
         while time.monotonic() < deadline:
-            leased = 0
-            for record in self.state.snapshot()["campaigns"]:
-                if record["status"] not in ("active", "cancelled"):
-                    continue
-                _counts, live, _expired, _retrying = self._scan_journal(
-                    CampaignJournal(record["dir"]))
-                leased += live
+            leased = sum(table.summary()[1] for cid, table in
+                         self._live_tables(("active", "cancelled")))
             if leased == 0:
                 break
             time.sleep(0.25)
         self._refresh_all()
-        for record in self.state.snapshot()["campaigns"]:
-            if record["status"] != "active":
+        for cid, table in self._live_tables(("active",)):
+            record = self.state.get(cid)
+            done = record.counts.get("done", 0)
+            total = record.total_points
+            if total and record.finished_points() >= total:
                 continue
-            done = record["counts"].get("done", 0)
-            total = record["total_points"]
-            finished = (done + record["counts"].get("failed", 0)
-                        + record["counts"].get("poisoned", 0))
-            if total and finished >= total:
-                continue
-            CampaignJournal(record["dir"]).note_interrupted(done, total)
-            self._log(f"drain: {record['id']} interrupted at "
-                      f"{done}/{total} done")
+            table.note_interrupted(done, total)
+            self._log(f"drain: {cid} interrupted at {done}/{total} done")
         self._log("drained")
 
     # ----------------------------------------------------------- recovery
@@ -340,14 +327,14 @@ class CampaignService:
 
         Everything needed to resume lives in ``campaign.json`` (the spec
         plus the ``service`` submission metadata written at activation);
-        counts come from the shards, like every other status read.
+        the point table is loaded from the shards, once.
         """
         for manifest_path in sorted(self.root.glob("*/campaign.json")):
-            journal = CampaignJournal(manifest_path.parent)
-            manifest = journal.load_manifest()
-            if manifest is None:
+            table = PointTable.load(CampaignJournal(manifest_path.parent),
+                                    lock=self._lock)
+            if table is None:
                 continue
-            spec = manifest.get("spec") or {}
+            spec = table.manifest.get("spec") or {}
             meta = spec.get("service") or {}
             cid = meta.get("id") or manifest_path.parent.name
             record = CampaignRecord(
@@ -358,24 +345,20 @@ class CampaignService:
                 dir=str(manifest_path.parent),
                 submitted_unix=float(meta.get("submitted_unix", 0.0)),
                 seq=int(meta.get("seq", 0)) or self._seq_from_id(cid),
-                status="active",
-                total_points=len(manifest.get("points", ())))
-            counts, leased, expired, retrying = self._scan_journal(journal)
-            record.counts = counts
-            record.leased = leased
-            record.lease_expired = expired
-            finished = (counts.get("done", 0) + counts.get("failed", 0)
-                        + counts.get("poisoned", 0) - retrying)
-            if record.total_points and finished >= record.total_points:
-                record.status = ("failed"
-                                 if counts.get("failed")
-                                 or counts.get("poisoned") else "done")
+                status="active", total_points=len(table.keys))
+            self._tables[cid] = table
             self.state.adopt(record)
-            adopted_audits = self.integrity.adopt(cid, journal)
+            adopted_audits = self.integrity.adopt(cid, table)
             if adopted_audits:
-                record.status = "active"  # audits still hold it open
                 self._log(f"re-adopted {adopted_audits} in-flight "
                           f"audit(s) for {cid}")
+            if self.config.audit_rate > 0.0:
+                # Completions that landed unsampled (a crash between the
+                # two writes, or a lower rate last time) are offered now.
+                for key in table.keys:
+                    self.integrity.consider(cid, table, key,
+                                            table.read_point(key))
+            self._refresh(cid)
             self._log(f"recovered campaign {cid} "
                       f"({record.status}, {record.total_points} points)")
 
@@ -386,53 +369,30 @@ class CampaignService:
         except ValueError:
             return 0
 
-    # ------------------------------------------------------- control loops
-    def _run_control_loop(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self._control())
-        finally:
-            self._loop.close()
-
-    async def _control(self) -> None:
-        tasks = [asyncio.ensure_future(self._scheduler_loop()),
-                 asyncio.ensure_future(self._reaper_loop()),
-                 asyncio.ensure_future(self._supervisor_loop())]
+    # ------------------------------------------------------ control thread
+    def _control(self) -> None:
+        """Activate, reap, refresh, supervise; then sleep until woken."""
         while not self._stopping.is_set():
-            await asyncio.sleep(0.05)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+            for step in (self._activate_queued, self._reap,
+                         self._refresh_all, self._supervise):
+                try:
+                    step()
+                except Exception as exc:  # noqa: BLE001 - must survive
+                    self._log(f"{step.__name__.strip('_')} error: {exc}")
+            self._wake.wait(self.config.reap_interval)
+            self._wake.clear()
 
-    async def _scheduler_loop(self) -> None:
-        while True:
-            try:
-                if not self._draining.is_set():
-                    for record in self.state.to_activate():
-                        self._activate(record)
-                self._refresh_all()
-            except Exception as exc:  # noqa: BLE001 - loops must survive
-                self._log(f"scheduler error: {exc}")
-            await asyncio.sleep(self.config.tick_interval)
-
-    async def _reaper_loop(self) -> None:
-        while True:
-            try:
-                self._reap()
-            except Exception as exc:  # noqa: BLE001
-                self._log(f"reaper error: {exc}")
-            await asyncio.sleep(self.config.reap_interval)
-
-    async def _supervisor_loop(self) -> None:
-        while True:
-            try:
-                self._supervise()
-            except Exception as exc:  # noqa: BLE001
-                self._log(f"supervisor error: {exc}")
-            await asyncio.sleep(0.5)
+    def _live_tables(self, statuses) -> List[Tuple[str, PointTable]]:
+        """``(cid, table)`` for campaigns whose record is in ``statuses``."""
+        return [(cid, table) for cid, table in list(self._tables.items())
+                if self.state.get(cid).status in statuses]
 
     # --------------------------------------------------------- activation
+    def _activate_queued(self) -> None:
+        if not self._draining.is_set():
+            for record in self.state.to_activate():
+                self._activate(record)
+
     def _activate(self, record: CampaignRecord) -> None:
         """Write-ahead setup for one queued campaign + run-cache dedup."""
         journal = CampaignJournal(record.dir)
@@ -446,104 +406,64 @@ class CampaignService:
             "submitted_unix": record.submitted_unix,
         }
         journal.prepare(configs, spec=spec_doc)
+        table = PointTable.load(journal, lock=self._lock)
         deduped = 0
         if self.cache is not None:
             for config in configs:
                 key = config.cache_key()
-                doc = journal.read_point(key)
-                if doc and doc.get("status") == "done":
+                if table.read_point(key).get("status") == "done":
                     continue
                 hit = self.cache.get(config)
                 if hit is not None:
-                    journal.mark(key, "done", entry=hit, source="cache")
+                    table.mark(key, "done", entry=hit, source="cache")
                     deduped += 1
+        self._tables[record.id] = table
         self.state.mark_active(record.id, deduped=deduped)
         self.events.campaign_activated(record.id, len(configs), deduped)
         self._log(f"activated {record.id}: {len(configs)} points"
                   + (f", {deduped} from cache" if deduped else ""))
+        self._refresh(record.id)
 
-    # ----------------------------------------------------------- scanning
-    def _scan_journal(self, journal: CampaignJournal,
-                      sample_for: Optional[str] = None):
-        """One journal pass: (counts, leased, lease_expired, retrying).
+    # --------------------------------------------------------- refreshing
+    def _refresh(self, cid: str) -> None:
+        """Fold one table's counts into its record (in memory, no I/O).
 
-        With ``sample_for`` (a campaign id) and a nonzero audit rate,
-        every done shard is offered to the audit sampler *in the same
-        pass that counts it* — the ordering that makes "terminal" and
-        "sampled" atomic per point, so a completion can never slip
-        between a separate sampling sweep and the terminal-status
-        refresh unaudited.
-
-        ``retrying`` counts ``failed`` shards the reaper still owes a
-        verdict — retry budget left, or enough distinct failures that
-        the poison breaker will fire.  Those are in flight, not
-        terminal; without the carve-out a refresh landing between a
-        worker's /fail and the next reap would end the campaign with
-        retries unserved.
+        Runs under the table lock, so a completion and its audit sampling
+        are never split by a refresh: "terminal" and "sampled" stay
+        atomic per point.
         """
-        now = time.time()
-        counts: Dict[str, int] = {}
-        leased = 0
-        expired = 0
-        retrying = 0
-        manifest = journal.load_manifest() or {}
-        for point in manifest.get("points", ()):
-            doc = journal.read_point(point["key"]) or {}
-            if sample_for is not None and self.config.audit_rate > 0.0 \
-                    and doc:
-                self.integrity.consider(sample_for, journal,
-                                        point["key"], doc)
-            status = doc.get("status", "pending")
-            counts[status] = counts.get(status, 0) + 1
-            if status == "running":
-                expires = doc.get("lease_expires_unix")
-                if expires is not None and expires < now:
-                    expired += 1
-                else:
-                    leased += 1
-            elif status == "failed":
-                # Mirror reap_expired's failed-branch conditions.
-                if (self.config.poison_workers
-                        and _distinct_failures(doc)
-                        >= self.config.poison_workers):
-                    retrying += 1
-                elif (self.config.max_attempts
-                      and int(doc.get("attempts", 0))
-                      < self.config.max_attempts):
-                    retrying += 1
-        return counts, leased, expired, retrying
-
-    def _refresh_all(self) -> None:
-        for record in self.state.snapshot()["campaigns"]:
-            if record["status"] != "active":
-                continue
-            cid = record["id"]
-            live = self.state.get(cid)
-            if live is None:
-                continue
-            counts, leased, expired, retrying = self._scan_journal(
-                CampaignJournal(live.dir), sample_for=cid)
-            self.state.refresh_counts(
+        table = self._tables.get(cid)
+        if table is None:
+            return
+        with self._lock:
+            counts, leased, expired, retrying = table.summary(
+                max_attempts=self.config.max_attempts,
+                poison_distinct=self.config.poison_workers)
+            finished = self.state.refresh_counts(
                 cid, counts, leased, expired,
                 audits_pending=self.integrity.pending_audits(cid),
                 retrying=retrying)
-            refreshed = self.state.get(cid)
-            if refreshed is not None and refreshed.status in ("done",
-                                                              "failed"):
-                self.events.campaign_completed(cid, refreshed.status)
-                self._log(f"campaign {cid} {refreshed.status} "
-                          f"({refreshed.counts})")
+        if finished:
+            record = self.state.get(cid)
+            self.events.campaign_completed(cid, record.status)
+            self._log(f"campaign {cid} {record.status} ({record.counts})")
+            self._wake.set()   # a slot freed: activate the next campaign
+
+    def _refresh_all(self) -> None:
+        for cid, _table in self._live_tables(("active",)):
+            self._refresh(cid)
 
     # ------------------------------------------------------------- reaper
-    def _reap(self) -> None:
-        for record in self.state.snapshot()["campaigns"]:
-            if record["status"] not in ("active", "cancelled"):
-                continue
-            journal = CampaignJournal(record["dir"])
-            reaped = reap_expired(
-                journal, lease_seconds=self.config.lease_seconds,
-                max_attempts=(0 if record["status"] == "cancelled"
-                              else self.config.max_attempts),
+    def _reap(self, now: Optional[float] = None
+              ) -> List[Tuple[str, str, str, Optional[str]]]:
+        """Requeue lapsed leases and due retries across live campaigns;
+        ``(campaign, key, reason, worker)`` per transition."""
+        reaped_all = []
+        for cid, table in self._live_tables(("active", "cancelled")):
+            cancelled = self.state.get(cid).status == "cancelled"
+            reaped = table.reap(
+                now=now,
+                max_attempts=0 if cancelled else self.config.max_attempts,
                 poison_distinct=self.config.poison_workers)
             for key, reason, worker in reaped:
                 if reason == "lease_expired":
@@ -553,18 +473,19 @@ class CampaignService:
                     if worker:
                         self.integrity.record_misbehaviour(
                             worker, "lease_expired")
-                elif reason == "stale_claim":
-                    self.stale_claims += 1
                 elif reason == "poisoned":
                     self.points_poisoned += 1
-                    shard = journal.read_point(key) or {}
                     self.events.point_poisoned(
-                        record["id"], key,
-                        shard.get("failed_workers", []))
+                        cid, key, table.read_point(key).get(
+                            "failed_workers", []))
                 else:
                     self.retries += 1
-                self.events.lease_reaped(record["id"], key, reason)
-                self._log(f"reaped {record['id']}/{key}: {reason}")
+                self.events.lease_reaped(cid, key, reason)
+                self._log(f"reaped {cid}/{key}: {reason}")
+                reaped_all.append((cid, key, reason, worker))
+            if reaped:
+                self._refresh(cid)
+        return reaped_all
 
     # --------------------------------------------------------- supervisor
     def _supervise(self) -> None:
@@ -596,7 +517,6 @@ class CampaignService:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro", "worker",
                  "--connect", self.url, "--id", worker_id,
-                 "--lease-seconds", str(self.config.lease_seconds),
                  "--heartbeat-interval",
                  str(self.config.heartbeat_interval),
                  "--poll-interval", "0.2"],
@@ -615,6 +535,7 @@ class CampaignService:
                                        record.total_points)
         self._log(f"submitted {record.id} by {record.tenant}: "
                   f"{record.total_points} points")
+        self._wake.set()
         return record
 
     def _cancel(self, cid: str) -> Optional[CampaignRecord]:
@@ -623,11 +544,13 @@ class CampaignService:
             # The PR-5 interruption record: the manifest remembers the
             # cut, exactly like a SIGINT'd sweep, so a later
             # ``sweep --resume`` knows this was a deliberate stop.
-            journal = CampaignJournal(record.dir)
             done = record.counts.get("done", 0)
-            journal.note_interrupted(done, record.total_points)
+            table = self._tables.get(cid)
+            if table is not None:   # a queued campaign has no journal
+                table.note_interrupted(done, record.total_points)
             self.events.campaign_cancelled(cid)
             self._log(f"cancelled {cid} ({done}/{record.total_points} done)")
+            self._wake.set()
         return record
 
     def _campaign_doc(self, cid: str) -> Optional[Dict]:
@@ -635,64 +558,42 @@ class CampaignService:
         if record is None:
             return None
         doc = record.to_dict()
-        # The journal view (read_campaign) carries the per-point lease
-        # fields + derived lease_expired flags, so the HTTP status doc
-        # and a local ``repro watch`` of the same directory agree.
-        camp = read_campaign(record.dir)
-        if camp is not None:
-            doc["points"] = camp["points"]
-            doc["counts"] = camp["counts"]
-            doc["total"] = camp["total"]
-            doc["lease_expired"] = camp["lease_expired"]
+        # The per-point view (lease fields + derived lease_expired flags)
+        # is the one a local ``repro watch`` of the directory derives.
+        table = self._tables.get(cid)
+        if table is not None:
+            doc.update(table.view())
         return doc
 
     def _results_doc(self, cid: str) -> Optional[Dict]:
         record = self.state.get(cid)
         if record is None:
             return None
-        journal = CampaignJournal(record.dir)
-        manifest = journal.load_manifest() or {}
-        results = {}
-        for point in manifest.get("points", ()):
-            shard = journal.read_point(point["key"]) or {}
-            if shard.get("status") == "done" and shard.get("entry"):
-                results[point["key"]] = shard["entry"]
+        table = self._tables.get(cid)
+        results = table.results() if table is not None else {}
         return {"id": cid, "status": record.status,
                 "total_points": record.total_points,
                 "done": len(results), "results": results}
 
     def _schedule_doc(self, worker: str) -> Dict:
+        """Which campaign ``worker`` should claim from next.  Never
+        carries a filesystem path: workers only speak the lease RPCs."""
         if self._stopping.is_set() or self._draining.is_set():
-            return {"dir": None, "shutdown": True}
+            return {"shutdown": True}
         if self.integrity.is_quarantined(worker):
             # A quarantined worker gets no work, ever: the shutdown
             # answer makes a pool worker exit cleanly, and the
             # supervisor replaces the slot under a fresh identity.
-            return {"dir": None, "shutdown": True, "quarantined": True}
-        eligible = self.state.schedule()
+            return {"shutdown": True, "quarantined": True}
         # Skip campaigns whose only remaining work is audits this worker
         # cannot legally run (it completed the originals itself).
-        head = None
-        for candidate in eligible:
-            if candidate.counts.get("pending", 0) > 0 \
-                    or self.integrity.assignable(candidate.id, worker):
-                head = candidate
-                break
-        if head is None:
-            return {"dir": None,
-                    "retry_after": self.config.tick_interval * 2}
-        journal = CampaignJournal(head.dir)
-        manifest = journal.load_manifest() or {}
-        keys = []
-        for point in manifest.get("points", ()):
-            doc = journal.read_point(point["key"]) or {}
-            if doc.get("status") in ("pending", "running"):
-                keys.append(point["key"])
-        return {"dir": head.dir if self.config.expose_dir else None,
-                "campaign_id": head.id, "keys": keys,
-                "lease_seconds": self.config.lease_seconds,
-                "cache_dir": self.config.cache_dir, "worker": worker,
-                "audits": self.integrity.assignable(head.id, worker)}
+        for head in self.state.schedule():
+            audits = self.integrity.assignable(head.id, worker)
+            if head.counts.get("pending", 0) > 0 or audits:
+                return {"campaign_id": head.id,
+                        "lease_seconds": self.config.lease_seconds,
+                        "worker": worker, "audits": audits}
+        return {"campaign_id": None}
 
     # --------------------------------------------- remote lease protocol
     def _count_http(self, endpoint: str, headers) -> None:
@@ -783,21 +684,35 @@ class CampaignService:
                    idem: Optional[str] = None) -> Tuple[int, Dict]:
         """One remote lease operation -> (status, response document).
 
-        Performs the :mod:`repro.service.lease` file operation the worker
-        would have done over a shared filesystem, preserving its exact
-        semantics: generation-fenced claims, 409 on a fenced renew,
-        idempotent first-done-wins completion.  ``complete``/``fail``
-        with an idempotency key replay the recorded response instead of
-        re-applying — a duplicated delivery (retry whose first response
-        was dropped) is therefore indistinguishable from a single one.
+        Applies the :class:`~repro.service.lease.PointTable` transition
+        (generation-fenced claims, 409 on a fenced renew, idempotent
+        first-done-wins completion) and refreshes the campaign record.
+        ``complete``/``fail`` with an idempotency key replay the recorded
+        response instead of re-applying — a duplicated delivery (retry
+        whose first response was dropped) is therefore indistinguishable
+        from a single one.
         """
         cid = doc.get("campaign")
         record = self.state.get(cid) if cid else None
-        if record is None:
+        table = self._tables.get(cid) if cid else None
+        if record is None or table is None:
             return 404, {"error": "no such campaign", "campaign": cid}
         worker = str(doc.get("worker") or "?")
-        journal = CampaignJournal(record.dir)
+        if op == "complete" or op == "fail":
+            replay = self._idem_lookup(idem)
+            if replay is not None:
+                return replay
+            response = self._publish(op, record, table, worker, doc)
+            self._idem_store(idem, *response)
+        else:
+            response = self._lease_step(op, record, table, worker, doc)
+        self._refresh(cid)
+        return response
 
+    def _lease_step(self, op: str, record: CampaignRecord, table: PointTable,
+                    worker: str, doc: Dict) -> Tuple[int, Dict]:
+        """``claim``/``renew``/``release``."""
+        cid = record.id
         if op == "claim":
             if self._draining.is_set() or self._stopping.is_set():
                 return 200, {"key": None, "draining": True}
@@ -805,47 +720,31 @@ class CampaignService:
                 return 200, {"key": None, "quarantined": True}
             if record.status != "active":
                 return 200, {"key": None, "status": record.status}
-            lease_seconds = float(doc.get("lease_seconds")
-                                  or self.config.lease_seconds)
-            keys = doc.get("keys")
-            if keys is None:
-                manifest = journal.load_manifest() or {}
-                keys = [p["key"] for p in manifest.get("points", ())]
-            candidates = [k for k in keys
-                          if self._config_for(record, k) is not None]
-            got = claim_next(journal, candidates, worker,
-                             lease_seconds=lease_seconds)
-            if got is None:
+            got = table.claim_next(worker, self.config.lease_seconds)
+            audit = got is None
+            if audit:
                 # No claimable point: maybe an audit run instead.  The
                 # assignment is pinned away from the original completer
                 # and carries ``audit: true`` plus a synthetic
                 # generation, so the worker re-executes with the cache
                 # bypassed and publishes with ``source="audit"``.
-                assigned = self.integrity.assign(cid, journal, worker)
-                if assigned is not None:
-                    akey, ashard = assigned
-                    config = self._config_for(record, akey)
-                    if config is not None:
-                        self.events.point_claimed(cid, akey, worker)
-                        return 200, {"key": akey, "shard": ashard,
-                                     "config": config_to_doc(config),
-                                     "audit": True}
-                return 200, {"key": None}
+                got = self.integrity.assign(cid, table, worker)
+                if got is None:
+                    return 200, {"key": None}
             key, shard = got
             self.events.point_claimed(cid, key, worker)
-            return 200, {"key": key, "shard": shard,
-                         "config": config_to_doc(
-                             self._config_for(record, key))}
+            response = {"key": key, "shard": shard, "config":
+                        config_to_doc(self._config_for(record, key))}
+            if audit:
+                response["audit"] = True
+            return 200, response
 
         key = doc.get("key")
         if not key:
             return 400, {"error": "missing key"}
-
         if op == "renew":
-            lease_seconds = float(doc.get("lease_seconds")
-                                  or self.config.lease_seconds)
             # Audit runs lease from the audit book, not the shard (the
-            # shard is already ``done``; renew_lease would fence them).
+            # shard is already ``done``; a renew would fence them).
             audit_ok = self.integrity.audit_renew(cid, key, worker)
             if audit_ok is True:
                 return 200, {"ok": True, "audit": True}
@@ -853,69 +752,55 @@ class CampaignService:
                 return 409, {"error": "lease_lost", "key": key,
                              "holder": None}
             try:
-                shard = renew_lease(journal, key, worker,
-                                    lease_seconds=lease_seconds,
+                shard = table.renew(key, worker, self.config.lease_seconds,
                                     hb=doc.get("hb"))
             except LeaseLost as exc:
                 return 409, {"error": "lease_lost", "key": key,
                              "holder": exc.holder}
             return 200, {"ok": True, "lease_expires_unix":
                          shard.get("lease_expires_unix")}
-
-        if op == "complete":
-            replay = self._idem_lookup(idem)
-            if replay is not None:
-                return replay
-            entry = doc.get("entry")
-            if not isinstance(entry, dict):
-                return 400, {"error": "missing entry"}
-            problem = self._entry_config_mismatch(key, entry)
-            if problem is not None:
-                self.integrity.complete_rejects += 1
-                self._log(f"rejected completion of {cid}/{key} from "
-                          f"{worker}: {problem}")
-                response = (422, {"error": "entry_config_mismatch",
-                                  "detail": problem, "key": key})
-                self._idem_store(idem, *response)
-                return response
-            config = self._config_for(record, key)
-            verdict = self.integrity.on_audit_complete(
-                cid, journal, key, worker, entry,
-                cache=self.cache, config=config)
-            if verdict is not None:
-                response = (200, {"accepted": True, "key": key,
-                                  **verdict})
-                self._idem_store(idem, *response)
-                return response
-            accepted = complete_point(journal, key, worker, entry,
-                                      source=doc.get("source", "worker"))
-            if accepted and self.cache is not None and config is not None:
-                self.cache.put(config, entry)
-            response = (200, {"accepted": accepted, "key": key})
-            self._idem_store(idem, *response)
-            return response
-
-        if op == "fail":
-            replay = self._idem_lookup(idem)
-            if replay is not None:
-                return replay
-            error = str(doc.get("error") or "unknown error")
-            verdict = self.integrity.on_audit_fail(cid, journal, key,
-                                                   worker, error)
-            if verdict is not None:
-                response = (200, {"ok": True, "key": key, **verdict})
-                self._idem_store(idem, *response)
-                return response
-            fail_point(journal, key, worker, error)
-            response = (200, {"ok": True, "key": key})
-            self._idem_store(idem, *response)
-            return response
-
         if op == "release":
-            released = release_point(journal, key, worker)
-            return 200, {"released": released, "key": key}
-
+            return 200, {"released": table.release(key, worker), "key": key}
         return 404, {"error": f"unknown operation {op!r}"}
+
+    def _publish(self, op: str, record: CampaignRecord, table: PointTable,
+                 worker: str, doc: Dict) -> Tuple[int, Dict]:
+        """``complete``/``fail``: audit verdicts first, then the point."""
+        cid = record.id
+        key = doc.get("key")
+        if not key:
+            return 400, {"error": "missing key"}
+        if op == "fail":
+            error = str(doc.get("error") or "unknown error")
+            verdict = self.integrity.on_audit_fail(cid, table, key,
+                                                   worker, error)
+            if verdict is None:
+                table.fail(key, worker, error)
+            return 200, {"ok": True, "key": key, **(verdict or {})}
+        entry = doc.get("entry")
+        if not isinstance(entry, dict):
+            return 400, {"error": "missing entry"}
+        problem = self._entry_config_mismatch(key, entry)
+        if problem is not None:
+            self.integrity.complete_rejects += 1
+            self._log(f"rejected completion of {cid}/{key} from "
+                      f"{worker}: {problem}")
+            return 422, {"error": "entry_config_mismatch",
+                         "detail": problem, "key": key}
+        config = self._config_for(record, key)
+        verdict = self.integrity.on_audit_complete(
+            cid, table, key, worker, entry, cache=self.cache, config=config)
+        if verdict is not None:
+            return 200, {"accepted": True, "key": key, **verdict}
+        with self._lock:
+            accepted = table.complete(key, worker, entry,
+                                      source=doc.get("source", "worker"))
+            if accepted and self.config.audit_rate > 0.0:
+                self.integrity.consider(cid, table, key,
+                                        table.read_point(key))
+        if accepted and self.cache is not None and config is not None:
+            self.cache.put(config, entry)
+        return 200, {"accepted": accepted, "key": key}
 
     def _metrics_text(self) -> str:
         snap = self.state.snapshot()
@@ -926,8 +811,6 @@ class CampaignService:
                            snap["max_queued_points"]),
                  prom_line("repro_service_lease_expirations_total",
                            self.lease_expirations),
-                 prom_line("repro_service_stale_claims_total",
-                           self.stale_claims),
                  prom_line("repro_service_retries_total", self.retries),
                  prom_line("repro_service_worker_respawns_total",
                            self.worker_respawns),

@@ -10,13 +10,16 @@ cheap to verify: re-run the point anywhere and the
 bit-for-bit.  This module is the daemon-side machinery that does so
 systematically:
 
-* **Audit scheduling** (:meth:`IntegrityMonitor.consider`) — a seeded,
+* **Audit scheduling** (:meth:`IntegrityMonitor.consider`, called on
+  the completion that makes a point ``done``) — a seeded,
   deterministic sample (:func:`should_audit`) of worker-completed
   points is re-enqueued as *audit runs*, handed only to a worker other
   than the original completer.  The audit state is persisted into the
   point shard (an ``audit`` sub-document that never touches the result
   ``entry``, so fingerprints are unaffected) and therefore survives a
-  daemon restart.
+  daemon restart.  Every audit mark and repair goes through the
+  campaign's :class:`~repro.service.lease.PointTable`, the daemon's
+  single writer of point shards.
 * **Arbitration** (:meth:`IntegrityMonitor.on_audit_complete`) — a
   matching audit is a cheap pass.  On mismatch a third, daemon-local
   tie-break execution runs and majority vote decides; the losing entry
@@ -31,7 +34,7 @@ systematically:
   shutdown, ``/claim`` stops handing out wins, and the supervisor
   respawns a pool slot under a fresh identity.
 * **Poison points** — the lease layer's reaper consults
-  ``poison_workers`` (see :func:`repro.service.lease.reap_expired`): a
+  ``poison_workers`` (see :func:`repro.service.lease.reap_shard`): a
   point whose attempts failed under that many *distinct* workers is the
   point's fault, not the fleet's, and transitions to the terminal
   ``poisoned`` status instead of burning every worker in turn.
@@ -44,7 +47,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.harness.campaign import CampaignJournal, entry_fingerprint
+from repro.harness.campaign import entry_fingerprint
+from repro.service.lease import PointTable
 from repro.utils.shards import atomic_write_json, quarantine_shard
 
 __all__ = ["IntegrityConfig", "IntegrityMonitor", "IntegrityViolation",
@@ -184,8 +188,8 @@ class AuditRecord:
 class IntegrityMonitor:
     """The daemon's integrity brain: audit book + reputation + counters.
 
-    Thread-safe; the daemon calls in from the scheduler loop (sampling),
-    the HTTP handler threads (claim/renew/complete routing), the reaper
+    Thread-safe; the daemon calls in from the HTTP handler threads
+    (sampling on completion, claim/renew/complete routing), the reaper
     (lease-expiry blame), and the supervisor (crash blame).
     ``run_config`` is the arbitration executor — ``RunConfig -> entry``;
     the default (installed by the daemon) simulates locally, tests
@@ -215,7 +219,7 @@ class IntegrityMonitor:
         self.complete_rejects = 0
 
     # ---------------------------------------------------------- sampling
-    def consider(self, campaign: str, journal: CampaignJournal, key: str,
+    def consider(self, campaign: str, table: PointTable, key: str,
                  shard: Dict) -> bool:
         """Maybe schedule one done point for audit; True when scheduled.
 
@@ -232,7 +236,7 @@ class IntegrityMonitor:
             return False
         if not should_audit(key, self.config.audit_rate,
                             self.config.audit_seed):
-            journal.mark(key, "done", audit={"status": "skipped"})
+            table.mark(key, "done", audit={"status": "skipped"})
             return False
         record = AuditRecord(
             campaign=campaign, key=key,
@@ -245,12 +249,12 @@ class IntegrityMonitor:
             record.generation = _AUDIT_GENERATION_BASE + self._seq
             self._records[(campaign, key)] = record
             self.audits_scheduled += 1
-        journal.mark(key, "done", audit={"status": "pending"})
+        table.mark(key, "done", audit={"status": "pending"})
         self._log(f"audit scheduled for {campaign}/{key} "
                   f"(completed by {record.original_worker})")
         return True
 
-    def adopt(self, campaign: str, journal: CampaignJournal) -> int:
+    def adopt(self, campaign: str, table: PointTable) -> int:
         """Re-adopt persisted audit state after a daemon restart.
 
         ``pending``/``running``/``arbitrating`` audits restart from
@@ -258,10 +262,8 @@ class IntegrityMonitor:
         the monitor simply not knowing its worker.
         """
         adopted = 0
-        manifest = journal.load_manifest() or {}
-        for point in manifest.get("points", ()):
-            key = point["key"]
-            shard = journal.read_point(key) or {}
+        for key in table.keys:
+            shard = table.read_point(key) or {}
             audit = shard.get("audit") or {}
             if audit.get("status") not in AUDIT_ACTIVE_STATUSES:
                 continue
@@ -277,7 +279,7 @@ class IntegrityMonitor:
                 self._seq += 1
                 record.generation = _AUDIT_GENERATION_BASE + self._seq
                 self._records[(campaign, key)] = record
-            journal.mark(key, "done", audit={"status": "pending"})
+            table.mark(key, "done", audit={"status": "pending"})
             adopted += 1
         return adopted
 
@@ -298,7 +300,7 @@ class IntegrityMonitor:
                        for (cid, _), r in self._records.items()
                        if cid == campaign)
 
-    def assign(self, campaign: str, journal: CampaignJournal,
+    def assign(self, campaign: str, table: PointTable,
                worker: str) -> Optional[Tuple[str, Dict]]:
         """Hand one pending audit to ``worker``; ``(key, shard)`` or None.
 
@@ -322,8 +324,8 @@ class IntegrityMonitor:
             record.audit_worker = worker
             record.attempts += 1
             generation = record.generation
-        journal.mark(key, "done", audit={"status": "running",
-                                         "worker": worker})
+        table.mark(key, "done", audit={"status": "running",
+                                       "worker": worker})
         shard = {"key": key, "status": "done", "audit": True,
                  "generation": generation, "worker": worker}
         self._log(f"audit of {campaign}/{key} assigned to {worker}")
@@ -345,7 +347,7 @@ class IntegrityMonitor:
                                                             "arbitrating")
 
     # -------------------------------------------------------- completion
-    def on_audit_complete(self, campaign: str, journal: CampaignJournal,
+    def on_audit_complete(self, campaign: str, table: PointTable,
                           key: str, worker: str, entry: Dict,
                           cache=None, config=None,
                           arbitrate_async: bool = True) -> Optional[Dict]:
@@ -375,12 +377,12 @@ class IntegrityMonitor:
                 self.audit_mismatches += 1
                 matched = False
         if matched:
-            journal.mark(key, "done", audit={"status": "passed",
-                                             "worker": worker})
+            table.mark(key, "done", audit={"status": "passed",
+                                           "worker": worker})
             self._log(f"audit passed for {campaign}/{key} (by {worker})")
             return {"audit": "passed"}
-        journal.mark(key, "done", audit={"status": "arbitrating",
-                                         "worker": worker})
+        table.mark(key, "done", audit={"status": "arbitrating",
+                                       "worker": worker})
         if self.events is not None:
             self.events.audit_mismatch(campaign, key,
                                        record.original_worker, worker)
@@ -389,14 +391,14 @@ class IntegrityMonitor:
         if arbitrate_async:
             threading.Thread(
                 target=self._arbitrate_safely,
-                args=(campaign, journal, key, worker, entry, cache, config),
+                args=(campaign, table, key, worker, entry, cache, config),
                 name=f"repro-arbitrate-{key[:12]}", daemon=True).start()
         else:
-            self._arbitrate_safely(campaign, journal, key, worker, entry,
+            self._arbitrate_safely(campaign, table, key, worker, entry,
                                    cache, config)
         return {"audit": "mismatch"}
 
-    def on_audit_fail(self, campaign: str, journal: CampaignJournal,
+    def on_audit_fail(self, campaign: str, table: PointTable,
                       key: str, worker: str, error: str) -> Optional[Dict]:
         """An audit run errored: requeue it (bounded) — not a mismatch."""
         with self._lock:
@@ -413,7 +415,7 @@ class IntegrityMonitor:
                 record.status = "pending"
                 record.audit_worker = None
                 status = "pending"
-        journal.mark(key, "done", audit={"status": status, "error": error})
+        table.mark(key, "done", audit={"status": status, "error": error})
         self._log(f"audit run of {campaign}/{key} failed on {worker} "
                   f"({error}); {status}")
         return {"audit": status}
@@ -425,7 +427,7 @@ class IntegrityMonitor:
         except Exception as exc:  # noqa: BLE001 - must never kill the daemon
             self._log(f"arbitration error: {exc}")
 
-    def _arbitrate(self, campaign: str, journal: CampaignJournal, key: str,
+    def _arbitrate(self, campaign: str, table: PointTable, key: str,
                    audit_worker: str, audit_entry: Dict,
                    cache=None, config=None) -> None:
         """Third execution + majority vote; repair or reject accordingly."""
@@ -433,7 +435,7 @@ class IntegrityMonitor:
             record = self._records.get((campaign, key))
         if record is None:
             return
-        shard = journal.read_point(key) or {}
+        shard = table.read_point(key) or {}
         original_entry = shard.get("entry")
         original_fp = record.original_fingerprint
         audit_fp = entry_fingerprint(audit_entry)
@@ -479,7 +481,7 @@ class IntegrityMonitor:
         # Quarantine the losing entry's bytes (evidence, not deletion),
         # then atomically install the winner in the journal (+ cache).
         if loser_entry is not None and verdict in ("repaired", "rejected"):
-            evidence = journal.root / f"{key}.audit-loser.json"
+            evidence = table.root / f"{key}.audit-loser.json"
             atomic_write_json(evidence,
                               {"entry": loser_entry, "worker": loser_worker,
                                "verdict": verdict}, indent=1, sort_keys=True)
@@ -493,7 +495,7 @@ class IntegrityMonitor:
             repaired["repaired_from"] = record.original_worker
             repaired["audit"] = {"status": "repaired",
                                  "worker": audit_worker}
-            journal.write_point(key, repaired)
+            table.write_point(key, repaired)
             if cache is not None and config is not None:
                 # The cache shard holds the corrupted bytes: quarantine
                 # it for the post-mortem, then publish the winner.
@@ -501,10 +503,10 @@ class IntegrityMonitor:
                                  "runcache-integrity")
                 cache.put(config, winner_entry)
         else:
-            journal.mark(key, "done",
+            table.mark(key, "done",
                          audit={"status": verdict, "worker": audit_worker})
 
-        atomic_write_json(journal.root / f"{key}.integrity.json",
+        atomic_write_json(table.root / f"{key}.integrity.json",
                           report, indent=1, sort_keys=True)
 
         with self._lock:

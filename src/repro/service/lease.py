@@ -1,56 +1,56 @@
-"""Lease layer: crash-safe multi-worker work-claiming on the journal.
+"""Lease layer: the point state machine and the daemon's point table.
 
-The campaign journal's per-point atomic status shards already make
-*completion* crash-safe (a ``done`` shard survives anything), but the
-single-operator sweep left *claiming* to the parent process: a point
-stuck ``running`` after a worker crash was only recovered by a manual
-``sweep --resume``.  This module turns the shards into a shared work
-queue that any number of worker processes — in the daemon's pool or on
-other hosts over a shared filesystem — can pull from safely:
+Every campaign point is one journal shard (the
+:class:`~repro.harness.campaign.CampaignJournal` format) moving through::
 
-* **Claiming** is atomic and generation-scoped.  Every shard carries a
-  ``generation`` counter (bumped on every requeue); to claim a pending
-  point a worker exclusively creates the marker file
-  ``<key>.g<generation>.claim`` (``O_CREAT | O_EXCL`` — the one
-  filesystem primitive that cannot double-fire), and only the winner
-  rewrites the shard to ``running`` with its worker id and lease expiry.
-  Two processes racing the same point resolve to exactly one winner; the
-  loser moves on to the next key.
+    pending -> running -> done
+                      \\-> failed  -> pending (retry) | poisoned
+    running -> pending (lease expired / released) | poisoned
+
+The transitions are pure functions of a shard dict (``*_shard`` below);
+:class:`PointTable` applies them to one campaign held in memory:
+
+* **Claiming** is generation-scoped.  Every shard carries a
+  ``generation`` counter, bumped on every requeue; only a ``pending``
+  point is claimable, and the claim stamps the worker id and lease
+  expiry.
 * **Leases** bound how long a claim is trusted.  The owning worker
-  renews from its simulation heartbeat hook (folding the latest
-  heartbeat payload into the shard, so watchers see live progress); a
-  worker that discovers its lease was reaped gets :class:`LeaseLost` and
-  abandons the point instead of fighting the new owner.
-* **The reaper** (:func:`reap_expired`) requeues points whose lease
+  renews from its simulation heartbeat hook (the heartbeat payload is
+  folded into the shard, so watchers see live progress); a worker whose
+  lease was reaped or retaken gets :class:`LeaseLost` and abandons the
+  point instead of fighting the new owner.
+* **The reaper** (:meth:`PointTable.reap`) requeues points whose lease
   lapsed — SIGKILLed workers lose their in-flight work but never strand
-  it — and heals the two rarer wounds: a claim marker orphaned by a
-  worker that died between marker and shard write, and a shard file that
-  vanished entirely.
+  it — and retries failed points up to a cap.
 * **Completion is idempotent.**  Simulations are deterministic, so a
   worker whose lease was stolen may still finish and publish: the first
-  ``done`` wins, every later completion of the same point is a no-op
-  (:func:`complete_point` returns False).  Duplicate compute is the
-  worst case; divergent or stranded state is impossible.
-* **Poison points stop crash loops.**  Every failed attempt (an
-  explicit :func:`fail_point` or a lease that lapsed mid-run) records
-  its worker in the shard's ``failed_workers`` list; when
-  :func:`reap_expired` is given ``poison_distinct`` and a point has now
-  failed under that many *distinct* workers, the fault is the point's,
-  not the fleet's, and the shard transitions to the terminal
-  ``poisoned`` status instead of requeueing forever and burning every
-  worker in turn.
+  ``done`` wins and every later completion is a no-op.
+* **Poison points stop crash loops.**  Every failed attempt (an explicit
+  failure or a lease that lapsed mid-run) records its worker in the
+  shard's ``failed_workers`` list; once a point has failed under
+  ``poison_distinct`` *distinct* workers the fault is the point's, not
+  the fleet's, and it goes to the terminal ``poisoned`` status instead
+  of requeueing forever.
+
+The table is the single writer of its campaign's shards.  It is loaded
+once (:meth:`PointTable.load`); afterwards every transition runs under
+one lock, updates the in-memory shard and writes it through with
+:meth:`~repro.harness.campaign.CampaignJournal.write_point` before
+returning, so the files stay exactly what ``sweep --resume``,
+``repro watch`` and a restarted daemon read — and the table never reads
+them again.
 """
 
-import os
-import pathlib
+import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.harness.campaign import CampaignJournal
+from repro.obs.live import campaign_view
 
-__all__ = ["DEFAULT_LEASE_SECONDS", "LeaseLost", "claim_point", "claim_next",
-           "renew_lease", "complete_point", "fail_point", "release_point",
-           "reap_expired", "lease_fields"]
+__all__ = ["DEFAULT_LEASE_SECONDS", "LeaseLost", "PointTable", "claim_shard",
+           "renew_shard", "complete_shard", "fail_shard", "release_shard",
+           "reap_shard", "lease_fields"]
 
 DEFAULT_LEASE_SECONDS = 30.0
 
@@ -58,13 +58,18 @@ DEFAULT_LEASE_SECONDS = 30.0
 # ``running`` so stale lease data can never shadow a fresh claim.
 _LEASE_FIELDS = ("worker", "lease_expires_unix", "lease_renewed_unix", "hb")
 
+# Statuses the reaper may still act on.
+_LIVE = ("running", "failed")
+
+Reaped = Tuple[str, str, Optional[str]]
+
 
 class LeaseLost(RuntimeError):
     """This worker's lease on a point was reaped or stolen.
 
-    Raised from :func:`renew_lease` (typically inside the simulation
-    heartbeat hook) so the worker can abandon the point promptly instead
-    of racing the new owner to completion.
+    Raised by a renewal (typically inside the simulation heartbeat hook)
+    so the worker can abandon the point promptly instead of racing the
+    new owner to completion.
     """
 
     def __init__(self, key: str, worker: str, holder: Optional[str] = None):
@@ -75,14 +80,7 @@ class LeaseLost(RuntimeError):
                          + (f" (now held by {holder})" if holder else ""))
 
 
-def _marker_path(journal: CampaignJournal, key: str,
-                 generation: int) -> pathlib.Path:
-    return journal.root / f"{key}.g{generation}.claim"
-
-
-def lease_fields(worker: str, lease_seconds: float,
-                 now: Optional[float] = None) -> Dict:
-    now = time.time() if now is None else now
+def lease_fields(worker: str, lease_seconds: float, now: float) -> Dict:
     return {
         "worker": worker,
         "lease_renewed_unix": round(now, 3),
@@ -96,155 +94,79 @@ def _strip_lease(doc: Dict) -> Dict:
     return doc
 
 
-def claim_point(journal: CampaignJournal, key: str, worker: str,
-                lease_seconds: float = DEFAULT_LEASE_SECONDS,
-                now: Optional[float] = None) -> Optional[Dict]:
-    """Try to claim one ``pending`` point; returns the running shard or None.
-
-    The claim is atomic: the marker file for the shard's current
-    generation is created with ``O_CREAT | O_EXCL``, so of any number of
-    racing claimers exactly one proceeds.  Only pending shards are
-    claimable — an expired ``running`` shard must be requeued first
-    (see :func:`reap_expired` / :func:`claim_next`), which bumps the
-    generation and thereby invalidates the old owner's renewals.
-    """
-    now = time.time() if now is None else now
-    doc = journal.read_point(key)
-    if doc is None or doc.get("status") != "pending":
-        return None
-    generation = int(doc.get("generation", 0))
-    marker = _marker_path(journal, key, generation)
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return None  # somebody else holds (or held) this generation
-    except OSError:
-        return None
-    with os.fdopen(fd, "w") as fh:
-        fh.write(f"{worker} {now:.3f}\n")
-    # We own generation `generation` exclusively: every pending->running
-    # transition goes through this marker, and requeues only touch
-    # running/failed shards, so this write cannot race another claimer.
-    doc = _strip_lease(dict(doc))
-    doc["status"] = "running"
-    doc["generation"] = generation
-    doc["attempts"] = int(doc.get("attempts", 0)) + 1
-    doc.update(lease_fields(worker, lease_seconds, now))
-    claimed = journal.write_point(key, doc)
-    try:
-        os.unlink(marker)
-    except OSError:
-        pass
-    return claimed
-
-
-def _blame(fields: Dict, worker: Optional[str]) -> List[str]:
+def _blame(fields: Dict, worker: Optional[str]) -> None:
     """Append ``worker`` to the shard's distinct ``failed_workers`` list."""
     workers = [w for w in fields.get("failed_workers", ()) if w]
     if worker and worker not in workers:
         workers.append(worker)
     fields["failed_workers"] = workers
-    return workers
 
 
-def _requeue(journal: CampaignJournal, key: str, doc: Dict,
-             reason: str) -> Dict:
-    """Requeue one shard to ``pending`` in place, bumping the generation.
+def _distinct_failures(doc: Dict) -> int:
+    return len({w for w in doc.get("failed_workers", ()) if w})
 
-    The bump is what fences the old owner: its renewals check worker
-    identity against the rewritten shard and raise :class:`LeaseLost`.
-    Idempotent under races — two reapers writing the same requeue produce
-    identical shards.  A ``lease_expired`` requeue blames the dead
-    worker in ``failed_workers`` (it cannot report its own failure), so
-    the poison-point breaker sees crash loops, not just clean failures.
-    """
+
+def _requeue(doc: Dict, reason: str) -> Dict:
+    """Back to ``pending`` with a generation bump — the bump is what
+    fences the old owner (its renewals no longer match the shard)."""
     fields = _strip_lease(dict(doc))
-    if reason == "lease_expired":
-        _blame(fields, doc.get("worker"))
     fields["status"] = "pending"
     fields["generation"] = int(doc.get("generation", 0)) + 1
     fields["requeued"] = reason
     fields.pop("error", None)
-    return journal.write_point(key, fields)
+    return fields
 
 
-def _poison(journal: CampaignJournal, key: str, doc: Dict,
-            error: Optional[str] = None) -> Dict:
-    """Terminal ``poisoned`` transition: this point eats workers."""
+def _poison(doc: Dict, now: float, error: Optional[str] = None) -> Dict:
     fields = _strip_lease(dict(doc))
     fields["status"] = "poisoned"
-    fields["poisoned_unix"] = round(time.time(), 3)
+    fields["poisoned_unix"] = round(now, 3)
     if error:
         fields["error"] = error
-    return journal.write_point(key, fields)
+    return fields
 
 
-def claim_next(journal: CampaignJournal, keys: Sequence[str], worker: str,
-               lease_seconds: float = DEFAULT_LEASE_SECONDS,
-               now: Optional[float] = None) -> Optional[Tuple[str, Dict]]:
-    """Claim the first claimable point among ``keys``; ``(key, shard)`` or None.
-
-    Pending points are claimed directly; a ``running`` point whose lease
-    has lapsed is requeued in place first (lazy reaping — standalone
-    workers get dead-worker recovery even with no daemon reaper running)
-    and then contested like any pending point.
-    """
-    now = time.time() if now is None else now
-    for key in keys:
-        doc = journal.read_point(key)
-        if doc is None:
-            continue
-        status = doc.get("status")
-        if status == "running":
-            expires = doc.get("lease_expires_unix")
-            if expires is not None and expires < now:
-                _requeue(journal, key, doc, "lease_expired")
-            else:
-                continue
-        elif status != "pending":
-            continue
-        claimed = claim_point(journal, key, worker, lease_seconds, now)
-        if claimed is not None:
-            return key, claimed
-    return None
+# ---------------------------------------------------------------------
+# Pure transitions: shard dict in, new shard dict (or a verdict) out.
+# ---------------------------------------------------------------------
+def claim_shard(doc: Dict, worker: str, lease_seconds: float,
+                now: float) -> Optional[Dict]:
+    """``pending -> running`` under ``worker``; None if not claimable."""
+    if doc.get("status", "pending") != "pending":
+        return None
+    fields = _strip_lease(dict(doc))
+    fields["status"] = "running"
+    fields["generation"] = int(doc.get("generation", 0))
+    fields["attempts"] = int(doc.get("attempts", 0)) + 1
+    fields.update(lease_fields(worker, lease_seconds, now))
+    return fields
 
 
-def renew_lease(journal: CampaignJournal, key: str, worker: str,
-                lease_seconds: float = DEFAULT_LEASE_SECONDS,
-                hb: Optional[Dict] = None,
-                now: Optional[float] = None) -> Dict:
-    """Extend this worker's lease; raises :class:`LeaseLost` if it lapsed.
+def renew_shard(doc: Optional[Dict], key: str, worker: str,
+                lease_seconds: float, now: float,
+                hb: Optional[Dict] = None) -> Dict:
+    """Extend ``worker``'s lease; raises :class:`LeaseLost` if not held.
 
     ``hb`` (a :class:`~repro.obs.live.HeartbeatTicker` payload) is folded
-    into the shard so journal watchers see live progress — for leased
-    points the shard, not ``live.json``, is the heartbeat channel,
-    because each point has exactly one owner and therefore no write
-    contention.
+    into the shard: for leased points the shard is the heartbeat channel.
     """
-    doc = journal.read_point(key)
     if (doc is None or doc.get("status") != "running"
             or doc.get("worker") != worker):
-        raise LeaseLost(key, worker,
-                        holder=doc.get("worker") if doc else None)
-    doc = dict(doc)
-    doc.update(lease_fields(worker, lease_seconds, now))
+        raise LeaseLost(key, worker, holder=doc.get("worker") if doc else None)
+    fields = dict(doc)
+    fields.update(lease_fields(worker, lease_seconds, now))
     if hb is not None:
-        doc["hb"] = hb
-    return journal.write_point(key, doc)
+        fields["hb"] = hb
+    return fields
 
 
-def complete_point(journal: CampaignJournal, key: str, worker: str,
-                   entry: Dict, source: str = "worker") -> bool:
-    """Publish a finished result; returns False if already ``done``.
-
-    First completion wins; later completions (a worker whose lease was
-    stolen finishing anyway) are no-ops.  Results are deterministic, so
-    which copy lands is immaterial — idempotence just keeps attempt
-    provenance honest.
-    """
-    doc = journal.read_point(key) or {}
+def complete_shard(doc: Dict, worker: str, entry: Dict,
+                   source: str = "worker") -> Optional[Dict]:
+    """Publish a result; None when the point is already ``done``
+    (first completion wins — results are deterministic, so which copy
+    lands is immaterial and idempotence keeps provenance honest)."""
     if doc.get("status") == "done" and doc.get("entry") is not None:
-        return False
+        return None
     fields = _strip_lease(dict(doc))
     fields["status"] = "done"
     fields["entry"] = entry
@@ -252,128 +174,258 @@ def complete_point(journal: CampaignJournal, key: str, worker: str,
     fields["completed_by"] = worker
     fields["attempts_taken"] = int(fields.get("attempts", 1) or 1)
     fields.pop("error", None)
-    journal.write_point(key, fields)
-    return True
+    return fields
 
 
-def fail_point(journal: CampaignJournal, key: str, worker: str,
-               error: str) -> Dict:
+def fail_shard(doc: Dict, worker: str, error: str) -> Dict:
     """Record a failed attempt (the reaper retries up to its cap)."""
-    doc = journal.read_point(key) or {}
     fields = _strip_lease(dict(doc))
     fields["status"] = "failed"
     fields["error"] = error
     fields["failed_by"] = worker
     _blame(fields, worker)
-    return journal.write_point(key, fields)
+    return fields
 
 
-def release_point(journal: CampaignJournal, key: str, worker: str) -> bool:
-    """Cooperatively hand a claimed-but-unfinished point back (shutdown)."""
-    doc = journal.read_point(key)
-    if (doc is None or doc.get("status") != "running"
-            or doc.get("worker") != worker):
-        return False
-    _requeue(journal, key, doc, "released")
-    return True
+def release_shard(doc: Dict, worker: str) -> Optional[Dict]:
+    """Hand a held point back (shutdown courtesy); None if not held."""
+    if doc.get("status") != "running" or doc.get("worker") != worker:
+        return None
+    return _requeue(doc, "released")
 
 
-def _stale_markers(journal: CampaignJournal, key: str, generation: int,
-                   horizon: float) -> List[pathlib.Path]:
-    """Claim markers for ``generation`` older than ``horizon`` seconds —
-    the signature of a claimer killed between marker and shard write."""
-    marker = _marker_path(journal, key, generation)
-    try:
-        age = time.time() - marker.stat().st_mtime
-    except OSError:
-        return []
-    return [marker] if age > horizon else []
+def reap_shard(doc: Dict, now: float, max_attempts: int = 0,
+               poison_distinct: int = 0
+               ) -> Optional[Tuple[Dict, str, Optional[str]]]:
+    """The reaper's verdict on one shard: ``(new shard, reason, worker)``
+    or None.  ``worker`` is the one the event implicates.
 
-
-def _distinct_failures(doc: Dict, extra: Optional[str] = None) -> int:
-    workers = {w for w in doc.get("failed_workers", ()) if w}
-    if extra:
-        workers.add(extra)
-    return len(workers)
-
-
-def reap_expired(journal: CampaignJournal,
-                 lease_seconds: float = DEFAULT_LEASE_SECONDS,
-                 now: Optional[float] = None,
-                 max_attempts: int = 0,
-                 keys: Optional[Iterable[str]] = None,
-                 poison_distinct: int = 0
-                 ) -> List[Tuple[str, str, Optional[str]]]:
-    """Requeue every point whose lease (or claim) lapsed.
-
-    Returns ``(key, reason, worker)`` triples — ``worker`` is the one
-    the event implicates (the dead lease owner, the failing worker) or
-    None when nobody is (stale claim markers are anonymous), so callers
-    can attribute blame without re-reading shards.
-
-    Three wounds heal here, all in place (no ``--resume`` needed):
-
-    * ``running`` with ``lease_expires_unix`` in the past — the owning
-      worker is dead or wedged; requeue with reason ``lease_expired``;
-    * ``pending`` with a stale claim marker for its generation — a
-      claimer died inside the claim window; bump the generation (with
-      reason ``stale_claim``) so the orphaned marker can never block the
-      point again;
+    * ``running`` with ``lease_expires_unix`` in the past — the owner is
+      dead or wedged: requeue (``lease_expired``), blaming it in
+      ``failed_workers`` since it cannot report its own failure;
     * ``failed`` with ``attempts`` below ``max_attempts`` (0 disables) —
-      requeue with reason ``retry``.
-
-    And one wound is declared incurable: with ``poison_distinct`` > 0, a
-    point about to requeue that has already failed under that many
-    *distinct* workers transitions to the terminal ``poisoned`` status
-    (reason ``poisoned``) instead — the crash-loop breaker that stops
-    one pathological config from burning the whole fleet.
-
-    ``keys`` restricts the sweep (default: every manifest point).
+      requeue (``retry``);
+    * either, with ``poison_distinct`` > 0 and that many distinct failed
+      workers — the terminal ``poisoned`` status instead.
     """
-    now = time.time() if now is None else now
-    if keys is None:
-        manifest = journal.load_manifest() or {}
-        keys = [p["key"] for p in manifest.get("points", ())]
-    reaped: List[Tuple[str, str, Optional[str]]] = []
-    for key in keys:
-        doc = journal.read_point(key)
-        if doc is None:
-            continue
-        status = doc.get("status")
-        if status == "running":
-            expires = doc.get("lease_expires_unix")
-            if expires is not None and expires < now:
-                worker = doc.get("worker")
-                if (poison_distinct
-                        and _distinct_failures(doc, extra=worker)
-                        >= poison_distinct):
-                    blamed = dict(doc)
-                    _blame(blamed, worker)
-                    _poison(journal, key, blamed,
-                            error="lease expired under "
-                                  f"{_distinct_failures(doc, extra=worker)}"
-                                  " distinct workers")
-                    reaped.append((key, "poisoned", worker))
-                else:
-                    _requeue(journal, key, doc, "lease_expired")
-                    reaped.append((key, "lease_expired", worker))
-        elif status == "pending":
-            generation = int(doc.get("generation", 0))
-            for marker in _stale_markers(journal, key, generation,
-                                         lease_seconds):
-                _requeue(journal, key, doc, "stale_claim")
-                try:
-                    os.unlink(marker)
-                except OSError:
-                    pass
-                reaped.append((key, "stale_claim", None))
-        elif status == "failed":
-            worker = doc.get("failed_by")
-            if (poison_distinct
-                    and _distinct_failures(doc) >= poison_distinct):
-                _poison(journal, key, doc)
-                reaped.append((key, "poisoned", worker))
-            elif max_attempts and int(doc.get("attempts", 0)) < max_attempts:
-                _requeue(journal, key, doc, "retry")
-                reaped.append((key, "retry", worker))
-    return reaped
+    status = doc.get("status")
+    if status == "running":
+        expires = doc.get("lease_expires_unix")
+        if expires is None or expires >= now:
+            return None
+        worker = doc.get("worker")
+        blamed = dict(doc)
+        _blame(blamed, worker)
+        distinct = _distinct_failures(blamed)
+        if poison_distinct and distinct >= poison_distinct:
+            return (_poison(blamed, now, error="lease expired under "
+                            f"{distinct} distinct workers"),
+                    "poisoned", worker)
+        return _requeue(blamed, "lease_expired"), "lease_expired", worker
+    if status == "failed":
+        worker = doc.get("failed_by")
+        if poison_distinct and _distinct_failures(doc) >= poison_distinct:
+            return _poison(doc, now), "poisoned", worker
+        if max_attempts and int(doc.get("attempts", 0)) < max_attempts:
+            return _requeue(doc, "retry"), "retry", worker
+    return None
+
+
+# ---------------------------------------------------------------------
+# The table: one campaign in memory, written through to its journal.
+# ---------------------------------------------------------------------
+class PointTable:
+    """One campaign's shards in memory; the single writer of its journal.
+
+    Besides the lease transitions it offers the journal's
+    ``read_point``/``write_point``/``mark``/``root`` surface, so the
+    integrity monitor's audit marks and repairs go through it too.
+    """
+
+    def __init__(self, journal: CampaignJournal, manifest: Dict,
+                 shards: Dict[str, Optional[Dict]],
+                 lock: Optional[threading.RLock] = None):
+        self.journal = journal
+        self.manifest = manifest
+        self.keys: List[str] = []
+        self.lock = lock or threading.RLock()
+        self._points: Dict[str, Dict] = {}
+        self._counts: Dict[str, int] = {}
+        self._live: Dict[str, None] = {}   # running/failed keys, in order
+        for point in manifest.get("points", ()):
+            key = point["key"]
+            if key not in self._points:
+                self.keys.append(key)
+            self._put(key, shards.get(key)
+                      or {"key": key, "attempts": 0, "status": "pending"})
+
+    @classmethod
+    def load(cls, journal: CampaignJournal,
+             lock: Optional[threading.RLock] = None
+             ) -> Optional["PointTable"]:
+        """Read the manifest and every shard once; None without a
+        manifest."""
+        manifest = journal.load_manifest()
+        if manifest is None:
+            return None
+        shards = {p["key"]: journal.read_point(p["key"])
+                  for p in manifest.get("points", ())}
+        return cls(journal, manifest, shards, lock)
+
+    @property
+    def root(self):
+        return self.journal.root
+
+    def _put(self, key: str, doc: Dict) -> None:
+        old = self._points.get(key)
+        if old is not None:
+            self._counts[old.get("status", "pending")] -= 1
+        status = doc.get("status", "pending")
+        self._counts[status] = self._counts.get(status, 0) + 1
+        self._points[key] = doc
+        if status in _LIVE:
+            self._live[key] = None
+        else:
+            self._live.pop(key, None)
+
+    # ------------------------------------------------ journal surface
+    def read_point(self, key: str) -> Optional[Dict]:
+        with self.lock:
+            doc = self._points.get(key)
+            return dict(doc) if doc is not None else None
+
+    def write_point(self, key: str, doc: Dict) -> Dict:
+        with self.lock:
+            doc = self.journal.write_point(key, doc)
+            self._put(key, doc)
+            return dict(doc)
+
+    def mark(self, key: str, status: str, **fields) -> Dict:
+        with self.lock:
+            doc = dict(self._points.get(key) or {"key": key, "attempts": 0})
+            doc["status"] = status
+            doc.update(fields)
+            return self.write_point(key, doc)
+
+    def note_interrupted(self, done: int, total: int) -> None:
+        """Append the manifest interruption record a SIGINT'd sweep
+        writes (:meth:`CampaignJournal.note_interrupted`)."""
+        with self.lock:
+            self.manifest.setdefault("interruptions", []).append(
+                {"done": done, "total": total, "unix": int(time.time())})
+            self.journal.write_manifest(self.manifest)
+
+    # ----------------------------------------------------- transitions
+    def claim(self, key: str, worker: str,
+              lease_seconds: float = DEFAULT_LEASE_SECONDS,
+              now: Optional[float] = None) -> Optional[Dict]:
+        """Claim one ``pending`` point; the running shard or None."""
+        with self.lock:
+            doc = self._points.get(key)
+            claimed = doc and claim_shard(doc, worker, lease_seconds,
+                                          _now(now))
+            return self.write_point(key, claimed) if claimed else None
+
+    def claim_next(self, worker: str,
+                   lease_seconds: float = DEFAULT_LEASE_SECONDS,
+                   now: Optional[float] = None
+                   ) -> Optional[Tuple[str, Dict]]:
+        """Claim the first pending point in manifest order."""
+        with self.lock:
+            if not self._counts.get("pending"):
+                return None
+            for key in self.keys:
+                if self._points[key].get("status", "pending") == "pending":
+                    return key, self.claim(key, worker, lease_seconds, now)
+        return None
+
+    def renew(self, key: str, worker: str,
+              lease_seconds: float = DEFAULT_LEASE_SECONDS,
+              hb: Optional[Dict] = None,
+              now: Optional[float] = None) -> Dict:
+        with self.lock:
+            return self.write_point(key, renew_shard(
+                self._points.get(key), key, worker, lease_seconds,
+                _now(now), hb=hb))
+
+    def complete(self, key: str, worker: str, entry: Dict,
+                 source: str = "worker") -> bool:
+        """Publish a result; False if the point is unknown or done."""
+        with self.lock:
+            doc = self._points.get(key)
+            done = doc and complete_shard(doc, worker, entry, source)
+            if done:
+                self.write_point(key, done)
+            return bool(done)
+
+    def fail(self, key: str, worker: str, error: str) -> None:
+        with self.lock:
+            if key in self._points:
+                self.write_point(key, fail_shard(self._points[key], worker,
+                                                 error))
+
+    def release(self, key: str, worker: str) -> bool:
+        with self.lock:
+            doc = self._points.get(key)
+            released = doc and release_shard(doc, worker)
+            if released:
+                self.write_point(key, released)
+            return bool(released)
+
+    def reap(self, now: Optional[float] = None, max_attempts: int = 0,
+             poison_distinct: int = 0) -> List[Reaped]:
+        """Apply :func:`reap_shard` to every running/failed point."""
+        now = _now(now)
+        reaped: List[Reaped] = []
+        with self.lock:
+            for key in list(self._live):
+                verdict = reap_shard(self._points[key], now, max_attempts,
+                                     poison_distinct)
+                if verdict is not None:
+                    doc, reason, worker = verdict
+                    self.write_point(key, doc)
+                    reaped.append((key, reason, worker))
+        return reaped
+
+    # ----------------------------------------------------------- views
+    def summary(self, now: Optional[float] = None, max_attempts: int = 0,
+                poison_distinct: int = 0
+                ) -> Tuple[Dict[str, int], int, int, int]:
+        """``(counts, leased, lease_expired, retrying)``.
+
+        ``retrying`` counts ``failed`` points the reaper still owes a
+        verdict (retry budget left, or a poison verdict due): they are in
+        flight, not terminal.
+        """
+        now = _now(now)
+        leased = expired = retrying = 0
+        with self.lock:
+            for key in self._live:
+                doc = self._points[key]
+                if doc.get("status") == "running":
+                    if doc.get("lease_expires_unix", now) < now:
+                        expired += 1
+                    else:
+                        leased += 1
+                elif reap_shard(doc, now, max_attempts,
+                                poison_distinct) is not None:
+                    retrying += 1
+            counts = {s: n for s, n in self._counts.items() if n}
+        return counts, leased, expired, retrying
+
+    def results(self) -> Dict[str, Dict]:
+        """``key -> entry`` for every done point, in manifest order."""
+        with self.lock:
+            return {k: self._points[k]["entry"] for k in self.keys
+                    if self._points[k].get("status") == "done"
+                    and self._points[k].get("entry")}
+
+    def view(self) -> Dict:
+        """The :func:`~repro.obs.live.read_campaign` view, from memory."""
+        with self.lock:
+            return campaign_view(self.manifest.get("points", ()),
+                                 self._points)
+
+
+def _now(now: Optional[float]) -> float:
+    return time.time() if now is None else now

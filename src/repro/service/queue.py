@@ -19,7 +19,7 @@ isolation property the quotas exist to give.
 Because workers *pull*, quota enforcement has a read-claim window; the
 state closes it with short-lived **offers**: every scheduling response
 counts against the tenant's quota for a few seconds (or until the
-journal shows the lease), so two workers racing the same quota slot
+point table shows the lease), so two workers racing the same quota slot
 cannot both be offered it.
 
 Back-pressure
@@ -37,7 +37,8 @@ from typing import Dict, List, Optional
 from repro.harness.simulator import ENGINES, RunConfig
 
 __all__ = ["SweepSpec", "ValidationError", "BackPressure", "TenantPolicy",
-           "CampaignRecord", "ServiceState", "configs_from_spec"]
+           "CampaignRecord", "ServiceState", "configs_from_spec",
+           "config_to_doc", "config_from_doc"]
 
 # Hard ceiling on points per submission: a cross product past this is a
 # spec mistake, not a workload (the queue bound handles real volume).
@@ -117,15 +118,32 @@ class SweepSpec:
 def configs_from_spec(spec: Dict) -> List[RunConfig]:
     """The point set a manifest/submission spec names, in sweep order.
 
-    The single shared derivation: the daemon (at activation), every
-    worker (rebuilding configs from the manifest), and the CLI ``sweep``
-    path must mint identical :class:`RunConfig` objects — and therefore
-    identical ``cache_key()``s — from the same spec, or results stop
-    being content-addressed.
+    The single shared derivation: the daemon (at activation and
+    recovery) and the CLI ``sweep`` path must mint identical
+    :class:`RunConfig` objects — and therefore identical
+    ``cache_key()``s — from the same spec, or results stop being
+    content-addressed.
     """
     return [RunConfig(workload=w, engine=e,
                       max_instructions=int(spec["instructions"]))
             for w in spec["workloads"] for e in spec["engines"]]
+
+
+def config_to_doc(config: RunConfig) -> Dict:
+    """The over-the-wire shape of a sweep point's configuration."""
+    return {"workload": config.workload, "engine": config.engine,
+            "instructions": config.max_instructions}
+
+
+def config_from_doc(doc: Dict) -> RunConfig:
+    """Rebuild a sweep-point :class:`RunConfig` from its wire shape.
+
+    Mints the same ``cache_key()`` as :func:`configs_from_spec` for the
+    same point — the invariant that keeps remote results
+    content-addressed.
+    """
+    return RunConfig(workload=doc["workload"], engine=doc["engine"],
+                     max_instructions=int(doc["instructions"]))
 
 
 @dataclass
@@ -341,8 +359,9 @@ class ServiceState:
     def refresh_counts(self, cid: str, counts: Dict[str, int],
                        leased: int, lease_expired: int,
                        audits_pending: int = 0,
-                       retrying: int = 0) -> None:
-        """Fold one journal scan into the record (scheduler loop).
+                       retrying: int = 0) -> bool:
+        """Fold the point table's counts into the record; True when this
+        call made the campaign terminal.
 
         A campaign is terminal only when every point reached a terminal
         status *and* no integrity audit is still in flight — a campaign
@@ -356,7 +375,8 @@ class ServiceState:
         with self._lock:
             record = self.campaigns.get(cid)
             if record is None:
-                return
+                return False
+            finished_now = False
             record.counts = dict(counts)
             record.leased = leased
             record.lease_expired = lease_expired
@@ -371,6 +391,7 @@ class ServiceState:
                                      or counts.get("poisoned")
                                      else "done")
                     record.finished_unix = round(time.time(), 3)
+                    finished_now = True
             tenant_leased: Dict[str, int] = {}
             for c in self.campaigns.values():
                 if c.status == "active":
@@ -379,6 +400,7 @@ class ServiceState:
             for tenant, n in tenant_leased.items():
                 if n > self.peak_leased.get(tenant, 0):
                     self.peak_leased[tenant] = n
+            return finished_now
 
     def mark_active(self, cid: str, deduped: int = 0) -> None:
         with self._lock:

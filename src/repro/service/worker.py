@@ -1,37 +1,26 @@
 """Pull-model campaign worker: claim, simulate, publish, repeat.
 
-One worker process runs one point at a time: it claims a pending point
-through a transport, simulates it with the lease renewed from the
-simulation heartbeat hook (so a healthy worker's lease never lapses and
-watchers see live progress in the point shard), publishes the result,
-and claims the next.  The point loop (:func:`_run_point`) is
-transport-agnostic; the two deployments differ only in which
-:mod:`repro.service.transport` implementation hands points out:
-
-* :func:`work_campaign_dir` — aimed straight at a campaign directory
-  (``repro worker --dir CAMP``): drains that one campaign through the
-  local lease layer (:class:`~repro.service.transport.LocalJournal`)
-  and exits.
-* :func:`work_service` — connected to a daemon
-  (``repro worker --connect URL``): polls ``GET /schedule`` for which
-  campaign to claim from next, then claims/renews/publishes through the
-  daemon's ``POST /claim``/``/renew``/``/complete``/``/fail`` protocol
-  (:class:`~repro.service.transport.RemoteJournal`).  A connected
-  worker **never touches the campaign root** — it is never even told
-  the path — so worker hosts need no shared filesystem.  All HTTP goes
-  through the resilient :class:`~repro.service.httpclient.ServiceClient`
-  (retries, backoff, circuit breaker): a daemon restart or a flaky link
-  degrades the worker to a breaker-paced reconnect loop instead of an
-  exit.  ``WorkerOptions.max_misses`` (0 = never) bounds how many
-  consecutive failed schedule polls are tolerated before giving up.
+One worker process runs one point at a time for a campaign daemon
+(``repro worker --connect URL``): it polls ``GET /schedule`` for which
+campaign to claim from next, claims a point with ``POST /claim``,
+simulates it with the lease renewed from the simulation heartbeat hook
+(so a healthy worker's lease never lapses and watchers see live progress
+in the point shard), publishes the result with ``/complete`` (or
+``/fail``), and claims the next.  :class:`RemoteJournal` is that
+protocol's client side.  A worker **never touches the campaign root** —
+it is never even told the path — so worker hosts need no shared
+filesystem.  All HTTP goes through the resilient
+:class:`~repro.service.httpclient.ServiceClient` (retries, backoff,
+circuit breaker): a daemon restart or a flaky link degrades the worker
+to a breaker-paced reconnect loop instead of an exit.
+``WorkerOptions.max_misses`` (0 = never) bounds how many consecutive
+failed schedule polls are tolerated before giving up.
 
 A worker that loses its lease mid-simulation (the reaper requeued it, or
 a resume fenced it out) gets :class:`~repro.service.lease.LeaseLost`
 from the renewal inside its heartbeat hook, abandons the point, and
 moves on; the new owner's result is the one that lands.  On exit the
-worker courteously releases exactly the points it still holds —
-transports track held keys, so the release is O(held), not a
-release-everything sweep over the manifest.
+worker courteously releases exactly the points it still holds.
 
 Fault injection (CI only): ``REPRO_SERVICE_INJECT`` is a JSON object
 ``{"worker": "w1", "die_after_claims": 2, "flag": "/path"}`` — the named
@@ -52,19 +41,17 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
-from repro.harness.campaign import CampaignJournal
 from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.simulator import RunConfig, simulate
 from repro.service.httpclient import (CircuitOpen, HttpStatusError, NotFound,
                                       ServiceClient, TransportError)
-from repro.service.lease import DEFAULT_LEASE_SECONDS, LeaseLost
-from repro.service.queue import configs_from_spec
-from repro.service.transport import LocalJournal, RemoteJournal
+from repro.service.lease import LeaseLost
+from repro.service.queue import config_from_doc
 
-__all__ = ["WorkerOptions", "work_campaign_dir", "work_service"]
+__all__ = ["RemoteJournal", "WorkerOptions", "work_service"]
 
 INJECT_ENV = "REPRO_SERVICE_INJECT"
 
@@ -74,7 +61,6 @@ class WorkerOptions:
     """Knobs for one worker process."""
 
     worker_id: str = ""
-    lease_seconds: float = DEFAULT_LEASE_SECONDS
     heartbeat_interval: float = 1.0
     poll_interval: float = 0.5     # idle wait between schedule polls
     max_idle_polls: int = 0        # 0 = poll forever (daemon pool mode)
@@ -84,7 +70,7 @@ class WorkerOptions:
     #                                paces reconnection instead)
     cache_dir: Optional[str] = None
     log: bool = True
-    # Resilient-client knobs (connected mode).
+    # Resilient-client knobs.
     http_timeout: float = 10.0
     http_retries: int = 4
     http_backoff: float = 0.25
@@ -110,7 +96,7 @@ class WorkerReport:
     idle_polls: int = 0
     released: int = 0
     campaigns: List[str] = field(default_factory=list)
-    # Connected-mode transport health.
+    # Transport health.
     http_retries: int = 0
     breaker_opens: int = 0
     renew_misses: int = 0
@@ -187,6 +173,134 @@ class _Injection:
                 config.workload == self.fail_workload)
 
 
+class RemoteJournal:
+    """The worker side of the daemon's lease protocol for one campaign.
+
+    Error philosophy, per operation:
+
+    * ``claim`` — transport errors propagate (the loop decides whether
+      to back off or move on); a 404 propagates as
+      :class:`~repro.service.httpclient.NotFound` so the loop can drop a
+      campaign the daemon no longer knows.
+    * ``renew`` — only an authoritative ``409`` becomes
+      :class:`LeaseLost`.  Transport errors are swallowed and counted
+      (``renew_misses``): the daemon may requeue the point while we are
+      dark, but first-done-wins makes finishing anyway safe, and
+      abandoning real compute because of a blip would be strictly worse.
+    * ``complete``/``fail`` — retried with the idempotency key
+      ``worker:campaign:key:gN`` until ``publish_retry_seconds`` is
+      exhausted, riding through breaker-open windows; a dropped response
+      therefore cannot double-apply, and a daemon restart mid-publish
+      costs only patience.  Completion bodies carry the full run-cache
+      entry, so the daemon publishes to the journal *and* the shared
+      cache on its side of the wire.
+    * ``release_held`` — hands back exactly the points still held.
+    """
+
+    def __init__(self, client: ServiceClient, campaign_id: str,
+                 worker_id: str, publish_retry_seconds: float = 120.0,
+                 log=None):
+        self.client = client
+        self.campaign_id = campaign_id
+        self.worker_id = worker_id
+        self.publish_retry_seconds = publish_retry_seconds
+        self.held: set = set()
+        self.renew_misses = 0
+        self.publish_retries = 0
+        self._generations: Dict[str, int] = {}
+        self._log = log or (lambda msg: print(msg, file=sys.stderr,
+                                              flush=True))
+
+    def _body(self, **fields) -> Dict:
+        return {"campaign": self.campaign_id, "worker": self.worker_id,
+                **fields}
+
+    def claim(self) -> Optional[Tuple[str, RunConfig, Dict]]:
+        """``(key, config, shard)`` for the point the daemon hands out,
+        or None when it has nothing for us."""
+        doc = self.client.post("/claim", self._body())
+        key = doc.get("key")
+        if not key:
+            return None
+        shard = doc.get("shard") or {}
+        self.held.add(key)
+        self._generations[key] = int(shard.get("generation", 0))
+        return key, config_from_doc(doc["config"]), shard
+
+    def renew(self, key: str, hb: Optional[Dict] = None) -> None:
+        body = self._body(key=key)
+        if hb is not None:
+            body["hb"] = hb
+        try:
+            self.client.post("/renew", body)
+        except HttpStatusError as exc:
+            if exc.status == 409:
+                self.held.discard(key)
+                info = exc.json() or {}
+                raise LeaseLost(key, self.worker_id,
+                                holder=info.get("holder")) from exc
+            self.renew_misses += 1
+        except (TransportError, CircuitOpen):
+            self.renew_misses += 1
+
+    def _publish(self, path: str, body: Dict) -> Dict:
+        # Deterministic per (holder, point, generation): a retried
+        # publish of the same attempt reuses the key; a re-claimed point
+        # (new generation) mints a fresh one.
+        idem = (f"{self.worker_id}:{self.campaign_id}:{body['key']}"
+                f":g{self._generations.get(body['key'], 0)}")
+        deadline = time.monotonic() + self.publish_retry_seconds
+        while True:
+            try:
+                return self.client.post(path, body, idempotency_key=idem)
+            except CircuitOpen as exc:
+                if time.monotonic() >= deadline:
+                    raise
+                self.publish_retries += 1
+                time.sleep(min(max(exc.retry_in, 0.05), 1.0))
+            except TransportError:
+                if time.monotonic() >= deadline:
+                    raise
+                self.publish_retries += 1
+                time.sleep(0.2)
+
+    def complete(self, key: str, entry: Dict,
+                 source: str = "worker") -> bool:
+        try:
+            doc = self._publish("/complete", self._body(
+                key=key, entry=entry, source=source))
+        except (TransportError, CircuitOpen, HttpStatusError) as exc:
+            # The result is lost to us but not to the campaign: the
+            # reaper requeues the point and a deterministic rerun
+            # publishes the identical entry.
+            self._log(f"publish of {key} failed ({exc}); "
+                      "leaving it to the reaper")
+            doc = {}
+        self.held.discard(key)
+        return bool(doc.get("accepted"))
+
+    def fail(self, key: str, error: str) -> None:
+        try:
+            self._publish("/fail", self._body(key=key, error=error))
+        except (TransportError, CircuitOpen, HttpStatusError) as exc:
+            self._log(f"fail-report of {key} lost ({exc}); "
+                      "the reaper will requeue it")
+        self.held.discard(key)
+
+    def release_held(self) -> int:
+        """Best-effort: hand back exactly what we still hold."""
+        released = 0
+        for key in sorted(self.held):
+            try:
+                doc = self.client.post("/release", self._body(key=key))
+            except (TransportError, CircuitOpen, HttpStatusError):
+                continue  # the reaper covers what courtesy cannot
+            if doc.get("released"):
+                released += 1
+        self.held.clear()
+        return released
+
+
 def _run_point(transport, key: str, config: RunConfig,
                options: WorkerOptions, report: WorkerReport,
                cache: Optional[RunCache],
@@ -194,11 +308,10 @@ def _run_point(transport, key: str, config: RunConfig,
                audit: bool = False) -> None:
     """Simulate one claimed point and publish the outcome.
 
-    Transport-agnostic: ``transport`` is a
-    :class:`~repro.service.transport.LocalJournal` or
-    :class:`~repro.service.transport.RemoteJournal`; both renew from the
-    heartbeat hook, raise :class:`LeaseLost` only on authoritative
-    fencing, and publish idempotently (first done wins).
+    ``transport`` is a :class:`RemoteJournal` (or anything with its
+    ``renew``/``complete``/``fail`` surface): renewals raise
+    :class:`LeaseLost` only on authoritative fencing, and publication is
+    idempotent (first done wins).
 
     ``audit`` runs re-execute an already-done point for the daemon's
     integrity monitor: the local RunCache is bypassed in both directions
@@ -231,7 +344,7 @@ def _run_point(transport, key: str, config: RunConfig,
         if now - last_renew[0] < options.heartbeat_interval / 2.0:
             return
         last_renew[0] = now
-        transport.renew(key, options.lease_seconds, hb=payload)
+        transport.renew(key, hb=payload)
 
     try:
         result = simulate(config, on_heartbeat=on_heartbeat,
@@ -258,55 +371,6 @@ def _run_point(transport, key: str, config: RunConfig,
         _log(options, f"done {key} (duplicate; first completion kept)")
 
 
-def _campaign_configs(journal: CampaignJournal) -> Dict[str, RunConfig]:
-    """``key -> RunConfig`` for every point the manifest spec names."""
-    manifest = journal.load_manifest() or {}
-    spec = manifest.get("spec") or {}
-    if not spec.get("workloads") or not spec.get("engines"):
-        return {}
-    return {c.cache_key(): c for c in configs_from_spec(spec)}
-
-
-def work_campaign_dir(campaign_dir, options: Optional[WorkerOptions] = None
-                      ) -> WorkerReport:
-    """Drain one campaign directory: claim until nothing is claimable.
-
-    Safe to run many of these concurrently against the same directory
-    (that is the whole point); each returns once every manifest point is
-    done/failed or leased to somebody else.
-    """
-    options = options or WorkerOptions()
-    report = WorkerReport(worker_id=options.worker_id)
-    journal = CampaignJournal(campaign_dir)
-    injection = _Injection(options.worker_id)
-    configs = _campaign_configs(journal)
-    if not configs:
-        _log(options, f"no runnable manifest under {campaign_dir}")
-        return report
-    cache = RunCache(options.cache_dir) if options.cache_dir else None
-    report.campaigns.append(str(campaign_dir))
-    transport = LocalJournal(journal, options.worker_id, configs)
-    while True:
-        if options.max_points and report.claimed >= options.max_points:
-            break
-        got = transport.claim(lease_seconds=options.lease_seconds)
-        if got is None:
-            break
-        key, config, _shard = got
-        report.claimed += 1
-        injection.maybe_die(report.claimed)
-        _run_point(transport, key, config, options, report, cache,
-                   injection=injection)
-    # Courtesy: hand back anything still held (crash paths skip this by
-    # construction; the reaper covers them). O(held) — normally zero.
-    report.released = transport.release_held()
-    return report
-
-
-# ----------------------------------------------------------------------
-# Connected mode: the daemon picks the campaign, the daemon's lease
-# endpoints settle the claim. No filesystem in sight.
-# ----------------------------------------------------------------------
 def work_service(base_url: str, options: Optional[WorkerOptions] = None
                  ) -> WorkerReport:
     """Work for a daemon: poll ``/schedule``, claim one point, repeat.
@@ -369,11 +433,8 @@ def work_service(base_url: str, options: Optional[WorkerOptions] = None
             report.idle_polls += 1
             if options.max_idle_polls and idle >= options.max_idle_polls:
                 break
-            time.sleep(float(doc.get("retry_after",
-                                      options.poll_interval)))
+            time.sleep(options.poll_interval)
             continue
-        lease_seconds = float(doc.get("lease_seconds",
-                                      options.lease_seconds))
         remote = remotes.get(cid)
         if remote is None:
             remote = RemoteJournal(
@@ -382,8 +443,7 @@ def work_service(base_url: str, options: Optional[WorkerOptions] = None
                 log=lambda msg: _log(options, msg))
             remotes[cid] = remote
         try:
-            got = remote.claim(doc.get("keys"),
-                               lease_seconds=lease_seconds)
+            got = remote.claim()
         except NotFound:
             # The campaign is authoritatively gone (daemon restarted
             # without it, or it was deleted): drop it and move on.
@@ -405,16 +465,13 @@ def work_service(base_url: str, options: Optional[WorkerOptions] = None
             # just contention; poll again immediately.
             continue
         idle = 0
-        key, config, _shard = got
+        key, config, shard = got
         report.claimed += 1
         if cid not in report.campaigns:
             report.campaigns.append(cid)
         injection.maybe_die(report.claimed)
-        opts = options if lease_seconds == options.lease_seconds else \
-            replace(options, lease_seconds=lease_seconds)
-        _run_point(remote, key, config, opts, report, cache,
-                   injection=injection,
-                   audit=bool((_shard or {}).get("audit")))
+        _run_point(remote, key, config, options, report, cache,
+                   injection=injection, audit=bool(shard.get("audit")))
     # Courtesy: hand back exactly the points still held (normally none).
     for remote in remotes.values():
         report.released += remote.release_held()

@@ -8,6 +8,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -164,3 +165,14 @@ class TestRetarget:
             with pytest.raises((urllib.error.URLError, OSError,
                                 http.client.HTTPException)):
                 through(proxy, timeout=5.0)
+
+
+class TestLifecycle:
+    def test_stop_returns_promptly_and_reaps_the_accept_thread(self,
+                                                               backend):
+        proxy = ChaosProxy("127.0.0.1", backend.server_address[1]).start()
+        assert through(proxy)["ok"] is True
+        t0 = time.monotonic()
+        proxy.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert not proxy._accept_thread.is_alive()

@@ -8,17 +8,20 @@ worker is killed mid-flight.
 """
 
 import json
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.harness.campaign import entry_fingerprint, run_campaign
+from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
+                                    run_campaign)
 from repro.harness.runcache import RunCache
 from repro.service.daemon import CampaignService, ServiceConfig
 from repro.service.queue import TenantPolicy, configs_from_spec
-from repro.service.worker import INJECT_ENV
+from repro.service.worker import INJECT_ENV, WorkerOptions, work_service
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -62,7 +65,7 @@ def wait_for(predicate, timeout=180.0, interval=0.2, what="condition"):
 
 def quick_config(tmp_path, **overrides):
     kwargs = dict(root=str(tmp_path / "svc"), port=0, workers=0,
-                  lease_seconds=2.0, reap_interval=0.3, tick_interval=0.1,
+                  lease_seconds=2.0, reap_interval=0.3,
                   stream_interval=0.1, heartbeat_interval=0.2,
                   cache_dir=str(tmp_path / "cache"), log=False)
     kwargs.update(overrides)
@@ -172,7 +175,13 @@ class TestWorkerPoolEndToEnd:
             assert {"campaign_submitted", "campaign_activated",
                     "lease_reaped", "campaign_completed"} <= names
             _, metrics = get(f"{svc.url}/metrics")
-            assert "repro_service_lease_expirations_total" in metrics
+            samples = dict(line.rsplit(" ", 1)
+                           for line in metrics.splitlines()
+                           if line and not line.startswith("#"))
+            assert float(
+                samples["repro_service_lease_expirations_total"]) >= 1
+            assert float(
+                samples["repro_service_worker_respawns_total"]) >= 1
         reference = run_campaign(configs_from_spec(SPEC), jobs=1)
         assert {k: entry_fingerprint(v)
                 for k, v in results["results"].items()} \
@@ -215,3 +224,134 @@ class TestRecovery:
             # adopted one instead of reusing it.
             _, doc2, _ = post(f"{svc2.url}/campaigns", SPEC)
             assert doc2["id"] != cid
+
+
+def activate(svc, spec=SPEC):
+    _, doc, _ = post(f"{svc.url}/campaigns", spec)
+    cid = doc["id"]
+    wait_for(lambda: svc.state.get(cid).status == "active", timeout=30,
+             what="activation")
+    return cid
+
+
+class TestPointTable:
+    def test_renew_never_resurrects_a_reaped_lease(self, tmp_path):
+        """~200 renew-from-the-old-owner / reap pairs race on expired
+        leases (the reaper's clock is an hour ahead; nothing sleeps).
+        Whichever wins, a point the reaper reports as lease_expired ends
+        up pending one generation later — never running under the owner
+        it just blamed, in memory or on disk."""
+        config = quick_config(tmp_path, lease_seconds=60.0,
+                              reap_interval=3600.0, poison_workers=0)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the pair finely
+        try:
+            self._race_renew_against_reap(config)
+        finally:
+            sys.setswitchinterval(switch)
+
+    @staticmethod
+    def _race_renew_against_reap(config):
+        with CampaignService(config) as svc:
+            cid = activate(svc, {**SPEC, "workloads": ["astar"],
+                                 "engines": ["baseline"]})
+            table = svc._tables[cid]
+            for round_no in range(200):
+                worker = f"w{round_no}"
+                status, claim = svc._lease_rpc(
+                    "claim", {"campaign": cid, "worker": worker})
+                assert status == 200 and claim["key"], claim
+                key = claim["key"]
+                generation = claim["shard"]["generation"]
+                barrier = threading.Barrier(2)
+                out = {}
+
+                def renew():
+                    barrier.wait()
+                    out["renew"] = svc._lease_rpc(
+                        "renew", {"campaign": cid, "worker": worker,
+                                  "key": key})[0]
+
+                def reap():
+                    barrier.wait()
+                    out["reaped"] = svc._reap(now=time.time() + 3600)
+
+                threads = [threading.Thread(target=renew),
+                           threading.Thread(target=reap)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads), round_no
+                assert (cid, key, "lease_expired", worker) \
+                    in out["reaped"], round_no
+                assert out["renew"] in (200, 409)
+                for shard in (table.read_point(key),
+                              CampaignJournal(table.root).read_point(key)):
+                    assert shard["status"] == "pending", (round_no, shard)
+                    assert shard.get("worker") is None
+                    assert shard["generation"] == generation + 1
+            assert svc.lease_expirations == 200
+
+    def test_daemon_reads_no_shard_after_activation(self, tmp_path,
+                                                    monkeypatch):
+        """Once a campaign is active the daemon serves counts, schedule,
+        claims, completions, audits, results and its terminal status from
+        memory: a booby-trapped ``read_point`` never fires while the
+        campaign runs to completion (audits included)."""
+        def trap(self, key):
+            raise AssertionError(f"daemon read shard {key} after start-up")
+
+        config = quick_config(tmp_path, audit_rate=1.0)
+        with CampaignService(config) as svc:
+            cid = activate(svc)
+            monkeypatch.setattr(CampaignJournal, "read_point", trap)
+            options = dict(poll_interval=0.05, heartbeat_interval=0.2,
+                           max_idle_polls=20, log=False)
+            # Two workers: each audit must run on the other one.
+            reports = {}
+            threads = [threading.Thread(
+                target=lambda w=w: reports.update({w: work_service(
+                    svc.url, WorkerOptions(worker_id=w, **options))}))
+                for w in ("r1", "r2")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            record = wait_for(
+                lambda: (lambda d: d if d["status"] in ("done", "failed")
+                         else None)(get(f"{svc.url}/campaigns/{cid}")[1]),
+                timeout=30, what="campaign to finish")
+            assert record["status"] == "done", record
+            assert svc.integrity.counters()["audits_passed"] == 4
+            _, results = get(f"{svc.url}/campaigns/{cid}/results")
+            assert len(results["results"]) == 4
+            monkeypatch.undo()
+        reference = run_campaign(configs_from_spec(SPEC), jobs=1)
+        assert {k: entry_fingerprint(v)
+                for k, v in results["results"].items()} \
+            == {k: entry_fingerprint(v) for k, v in reference.items()}
+
+    def test_daemon_journal_resumes_with_sweep(self, tmp_path):
+        """The write-through shards are the same files a sweep journal
+        holds: a daemon campaign stopped half-way (one point done, one
+        still leased) finishes under ``sweep --resume`` bit-identical to
+        a clean run."""
+        from repro.cli import main
+
+        with CampaignService(quick_config(tmp_path)) as svc:
+            cid = activate(svc)
+            svc._lease_rpc("claim", {"campaign": cid, "worker": "w1"})
+            work_service(svc.url, WorkerOptions(
+                worker_id="w2", max_points=1, poll_interval=0.05,
+                log=False))
+            directory = svc.state.get(cid).dir
+        counts = CampaignJournal(directory).statuses()
+        assert sorted(counts.values()) == ["done", "pending", "pending",
+                                           "running"]
+        assert main(["sweep", "--resume", directory, "-q", "-j", "1"]) == 0
+        journal = CampaignJournal(directory)
+        reference = run_campaign(configs_from_spec(SPEC), jobs=1)
+        assert {k: entry_fingerprint(journal.read_point(k)["entry"])
+                for k in journal.statuses()} \
+            == {k: entry_fingerprint(v) for k, v in reference.items()}

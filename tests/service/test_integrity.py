@@ -22,7 +22,7 @@ from repro.obs.live import live_view, render_watch
 from repro.service.daemon import CampaignService, ServiceConfig
 from repro.service.integrity import (IntegrityConfig, IntegrityMonitor,
                                      WorkerReputation, should_audit)
-from repro.service.lease import claim_point, fail_point, reap_expired
+from repro.service.lease import PointTable
 from repro.service.queue import configs_from_spec
 from repro.service.worker import INJECT_ENV
 
@@ -34,7 +34,12 @@ SPEC = {"workloads": ["astar", "perlbench"],
         "engines": ["baseline", "phelps"], "instructions": 1500}
 
 
+T0 = 1_000_000.0   # injected clock for lease expiry
+
+
 def make_journal(tmp_path, keys=("p",)):
+    """A campaign's point table (the daemon's single writer) over a
+    fresh journal; shards on disk follow every transition."""
     journal = CampaignJournal(tmp_path / "camp")
     journal.root.mkdir(parents=True)
     journal.write_manifest({
@@ -43,7 +48,7 @@ def make_journal(tmp_path, keys=("p",)):
                    for k in keys]})
     for k in keys:
         journal.mark(k, "pending")
-    return journal
+    return PointTable.load(journal)
 
 
 class TestShouldAudit:
@@ -98,49 +103,45 @@ class TestWorkerReputation:
 
 class TestPoisonBreaker:
     def test_distinct_worker_failures_poison_terminally(self, tmp_path):
-        journal = make_journal(tmp_path)
+        table = make_journal(tmp_path)
         for worker in ("w1", "w2"):
-            claim_point(journal, "p", worker)
-            fail_point(journal, "p", worker, "boom")
-            reaped = reap_expired(journal, max_attempts=5,
-                                  poison_distinct=3)
+            table.claim("p", worker, now=T0)
+            table.fail("p", worker, "boom")
+            reaped = table.reap(now=T0, max_attempts=5, poison_distinct=3)
             assert reaped == [("p", "retry", worker)]
-        claim_point(journal, "p", "w3")
-        fail_point(journal, "p", "w3", "boom")
-        reaped = reap_expired(journal, max_attempts=5, poison_distinct=3)
+        table.claim("p", "w3", now=T0)
+        table.fail("p", "w3", "boom")
+        reaped = table.reap(now=T0, max_attempts=5, poison_distinct=3)
         assert reaped == [("p", "poisoned", "w3")]
-        doc = journal.read_point("p")
+        doc = CampaignJournal(table.root).read_point("p")
         assert doc["status"] == "poisoned"
         assert sorted(doc["failed_workers"]) == ["w1", "w2", "w3"]
         # Terminal: no amount of reaping resurrects it.
-        assert reap_expired(journal, max_attempts=99,
-                            poison_distinct=3) == []
+        assert table.reap(now=T0, max_attempts=99,
+                          poison_distinct=3) == []
 
     def test_same_worker_retries_never_poison(self, tmp_path):
-        journal = make_journal(tmp_path)
+        table = make_journal(tmp_path)
         for _ in range(3):
-            claim_point(journal, "p", "w1")
-            fail_point(journal, "p", "w1", "boom")
-            reap_expired(journal, max_attempts=10, poison_distinct=2)
+            table.claim("p", "w1", now=T0)
+            table.fail("p", "w1", "boom")
+            table.reap(now=T0, max_attempts=10, poison_distinct=2)
         # One worker failing repeatedly is that worker's problem, not
         # proof the point is poisoned.
-        assert journal.read_point("p")["status"] != "poisoned"
+        assert table.read_point("p")["status"] != "poisoned"
 
     def test_lease_expiries_count_as_distinct_failures(self, tmp_path):
-        journal = make_journal(tmp_path)
-        claim_point(journal, "p", "w1", lease_seconds=0.01)
-        time.sleep(0.03)
-        assert reap_expired(journal, lease_seconds=0.01,
-                            poison_distinct=2) \
+        table = make_journal(tmp_path)
+        table.claim("p", "w1", lease_seconds=1, now=T0)
+        assert table.reap(now=T0 + 2, poison_distinct=2) \
             == [("p", "lease_expired", "w1")]
-        claim_point(journal, "p", "w2", lease_seconds=0.01)
-        time.sleep(0.03)
+        table.claim("p", "w2", lease_seconds=1, now=T0 + 2)
         # Second distinct silent death: the crash-loop breaker fires
         # even though neither worker ever reported a failure.
-        assert reap_expired(journal, lease_seconds=0.01,
-                            poison_distinct=2) \
+        assert table.reap(now=T0 + 4, poison_distinct=2) \
             == [("p", "poisoned", "w2")]
-        assert journal.read_point("p")["status"] == "poisoned"
+        assert CampaignJournal(table.root).read_point("p")["status"] \
+            == "poisoned"
 
 
 class TestMonitorUnit:
@@ -263,10 +264,11 @@ class TestMonitorUnit:
         monitor.consider("c1", journal, "p", shard)
         monitor.assign("c1", journal, "w2")   # in flight at "crash"
         fresh = self._monitor()               # the restarted daemon
-        assert fresh.adopt("c1", journal) == 1
+        reloaded = PointTable.load(CampaignJournal(journal.root))
+        assert fresh.adopt("c1", reloaded) == 1
         assert fresh.pending_audits("c1") == 1
         # Back to pending: the lost in-flight run is simply forgotten.
-        key, _ = fresh.assign("c1", journal, "w3")
+        key, _ = fresh.assign("c1", reloaded, "w3")
         assert key == "p"
 
     def test_audit_subdocument_is_fingerprint_neutral(self, tmp_path):
@@ -479,8 +481,12 @@ class TestAuditEndToEnd:
         config = quick_config(tmp_path, workers=2, max_attempts=10,
                               poison_workers=2)
         with CampaignService(config) as svc:
-            wait_for(lambda: svc.live_workers() == 2, timeout=30,
-                     what="worker pool")
+            # Both workers must be polling before the sweep starts: one
+            # worker alone can burn a point's whole retry budget (a
+            # same-worker loop never poisons, by design).
+            wait_for(lambda: all(f'worker="svc-w{i}"' in get(
+                f"{svc.url}/metrics")[1] for i in (1, 2)), timeout=30,
+                what="both pool workers polling")
             _, doc, _ = post(f"{svc.url}/campaigns", SPEC)
             cid = doc["id"]
             record = wait_for(

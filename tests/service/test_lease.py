@@ -1,27 +1,22 @@
-"""Lease-layer contracts: atomic claiming, fencing, idempotent completion.
+"""Lease-layer contracts on the point table: claiming, fencing,
+idempotent completion, expiry, retries, release.
 
-The claims here are the ones the whole service stands on, so the racing
-test uses real separate *processes* (not threads) against a shared
-journal directory — the same contention profile as daemon workers on one
-host or several hosts over a shared filesystem.
+Expiry is driven by an injected ``now`` — no test here sleeps.  Every
+transition must also be written through: the journal on disk always
+equals the table in memory.
 """
-
-import os
-import subprocess
-import sys
-import time
 
 import pytest
 
 from repro.harness.campaign import CampaignJournal
-from repro.service.lease import (LeaseLost, claim_next, claim_point,
-                                 complete_point, fail_point, reap_expired,
-                                 release_point, renew_lease)
+from repro.service.lease import LeaseLost, PointTable
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
+T0 = 1_000_000.0   # an arbitrary "now" for the injected clock
 
-def make_journal(tmp_path, keys=("a", "b")):
+
+def make_table(tmp_path, keys=("a", "b")):
     root = tmp_path / "camp"
     root.mkdir()
     journal = CampaignJournal(root)
@@ -33,189 +28,175 @@ def make_journal(tmp_path, keys=("a", "b")):
     })
     for k in keys:
         journal.mark(k, "pending")
-    return journal
+    return PointTable.load(journal)
+
+
+def on_disk(table, key):
+    return CampaignJournal(table.root).read_point(key)
 
 
 class TestClaim:
     def test_claim_pending_point(self, tmp_path):
-        journal = make_journal(tmp_path)
-        doc = claim_point(journal, "a", "w1", lease_seconds=30)
+        table = make_table(tmp_path)
+        doc = table.claim("a", "w1", lease_seconds=30, now=T0)
         assert doc["status"] == "running"
         assert doc["worker"] == "w1"
         assert doc["attempts"] == 1
-        assert doc["lease_expires_unix"] > time.time()
+        assert doc["lease_expires_unix"] == T0 + 30
+        assert on_disk(table, "a") == doc   # written through
 
     def test_second_claim_of_same_generation_loses(self, tmp_path):
-        journal = make_journal(tmp_path)
-        assert claim_point(journal, "a", "w1") is not None
-        assert claim_point(journal, "a", "w2") is None
+        table = make_table(tmp_path)
+        assert table.claim("a", "w1", now=T0) is not None
+        assert table.claim("a", "w2", now=T0) is None
 
     def test_done_and_running_are_not_claimable(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.mark("a", "done", entry={"cycles": 1})
-        assert claim_point(journal, "a", "w1") is None
+        table = make_table(tmp_path)
+        table.mark("a", "done", entry={"cycles": 1})
+        assert table.claim("a", "w1", now=T0) is None
+        table.claim("b", "w1", now=T0)
+        assert table.claim("b", "w2", now=T0) is None
 
     def test_claim_next_skips_contended_keys(self, tmp_path):
-        journal = make_journal(tmp_path, keys=("a", "b"))
-        assert claim_point(journal, "a", "w1") is not None
-        key, doc = claim_next(journal, ["a", "b"], "w2")
+        table = make_table(tmp_path, keys=("a", "b"))
+        assert table.claim("a", "w1", now=T0) is not None
+        key, doc = table.claim_next("w2", now=T0)
         assert key == "b"
         assert doc["worker"] == "w2"
+        assert table.claim_next("w3", now=T0) is None
 
-    def test_two_processes_race_exactly_one_winner(self, tmp_path):
-        """The atomic-contention test the ISSUE names: two real processes
-        race the same pending point; the O_CREAT|O_EXCL claim marker
-        admits exactly one."""
-        journal = make_journal(tmp_path, keys=("p",))
-        barrier = tmp_path / "go"
-        script = (
-            "import sys, time, json\n"
-            "from repro.harness.campaign import CampaignJournal\n"
-            "from repro.service.lease import claim_point\n"
-            "root, worker, barrier = sys.argv[1:4]\n"
-            "journal = CampaignJournal(root)\n"
-            "import os\n"
-            "while not os.path.exists(barrier):\n"
-            "    time.sleep(0.001)\n"
-            "doc = claim_point(journal, 'p', worker)\n"
-            "print('won' if doc is not None else 'lost')\n"
-        )
-        procs = [subprocess.Popen([sys.executable, "-c", script,
-                                   str(journal.root), f"w{i}",
-                                   str(barrier)],
-                                  stdout=subprocess.PIPE, text=True,
-                                  env={**os.environ})
-                 for i in range(2)]
-        time.sleep(0.2)  # both spinning on the barrier
-        barrier.write_text("go")
-        outcomes = [p.communicate(timeout=30)[0].strip() for p in procs]
-        assert sorted(outcomes) == ["lost", "won"], outcomes
-        assert journal.read_point("p")["status"] == "running"
+    def test_claim_next_follows_manifest_order(self, tmp_path):
+        table = make_table(tmp_path, keys=("z", "a", "m"))
+        order = [table.claim_next("w1", now=T0)[0] for _ in range(3)]
+        assert order == ["z", "a", "m"]
 
     def test_many_rounds_of_racing_never_double_claim(self, tmp_path):
         """Every generation is claimable exactly once even across many
-        requeue cycles (the ABA shape a rename-based claim would lose)."""
-        journal = make_journal(tmp_path, keys=("p",))
+        requeue cycles."""
+        table = make_table(tmp_path, keys=("p",))
         for round_no in range(10):
-            winners = [claim_point(journal, "p", f"w{i}") for i in range(3)]
+            winners = [table.claim("p", f"w{i}", now=T0) for i in range(3)]
             assert sum(w is not None for w in winners) == 1, round_no
-            assert release_point(
-                journal, "p",
-                next(w["worker"] for w in winners if w)) is True
+            holder = next(w["worker"] for w in winners if w)
+            assert table.release("p", holder) is True
+        assert table.read_point("p")["generation"] == 10
 
 
 class TestLeaseExpiry:
-    def test_claim_next_requeues_expired_lease_in_place(self, tmp_path):
-        journal = make_journal(tmp_path, keys=("p",))
-        claim_point(journal, "p", "dead", lease_seconds=0.01)
-        time.sleep(0.05)
-        key, doc = claim_next(journal, ["p"], "w2")
-        assert key == "p"
-        assert doc["worker"] == "w2"
-        assert doc["attempts"] == 2
-        # The requeue bumped the generation past the dead worker's claim.
-        assert doc["generation"] == 1
-
     def test_reaper_requeues_expired_lease(self, tmp_path):
-        journal = make_journal(tmp_path, keys=("p", "q"))
-        claim_point(journal, "p", "dead", lease_seconds=0.01)
-        claim_point(journal, "q", "alive", lease_seconds=60)
-        time.sleep(0.05)
-        reaped = reap_expired(journal, lease_seconds=0.01)
+        table = make_table(tmp_path, keys=("p", "q"))
+        table.claim("p", "dead", lease_seconds=1, now=T0)
+        table.claim("q", "alive", lease_seconds=60, now=T0)
+        reaped = table.reap(now=T0 + 5)
         assert reaped == [("p", "lease_expired", "dead")]
-        p = journal.read_point("p")
+        p = table.read_point("p")
         assert p["status"] == "pending"
         assert p["requeued"] == "lease_expired"
         assert p["generation"] == 1
+        assert p["failed_workers"] == ["dead"]
+        assert on_disk(table, "p") == p
         # The healthy lease is untouched.
-        assert journal.read_point("q")["status"] == "running"
-        assert journal.read_point("q")["worker"] == "alive"
+        assert table.read_point("q")["status"] == "running"
+        assert table.read_point("q")["worker"] == "alive"
+        # The requeued point is claimable again, one attempt later.
+        key, doc = table.claim_next("w2", now=T0 + 5)
+        assert (key, doc["attempts"], doc["generation"]) == ("p", 2, 1)
 
     def test_renewal_after_requeue_raises_lease_lost(self, tmp_path):
-        journal = make_journal(tmp_path, keys=("p",))
-        claim_point(journal, "p", "w1", lease_seconds=0.01)
-        time.sleep(0.05)
-        reap_expired(journal, lease_seconds=0.01)
+        table = make_table(tmp_path, keys=("p",))
+        table.claim("p", "w1", lease_seconds=1, now=T0)
+        table.reap(now=T0 + 5)
         with pytest.raises(LeaseLost):
-            renew_lease(journal, "p", "w1")
+            table.renew("p", "w1", now=T0 + 5)
         # ...and after a new claim, the old owner is fenced by identity.
-        claim_point(journal, "p", "w2")
+        table.claim("p", "w2", now=T0 + 5)
         with pytest.raises(LeaseLost) as exc:
-            renew_lease(journal, "p", "w1")
+            table.renew("p", "w1", now=T0 + 5)
         assert exc.value.holder == "w2"
 
     def test_renewal_extends_and_folds_heartbeat(self, tmp_path):
-        journal = make_journal(tmp_path, keys=("p",))
-        claim_point(journal, "p", "w1", lease_seconds=30)
-        doc = renew_lease(journal, "p", "w1", lease_seconds=30,
+        table = make_table(tmp_path, keys=("p",))
+        table.claim("p", "w1", lease_seconds=30, now=T0)
+        doc = table.renew("p", "w1", lease_seconds=30, now=T0 + 20,
                           hb={"retired": 500, "instructions": 1000})
         assert doc["hb"]["retired"] == 500
-        assert doc["lease_expires_unix"] > time.time() + 20
-
-    def test_stale_claim_marker_is_healed(self, tmp_path):
-        """A claimer killed between marker and shard write leaves a
-        pending shard blocked by an orphaned marker; the reaper bumps the
-        generation so the point is claimable again."""
-        journal = make_journal(tmp_path, keys=("p",))
-        marker = journal.root / "p.g0.claim"
-        marker.write_text("ghost 0.0\n")
-        old = time.time() - 60
-        os.utime(marker, (old, old))
-        assert claim_point(journal, "p", "w1") is None  # blocked
-        reaped = reap_expired(journal, lease_seconds=1.0)
-        assert reaped == [("p", "stale_claim", None)]
-        assert not marker.exists()
-        assert claim_point(journal, "p", "w1") is not None
+        assert doc["lease_expires_unix"] == T0 + 50
+        assert table.reap(now=T0 + 40) == []   # renewed past the reap
+        assert on_disk(table, "p")["hb"] == {"retired": 500,
+                                             "instructions": 1000}
 
     def test_failed_points_retry_up_to_cap(self, tmp_path):
-        journal = make_journal(tmp_path, keys=("p",))
-        claim_point(journal, "p", "w1")
-        fail_point(journal, "p", "w1", "boom")
-        assert reap_expired(journal, max_attempts=0) == []  # retries off
-        assert reap_expired(journal, max_attempts=2) == [("p", "retry",
-                                                          "w1")]
-        claim_point(journal, "p", "w1")  # attempts -> 2
-        fail_point(journal, "p", "w1", "boom again")
-        assert reap_expired(journal, max_attempts=2) == []  # cap reached
-        assert journal.read_point("p")["status"] == "failed"
+        table = make_table(tmp_path, keys=("p",))
+        table.claim("p", "w1", now=T0)
+        table.fail("p", "w1", "boom")
+        assert table.reap(now=T0, max_attempts=0) == []  # retries off
+        assert table.reap(now=T0, max_attempts=2) == [("p", "retry", "w1")]
+        table.claim("p", "w1", now=T0)  # attempts -> 2
+        table.fail("p", "w1", "boom again")
+        assert table.reap(now=T0, max_attempts=2) == []  # cap reached
+        assert table.read_point("p")["status"] == "failed"
+
+    def test_summary_counts_leases_and_owed_retries(self, tmp_path):
+        table = make_table(tmp_path, keys=("a", "b", "c"))
+        table.claim("a", "w1", lease_seconds=10, now=T0)
+        table.claim("b", "w1", lease_seconds=1, now=T0)
+        table.claim("c", "w1", now=T0)
+        table.fail("c", "w1", "boom")
+        counts, leased, expired, retrying = table.summary(
+            now=T0 + 5, max_attempts=2)
+        assert counts == {"running": 2, "failed": 1}
+        assert (leased, expired, retrying) == (1, 1, 1)
+        assert table.summary(now=T0 + 5, max_attempts=1)[3] == 0
 
 
 class TestCompletion:
     def test_double_completion_is_idempotent(self, tmp_path):
-        journal = make_journal(tmp_path, keys=("p",))
-        claim_point(journal, "p", "w1")
-        assert complete_point(journal, "p", "w1", {"cycles": 10}) is True
+        table = make_table(tmp_path, keys=("p",))
+        table.claim("p", "w1", now=T0)
+        assert table.complete("p", "w1", {"cycles": 10}) is True
         # A fenced-out worker finishing anyway: first done wins.
-        assert complete_point(journal, "p", "w2", {"cycles": 10}) is False
-        doc = journal.read_point("p")
+        assert table.complete("p", "w2", {"cycles": 10}) is False
+        doc = on_disk(table, "p")
         assert doc["completed_by"] == "w1"
         assert doc["entry"] == {"cycles": 10}
+        assert table.results() == {"p": {"cycles": 10}}
 
     def test_completion_strips_lease_fields(self, tmp_path):
-        journal = make_journal(tmp_path, keys=("p",))
-        claim_point(journal, "p", "w1")
-        renew_lease(journal, "p", "w1", hb={"retired": 1})
-        complete_point(journal, "p", "w1", {"cycles": 10})
-        doc = journal.read_point("p")
+        table = make_table(tmp_path, keys=("p",))
+        table.claim("p", "w1", now=T0)
+        table.renew("p", "w1", hb={"retired": 1}, now=T0)
+        table.complete("p", "w1", {"cycles": 10})
+        doc = on_disk(table, "p")
         for field in ("worker", "lease_expires_unix",
                       "lease_renewed_unix", "hb"):
             assert field not in doc, field
 
     def test_release_hands_point_back(self, tmp_path):
-        journal = make_journal(tmp_path, keys=("p",))
-        claim_point(journal, "p", "w1")
-        assert release_point(journal, "p", "w1") is True
-        doc = journal.read_point("p")
+        table = make_table(tmp_path, keys=("p",))
+        table.claim("p", "w1", now=T0)
+        assert table.release("p", "w2") is False   # not the holder
+        assert table.release("p", "w1") is True
+        doc = on_disk(table, "p")
         assert doc["status"] == "pending"
         assert doc["requeued"] == "released"
-        assert release_point(journal, "p", "w1") is False  # not ours now
+        assert table.release("p", "w1") is False  # not ours now
+
+    def test_unknown_keys_are_refused(self, tmp_path):
+        table = make_table(tmp_path, keys=("p",))
+        assert table.claim("nope", "w1", now=T0) is None
+        assert table.complete("nope", "w1", {"cycles": 1}) is False
+        assert table.release("nope", "w1") is False
+        with pytest.raises(LeaseLost):
+            table.renew("nope", "w1", now=T0)
+        assert not (table.root / "nope.json").exists()
 
 
 class TestPrepareFencing:
     def test_resume_strips_lease_and_bumps_generation(self, tmp_path):
         """``sweep --resume`` over a leased campaign fences live workers:
         prepare() requeues running points with a generation bump, so the
-        old owner's renewals raise LeaseLost."""
+        old owner's renewals raise LeaseLost in a table loaded from the
+        resumed journal."""
         from repro.harness.simulator import RunConfig
 
         journal = CampaignJournal(tmp_path / "c")
@@ -224,11 +205,12 @@ class TestPrepareFencing:
                              max_instructions=1000)]
         journal.prepare(configs)
         key = configs[0].cache_key()
-        claim_point(journal, key, "w1")
+        PointTable.load(journal).claim(key, "w1", now=T0)
         journal.prepare(configs)  # the resume path
-        doc = journal.read_point(key)
+        table = PointTable.load(journal)
+        doc = table.read_point(key)
         assert doc["status"] == "pending"
         assert doc["generation"] == 1
         assert "worker" not in doc
         with pytest.raises(LeaseLost):
-            renew_lease(journal, key, "w1")
+            table.renew(key, "w1", now=T0)

@@ -27,10 +27,8 @@ from repro.service.daemon import CampaignService, ServiceConfig
 from repro.service.httpclient import ServiceClient
 from repro.service.lease import LeaseLost
 from repro.service.queue import configs_from_spec
-from repro.service.transport import RemoteJournal
-from repro.service.worker import INJECT_ENV, WorkerOptions, work_service
-from repro.service import transport as transport_mod
-from repro.service import worker as worker_mod
+from repro.service.worker import (INJECT_ENV, RemoteJournal, WorkerOptions,
+                                  work_service)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -75,7 +73,7 @@ def wait_for(predicate, timeout=180.0, interval=0.2, what="condition"):
 
 def quick_config(tmp_path, **overrides):
     kwargs = dict(root=str(tmp_path / "svc"), port=0, workers=0,
-                  lease_seconds=2.0, reap_interval=0.3, tick_interval=0.1,
+                  lease_seconds=2.0, reap_interval=0.3,
                   stream_interval=0.1, heartbeat_interval=0.2,
                   cache_dir=str(tmp_path / "cache"), log=False)
     kwargs.update(overrides)
@@ -116,8 +114,7 @@ def reference():
 
 
 def worker_options(**overrides):
-    kwargs = dict(worker_id="rw1", lease_seconds=3.0,
-                  heartbeat_interval=0.2, poll_interval=0.1,
+    kwargs = dict(worker_id="rw1", heartbeat_interval=0.2, poll_interval=0.1,
                   max_idle_polls=40, log=False, http_timeout=5.0,
                   http_retries=2, http_backoff=0.02,
                   breaker_threshold=2, breaker_reset_seconds=0.3,
@@ -139,7 +136,7 @@ class TestLeaseProtocol:
             # stay content-addressed.
             assert config.cache_key() == key
             assert shard["worker"] == "rw1"
-            remote.renew(key, lease_seconds=5.0, hb={"instructions": 10})
+            remote.renew(key, hb={"instructions": 10})
             doc = CampaignJournal(campaign_dir(svc, cid)).read_point(key)
             assert doc["hb"] == {"instructions": 10}
             assert remote.complete(key, {"cycles": 123}) is True
@@ -166,30 +163,43 @@ class TestLeaseProtocol:
             assert shard["entry"] == {"cycles": 1}
 
     def test_claim_race_has_one_winner(self, tmp_path):
+        """Two workers race the last pending point of a campaign; the
+        daemon's point table admits exactly one."""
         with CampaignService(quick_config(tmp_path)) as svc:
-            cid = submit_and_activate(svc)
-            _status, sched = get(f"{svc.url}/schedule?worker=probe")
-            target = [sched["keys"][0]]
-            a = RemoteJournal(ServiceClient(svc.url, worker_id="a"),
-                              cid, "a")
-            b = RemoteJournal(ServiceClient(svc.url, worker_id="b"),
-                              cid, "b")
-            wins = [a.claim(target), b.claim(target)]
-            assert sum(1 for w in wins if w is not None) == 1
+            cid = submit_and_activate(svc, {**SPEC, "workloads": ["astar"],
+                                            "engines": ["baseline"]})
+            remotes = [RemoteJournal(ServiceClient(svc.url, worker_id=w),
+                                     cid, w) for w in ("a", "b")]
+            barrier = threading.Barrier(len(remotes))
+            wins = {}
+
+            def race(remote):
+                barrier.wait()
+                wins[remote.worker_id] = remote.claim()
+
+            threads = [threading.Thread(target=race, args=(r,))
+                       for r in remotes]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert sum(1 for w in wins.values() if w is not None) == 1
 
     def test_renew_409_after_fence_raises_leaselost(self, tmp_path):
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
             remote = RemoteJournal(client, cid, "rw1")
-            key, _config, _shard = remote.claim(lease_seconds=0.4)
+            key, _config, _shard = remote.claim()
+            # The lease lapses unrenewed (an hour passes on the reaper's
+            # clock); the reaper requeues it, and the next renew gets an
+            # authoritative 409 -> LeaseLost.
+            reaped = svc._reap(now=time.time() + 3600)
+            assert (cid, key, "lease_expired", "rw1") in reaped
             journal = CampaignJournal(campaign_dir(svc, cid))
-            # Let the lease lapse unrenewed; the reaper requeues it, and
-            # the next renew gets an authoritative 409 -> LeaseLost.
-            wait_for(lambda: (journal.read_point(key) or {}).get("status")
-                     == "pending", timeout=30, what="reaper requeue")
+            assert journal.read_point(key)["status"] == "pending"
             with pytest.raises(LeaseLost):
-                remote.renew(key, lease_seconds=0.4)
+                remote.renew(key)
             assert key not in remote.held
 
     def test_idempotent_replay_suppresses_duplicates(self, tmp_path):
@@ -239,35 +249,37 @@ class TestLeaseProtocol:
                                "key": "k"})
             assert code == 404
 
-    def test_schedule_hides_dir_when_not_exposed(self, tmp_path):
-        config = quick_config(tmp_path, expose_dir=False)
-        with CampaignService(config) as svc:
+    def test_schedule_never_carries_a_path(self, tmp_path):
+        """Workers learn which campaign to claim from, never where it
+        lives (nor the key list: the daemon picks the point at /claim);
+        only the operator views show the directory."""
+        with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
             _status, sched = get(f"{svc.url}/schedule?worker=probe")
             assert sched["campaign_id"] == cid
-            assert sched["dir"] is None
-            assert sched["keys"]
+            assert not {"dir", "cache_dir", "keys"} & set(sched)
+            assert str(tmp_path) not in json.dumps(sched)
+            _status, record = get(f"{svc.url}/campaigns/{cid}")
+            assert record["dir"] == str(campaign_dir(svc, cid))
 
 
 class TestRemoteWorker:
     def test_filesystem_free_worker_is_bit_identical(
             self, tmp_path, monkeypatch, reference):
         """The tentpole acceptance test, local half: a connected worker
-        that provably never opens the campaign directory (CampaignJournal
-        is booby-trapped in its modules, and the daemon never reveals the
-        path) finishes the campaign bit-identical to run_campaign."""
+        that provably never opens the campaign directory (no
+        CampaignJournal may be constructed once the campaign is active,
+        and the daemon never reveals the path) finishes the campaign
+        bit-identical to run_campaign."""
 
-        class Trap:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError(
-                    "connected worker touched the campaign filesystem")
+        def trap(*args, **kwargs):
+            raise AssertionError("something opened a campaign journal")
 
-        monkeypatch.setattr(worker_mod, "CampaignJournal", Trap)
-        monkeypatch.setattr(transport_mod, "CampaignJournal", Trap)
-        config = quick_config(tmp_path, expose_dir=False)
-        with CampaignService(config) as svc:
+        with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
-            report = work_service(svc.url, worker_options())
+            with monkeypatch.context() as m:
+                m.setattr(CampaignJournal, "__init__", trap)
+                report = work_service(svc.url, worker_options())
             assert report.claimed == 4
             assert report.completed == 4
             assert report.failed == 0
@@ -282,7 +294,7 @@ class TestRemoteWorker:
         chaos proxy retargets); the connected worker degrades to the
         breaker's reconnect loop, resumes, and completes every point
         exactly once — no duplicate completions, fingerprints identical."""
-        config = quick_config(tmp_path, expose_dir=False)
+        config = quick_config(tmp_path)
         svc_a = CampaignService(config).start()
         svc_b = None
         proxy = ChaosProxy("127.0.0.1", svc_a.port).start()
@@ -305,8 +317,7 @@ class TestRemoteWorker:
             wait_for(lambda: done() >= 1, timeout=60, what="first point")
             svc_a.stop()
             time.sleep(0.8)   # the worker polls a dead daemon: breaker
-            svc_b = CampaignService(
-                quick_config(tmp_path, expose_dir=False)).start()
+            svc_b = CampaignService(quick_config(tmp_path)).start()
             proxy.retarget("127.0.0.1", svc_b.port)
             wait_for(lambda: done() == 4, timeout=120,
                      what="campaign completion after restart")
@@ -338,7 +349,7 @@ class TestRemoteWorker:
             root = campaign_dir(svc_a, cid)
             client = ServiceClient(svc_a.url, worker_id="rw1")
             remote = RemoteJournal(client, cid, "rw1")
-            key, _config, _shard = remote.claim(lease_seconds=2.0)
+            key, _config, _shard = remote.claim()
             svc_a.drain(drain_seconds=0.3)
             _status, sched = get(f"{svc_a.url}/schedule?worker=probe")
             assert sched.get("shutdown") is True
@@ -346,7 +357,7 @@ class TestRemoteWorker:
                              {"campaign": cid, "worker": "rw2"})
             assert (code, doc["key"], doc["draining"]) == (200, None, True)
             # Renew/complete stay served while draining.
-            remote.renew(key, lease_seconds=2.0)
+            remote.renew(key)
             manifest = CampaignJournal(root).load_manifest()
             assert manifest["interruptions"], \
                 "drain must write the interruption record"
@@ -381,8 +392,7 @@ class TestChaosSweep:
         SIGKILL-style death after its first claim), finishes fingerprint-
         identical to a local run_campaign, and the daemon's HTTP metrics
         saw the client-side retries the faults forced."""
-        config = quick_config(tmp_path, expose_dir=False,
-                              lease_seconds=3.0)
+        config = quick_config(tmp_path, lease_seconds=3.0)
         plan = FaultPlan(seed=1234, drop_rate=0.08, error_rate=0.12,
                          truncate_rate=0.08, duplicate_rate=0.08,
                          latency_rate=0.2, latency_seconds=0.01)
@@ -405,7 +415,6 @@ class TestChaosSweep:
                     procs.append(subprocess.Popen(
                         [sys.executable, "-m", "repro", "worker",
                          "--connect", proxy.url, "--id", wid,
-                         "--lease-seconds", "3",
                          "--heartbeat-interval", "0.2",
                          "--poll-interval", "0.1",
                          "--max-idle-polls", "80", "-q"],

@@ -1,8 +1,10 @@
 """Worker-loop contracts: draining, concurrency, cache reuse, crash plan.
 
-The bit-identity tests run real (tiny) simulations: the worker path and
-the in-process ``run_campaign`` path must publish byte-equal entries for
-the same spec, because that is the acceptance bar for the whole service.
+Every worker talks to a real in-process daemon over HTTP (the only
+transport).  The bit-identity tests run real (tiny) simulations: the
+worker path and the in-process ``run_campaign`` path must publish
+byte-equal entries for the same spec, because that is the acceptance bar
+for the whole service.
 """
 
 import json
@@ -16,8 +18,11 @@ import pytest
 from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
                                     run_campaign)
 from repro.harness.runcache import RunCache
+from repro.service.daemon import CampaignService
 from repro.service.queue import configs_from_spec
-from repro.service.worker import INJECT_ENV, WorkerOptions, work_campaign_dir
+from repro.service.worker import INJECT_ENV, WorkerOptions, work_service
+
+from tests.service.test_daemon import post, quick_config, wait_for
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -25,11 +30,27 @@ SPEC = {"workloads": ["astar", "perlbench"], "engines": ["baseline"],
         "instructions": 1500}
 
 
-def prepare_campaign(tmp_path, spec=SPEC, name="camp"):
-    journal = CampaignJournal(tmp_path / name)
-    journal.root.mkdir()
-    journal.prepare(configs_from_spec(spec), spec=dict(spec))
-    return journal
+@pytest.fixture
+def daemon(tmp_path):
+    # No daemon-side cache: every point reaches a worker.
+    with CampaignService(quick_config(tmp_path, cache_dir=None,
+                                      lease_seconds=30.0)) as svc:
+        yield svc
+
+
+def submit(svc, spec=SPEC):
+    _, doc, _ = post(f"{svc.url}/campaigns", spec)
+    cid = doc["id"]
+    wait_for(lambda: svc.state.get(cid).status == "active", timeout=30,
+             what="activation")
+    return CampaignJournal(svc.state.get(cid).dir)
+
+
+def options(worker_id, **overrides):
+    kwargs = dict(worker_id=worker_id, poll_interval=0.05,
+                  heartbeat_interval=0.2, max_idle_polls=4, log=False)
+    kwargs.update(overrides)
+    return WorkerOptions(**kwargs)
 
 
 def fingerprints(journal):
@@ -41,10 +62,9 @@ def fingerprints(journal):
 
 
 class TestDrain:
-    def test_worker_drains_campaign_bit_identical_to_sweep(self, tmp_path):
-        journal = prepare_campaign(tmp_path)
-        report = work_campaign_dir(
-            journal.root, WorkerOptions(worker_id="w1", log=False))
+    def test_worker_drains_campaign_bit_identical_to_sweep(self, daemon):
+        journal = submit(daemon)
+        report = work_service(daemon.url, options("w1"))
         assert report.claimed == report.completed == 2
         reference = run_campaign(configs_from_spec(SPEC), jobs=1)
         assert fingerprints(journal) == {
@@ -55,39 +75,35 @@ class TestDrain:
             assert doc["completed_by"] == "w1"
             assert doc["source"] == "worker"
 
-    def test_cache_hits_short_circuit_simulation(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
+    def test_cache_hits_short_circuit_simulation(self, daemon, tmp_path):
+        cache = RunCache(tmp_path / "wcache")
         warm = run_campaign(configs_from_spec(SPEC), cache=cache, jobs=1)
-        journal = prepare_campaign(tmp_path)
-        report = work_campaign_dir(
-            journal.root, WorkerOptions(worker_id="w1", log=False,
-                                        cache_dir=str(tmp_path / "cache")))
+        journal = submit(daemon)
+        report = work_service(daemon.url, options(
+            "w1", cache_dir=str(tmp_path / "wcache")))
         assert report.cache_hits == 2
         assert fingerprints(journal) == {
             k: entry_fingerprint(v) for k, v in warm.items()}
         doc = journal.read_point(next(iter(journal.statuses())))
         assert doc["source"] == "cache"
 
-    def test_max_points_bounds_one_worker(self, tmp_path):
-        journal = prepare_campaign(tmp_path)
-        report = work_campaign_dir(
-            journal.root, WorkerOptions(worker_id="w1", log=False,
-                                        max_points=1))
+    def test_max_points_bounds_one_worker(self, daemon):
+        journal = submit(daemon)
+        report = work_service(daemon.url, options("w1", max_points=1))
         assert report.claimed == 1
         statuses = sorted(journal.statuses().values())
         assert statuses == ["done", "pending"]
 
 
 class TestConcurrency:
-    def test_concurrent_workers_share_without_duplication(self, tmp_path):
+    def test_concurrent_workers_share_without_duplication(self, daemon):
         spec = {"workloads": ["astar", "perlbench", "bfs", "sssp"],
                 "engines": ["baseline"], "instructions": 1500}
-        journal = prepare_campaign(tmp_path, spec=spec)
+        journal = submit(daemon, spec)
         reports = {}
 
         def drain(worker_id):
-            reports[worker_id] = work_campaign_dir(
-                journal.root, WorkerOptions(worker_id=worker_id, log=False))
+            reports[worker_id] = work_service(daemon.url, options(worker_id))
 
         threads = [threading.Thread(target=drain, args=(f"w{i}",))
                    for i in range(3)]
@@ -98,6 +114,7 @@ class TestConcurrency:
         # Every point done exactly once; the sum over workers covers the
         # campaign with no double completion.
         assert sum(r.completed for r in reports.values()) == 4
+        assert sum(r.claimed for r in reports.values()) == 4
         assert all(s == "done" for s in journal.statuses().values())
         completers = {journal.read_point(k)["completed_by"]
                       for k in journal.statuses()}
@@ -108,12 +125,13 @@ class TestConcurrency:
 
 
 class TestInjection:
-    def test_injected_death_leaves_a_leased_point_behind(self, tmp_path):
-        """The CI crash plan: ``repro worker --dir`` with a matching
+    def test_injected_death_leaves_a_leased_point_behind(self, daemon,
+                                                         tmp_path):
+        """The CI crash plan: ``repro worker --connect`` with a matching
         ``REPRO_SERVICE_INJECT`` hard-exits 37 right after its first
         claim, leaving that point running under a lease the reaper must
         later expire."""
-        journal = prepare_campaign(tmp_path)
+        journal = submit(daemon)
         flag = tmp_path / "died.flag"
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(
@@ -123,8 +141,8 @@ class TestInjection:
                                        "die_after_claims": 1,
                                        "flag": str(flag)})}
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "worker", "--dir",
-             str(journal.root), "--id", "victim", "--quiet"],
+            [sys.executable, "-m", "repro", "worker", "--connect",
+             daemon.url, "--id", "victim", "--quiet"],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 37, proc.stderr
         assert flag.exists()
@@ -135,13 +153,10 @@ class TestInjection:
         assert doc["worker"] == "victim"
         assert doc["lease_expires_unix"] > 0
 
-    def test_plan_for_other_worker_is_inert(self, tmp_path):
-        journal = prepare_campaign(tmp_path)
-        os.environ[INJECT_ENV] = json.dumps(
-            {"worker": "somebody-else", "die_after_claims": 1})
-        try:
-            report = work_campaign_dir(
-                journal.root, WorkerOptions(worker_id="w1", log=False))
-        finally:
-            del os.environ[INJECT_ENV]
+    def test_plan_for_other_worker_is_inert(self, daemon, monkeypatch):
+        journal = submit(daemon)
+        monkeypatch.setenv(INJECT_ENV, json.dumps(
+            {"worker": "somebody-else", "die_after_claims": 1}))
+        report = work_service(daemon.url, options("w1"))
         assert report.completed == 2
+        assert sorted(journal.statuses().values()) == ["done", "done"]
