@@ -1,46 +1,44 @@
 #!/usr/bin/env python
 """Re-draw the paper's figures as ASCII charts from the benchmark cache.
 
-Run ``pytest benchmarks/ --benchmark-only`` first (it populates
-``benchmarks/results/cache.json``), then:
+Run ``pytest benchmarks/ --benchmark-only`` first (it fills the sharded
+cache under ``benchmarks/results/cache/``), then:
 
-    python examples/render_figures.py
+    PYTHONPATH=src python examples/render_figures.py
 """
 
-import json
 import pathlib
 import sys
 
-from repro.harness.plots import grouped_bars, hbar_chart, stacked_percent_rows
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-CACHE = pathlib.Path(__file__).parent.parent / "benchmarks" / "results" / "cache.json"
+from benchmarks.common import CACHE, CACHE_DIR, config_for  # noqa: E402
+from repro.harness.plots import (grouped_bars, hbar_chart,  # noqa: E402
+                                 stacked_percent_rows)
 
 GAP = ["bc", "bfs", "pr", "cc", "cc_sv", "sssp", "astar"]
 ENGINES = ["perfbp", "phelps", "br", "br12"]
 
 
-def _entries(cache, workload, n="100000"):
+def _entries(workload):
+    """Cached default-config entries of ``workload``, by engine."""
     out = {}
-    for key, entry in cache.items():
-        parts = key.split("|")
-        if parts[0] == workload and parts[2] == n and len(parts) == 3:
-            out[parts[1]] = entry
-        elif parts[0] == workload and parts[2] == n and parts[1] == "phelps" \
-                and "gb1_st1_gs1" in key and "ep20000" in key and len(parts) == 4:
-            out["phelps"] = entry
+    for engine in ["baseline"] + ENGINES:
+        entry = CACHE.get(config_for(workload, engine))
+        if entry is not None:
+            out[engine] = entry
     return out
 
 
 def main() -> int:
-    if not CACHE.exists():
+    if not CACHE_DIR.is_dir():
         print("No benchmark cache yet — run: pytest benchmarks/ --benchmark-only")
         return 1
-    cache = json.loads(CACHE.read_text())
 
     print("=== Fig. 12a: speedup over baseline (|:baseline) ===\n")
     groups = {}
     for w in GAP:
-        entries = _entries(cache, w)
+        entries = _entries(w)
         base = entries.get("baseline")
         if not base:
             continue
@@ -56,7 +54,7 @@ def main() -> int:
     print("\n=== Fig. 13a: MPKI, baseline vs Phelps ===\n")
     series = {}
     for w in GAP:
-        entries = _entries(cache, w)
+        entries = _entries(w)
         if "baseline" in entries and "phelps" in entries:
             series[f"{w} base"] = entries["baseline"]["mpki"]
             series[f"{w} phelps"] = entries["phelps"]["mpki"]
@@ -68,7 +66,7 @@ def main() -> int:
              "deployed_residual"]
     rows = {}
     for w in GAP + ["mcf", "xz", "gcc", "leela", "xalanc"]:
-        entries = _entries(cache, w)
+        entries = _entries(w)
         if "baseline" not in entries or "phelps" not in entries:
             continue
         classes = dict(entries["phelps"]["engine"].get("misp_classes", {}))

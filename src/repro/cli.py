@@ -328,27 +328,10 @@ def _cps_floor_failures(points, floor):
 
 
 def _cmd_perf(args) -> int:
-    from repro.harness.perf import (explain_skip, perf_smoke, profile_hot,
-                                    write_perf_record)
+    from repro.harness.perf import explain_skip, perf_smoke, write_perf_record
     from repro.harness.perfhistory import (append_record, compare_records,
                                            latest_record, list_records,
                                            load_record)
-
-    if args.profile_hot:
-        record = profile_hot(top_n=args.top)
-        for prof in record["profiles"]:
-            print(f"\n{prof['label']} [{prof['storage']}] "
-                  f"n={prof['instructions']:,} cycles={prof['cycles']:,} "
-                  f"({prof['profiled_wall_seconds']:.2f}s profiled)")
-            print(ascii_table(
-                ["function", "calls", "tottime", "%", "cumtime"],
-                [[h["function"], h["calls"], f"{h['tottime']:.3f}",
-                  f"{h['tottime_pct']:.1f}", f"{h['cumtime']:.3f}"]
-                 for h in prof["hot"]]))
-        out = args.out or "BENCH_perf_profile.json"
-        atomic_write_json(out, record, indent=1, sort_keys=True)
-        print(f"profile record -> {out}")
-        return 0
 
     if args.explain_skip:
         rows = explain_skip()
@@ -462,33 +445,6 @@ def _cmd_perf(args) -> int:
             for f in floor_fails:
                 print(f"perf: FLOOR {f}", file=sys.stderr)
             return EXIT_PERF_REGRESSION
-    return 0
-
-
-def _cmd_ab(args) -> int:
-    """Columnar-vs-legacy A/B cycle-exactness matrix."""
-    from repro.harness.abcompare import ab_matrix
-    from repro.phelps import PhelpsConfig
-
-    # Short epochs so Phelps deploys helpers inside a test-sized run.
-    phelps = PhelpsConfig(epoch_length=8000, min_iterations_per_visit=8)
-    reports = ab_matrix(args.workloads, args.engines,
-                        max_instructions=args.instructions,
-                        phelps_config=phelps)
-    for report in reports:
-        print(report.summary())
-    diverged = [r for r in reports if not r.match]
-    if args.json:
-        atomic_write_json(args.json,
-                          {"schema": 1,
-                           "reports": [r.to_dict() for r in reports]},
-                          indent=1, sort_keys=True)
-        print(f"ab report -> {args.json}")
-    if diverged:
-        pairs = ", ".join(f"{r.workload}/{r.engine}" for r in diverged)
-        print(f"ab: DIVERGENCE on {pairs}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    print(f"ab: {len(reports)} pair(s) bit-identical across storage engines")
     return 0
 
 
@@ -1148,40 +1104,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run each perf point once and break down the "
                            "idle-skip economics (quiescence walks, "
                            "vetoes, bulk advances) instead of measuring")
-    perf.add_argument("--profile-hot", action="store_true",
-                      help="cProfile each perf point per storage engine "
-                           "(columnar and legacy) and write the top-N "
-                           "hot-function tables (default "
-                           "BENCH_perf_profile.json) instead of measuring")
-    perf.add_argument("--top", type=int, default=20,
-                      help="functions per table for --profile-hot")
     perf.add_argument("--min-cycles-per-sec", type=float, default=None,
                       metavar="FLOOR",
                       help="absolute speed floor: exit 7 if any measured "
                            "(or, with --compare, any 'new'-record) point "
                            "simulates fewer cycles per second than FLOOR")
     perf.set_defaults(fn=_cmd_perf)
-
-    ab = sub.add_parser(
-        "ab",
-        help="columnar-vs-legacy A/B cycle-exactness check",
-        description="Run each workload x engine pair twice — once on the "
-                    "columnar structure-of-arrays core state and once on "
-                    "the legacy object-graph state — and diff cycles, all "
-                    "SimStats fields, and a digest of the full commit "
-                    "stream.  Any difference is a correctness bug in the "
-                    "columnar refactor, reported with exit code 4.",
-        epilog=_EXIT_CODE_DOC,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    ab.add_argument("-w", "--workloads", nargs="+",
-                    default=["astar", "sssp"],
-                    help="workloads to A/B (default: astar sssp)")
-    ab.add_argument("--engines", nargs="+", default=["baseline", "phelps"],
-                    choices=_ENGINE_CHOICES)
-    ab.add_argument("-n", "--instructions", type=int, default=30_000)
-    ab.add_argument("--json", metavar="PATH", default=None,
-                    help="write all A/B reports as JSON")
-    ab.set_defaults(fn=_cmd_ab)
 
     sub.add_parser("costs", help="print Table II").set_defaults(fn=_cmd_costs)
 

@@ -50,12 +50,6 @@ class CoreConfig:
     guard_level: str = "off"
     guard_check_interval: int = 1
     watchdog_cycles: int = 1_000_000
-    # Storage-engine selector: True (default) uses the columnar
-    # structure-of-arrays core state; False instantiates the pre-refactor
-    # object-graph twins from :mod:`repro.core.legacy`.  The two engines
-    # are observationally identical (same cycles, SimStats, commit stream)
-    # — enforced by the A/B harness (:mod:`repro.harness.abcompare`).
-    columnar: bool = True
 
     def __post_init__(self):
         if self.rob_size % 8:

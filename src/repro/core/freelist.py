@@ -8,9 +8,8 @@ happen only across full-pipeline squashes, so transitions are clean.
 Columnar layout: the free list is one preallocated int column used as a
 LIFO stack with a top-of-stack cursor — allocation and release are a
 single indexed read/write plus a cursor bump, with no list resizing on the
-hot path.  Pop order is identical to the list-backed pre-refactor version
-(:class:`repro.core.legacy.LegacySharedPhysPool`), so both engines assign
-the same physical names in the same order.
+hot path.  Pop order (which physical name each allocation gets) is
+pinned by the recorded digest in ``tests/core/test_columnar_equiv.py``.
 """
 
 from array import array

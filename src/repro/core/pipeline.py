@@ -36,7 +36,6 @@ from repro.core.config import CoreConfig, PartitionPlan
 from repro.core.engine_api import NullEngine, PreExecutionEngine
 from repro.core.freelist import SharedPhysPool
 from repro.core.regfile import PhysRegFile, PredRegFile, PRED_ALWAYS, ZERO_REG
-from repro.core.rename import RenameMapTable
 from repro.core.stats import SimStats
 from repro.core.thread import MainFetchUnit, ThreadContext, ThreadKind
 from repro.core.uop import Uop, UopState
@@ -82,36 +81,17 @@ class Core:
         # after construction).
         self._fe_depth = cfg.frontend_latency
 
-        # Storage engine: columnar structure-of-arrays state (default) or
-        # the pre-refactor object-graph twins (A/B equivalence baseline).
-        if cfg.columnar:
-            prf_cls, pred_prf_cls = PhysRegFile, PredRegFile
-            pool_cls, btb_cls = SharedPhysPool, BranchTargetBuffer
-            self._rename_cls = RenameMapTable
-        else:
-            from repro.core.legacy import (
-                LegacyBranchTargetBuffer,
-                LegacyPhysRegFile,
-                LegacyPredRegFile,
-                LegacyRenameMapTable,
-                LegacySharedPhysPool,
-            )
+        self.prf = PhysRegFile(cfg.prf_size)
+        self.pred_prf = PredRegFile(cfg.pred_prf_size)
+        self.pool = SharedPhysPool(cfg.prf_size, reserved=1)
+        self.pred_pool = SharedPhysPool(cfg.pred_prf_size, reserved=1)
 
-            prf_cls, pred_prf_cls = LegacyPhysRegFile, LegacyPredRegFile
-            pool_cls, btb_cls = LegacySharedPhysPool, LegacyBranchTargetBuffer
-            self._rename_cls = LegacyRenameMapTable
-
-        self.prf = prf_cls(cfg.prf_size)
-        self.pred_prf = pred_prf_cls(cfg.pred_prf_size)
-        self.pool = pool_cls(cfg.prf_size, reserved=1)
-        self.pred_pool = pool_cls(cfg.pred_prf_size, reserved=1)
-
-        self.hierarchy = MemoryHierarchy(mem_config, columnar=cfg.columnar)
+        self.hierarchy = MemoryHierarchy(mem_config)
         # Committed architectural memory (main-thread retired stores only).
         self.mem: Dict[int, int] = {a: to_i64(v) for a, v in program.data.items()}
 
         self.predictor = predictor if predictor is not None else TageSCL()
-        self.btb = btb_cls()
+        self.btb = BranchTargetBuffer()
         self.ras = ReturnAddressStack()
         self.indirect = IndirectTargetPredictor()
 
@@ -137,8 +117,7 @@ class Core:
         # are added/removed by the engine across full squashes.
         self.plan = PartitionPlan(cfg, "MT_ONLY")
         self.main = ThreadContext(0, ThreadKind.MAIN, MainFetchUnit(program),
-                                  self.plan.share("MT"),
-                                  rename_cls=self._rename_cls)
+                                  self.plan.share("MT"))
         self.main.read_value = self._read_committed
         self.main.commit_store = self._commit_store_main
         self.main.resume_pc = program.entry
@@ -304,8 +283,7 @@ class Core:
 
     def add_helper_thread(self, kind: ThreadKind, fetch_unit, role: str) -> ThreadContext:
         share = self.plan.share(role)
-        ctx = ThreadContext(self._next_thread_id, kind, fetch_unit, share,
-                            rename_cls=self._rename_cls)
+        ctx = ThreadContext(self._next_thread_id, kind, fetch_unit, share)
         self._next_thread_id += 1
         ctx.read_value = self._read_committed  # engine typically overrides
         ctx.commit_store = lambda addr, value: None

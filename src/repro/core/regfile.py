@@ -10,9 +10,6 @@ needs no zero-register branch.
 Wakeup is event-driven: consumers subscribe to a physical register; when
 its producer writes back, subscribers are notified (their pending-source
 count drops; at zero they enter the ready queue).
-
-The pre-refactor implementation lives in :mod:`repro.core.legacy` for the
-A/B equivalence harness.
 """
 
 from array import array

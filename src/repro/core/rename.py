@@ -1,8 +1,7 @@
 """Rename map tables (speculative RMT and committed AMT).
 
 The table is one flat int column (``map``) indexed by logical register;
-lookups and updates are single indexed operations.  The pre-refactor
-version lives in :mod:`repro.core.legacy` for the A/B equivalence tests.
+lookups and updates are single indexed operations.
 """
 
 from array import array

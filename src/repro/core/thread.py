@@ -79,9 +79,7 @@ class ThreadContext:
 
     ``__slots__`` keeps the per-thread record flat — every attribute is
     declared here, and the per-cycle stage loops touch them without a
-    ``__dict__`` indirection.  ``rename_cls`` selects the rename-table
-    implementation (columnar by default; the legacy twin under
-    ``CoreConfig(columnar=False)``).
+    ``__dict__`` indirection.
     """
 
     __slots__ = (
@@ -99,15 +97,14 @@ class ThreadContext:
         fetch_unit: FetchUnit,
         share: PartitionShare,
         num_pred_logical: int = 32,
-        rename_cls=RenameMapTable,
     ):
         self.id = thread_id
         self.kind = kind
         self.fetch = fetch_unit
         self.share = share
-        self.rmt = rename_cls()
-        self.amt = rename_cls()  # committed map (value capture at retire)
-        self.pred_rmt = rename_cls(num_logical=num_pred_logical)
+        self.rmt = RenameMapTable()
+        self.amt = RenameMapTable()  # committed map (value capture at retire)
+        self.pred_rmt = RenameMapTable(num_logical=num_pred_logical)
         self.rob: Deque[Uop] = deque()
         self.frontend_q: Deque[tuple] = deque()  # (ready_cycle, uop)
         self.lq = LoadQueue(share.lq)

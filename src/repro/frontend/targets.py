@@ -9,8 +9,7 @@ jumps (JALR) genuinely need target prediction.
 Columnar layout: each BTB set is a pair of parallel flat int lists
 (tags / targets, MRU first) probed with C-speed ``list.index``; the RAS
 checkpoint is copy-on-write, so the per-fetched-uop checkpoint is a cached
-shared list invalidated only when the stack actually mutates.  The
-pre-refactor BTB lives in :mod:`repro.core.legacy`.
+shared list invalidated only when the stack actually mutates.
 """
 
 from typing import List, Optional

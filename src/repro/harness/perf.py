@@ -25,7 +25,7 @@ from repro.utils.shards import atomic_write_json
 
 __all__ = ["PERF_POINTS", "SAMPLING_POINT", "explain_skip",
            "measure_guard_overhead", "measure_point", "measure_sampling",
-           "perf_smoke", "profile_hot", "write_perf_record"]
+           "perf_smoke", "write_perf_record"]
 
 # Fixed measurement points: a helper-thread-heavy run (the engine hot
 # path), a stall-heavy baseline run, and a slow-DRAM variant where more
@@ -159,71 +159,6 @@ def explain_skip(points: Optional[Sequence[Dict]] = None) -> List[Dict]:
             if walks else None,
         })
     return rows
-
-
-def _short_src(filename: str) -> str:
-    """Trim a profiler filename to its last two path components."""
-    parts = filename.replace("\\", "/").rsplit("/", 2)
-    return "/".join(parts[-2:]) if len(parts) > 1 else filename
-
-
-def profile_hot(points: Optional[Sequence[Dict]] = None, top_n: int = 20,
-                storage_modes: Sequence[str] = ("columnar", "legacy")) -> Dict:
-    """cProfile hot-function tables for each perf point and storage engine.
-
-    Runs every point once per storage engine (columnar structure-of-arrays
-    vs the legacy object graph) under :mod:`cProfile` and keeps the top-N
-    functions by exclusive time.  The resulting record — written next to
-    ``BENCH_perf.json`` by ``perf --profile-hot`` — is where "what is the
-    simulator actually spending its time on" gets answered with data
-    instead of folklore.  Wall numbers here carry profiler overhead and
-    are not comparable to the ``perf_smoke`` trajectory.
-    """
-    import cProfile
-    import pstats
-
-    profiles: List[Dict] = []
-    for point in (points or PERF_POINTS):
-        point = dict(point)
-        label = point.pop("label", None) \
-            or f"{point['workload']}-{point['engine']}"
-        memory = point.pop("memory", None)
-        for storage in storage_modes:
-            cfg = RunConfig(
-                workload=point["workload"], engine=point["engine"],
-                max_instructions=point["instructions"],
-                core=CoreConfig(columnar=(storage == "columnar")),
-                memory=MemoryConfig(**memory) if memory else None)
-            prof = cProfile.Profile()
-            prof.enable()
-            result = simulate(cfg)
-            prof.disable()
-            st = pstats.Stats(prof)
-            total = st.total_tt
-            ranked = sorted(st.stats.items(), key=lambda kv: kv[1][2],
-                            reverse=True)
-            hot = [{
-                "function": f"{_short_src(fname)}:{lineno}:{func}",
-                "calls": nc,
-                "tottime": round(tt, 4),
-                "cumtime": round(ct, 4),
-                "tottime_pct": round(tt / total * 100, 2) if total else 0.0,
-            } for (fname, lineno, func), (_cc, nc, tt, ct, _callers)
-                in ranked[:top_n]]
-            profiles.append({
-                "label": label,
-                "storage": storage,
-                "instructions": point["instructions"],
-                "cycles": result.stats.cycles,
-                "profiled_wall_seconds": round(total, 4),
-                "hot": hot,
-            })
-    return {
-        "schema": 1,
-        "generated_unix": int(time.time()),
-        "top_n": top_n,
-        "profiles": profiles,
-    }
 
 
 # The sampled-vs-full measurement point: a GAP workload long enough that

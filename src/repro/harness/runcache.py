@@ -7,13 +7,6 @@ two workers computing the same deterministic entry and the last rename
 winning with identical content.  Keys come from
 :meth:`RunConfig.cache_key`, which hashes the *complete* configuration
 (memory hierarchy, core, engine configs, cycle caps included).
-
-A legacy monolithic ``cache.json`` (pre-sharding) is adopted lazily: on a
-shard miss the legacy key for the requested config is looked up and, if
-present *and* unambiguous (the legacy key ignored ``memory`` and
-``max_cycles``, so only default-valued configs are safe to adopt), the
-entry is promoted into a shard file.  The legacy file itself is left
-untouched and read-only.
 """
 
 import json
@@ -23,10 +16,7 @@ from typing import Dict, Optional
 from repro.harness.simulator import RunConfig, SimResult
 from repro.utils.shards import atomic_write_json, quarantine_shard
 
-__all__ = ["RunCache", "entry_from_result", "legacy_key"]
-
-# RunConfig defaults the legacy key silently assumed (see legacy_key).
-_LEGACY_DEFAULT_MAX_CYCLES = 5_000_000
+__all__ = ["RunCache", "entry_from_result"]
 
 
 def _jsonable(obj):
@@ -59,28 +49,11 @@ def entry_from_result(result: SimResult) -> Dict:
     }
 
 
-def legacy_key(config: RunConfig) -> str:
-    """The pre-sharding ``benchmarks/common._key`` derivation (collision
-    bug and all), kept only to adopt old ``cache.json`` entries."""
-    parts = [config.workload, config.engine, str(config.max_instructions)]
-    if config.core is not None:
-        c = config.core
-        parts.append(f"rob{c.rob_size}_ps{c.pipeline_stages}")
-    if config.phelps_config is not None:
-        p = config.phelps_config
-        parts.append(f"ep{p.epoch_length}_gb{int(p.include_guarded_branches)}"
-                     f"_st{int(p.include_stores)}_gs{int(p.include_guarded_stores)}"
-                     f"_qd{p.queue_depth}_sc{p.spec_cache_sets}x{p.spec_cache_ways}")
-    return "|".join(parts)
-
-
 class RunCache:
     """Directory of one-file-per-run cached results."""
 
-    def __init__(self, root, legacy_file=None, events=None):
+    def __init__(self, root, events=None):
         self.root = pathlib.Path(root)
-        self.legacy_file = pathlib.Path(legacy_file) if legacy_file else None
-        self._legacy: Optional[Dict] = None  # loaded lazily, once
         self.events = events        # optional EventTrace for quarantines
         self.quarantined = 0
 
@@ -93,46 +66,14 @@ class RunCache:
         try:
             return json.loads(path.read_text())
         except FileNotFoundError:
-            pass
+            return None
         except (json.JSONDecodeError, UnicodeDecodeError, OSError):
             # Unreadable shard (killed writer, disk damage): quarantine it
             # to ``*.corrupt`` for post-mortem and recompute as a miss.
             if quarantine_shard(path, self.events, "runcache") is not None:
                 self.quarantined += 1
             return None
-        return self._adopt_legacy(config)
 
     def put(self, config: RunConfig, entry: Dict) -> pathlib.Path:
         return atomic_write_json(self.path_for(config), entry,
                                  indent=1, sort_keys=True)
-
-    # ------------------------------------------------------------------
-    def _load_legacy(self) -> Dict:
-        if self._legacy is None:
-            self._legacy = {}
-            if self.legacy_file is not None and self.legacy_file.exists():
-                try:
-                    self._legacy = json.loads(self.legacy_file.read_text())
-                except (json.JSONDecodeError, OSError):
-                    self._legacy = {}
-        return self._legacy
-
-    def _adopt_legacy(self, config: RunConfig) -> Optional[Dict]:
-        """One-time per-key migration from the monolithic cache.
-
-        Only configs the legacy key identified *unambiguously* are adopted:
-        the old derivation dropped ``memory`` and ``max_cycles``, so any
-        non-default value there means the legacy entry may belong to a
-        different run (that is exactly the collision this cache fixes).
-        """
-        if self.legacy_file is None:
-            return None
-        if config.memory is not None:
-            return None
-        if config.max_cycles != _LEGACY_DEFAULT_MAX_CYCLES:
-            return None
-        entry = self._load_legacy().get(legacy_key(config))
-        if entry is None:
-            return None
-        self.put(config, entry)
-        return entry

@@ -94,11 +94,10 @@ class RunConfig:
 
         Every field participates — including ``memory``, ``core``, engine
         configs, and ``max_cycles`` — so two runs that could produce
-        different stats never share a cache entry (the legacy benchmark
-        ``_key()`` ignored memory/cycle-cap fields and collided).  The one
-        exception is ``checkpoint_dir``: it only says *where* checkpoints
-        are stored, never changes their (deterministic) content, and two
-        runs differing only in storage location must share an entry.
+        different stats never share a cache entry.  The one exception is
+        ``checkpoint_dir``: it only says *where* checkpoints are stored,
+        never changes their (deterministic) content, and two runs
+        differing only in storage location must share an entry.
         ``snapshot_dir`` is excluded for the same reason; the snapshot
         *interval* stays in the key when non-zero (each snapshot drain is
         a timing-visible event) and is dropped when zero so keys minted

@@ -3,9 +3,8 @@
 Columnar layout: each set is one flat list of packed int words, MRU first.
 A word is ``(tag << 2) | (dirty << 1) | prefetched`` — probing a set is a
 scan over small ints (no per-line objects, no attribute loads), and a fill
-is a single int insert.  The pre-refactor per-line-object implementation
-lives in :mod:`repro.core.legacy` (``LegacyCache``) for the A/B
-equivalence harness; both keep identical LRU order and stats.
+is a single int insert.  LRU order and stats are pinned by the recorded
+digest in ``tests/core/test_columnar_equiv.py``.
 """
 
 from array import array

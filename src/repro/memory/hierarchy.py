@@ -67,25 +67,16 @@ def _legal_size(size: int, ways: int, line: int) -> int:
 
 
 class MemoryHierarchy:
-    """L1I + L1D + shared L2 + shared L3 + DRAM, with MSHRs and prefetchers.
+    """L1I + L1D + shared L2 + shared L3 + DRAM, with MSHRs and prefetchers."""
 
-    ``columnar`` selects the packed-int-column cache tag store (default) or
-    the pre-refactor per-line-object store from :mod:`repro.core.legacy`
-    (for the A/B equivalence harness); both are observationally identical.
-    """
-
-    def __init__(self, config: Optional[MemoryConfig] = None, columnar: bool = True):
+    def __init__(self, config: Optional[MemoryConfig] = None):
         cfg = config or MemoryConfig()
         self.config = cfg
-        if columnar:
-            cache_cls = Cache
-        else:
-            from repro.core.legacy import LegacyCache as cache_cls
         line = cfg.line_bytes
-        self.l1i = cache_cls(_legal_size(cfg.l1i_size, cfg.l1i_ways, line), cfg.l1i_ways, line, "L1I")
-        self.l1d = cache_cls(_legal_size(cfg.l1d_size, cfg.l1d_ways, line), cfg.l1d_ways, line, "L1D")
-        self.l2 = cache_cls(_legal_size(cfg.l2_size, cfg.l2_ways, line), cfg.l2_ways, line, "L2")
-        self.l3 = cache_cls(_legal_size(cfg.l3_size, cfg.l3_ways, line), cfg.l3_ways, line, "L3")
+        self.l1i = Cache(_legal_size(cfg.l1i_size, cfg.l1i_ways, line), cfg.l1i_ways, line, "L1I")
+        self.l1d = Cache(_legal_size(cfg.l1d_size, cfg.l1d_ways, line), cfg.l1d_ways, line, "L1D")
+        self.l2 = Cache(_legal_size(cfg.l2_size, cfg.l2_ways, line), cfg.l2_ways, line, "L2")
+        self.l3 = Cache(_legal_size(cfg.l3_size, cfg.l3_ways, line), cfg.l3_ways, line, "L3")
         self.mshrs = MSHRFile(cfg.mshr_entries)
         self.l1_prefetcher = StridePrefetcher(line_bytes=line) if cfg.enable_l1_prefetcher else None
         self.l2_prefetcher = DeltaPrefetcher(line_bytes=line) if cfg.enable_l2_prefetcher else None

@@ -660,8 +660,8 @@ class CampaignService:
         the sweep-point :class:`RunConfig` from it must mint the claimed
         journal key, or the entry is for a *different* point — a buggy
         or lying worker — and publishing it would poison the store.
-        Entries without an embedded config (hand-rolled test fixtures,
-        legacy cache adoptions) are not checkable and pass through.
+        Entries without an embedded config (hand-rolled test fixtures)
+        are not checkable and pass through.
         """
         embedded = entry.get("config")
         if not isinstance(embedded, dict):

@@ -1,157 +1,204 @@
-"""Columnar storage structures vs their legacy object-graph twins.
+"""Storage structures against recorded behaviour digests.
 
-Each test drives one columnar class and its pre-refactor reference
-(:mod:`repro.core.legacy`) through the same randomized operation sequence
-and asserts identical observable behaviour at every step — allocation
-order, LRU order, wakeup lists, stats.  This is the unit-level half of
-the A/B cycle-exactness argument; the system-level half (whole cores run
-side by side) lives in ``tests/harness/test_abcompare.py``.
+Each test drives one storage class (PRF, predicate PRF, shared pool,
+rename map, BTB, cache) through a seeded random operation sequence and
+folds every observable result — return values, ``free_count``/``held_by``,
+``mapped_physical``, the final columns, cache stats — into a sha256.  The
+digest must equal the one in :data:`DIGESTS`.  Those values were recorded
+while the pre-columnar object-graph twins still existed, and both
+implementations produced them, so a match means the class still behaves
+exactly like the object-graph design it replaced: same allocation order,
+same LRU order, same wakeup lists, same stats.
+
+The whole-core half of the exactness argument is the recorded run fixture
+(``tests/core/test_exactness_fixture.py``).
 """
 
+import dataclasses
+import hashlib
 import random
 
-from repro.core import legacy
 from repro.core.freelist import SharedPhysPool
 from repro.core.regfile import PhysRegFile, PredRegFile
 from repro.core.rename import RenameMapTable
 from repro.frontend.targets import BranchTargetBuffer
 from repro.memory.cache import Cache
 
+DIGESTS = {
+    "regfile":
+        "f9fe7174e30e1c0184e6fd0bd8395833f0e64f70c4ae901531fefa4e95be5f31",
+    "pred_regfile":
+        "b0d3d6e3083c23b053b1f3adfc14a305d206e40763f0aacb1cdf1704d799690d",
+    "shared_pool":
+        "dfb21286dc9ada284dbe368a520577146eb30f68a00c2f29cda79ca24f4b4069",
+    "rename_map":
+        "12d4ce0a7fda3705700963b961e5335f66bf4516579bc04c57f06e34e25f0da3",
+    "btb":
+        "40c3dffa3ce5f9b3878e4323e33429cd3ecb1ee934b0a2413874006335656dfa",
+    "cache":
+        "b8ef721ffc8bbef84a84e46941c99f09c26a3fac493a21b3b94266ca9fc89a81",
+}
 
-def test_regfile_equivalence():
+
+class _Trace:
+    """sha256 over the ``repr`` of every observed value, in order."""
+
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def __call__(self, *observed) -> None:
+        self._h.update((repr(observed) + "\n").encode())
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def drive_regfile(rf) -> str:
     rng = random.Random(7)
-    new, old = PhysRegFile(64), legacy.LegacyPhysRegFile(64)
+    trace = _Trace()
     for step in range(3000):
         op = rng.randrange(5)
         reg = rng.randrange(64)
         if op == 0:
-            assert new.write(reg, step) == old.write(reg, step)
+            trace("write", rf.write(reg, step))
         elif op == 1:
-            token = f"w{step}"
-            assert new.subscribe(reg, token) == old.subscribe(reg, token)
+            trace("subscribe", rf.subscribe(reg, f"w{step}"))
         elif op == 2:
-            new.mark_not_ready(reg)
-            old.mark_not_ready(reg)
+            rf.mark_not_ready(reg)
         elif op == 3:
-            assert new.read(reg) == old.read(reg)
+            trace("read", rf.read(reg))
         else:
             parity = rng.randrange(2)
 
             def drop(waiter, parity=parity):
                 return int(waiter[1:]) % 2 == parity
 
-            new.drop_waiters(drop)
-            old.drop_waiters(drop)
-        assert new.ready[reg] == old.ready[reg]
-    assert new.value == old.value
-    assert new.ready == old.ready
-    assert new._waiters == old._waiters
+            rf.drop_waiters(drop)
+        trace("ready", rf.ready[reg])
+    trace("final", list(rf.value), list(rf.ready), sorted(rf._waiters.items()))
+    return trace.hexdigest()
 
 
-def test_pred_regfile_equivalence():
+def drive_pred_regfile(rf) -> str:
     rng = random.Random(19)
-    new, old = PredRegFile(32), legacy.LegacyPredRegFile(32)
+    trace = _Trace()
     for step in range(1500):
         reg = rng.randrange(1, 32)
         op = rng.randrange(3)
         if op == 0:
             enabled, taken = rng.random() < 0.5, rng.random() < 0.5
-            assert (new.write_pred(reg, enabled, taken)
-                    == old.write_pred(reg, enabled, taken))
+            trace("write_pred", rf.write_pred(reg, enabled, taken))
         elif op == 1:
             direction = rng.random() < 0.5
             probe = rng.randrange(32)  # includes pred0
-            assert (new.consumer_enabled(probe, direction)
-                    == old.consumer_enabled(probe, direction))
+            trace("enabled", rf.consumer_enabled(probe, direction))
         else:
-            assert new.read(reg) == old.read(reg)
-    assert new.value == old.value
+            trace("read", rf.read(reg))
+    trace("final", list(rf.value))
+    return trace.hexdigest()
 
 
-def test_shared_pool_equivalence():
+def drive_shared_pool(pool) -> str:
     rng = random.Random(11)
-    new = SharedPhysPool(96, reserved=2)
-    old = legacy.LegacySharedPhysPool(96, reserved=2)
+    trace = _Trace()
     quota = {0: 48, 1: 24, 2: 12}
     held = {0: [], 1: [], 2: []}
     for _ in range(5000):
         tid = rng.randrange(3)
         if rng.random() < 0.55 or not held[tid]:
-            a = new.allocate(tid, quota[tid])
-            b = old.allocate(tid, quota[tid])
-            assert a == b  # same register, same order, same quota refusals
-            if a is not None:
-                held[tid].append(a)
+            reg = pool.allocate(tid, quota[tid])
+            trace("allocate", reg)  # same register, same order, same refusals
+            if reg is not None:
+                held[tid].append(reg)
         else:
             reg = held[tid].pop(rng.randrange(len(held[tid])))
-            new.release(tid, reg)
-            old.release(tid, reg)
-        assert new.free_count() == old.free_count()
-        assert new.held_by(tid) == old.held_by(tid)
-        assert new.held_total() == old.held_total()
-    assert new.free_list() == old.free_list()
+            pool.release(tid, reg)
+        trace("counts", pool.free_count(), pool.held_by(tid), pool.held_total())
+    trace("final", list(pool.free_list()))
+    return trace.hexdigest()
 
 
-def test_rename_map_equivalence():
+def drive_rename_map(rmt) -> str:
     rng = random.Random(3)
-    new, old = RenameMapTable(), legacy.LegacyRenameMapTable()
+    trace = _Trace()
     snaps = []
     for _ in range(2000):
         op = rng.randrange(4)
         if op == 0:
-            logical = rng.randrange(1, new.num_logical)
+            logical = rng.randrange(1, rmt.num_logical)
             phys = rng.randrange(1, 300)
-            assert new.set(logical, phys) == old.set(logical, phys)
+            trace("set", rmt.set(logical, phys))
         elif op == 1:
-            logical = rng.randrange(new.num_logical)
-            assert new.lookup(logical) == old.lookup(logical)
+            logical = rng.randrange(rmt.num_logical)
+            trace("lookup", rmt.lookup(logical))
         elif op == 2 or not snaps:
-            snaps.append((new.snapshot(), old.snapshot()))
+            snaps.append(rmt.snapshot())
         else:
-            a, b = snaps.pop(rng.randrange(len(snaps)))
-            assert a == b
-            new.restore(a)
-            old.restore(b)
-        assert new.mapped_physical() == old.mapped_physical()
-    assert new.map == old.map
+            snap = snaps.pop(rng.randrange(len(snaps)))
+            trace("restore", list(snap))
+            rmt.restore(snap)
+        trace("mapped", list(rmt.mapped_physical()))
+    trace("final", list(rmt.map))
+    return trace.hexdigest()
 
 
-def test_btb_equivalence():
+def drive_btb(btb) -> str:
     rng = random.Random(5)
-    new = BranchTargetBuffer(sets=16, ways=4)
-    old = legacy.LegacyBranchTargetBuffer(sets=16, ways=4)
+    trace = _Trace()
     pcs = [rng.randrange(1 << 18) * 4 for _ in range(200)]
     for _ in range(5000):
         pc = rng.choice(pcs)
         if rng.random() < 0.5:
-            target = rng.randrange(1 << 18) * 4
-            new.insert(pc, target)
-            old.insert(pc, target)
+            btb.insert(pc, rng.randrange(1 << 18) * 4)
         else:
-            # lookup also exercises the MRU promotion on both sides
-            assert new.lookup(pc) == old.lookup(pc)
+            # lookup also exercises the MRU promotion
+            trace("lookup", btb.lookup(pc))
+    return trace.hexdigest()
 
 
-def test_cache_equivalence():
+def drive_cache(cache) -> str:
     rng = random.Random(13)
-    new = Cache(4096, ways=4, name="equiv")
-    old = legacy.LegacyCache(4096, ways=4, name="equiv")
+    trace = _Trace()
     addrs = [rng.randrange(1 << 18) for _ in range(400)]
     for _ in range(6000):
         addr = rng.choice(addrs)
         roll = rng.random()
         if roll < 0.6:
             is_write = rng.random() < 0.3
-            assert (new.access(addr, is_write=is_write)
-                    == old.access(addr, is_write=is_write))
+            trace("access", cache.access(addr, is_write=is_write))
         elif roll < 0.8:
             prefetched = rng.random() < 0.5
-            assert (new.fill(addr, prefetched=prefetched)
-                    == old.fill(addr, prefetched=prefetched))
+            trace("fill", cache.fill(addr, prefetched=prefetched))
         else:
-            assert new.lookup(addr) == old.lookup(addr)
-    assert new.stats == old.stats
-    new.invalidate_all()
-    old.invalidate_all()
-    assert not any(new.lookup(a) for a in addrs)
-    assert not any(old.lookup(a) for a in addrs)
+            trace("lookup", cache.lookup(addr))
+    trace("stats", dataclasses.astuple(cache.stats))
+    cache.invalidate_all()
+    assert not any(cache.lookup(a) for a in addrs)
+    return trace.hexdigest()
+
+
+def test_regfile_equivalence():
+    assert drive_regfile(PhysRegFile(64)) == DIGESTS["regfile"]
+
+
+def test_pred_regfile_equivalence():
+    assert drive_pred_regfile(PredRegFile(32)) == DIGESTS["pred_regfile"]
+
+
+def test_shared_pool_equivalence():
+    pool = SharedPhysPool(96, reserved=2)
+    assert drive_shared_pool(pool) == DIGESTS["shared_pool"]
+
+
+def test_rename_map_equivalence():
+    assert drive_rename_map(RenameMapTable()) == DIGESTS["rename_map"]
+
+
+def test_btb_equivalence():
+    btb = BranchTargetBuffer(sets=16, ways=4)
+    assert drive_btb(btb) == DIGESTS["btb"]
+
+
+def test_cache_equivalence():
+    cache = Cache(4096, ways=4, name="equiv")
+    assert drive_cache(cache) == DIGESTS["cache"]

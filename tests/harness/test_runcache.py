@@ -1,9 +1,9 @@
-"""Sharded run cache: full-config keys, atomic shards, legacy adoption."""
+"""Sharded run cache: full-config keys, atomic shards."""
 
 import json
 
 from repro.core import CoreConfig
-from repro.harness.runcache import RunCache, entry_from_result, legacy_key
+from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.simulator import RunConfig, simulate
 from repro.memory.hierarchy import MemoryConfig
 
@@ -23,14 +23,11 @@ def test_cache_key_covers_memory_and_max_cycles():
     assert base.cache_key() == _cfg().cache_key()  # deterministic
     assert base.cache_key().startswith("astar-baseline-")
 
-    # The legacy derivation collided on exactly these; the new key must not.
+    # The pre-sharding key derivation collided on exactly these.
     with_mem = _cfg(memory=MemoryConfig(dram_latency=400))
     with_cap = _cfg(max_cycles=1_000_000)
     keys = {base.cache_key(), with_mem.cache_key(), with_cap.cache_key()}
     assert len(keys) == 3
-
-    # ... while the legacy key is blind to both (the recorded bug).
-    assert legacy_key(base) == legacy_key(with_mem) == legacy_key(with_cap)
 
 
 def test_cache_key_covers_core_and_engine_configs():
@@ -72,40 +69,3 @@ def test_entries_do_not_collide_on_disk(tmp_path):
     cache.put(b, {"cycles": 2})
     assert cache.get(a) == {"cycles": 1}
     assert cache.get(b) == {"cycles": 2}
-
-
-# ----------------------------------------------------------------------
-# Legacy cache.json adoption.
-# ----------------------------------------------------------------------
-def test_legacy_adoption_promotes_to_shard(tmp_path):
-    config = _cfg()
-    legacy = tmp_path / "cache.json"
-    legacy.write_text(json.dumps({legacy_key(config): {"cycles": 42}}))
-
-    cache = RunCache(tmp_path / "cache", legacy_file=legacy)
-    assert cache.get(config) == {"cycles": 42}
-    # Promoted into a shard; the legacy file is untouched.
-    assert cache.path_for(config).is_file()
-    assert json.loads(legacy.read_text()) == {legacy_key(config): {"cycles": 42}}
-
-
-def test_legacy_adoption_refuses_ambiguous_configs(tmp_path):
-    """Non-default memory / max_cycles were invisible to the legacy key, so
-    those entries may belong to a different run — never adopt them."""
-    ambiguous_mem = _cfg(memory=MemoryConfig(dram_latency=400))
-    ambiguous_cap = _cfg(max_cycles=1_000_000)
-    legacy = tmp_path / "cache.json"
-    legacy.write_text(json.dumps({legacy_key(ambiguous_mem): {"cycles": 42}}))
-
-    cache = RunCache(tmp_path / "cache", legacy_file=legacy)
-    assert cache.get(ambiguous_mem) is None
-    assert cache.get(ambiguous_cap) is None
-
-
-def test_missing_or_corrupt_legacy_file(tmp_path):
-    config = _cfg()
-    assert RunCache(tmp_path / "a", legacy_file=tmp_path / "nope.json") \
-        .get(config) is None
-    bad = tmp_path / "bad.json"
-    bad.write_text("{")
-    assert RunCache(tmp_path / "b", legacy_file=bad).get(config) is None
