@@ -9,9 +9,18 @@ sweeps justify the paper's choices on our substrate.
 import dataclasses
 
 from repro.harness import ascii_table
-from repro.phelps import PhelpsConfig
 
-from benchmarks.common import PHELPS, emit, run, speedup_of
+from benchmarks.common import PHELPS, config_for, emit, run_figure, speedup_of
+
+
+def _sweep(figure, workload, settings, phelps_of):
+    """``{"baseline": entry, setting: phelps entry}`` of one figure run."""
+    configs = {"baseline": config_for(workload, "baseline")}
+    for s in settings:
+        configs[s] = config_for(workload, "phelps",
+                                phelps_config=phelps_of(s))
+    entries = run_figure(figure, list(configs.values()))
+    return {s: entries[c.cache_key()] for s, c in configs.items()}
 
 
 def test_queue_depth_sweep(benchmark):
@@ -19,12 +28,8 @@ def test_queue_depth_sweep(benchmark):
     depths = [4, 32, 128]
 
     def collect():
-        base = run("astar", "baseline")
-        out = {"baseline": base}
-        for d in depths:
-            cfg = dataclasses.replace(PHELPS, queue_depth=d)
-            out[d] = run("astar", "phelps", phelps_config=cfg)
-        return out
+        return _sweep("ablation_queue_depth", "astar", depths,
+                      lambda d: dataclasses.replace(PHELPS, queue_depth=d))
 
     table = benchmark.pedantic(collect, rounds=1, iterations=1)
     base = table["baseline"]
@@ -47,19 +52,14 @@ def test_spec_cache_geometry_sweep(benchmark):
     geometries = [(2, 2), (16, 2), (64, 4)]
 
     def collect():
-        base = run("astar", "baseline")
-        out = {"baseline": base}
-        for sets, ways in geometries:
-            cfg = dataclasses.replace(PHELPS, spec_cache_sets=sets,
-                                      spec_cache_ways=ways)
-            out[(sets, ways)] = run("astar", "phelps", phelps_config=cfg)
-        return out
+        return _sweep("ablation_spec_cache", "astar", geometries,
+                      lambda g: dataclasses.replace(
+                          PHELPS, spec_cache_sets=g[0], spec_cache_ways=g[1]))
 
     table = benchmark.pedantic(collect, rounds=1, iterations=1)
     base = table["baseline"]
     rows = []
     for g in geometries:
-        key = g if g in table else list(table)[1]
         e = table[g]
         rows.append([f"{g[0]}x{g[1]}", speedup_of(e, base), e["mpki"],
                      e["engine"]["queue_wrong"], e["engine"]["spec_cache_losses"]])
@@ -77,12 +77,9 @@ def test_epoch_length_sweep(benchmark):
     epochs = [8_000, 20_000, 50_000]
 
     def collect():
-        base = run("bfs", "baseline")
-        out = {"baseline": base}
-        for ep in epochs:
-            cfg = dataclasses.replace(PHELPS, epoch_length=ep)
-            out[ep] = run("bfs", "phelps", phelps_config=cfg)
-        return out
+        return _sweep("ablation_epoch_length", "bfs", epochs,
+                      lambda ep: dataclasses.replace(PHELPS,
+                                                     epoch_length=ep))
 
     table = benchmark.pedantic(collect, rounds=1, iterations=1)
     base = table["baseline"]

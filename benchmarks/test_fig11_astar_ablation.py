@@ -5,12 +5,9 @@ Paper: BR-non-spec < BR-spec (29%) < Phelps full (47%); MPKI 29.5 -> 2.68
 ordering, with b1->s1 no better than b1 (unsuppressed stores poison b1).
 """
 
-import dataclasses
-
 from repro.harness import ascii_table
-from repro.phelps import PhelpsConfig
 
-from benchmarks.common import PHELPS, emit, run, speedup_of
+from benchmarks.common import PHELPS, config_for, emit, run_figure, speedup_of
 
 CONFIGS = [
     ("BR-non-spec", "br_nonspec", None),
@@ -23,11 +20,16 @@ CONFIGS = [
 
 
 def _collect():
-    base = run("astar", "baseline")
+    base_cfg = config_for("astar", "baseline")
+    configs = {label: config_for("astar", engine, phelps_config=pcfg)
+               for label, engine, pcfg in CONFIGS}
+    entries = run_figure("fig11_astar_ablation",
+                         [base_cfg, *configs.values()])
+    base = entries[base_cfg.cache_key()]
     rows = []
     results = {}
-    for label, engine, pcfg in CONFIGS:
-        r = run("astar", engine, phelps_config=pcfg)
+    for label, config in configs.items():
+        r = entries[config.cache_key()]
         results[label] = r
         rows.append([label, speedup_of(r, base), r["mpki"], r["ipc"]])
     rows.insert(0, ["baseline", 1.0, base["mpki"], base["ipc"]])

@@ -9,20 +9,19 @@ perfBP as the ceiling.
 
 from repro.harness import ascii_table
 
-from benchmarks.common import (ALL_WORKLOADS, GAP_WORKLOADS, emit, prewarm,
-                               run, speedup_of)
+from benchmarks.common import (ALL_WORKLOADS, GAP_WORKLOADS, config_for,
+                               emit, run_figure, speedup_of)
 
 ENGINES = ["perfbp", "phelps", "br", "br12"]
 
 
 def _collect():
-    prewarm((w, e) for w in ALL_WORKLOADS for e in ["baseline"] + ENGINES)
-    table = {}
-    for w in ALL_WORKLOADS:
-        base = run(w, "baseline")
-        table[w] = {"baseline": base}
-        for e in ENGINES:
-            table[w][e] = run(w, e)
+    configs = {(w, e): config_for(w, e)
+               for w in ALL_WORKLOADS for e in ["baseline"] + ENGINES}
+    entries = run_figure("fig12a_speedup", list(configs.values()))
+    table = {w: {} for w in ALL_WORKLOADS}
+    for (w, e), config in configs.items():
+        table[w][e] = entries[config.cache_key()]
     return table
 
 

@@ -8,23 +8,23 @@ thread usually retires the store first).
 
 from repro.harness import ascii_table
 
-from benchmarks.common import (GAP_WORKLOADS, PHELPS, emit, prewarm, run,
-                               speedup_of)
+from benchmarks.common import (GAP_WORKLOADS, PHELPS, config_for, emit,
+                               run_figure, speedup_of)
 
 WORKLOADS = GAP_WORKLOADS + ["astar"]
 
 
 def _collect():
-    prewarm([(w, e) for w in WORKLOADS for e in ("baseline", "phelps")]
-            + [(w, "phelps", {"phelps_config": PHELPS.without_stores()})
-               for w in WORKLOADS])
-    table = {}
-    for w in WORKLOADS:
-        table[w] = {
-            "baseline": run(w, "baseline"),
-            "with": run(w, "phelps"),
-            "without": run(w, "phelps", phelps_config=PHELPS.without_stores()),
-        }
+    configs = {(w, label): config_for(w, engine, phelps_config=pcfg)
+               for w in WORKLOADS
+               for label, engine, pcfg in [
+                   ("baseline", "baseline", None),
+                   ("with", "phelps", None),
+                   ("without", "phelps", PHELPS.without_stores())]}
+    entries = run_figure("fig12b_stores", list(configs.values()))
+    table = {w: {} for w in WORKLOADS}
+    for (w, label), config in configs.items():
+        table[w][label] = entries[config.cache_key()]
     return table
 
 

@@ -9,21 +9,29 @@ high-ILP kernels (the paper's exchange2: 31%).
 
 from repro.harness import ascii_table
 
-from benchmarks.common import GAP_WORKLOADS, emit, prewarm, run, speedup_of
+from benchmarks.common import (GAP_WORKLOADS, config_for, emit, run_figure,
+                               speedup_of)
 
 WORKLOADS = GAP_WORKLOADS + ["astar"]
 
 
-def _collect_a_b():
-    prewarm((w, e) for w in WORKLOADS for e in ("baseline", "phelps"))
-    table = {}
-    for w in WORKLOADS:
-        table[w] = {"baseline": run(w, "baseline"), "phelps": run(w, "phelps")}
+def _engine_table(figure, workloads, engines):
+    """``table[workload][engine]`` entries of one figure run."""
+    configs = {(w, e): config_for(w, e) for w in workloads for e in engines}
+    entries = run_figure(figure, list(configs.values()))
+    table = {w: {} for w in workloads}
+    for (w, e), config in configs.items():
+        table[w][e] = entries[config.cache_key()]
     return table
 
 
+def _collect_a_b(figure):
+    return _engine_table(figure, WORKLOADS, ("baseline", "phelps"))
+
+
 def test_fig13a_mpki_reduction(benchmark):
-    table = benchmark.pedantic(_collect_a_b, rounds=1, iterations=1)
+    table = benchmark.pedantic(_collect_a_b, args=("fig13a_mpki",),
+                               rounds=1, iterations=1)
     rows = []
     reductions = {}
     for w in WORKLOADS:
@@ -44,7 +52,8 @@ def test_fig13a_mpki_reduction(benchmark):
 
 
 def test_fig13b_helper_overhead(benchmark):
-    table = benchmark.pedantic(_collect_a_b, rounds=1, iterations=1)
+    table = benchmark.pedantic(_collect_a_b, args=("fig13b_overhead",),
+                               rounds=1, iterations=1)
     rows = []
     for w in WORKLOADS:
         ph = table[w]["phelps"]
@@ -63,21 +72,18 @@ def test_fig13b_helper_overhead(benchmark):
 
 def test_fig13c_partitioning_cost(benchmark):
     def collect():
-        table = {}
-        for w in WORKLOADS + ["exchange2", "perlbench"]:
-            table[w] = {
-                "baseline": run(w, "baseline"),
-                "partition": run(w, "partition_only"),
-            }
-        return table
+        return _engine_table("fig13c_partition",
+                             WORKLOADS + ["exchange2", "perlbench"],
+                             ("baseline", "partition_only"))
 
     table = benchmark.pedantic(collect, rounds=1, iterations=1)
     rows = []
     slowdowns = {}
     for w, entry in table.items():
-        slow = 1 - speedup_of(entry["partition"], entry["baseline"])
+        part = entry["partition_only"]
+        slow = 1 - speedup_of(part, entry["baseline"])
         slowdowns[w] = slow
-        rows.append([w, entry["baseline"]["ipc"], entry["partition"]["ipc"],
+        rows.append([w, entry["baseline"]["ipc"], part["ipc"],
                      f"{100 * slow:.1f}%"])
     emit("fig13c_partition", ascii_table(
         ["workload", "IPC full", "IPC half", "slowdown"], rows))

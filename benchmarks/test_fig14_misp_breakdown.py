@@ -15,7 +15,7 @@ Shape targets (paper):
 
 from repro.harness import ascii_table
 
-from benchmarks.common import ALL_WORKLOADS, emit, prewarm, run
+from benchmarks.common import ALL_WORKLOADS, config_for, emit, run_figure
 
 CLASSES = ["eliminated", "gathering", "being_constructed", "not_chosen",
            "too_big", "not_iterating", "ot_depends_on_it", "not_in_loop",
@@ -23,11 +23,13 @@ CLASSES = ["eliminated", "gathering", "being_constructed", "not_chosen",
 
 
 def _collect():
-    prewarm((w, e) for w in ALL_WORKLOADS for e in ("baseline", "phelps"))
+    configs = {(w, e): config_for(w, e)
+               for w in ALL_WORKLOADS for e in ("baseline", "phelps")}
+    entries = run_figure("fig14_breakdown", list(configs.values()))
     table = {}
     for w in ALL_WORKLOADS:
-        base = run(w, "baseline")
-        ph = run(w, "phelps")
+        base = entries[configs[w, "baseline"].cache_key()]
+        ph = entries[configs[w, "phelps"].cache_key()]
         classes = dict(ph["engine"].get("misp_classes", {}))
         eliminated = max(0, base["mispredicts"] - ph["mispredicts"])
         classes["eliminated"] = eliminated

@@ -9,12 +9,13 @@ penalty); bfs wins on all three input graphs.
 from repro.core import CoreConfig
 from repro.harness import ascii_table
 
-from benchmarks.common import emit, run, speedup_of
+from benchmarks.common import config_for, emit, run_figure, speedup_of
 
 WINDOWS = [316, 632, 1024]
 DEPTHS = [11, 15, 19]
 WINDOW_WORKLOADS = ["bc", "bfs", "astar"]
 BFS_INPUTS = ["bfs", "bfs_web", "bfs_uniform"]
+ENGINES = ("baseline", "phelps")
 
 
 def _window_core(rob: int, depth: int = 11) -> CoreConfig:
@@ -23,18 +24,21 @@ def _window_core(rob: int, depth: int = 11) -> CoreConfig:
     return cfg.with_window(rob_rounded)
 
 
+def _engine_table(figure, workloads, settings, core_of):
+    """``table[workload][setting][engine]`` entries of one figure run."""
+    configs = {(w, s, e): config_for(w, e, core=core_of(s))
+               for w in workloads for s in settings for e in ENGINES}
+    entries = run_figure(figure, list(configs.values()))
+    table = {w: {s: {} for s in settings} for w in workloads}
+    for (w, s, e), config in configs.items():
+        table[w][s][e] = entries[config.cache_key()]
+    return table
+
+
 def test_fig15a_window_size(benchmark):
     def collect():
-        table = {}
-        for w in WINDOW_WORKLOADS:
-            table[w] = {}
-            for rob in WINDOWS:
-                core = _window_core(rob)
-                table[w][rob] = {
-                    "baseline": run(w, "baseline", core=core),
-                    "phelps": run(w, "phelps", core=core),
-                }
-        return table
+        return _engine_table("fig15a_window", WINDOW_WORKLOADS, WINDOWS,
+                             _window_core)
 
     table = benchmark.pedantic(collect, rounds=1, iterations=1)
     rows = []
@@ -55,16 +59,8 @@ def test_fig15a_window_size(benchmark):
 
 def test_fig15a_pipeline_depth(benchmark):
     def collect():
-        table = {}
-        for w in ["bfs", "astar"]:
-            table[w] = {}
-            for depth in DEPTHS:
-                core = CoreConfig(pipeline_stages=depth)
-                table[w][depth] = {
-                    "baseline": run(w, "baseline", core=core),
-                    "phelps": run(w, "phelps", core=core),
-                }
-        return table
+        return _engine_table("fig15a_depth", ["bfs", "astar"], DEPTHS,
+                             lambda depth: CoreConfig(pipeline_stages=depth))
 
     table = benchmark.pedantic(collect, rounds=1, iterations=1)
     rows = []
@@ -84,8 +80,9 @@ def test_fig15a_pipeline_depth(benchmark):
 
 def test_fig15b_bfs_inputs(benchmark):
     def collect():
-        return {w: {"baseline": run(w, "baseline"), "phelps": run(w, "phelps")}
-                for w in BFS_INPUTS}
+        table = _engine_table("fig15b_bfs_inputs", BFS_INPUTS, [None],
+                              lambda _: None)
+        return {w: table[w][None] for w in BFS_INPUTS}
 
     table = benchmark.pedantic(collect, rounds=1, iterations=1)
     rows = []

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Re-draw the paper's figures as ASCII charts from the benchmark cache.
+"""Re-draw the paper's figures as ASCII charts from the figure journals.
 
-Run ``pytest benchmarks/ --benchmark-only`` first (it fills the sharded
-cache under ``benchmarks/results/cache/``), then:
+Run ``pytest benchmarks/ --benchmark-only`` first (it journals every
+figure under ``benchmarks/results/campaigns/<figure>/``), then:
 
     PYTHONPATH=src python examples/render_figures.py
 """
@@ -12,33 +12,41 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from benchmarks.common import CACHE, CACHE_DIR, config_for  # noqa: E402
+from benchmarks.common import RESULTS_DIR  # noqa: E402
+from repro.harness import CampaignJournal  # noqa: E402
 from repro.harness.plots import (grouped_bars, hbar_chart,  # noqa: E402
                                  stacked_percent_rows)
 
 GAP = ["bc", "bfs", "pr", "cc", "cc_sv", "sssp", "astar"]
 ENGINES = ["perfbp", "phelps", "br", "br12"]
+# Both journals hold default-config points only.
+JOURNALS = ["fig12a_speedup", "fig14_breakdown"]
 
 
-def _entries(workload):
-    """Cached default-config entries of ``workload``, by engine."""
+def _journal_entries():
+    """``workload -> engine -> entry`` for every done journal point."""
     out = {}
-    for engine in ["baseline"] + ENGINES:
-        entry = CACHE.get(config_for(workload, engine))
-        if entry is not None:
-            out[engine] = entry
+    for figure in JOURNALS:
+        journal = CampaignJournal(RESULTS_DIR / "campaigns" / figure)
+        for point in (journal.load_manifest() or {}).get("points", ()):
+            doc = journal.read_point(point["key"])
+            if doc and doc.get("status") == "done":
+                out.setdefault(point["workload"], {})[point["engine"]] = \
+                    doc["entry"]
     return out
 
 
 def main() -> int:
-    if not CACHE_DIR.is_dir():
-        print("No benchmark cache yet — run: pytest benchmarks/ --benchmark-only")
+    journaled = _journal_entries()
+    if not journaled:
+        print("No figure journals yet — run: pytest benchmarks/ "
+              "--benchmark-only")
         return 1
 
     print("=== Fig. 12a: speedup over baseline (|:baseline) ===\n")
     groups = {}
     for w in GAP:
-        entries = _entries(w)
+        entries = journaled.get(w, {})
         base = entries.get("baseline")
         if not base:
             continue
@@ -54,7 +62,7 @@ def main() -> int:
     print("\n=== Fig. 13a: MPKI, baseline vs Phelps ===\n")
     series = {}
     for w in GAP:
-        entries = _entries(w)
+        entries = journaled.get(w, {})
         if "baseline" in entries and "phelps" in entries:
             series[f"{w} base"] = entries["baseline"]["mpki"]
             series[f"{w} phelps"] = entries["phelps"]["mpki"]
@@ -66,7 +74,7 @@ def main() -> int:
              "deployed_residual"]
     rows = {}
     for w in GAP + ["mcf", "xz", "gcc", "leela", "xalanc"]:
-        entries = _entries(w)
+        entries = journaled.get(w, {})
         if "baseline" not in entries or "phelps" not in entries:
             continue
         classes = dict(entries["phelps"]["engine"].get("misp_classes", {}))

@@ -14,6 +14,14 @@ everything a remote client would do with nothing but stdlib HTTP:
 
 Point it at an already-running daemon instead with ``--connect URL``
 (start one with ``python -m repro service --port 8330``).
+
+A spec can also list ``RunConfig.to_dict()`` points
+(``{"points": [...]}``) with per-point core or Phelps overrides.  Every
+figure benchmark journals its run that way, so a figure's spec can be
+POSTed as-is::
+
+    jq .spec benchmarks/results/campaigns/fig15a_window/campaign.json \\
+      | curl -s -X POST localhost:8330/campaigns -d @-
 """
 
 import argparse

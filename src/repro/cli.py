@@ -181,39 +181,40 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """Cross-product sweep: process-pool fan-out, shard caching, and an
-    optional write-ahead campaign journal for kill-and-resume."""
+    """Journaled sweep of a spec's points (a fresh ``-w x -e`` cross
+    product, or a ``--resume``d manifest's spec in either form):
+    process-pool fan-out, shard caching, kill-and-resume."""
+    from repro.service.queue import configs_from_spec
+
     if args.resume:
+        if args.workloads or args.engines or args.instructions is not None:
+            print("sweep: --resume takes its points from the manifest "
+                  "spec; drop -w/-e/-n", file=sys.stderr)
+            return 2
         journal = CampaignJournal(args.resume)
         manifest = journal.load_manifest()
         if manifest is None:
             print(f"sweep: no campaign manifest under {args.resume} "
                   f"(expected {journal.manifest_path})", file=sys.stderr)
             return 2
-        spec = manifest.get("spec", {})
-        workloads = args.workloads or spec.get("workloads")
-        engines = args.engines or spec.get("engines")
-        instructions = spec.get("instructions", args.instructions)
-        cache_dir = args.cache_dir or spec.get("cache_dir")
-        if not workloads or not engines:
-            print("sweep: manifest spec has no workloads/engines; pass "
-                  "-w/-e explicitly", file=sys.stderr)
-            return 2
+        spec_doc = manifest.get("spec", {})
+    elif not args.workloads or not args.engines:
+        print("sweep: -w/-e are required unless resuming with --resume",
+              file=sys.stderr)
+        return 2
     else:
-        if not args.workloads or not args.engines:
-            print("sweep: -w/-e are required unless resuming with --resume",
-                  file=sys.stderr)
-            return 2
-        workloads, engines = args.workloads, args.engines
-        instructions = args.instructions
-        cache_dir = args.cache_dir
+        spec_doc = {"workloads": args.workloads, "engines": args.engines,
+                    "instructions": args.instructions or 100_000,
+                    "cache_dir": args.cache_dir}
         journal = CampaignJournal(args.manifest) if args.manifest else None
-
-    configs = [RunConfig(workload=w, engine=e, max_instructions=instructions)
-               for w in workloads for e in engines]
+    try:
+        configs = configs_from_spec(spec_doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"sweep: manifest spec names no runnable points: {exc!r}",
+              file=sys.stderr)
+        return 2
+    cache_dir = args.cache_dir or spec_doc.get("cache_dir")
     cache = RunCache(cache_dir) if cache_dir else None
-    spec_doc = {"workloads": list(workloads), "engines": list(engines),
-                "instructions": instructions, "cache_dir": cache_dir}
 
     def _progress(p) -> None:
         label = f"{p.config.workload}/{p.config.engine}"
@@ -249,18 +250,15 @@ def _cmd_sweep(args) -> int:
         if server is not None:
             server.stop()
 
-    rows = []
-    for w in workloads:
-        base = None
-        for e in engines:
-            key = RunConfig(workload=w, engine=e,
-                            max_instructions=instructions).cache_key()
-            entry = entries[key]
-            rate = entry["retired"] / max(entry["cycles"], 1)
-            if base is None:
-                base = rate
-            rows.append([w, e, entry["ipc"], entry["mpki"], entry["cycles"],
-                         rate / base if base else "n/a"])
+    # Speedup is against the first point of the same workload.
+    rows, base = [], {}
+    for config in configs:
+        entry = entries[config.cache_key()]
+        rate = entry["retired"] / max(entry["cycles"], 1)
+        first = base.setdefault(config.workload, rate)
+        rows.append([config.workload, config.engine, entry["ipc"],
+                     entry["mpki"], entry["cycles"],
+                     rate / first if first else "n/a"])
     print(ascii_table(["workload", "engine", "IPC", "MPKI", "cycles",
                        "speedup"], rows))
     return 0
@@ -638,11 +636,13 @@ def _cmd_audit(args) -> int:
         print(f"audit: no readable campaign.json under {root}: {exc}",
               file=sys.stderr)
         return 2
-    spec = manifest.get("spec") or {}
-    if not spec.get("workloads") or not spec.get("engines"):
-        print("audit: manifest has no runnable spec", file=sys.stderr)
+    try:
+        configs = {c.cache_key(): c
+                   for c in configs_from_spec(manifest.get("spec") or {})}
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"audit: manifest has no runnable spec: {exc!r}",
+              file=sys.stderr)
         return 2
-    configs = {c.cache_key(): c for c in configs_from_spec(spec)}
     audited = mismatched = sampled_out = unreadable = 0
     for meta in manifest.get("points", ()):
         key = meta.get("key")
@@ -874,7 +874,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("-e", "--engines", nargs="+", default=None,
                        choices=_ENGINE_CHOICES,
                        help="engines (required unless --resume)")
-    sweep.add_argument("-n", "--instructions", type=int, default=100_000)
+    sweep.add_argument("-n", "--instructions", type=int, default=None,
+                       help="instructions per point (default 100000)")
     sweep.add_argument("--manifest", metavar="DIR", default=None,
                        help="write-ahead campaign journal directory: one "
                             "atomic status shard per point plus "

@@ -89,6 +89,17 @@ class RunConfig:
         """The full nested-dataclass serialization (JSON-ready)."""
         return dataclasses.asdict(self)
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "RunConfig":
+        """Inverse of :meth:`to_dict` (JSON round trip included; same
+        ``cache_key()``).  Omitted fields take their defaults; an unknown
+        field raises ``TypeError``."""
+        doc = dict(doc)
+        for name, sub in _NESTED_CONFIGS.items():
+            if doc.get(name) is not None:
+                doc[name] = sub(**doc[name])
+        return cls(**doc)
+
     def cache_key(self) -> str:
         """Filename-safe key derived from the *complete* configuration.
 
@@ -111,6 +122,11 @@ class RunConfig:
         payload = json.dumps(doc, sort_keys=True, default=str)
         digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
         return f"{self.workload}-{self.engine}-{digest}"
+
+
+_NESTED_CONFIGS = {"core": CoreConfig, "memory": MemoryConfig,
+                   "phelps_config": PhelpsConfig,
+                   "observe_config": ObserveConfig}
 
 
 @dataclass

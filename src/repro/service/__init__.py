@@ -38,8 +38,7 @@ standing service with one lease authority, the daemon:
 
 from repro.service.lease import DEFAULT_LEASE_SECONDS, LeaseLost, PointTable
 from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
-                                 SweepSpec, TenantPolicy, ValidationError,
-                                 config_from_doc, config_to_doc,
+                                 TenantPolicy, ValidationError,
                                  configs_from_spec)
 from repro.service.httpclient import (CircuitOpen, ClientStats,
                                       HttpStatusError, NotFound,
@@ -55,15 +54,12 @@ __all__ = [
     "DEFAULT_LEASE_SECONDS",
     "LeaseLost",
     "PointTable",
-    "SweepSpec",
     "ValidationError",
     "BackPressure",
     "TenantPolicy",
     "CampaignRecord",
     "ServiceState",
     "configs_from_spec",
-    "config_to_doc",
-    "config_from_doc",
     "ServiceClient",
     "ClientStats",
     "HttpStatusError",

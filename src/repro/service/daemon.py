@@ -82,14 +82,13 @@ from typing import Dict, List, Optional, Tuple
 import repro
 from repro.harness.campaign import CampaignJournal
 from repro.harness.runcache import RunCache, entry_from_result
-from repro.harness.simulator import simulate
+from repro.harness.simulator import RunConfig, simulate
 from repro.obs.events import EventTrace
 from repro.obs.promtext import CONTENT_TYPE, prom_line, render_prometheus
 from repro.service.integrity import IntegrityConfig, IntegrityMonitor
 from repro.service.lease import LeaseLost, PointTable
 from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
                                  TenantPolicy, ValidationError,
-                                 config_from_doc, config_to_doc,
                                  configs_from_spec)
 from repro.workloads import workload_names
 
@@ -97,8 +96,8 @@ __all__ = ["CampaignService", "ServiceConfig"]
 
 _INDEX = """repro campaign service
   GET    /campaigns             list campaigns + queue gauges
-  POST   /campaigns             submit {workloads, engines, instructions,
-                                tenant?, priority?} -> {id}
+  POST   /campaigns             submit {workloads, engines, instructions} or
+                                {points: [...]}, tenant?, priority? -> {id}
   GET    /campaigns/<id>        status
   GET    /campaigns/<id>/results  done-point result entries
   GET    /campaigns/<id>/stream   SSE status frames
@@ -340,8 +339,8 @@ class CampaignService:
             record = CampaignRecord(
                 id=cid, tenant=meta.get("tenant", "default"),
                 priority=int(meta.get("priority", 0)),
-                spec={k: spec.get(k) for k in
-                      ("workloads", "engines", "instructions")},
+                spec={k: v for k, v in spec.items()
+                      if k not in ("cache_dir", "service")},
                 dir=str(manifest_path.parent),
                 submitted_unix=float(meta.get("submitted_unix", 0.0)),
                 seq=int(meta.get("seq", 0)) or self._seq_from_id(cid),
@@ -397,7 +396,7 @@ class CampaignService:
         """Write-ahead setup for one queued campaign + run-cache dedup."""
         journal = CampaignJournal(record.dir)
         journal.root.mkdir(parents=True, exist_ok=True)
-        configs = configs_from_spec(record.spec)
+        configs = self._configs(record)
         spec_doc = dict(record.spec)
         spec_doc["cache_dir"] = self.config.cache_dir
         spec_doc["service"] = {
@@ -405,12 +404,11 @@ class CampaignService:
             "priority": record.priority, "seq": record.seq,
             "submitted_unix": record.submitted_unix,
         }
-        journal.prepare(configs, spec=spec_doc)
+        journal.prepare(list(configs.values()), spec=spec_doc)
         table = PointTable.load(journal, lock=self._lock)
         deduped = 0
         if self.cache is not None:
-            for config in configs:
-                key = config.cache_key()
+            for key, config in configs.items():
                 if table.read_point(key).get("status") == "done":
                     continue
                 hit = self.cache.get(config)
@@ -642,37 +640,27 @@ class CampaignService:
             while len(self._idem) > self._idem_cap:
                 self._idem.popitem(last=False)
 
-    def _config_for(self, record: CampaignRecord, key: str):
-        """The RunConfig behind one journal key (memoised per campaign)."""
+    def _configs(self, record: CampaignRecord) -> Dict[str, RunConfig]:
+        """``key -> RunConfig`` for one campaign (memoised)."""
         cmap = self._config_maps.get(record.id)
         if cmap is None:
-            cmap = {c.cache_key(): c for c in
-                    configs_from_spec(record.spec)}
+            cmap = {c.cache_key(): c for c in configs_from_spec(record.spec)}
             self._config_maps[record.id] = cmap
-        return cmap.get(key)
+        return cmap
 
     @staticmethod
     def _entry_config_mismatch(key: str, entry: Dict) -> Optional[str]:
-        """Zeroth-line integrity check on a completion's embedded config.
-
-        A worker-produced entry carries the full config it actually ran
-        (:func:`~repro.harness.runcache.entry_from_result`); rebuilding
-        the sweep-point :class:`RunConfig` from it must mint the claimed
-        journal key, or the entry is for a *different* point — a buggy
-        or lying worker — and publishing it would poison the store.
-        Entries without an embedded config (hand-rolled test fixtures)
-        are not checkable and pass through.
-        """
+        """Zeroth-line integrity check on a completion: the *whole*
+        embedded config (:func:`~repro.harness.runcache.entry_from_result`)
+        must rebuild into a :class:`RunConfig` that mints the claimed key,
+        or the entry is for a different point (a buggy or lying worker)
+        and would poison the store.  Entries without one (hand-rolled
+        test fixtures) are not checkable and pass through."""
         embedded = entry.get("config")
         if not isinstance(embedded, dict):
             return None
-        wire = {"workload": embedded.get("workload"),
-                "engine": embedded.get("engine"),
-                "instructions": embedded.get("max_instructions")}
-        if not all(wire[f] is not None for f in wire):
-            return None
         try:
-            minted = config_from_doc(wire).cache_key()
+            minted = RunConfig.from_dict(embedded).cache_key()
         except (ValueError, TypeError) as exc:
             return f"embedded config does not rebuild: {exc}"
         if minted != key:
@@ -733,8 +721,8 @@ class CampaignService:
                     return 200, {"key": None}
             key, shard = got
             self.events.point_claimed(cid, key, worker)
-            response = {"key": key, "shard": shard, "config":
-                        config_to_doc(self._config_for(record, key))}
+            response = {"key": key, "shard": shard,
+                        "config": self._configs(record)[key].to_dict()}
             if audit:
                 response["audit"] = True
             return 200, response
@@ -787,7 +775,7 @@ class CampaignService:
                       f"{worker}: {problem}")
             return 422, {"error": "entry_config_mismatch",
                          "detail": problem, "key": key}
-        config = self._config_for(record, key)
+        config = self._configs(record).get(key)
         verdict = self.integrity.on_audit_complete(
             cid, table, key, worker, entry, cache=self.cache, config=config)
         if verdict is not None:

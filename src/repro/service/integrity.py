@@ -340,12 +340,6 @@ class IntegrityMonitor:
                 return None
             return record.audit_worker == worker
 
-    def is_auditing(self, campaign: str, key: str) -> bool:
-        with self._lock:
-            record = self._records.get((campaign, key))
-            return record is not None and record.status in ("running",
-                                                            "arbitrating")
-
     # -------------------------------------------------------- completion
     def on_audit_complete(self, campaign: str, table: PointTable,
                           key: str, worker: str, entry: Dict,

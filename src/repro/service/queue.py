@@ -32,13 +32,13 @@ and active campaigns.  A submission that would cross the bound raises
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.harness.simulator import ENGINES, RunConfig
+from repro.harness.simulator import RunConfig
 
-__all__ = ["SweepSpec", "ValidationError", "BackPressure", "TenantPolicy",
+__all__ = ["ValidationError", "BackPressure", "TenantPolicy",
            "CampaignRecord", "ServiceState", "configs_from_spec",
-           "config_to_doc", "config_from_doc"]
+           "validate_spec"]
 
 # Hard ceiling on points per submission: a cross product past this is a
 # spec mistake, not a workload (the queue bound handles real volume).
@@ -61,89 +61,84 @@ class BackPressure(RuntimeError):
                          f"retry after {retry_after:.0f}s")
 
 
-@dataclass
-class SweepSpec:
-    """A validated sweep submission: the cross product it names."""
+# Submission fields; a spec is a cross product or a point list.
+_CROSS_FIELDS = ("workloads", "engines", "instructions")
+_SUBMIT_FIELDS = {*_CROSS_FIELDS, "points", "tenant", "priority"}
 
-    workloads: List[str]
-    engines: List[str]
-    instructions: int
 
-    @classmethod
-    def validate(cls, doc: Dict, known_workloads) -> "SweepSpec":
-        if not isinstance(doc, dict):
-            raise ValidationError("submission body must be a JSON object")
-        workloads = doc.get("workloads")
-        engines = doc.get("engines")
-        instructions = doc.get("instructions", 100_000)
-        if (not isinstance(workloads, list) or not workloads
-                or not all(isinstance(w, str) for w in workloads)):
-            raise ValidationError("'workloads' must be a non-empty list "
-                                  "of names")
-        unknown = [w for w in workloads if w not in known_workloads]
-        if unknown:
-            raise ValidationError(f"unknown workloads: {unknown}")
-        if (not isinstance(engines, list) or not engines
-                or not all(isinstance(e, str) for e in engines)):
-            raise ValidationError("'engines' must be a non-empty list")
-        bad = [e for e in engines if e not in ENGINES]
-        if bad:
-            raise ValidationError(f"unknown engines: {bad} "
-                                  f"(known: {list(ENGINES)})")
-        if not isinstance(instructions, int) or isinstance(instructions, bool) \
-                or not 1 <= instructions <= MAX_INSTRUCTIONS:
-            raise ValidationError("'instructions' must be an int in "
+def validate_spec(doc: Dict, known_workloads) -> Tuple[Dict, List[RunConfig]]:
+    """``(normalized spec, configs)`` of one submission, or
+    :class:`ValidationError` (HTTP 400): unknown field, workload or
+    engine, an instruction budget outside ``[1, MAX_INSTRUCTIONS]``,
+    over ``MAX_POINTS_PER_CAMPAIGN`` points, both forms at once, or a
+    host path (``snapshot_dir``/``checkpoint_dir``) in a point."""
+    if not isinstance(doc, dict):
+        raise ValidationError("submission body must be a JSON object")
+    unknown = sorted(set(doc) - _SUBMIT_FIELDS)
+    if unknown:
+        raise ValidationError(f"unknown fields: {unknown}")
+    if "points" in doc:
+        if any(f in doc for f in _CROSS_FIELDS):
+            raise ValidationError("give 'points' or a cross product, "
+                                  "not both")
+        spec = {"points": doc["points"]}
+        if (not isinstance(spec["points"], list) or not spec["points"]
+                or not all(isinstance(p, dict) for p in spec["points"])):
+            raise ValidationError("'points' must be a non-empty list of "
+                                  "RunConfig objects")
+        if any(p.get(f) is not None for p in spec["points"]
+               for f in ("snapshot_dir", "checkpoint_dir")):
+            raise ValidationError("host paths (snapshot_dir, "
+                                  "checkpoint_dir) are not accepted")
+        count = len(spec["points"])
+    else:
+        spec = {"instructions": doc.get("instructions", 100_000)}
+        for f in ("workloads", "engines"):
+            names = doc.get(f)
+            if (not isinstance(names, list) or not names
+                    or not all(isinstance(n, str) for n in names)):
+                raise ValidationError(f"{f!r} must be a non-empty list "
+                                      "of names")
+            spec[f] = list(dict.fromkeys(names))
+        count = len(spec["workloads"]) * len(spec["engines"])
+    if count > MAX_POINTS_PER_CAMPAIGN:
+        raise ValidationError(f"{count} points exceeds the per-campaign "
+                              f"cap of {MAX_POINTS_PER_CAMPAIGN}")
+    try:
+        configs = configs_from_spec(spec)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid point: {exc}") from None
+    for c in configs:
+        n = c.max_instructions
+        if (not isinstance(n, int) or isinstance(n, bool)
+                or not 1 <= n <= MAX_INSTRUCTIONS):
+            raise ValidationError("instruction budgets must be ints in "
                                   f"[1, {MAX_INSTRUCTIONS}]")
-        if len(workloads) * len(engines) > MAX_POINTS_PER_CAMPAIGN:
-            raise ValidationError(
-                f"{len(workloads) * len(engines)} points exceeds the "
-                f"per-campaign cap of {MAX_POINTS_PER_CAMPAIGN}")
-        # Dedup while preserving order: a repeated name would mint
-        # duplicate journal keys.
-        workloads = list(dict.fromkeys(workloads))
-        engines = list(dict.fromkeys(engines))
-        return cls(workloads=workloads, engines=engines,
-                   instructions=instructions)
-
-    def to_dict(self) -> Dict:
-        return {"workloads": list(self.workloads),
-                "engines": list(self.engines),
-                "instructions": self.instructions}
-
-    @property
-    def points(self) -> int:
-        return len(self.workloads) * len(self.engines)
+    unknown = sorted({str(c.workload) for c in configs}
+                     - set(known_workloads))
+    if unknown:
+        raise ValidationError(f"unknown workloads: {unknown}")
+    if "points" in spec:
+        spec = {"points": [c.to_dict() for c in configs]}
+    return spec, configs
 
 
 def configs_from_spec(spec: Dict) -> List[RunConfig]:
-    """The point set a manifest/submission spec names, in sweep order.
-
-    The single shared derivation: the daemon (at activation and
-    recovery) and the CLI ``sweep`` path must mint identical
-    :class:`RunConfig` objects — and therefore identical
-    ``cache_key()``s — from the same spec, or results stop being
-    content-addressed.
-    """
-    return [RunConfig(workload=w, engine=e,
-                      max_instructions=int(spec["instructions"]))
-            for w in spec["workloads"] for e in spec["engines"]]
-
-
-def config_to_doc(config: RunConfig) -> Dict:
-    """The over-the-wire shape of a sweep point's configuration."""
-    return {"workload": config.workload, "engine": config.engine,
-            "instructions": config.max_instructions}
-
-
-def config_from_doc(doc: Dict) -> RunConfig:
-    """Rebuild a sweep-point :class:`RunConfig` from its wire shape.
-
-    Mints the same ``cache_key()`` as :func:`configs_from_spec` for the
-    same point — the invariant that keeps remote results
-    content-addressed.
-    """
-    return RunConfig(workload=doc["workload"], engine=doc["engine"],
-                     max_instructions=int(doc["instructions"]))
+    """The one spec expander (daemon, ``sweep``, ``audit``): the cross
+    product of ``{"workloads", "engines", "instructions"}``, or
+    ``{"points": [RunConfig.to_dict(), ...]}``, deduplicated by
+    ``cache_key()`` in first-seen order."""
+    if "points" not in spec:
+        # Distinct (workload, engine) names mint distinct keys.
+        return [RunConfig(workload=w, engine=e,
+                          max_instructions=spec["instructions"])
+                for w in dict.fromkeys(spec["workloads"])
+                for e in dict.fromkeys(spec["engines"])]
+    unique: Dict[str, RunConfig] = {}
+    for point in spec["points"]:
+        config = RunConfig.from_dict(point)
+        unique.setdefault(config.cache_key(), config)
+    return list(unique.values())
 
 
 @dataclass
@@ -251,7 +246,7 @@ class ServiceState:
         ``make_dir(campaign_id)`` maps the minted id to a journal
         directory (the daemon owns the filesystem layout).
         """
-        spec = SweepSpec.validate(doc, self.known_workloads)
+        spec, configs = validate_spec(doc, self.known_workloads)
         tenant = doc.get("tenant", "default")
         if not isinstance(tenant, str) or not tenant \
                 or len(tenant) > 64 or "/" in tenant:
@@ -261,17 +256,17 @@ class ServiceState:
             raise ValidationError("'priority' must be an int")
         with self._lock:
             depth = self._queue_depth_locked()
-            if depth + spec.points > self.max_queued_points:
+            if depth + len(configs) > self.max_queued_points:
                 raise BackPressure(depth, self.max_queued_points,
                                    self.retry_after)
             self._seq += 1
             cid = f"c{self._seq:04d}"
             record = CampaignRecord(
                 id=cid, tenant=tenant, priority=priority,
-                spec=spec.to_dict(), dir=str(make_dir(cid)),
+                spec=spec, dir=str(make_dir(cid)),
                 submitted_unix=round(time.time(), 3), seq=self._seq,
-                total_points=spec.points)
-            record.counts = {"pending": spec.points}
+                total_points=len(configs))
+            record.counts = {"pending": len(configs)}
             self.campaigns[cid] = record
             return record
 

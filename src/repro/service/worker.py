@@ -49,7 +49,6 @@ from repro.harness.simulator import RunConfig, simulate
 from repro.service.httpclient import (CircuitOpen, HttpStatusError, NotFound,
                                       ServiceClient, TransportError)
 from repro.service.lease import LeaseLost
-from repro.service.queue import config_from_doc
 
 __all__ = ["RemoteJournal", "WorkerOptions", "work_service"]
 
@@ -217,7 +216,9 @@ class RemoteJournal:
 
     def claim(self) -> Optional[Tuple[str, RunConfig, Dict]]:
         """``(key, config, shard)`` for the point the daemon hands out,
-        or None when it has nothing for us."""
+        or None when it has nothing for us.  A config that does not mint
+        the claimed key is refused with ``/fail`` (its result would land
+        under the wrong point); the retry cap bounds its comebacks."""
         doc = self.client.post("/claim", self._body())
         key = doc.get("key")
         if not key:
@@ -225,7 +226,15 @@ class RemoteJournal:
         shard = doc.get("shard") or {}
         self.held.add(key)
         self._generations[key] = int(shard.get("generation", 0))
-        return key, config_from_doc(doc["config"]), shard
+        try:
+            config = RunConfig.from_dict(doc["config"])
+            minted = config.cache_key()
+        except (KeyError, TypeError, ValueError) as exc:
+            minted = f"nothing ({exc!r})"
+        if minted != key:
+            self.fail(key, f"ClaimRefused: config mints {minted}")
+            return None
+        return key, config, shard
 
     def renew(self, key: str, hb: Optional[Dict] = None) -> None:
         body = self._body(key=key)

@@ -1,7 +1,6 @@
 """Campaign journal: write-ahead statuses, quarantine, kill-and-resume.
 
-The headline property (asserted here and in the CI resume-smoke job): a
-sweep SIGKILLed at an arbitrary point and then resumed produces results
+The headline property: a sweep SIGKILLed at an arbitrary point and then resumed produces results
 bit-identical to an uninterrupted sweep, with zero orphaned ``running``
 journal entries left behind.
 """
@@ -17,8 +16,10 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.core import CoreConfig
 from repro.harness import (CampaignJournal, RunCache, RunConfig,
                            entry_fingerprint, run_campaign)
+from repro.phelps import PhelpsConfig
 
 N = 1_500
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -213,3 +214,42 @@ def test_sigint_exits_130_with_consistent_journal(tmp_path):
         if doc["status"] == "done":
             assert doc["entry"]["cycles"] > 0
     assert journal.quarantined == 0
+
+
+@pytest.mark.parametrize("override", [["-w", "bfs"], ["-e", "phelps"],
+                                      ["-n", "600"]])
+def test_resume_refuses_point_overrides(tmp_path, capsys, override):
+    """``--resume`` takes its points from the manifest spec alone: an
+    override would run (and append) points the spec does not name, and
+    ``repro audit`` would then silently skip them."""
+    camp = tmp_path / "camp"
+    assert main(["sweep", "-w", "astar", "-e", "baseline", "-n", "500",
+                 "--manifest", str(camp), "-j", "1", "-q"]) == 0
+    before = CampaignJournal(camp).statuses()
+    assert main(["sweep", "--resume", str(camp), *override, "-j", "1",
+                 "-q"]) == 2
+    assert "--resume" in capsys.readouterr().err
+    assert CampaignJournal(camp).statuses() == before
+
+
+def test_points_spec_resumes_and_audits(tmp_path, capsys):
+    """A ``{"points": [...]}`` journal (the figure benchmarks' form, with
+    core and Phelps overrides) resumes and audits through the CLI."""
+    configs = [RunConfig(workload="astar", max_instructions=500,
+                         core=CoreConfig(pipeline_stages=19)),
+               RunConfig(workload="astar", engine="phelps",
+                         max_instructions=500,
+                         phelps_config=PhelpsConfig().ablation_b1())]
+    spec = {"points": [c.to_dict() for c in configs]}
+    camp = tmp_path / "camp"
+    run_campaign(configs[:1], journal=CampaignJournal(camp), spec=spec,
+                 jobs=1)
+    assert main(["sweep", "--resume", str(camp), "-j", "1", "-q"]) == 0
+    journal = CampaignJournal(camp)
+    assert journal.statuses() == {c.cache_key(): "done" for c in configs}
+    reference = _reference_fingerprints(configs)
+    for key, fingerprint in reference.items():
+        assert entry_fingerprint(journal.read_point(key)["entry"]) \
+            == fingerprint
+    assert main(["audit", str(camp), "--rate", "1.0", "-q"]) == 0
+    assert "audit: 2 re-executed, 0 mismatched" in capsys.readouterr().out

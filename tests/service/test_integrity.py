@@ -7,16 +7,18 @@ the bad worker ends quarantined and a crash-looping point reaches the
 terminal ``poisoned`` status without stalling the rest of the sweep.
 """
 
+import dataclasses
 import json
 import time
 import urllib.request
 
 import pytest
 
+from repro.core import CoreConfig
 from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
                                     run_campaign)
 from repro.harness.runcache import entry_from_result
-from repro.harness.simulator import simulate
+from repro.harness.simulator import RunConfig, simulate
 from repro.obs.events import EventTrace
 from repro.obs.live import live_view, render_watch
 from repro.service.daemon import CampaignService, ServiceConfig
@@ -345,16 +347,37 @@ class TestCompleteValidation:
                 "status") == "active", timeout=30, what="activation")
             _, claim, _ = post(f"{svc.url}/claim",
                                {"campaign": cid, "worker": "w1"})
+            # The claim carries the full RunConfig.to_dict().
             key, config_doc = claim["key"], claim["config"]
-            entry = {"cycles": 1, "config": {
-                "workload": config_doc["workload"],
-                "engine": config_doc["engine"],
-                "max_instructions": config_doc["instructions"]}}
+            assert RunConfig.from_dict(config_doc).cache_key() == key
+            entry = {"cycles": 1, "config": config_doc}
             code, body, _ = post(f"{svc.url}/complete",
                                  {"campaign": cid, "worker": "w1",
                                   "key": key, "entry": entry})
             assert code == 200 and body["accepted"] is True
             assert svc.integrity.complete_rejects == 0
+
+    def test_core_only_difference_is_rejected(self, tmp_path):
+        """The whole embedded config is checked: an entry that matches
+        the claimed point in workload, engine and budget but ran another
+        core is a different point, and must not reach the run cache."""
+        with CampaignService(quick_config(tmp_path)) as svc:
+            _, doc, _ = post(f"{svc.url}/campaigns", SPEC)
+            cid = doc["id"]
+            wait_for(lambda: get(f"{svc.url}/campaigns/{cid}")[1].get(
+                "status") == "active", timeout=30, what="activation")
+            _, claim, _ = post(f"{svc.url}/claim",
+                               {"campaign": cid, "worker": "w1"})
+            claimed = RunConfig.from_dict(claim["config"])
+            other = dataclasses.replace(claimed,
+                                        core=CoreConfig(pipeline_stages=19))
+            entry = {"cycles": 1, "config": other.to_dict()}
+            code, body, _ = post(f"{svc.url}/complete",
+                                 {"campaign": cid, "worker": "w1",
+                                  "key": claim["key"], "entry": entry})
+            assert code == 422
+            assert body["error"] == "entry_config_mismatch"
+            assert svc.integrity.complete_rejects == 1
 
 
 class TestQuarantineStopsScheduling:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.harness.simulator import RunConfig
-from repro.service.queue import (BackPressure, ServiceState, SweepSpec,
-                                 TenantPolicy, ValidationError,
-                                 configs_from_spec)
+from repro.core import CoreConfig
+from repro.harness.simulator import ENGINES, RunConfig
+from repro.phelps import PhelpsConfig
+from repro.service.queue import (MAX_POINTS_PER_CAMPAIGN, BackPressure,
+                                 ServiceState, TenantPolicy, ValidationError,
+                                 configs_from_spec, validate_spec)
 
 KNOWN = ("astar", "bfs", "sssp", "perlbench")
 
@@ -24,12 +26,19 @@ def submit(state, workloads=("astar",), engines=("baseline",),
                         make_dir=lambda cid: f"/c/{cid}")
 
 
+def _points(*configs):
+    return {"points": [c.to_dict() for c in configs]}
+
+
 class TestSpecValidation:
     def test_valid_spec_cross_product(self):
-        spec = SweepSpec.validate({"workloads": ["astar", "bfs"],
-                                   "engines": ["baseline", "phelps"],
-                                   "instructions": 5000}, KNOWN)
-        assert spec.points == 4
+        spec, configs = validate_spec({"workloads": ["astar", "bfs"],
+                                       "engines": ["baseline", "phelps"],
+                                       "instructions": 5000}, KNOWN)
+        assert len(configs) == 4
+        assert spec == {"workloads": ["astar", "bfs"],
+                        "engines": ["baseline", "phelps"],
+                        "instructions": 5000}
 
     @pytest.mark.parametrize("doc", [
         [],                                                  # not an object
@@ -41,28 +50,87 @@ class TestSpecValidation:
         {"workloads": ["astar"], "engines": ["baseline"],
          "instructions": "many"},                            # non-int n
         {"workloads": "astar", "engines": ["baseline"]},     # not a list
+        {"points": []},                                      # empty
+        {"points": ["astar"]},                               # not objects
+        {"points": [{"workload": "nope"}]},                  # unknown wl
+        {"points": [{"workload": "astar", "engine": "warp9"}]},
+        {"points": [{"workload": "astar",
+                     "max_instructions": 50_000_001}]},      # past the cap
     ])
     def test_invalid_specs_raise(self, doc):
         with pytest.raises(ValidationError):
-            SweepSpec.validate(doc, KNOWN)
+            validate_spec(doc, KNOWN)
+
+    @pytest.mark.parametrize("doc", [
+        {"workloads": ["astar"], "engines": ["baseline"], "seed": 1},
+        {"points": [{"workload": "astar", "rob_size": 316}]},
+        {"points": [{"workload": "astar", "core": {"rob": 316}}]},
+    ])
+    def test_unknown_field_is_rejected(self, doc):
+        with pytest.raises(ValidationError):
+            validate_spec(doc, KNOWN)
+
+    @pytest.mark.parametrize("field", ["snapshot_dir", "checkpoint_dir"])
+    def test_host_path_is_rejected(self, field):
+        doc = _points(RunConfig(workload="astar"))
+        doc["points"][0][field] = "/tmp/somewhere"
+        with pytest.raises(ValidationError, match="host paths"):
+            validate_spec(doc, KNOWN)
+
+    def test_both_forms_at_once_are_rejected(self):
+        doc = _points(RunConfig(workload="astar"))
+        doc["workloads"] = ["astar"]
+        doc["engines"] = ["baseline"]
+        with pytest.raises(ValidationError, match="not both"):
+            validate_spec(doc, KNOWN)
+
+    def test_point_cap(self):
+        points = [{"workload": "astar", "max_instructions": 1000 + i}
+                  for i in range(MAX_POINTS_PER_CAMPAIGN)]
+        _, configs = validate_spec({"points": points}, KNOWN)
+        assert len(configs) == MAX_POINTS_PER_CAMPAIGN
+        points.append({"workload": "astar"})
+        with pytest.raises(ValidationError, match="cap"):
+            validate_spec({"points": points}, KNOWN)
+        with pytest.raises(ValidationError, match="cap"):
+            validate_spec({"workloads": [f"w{i}" for i in range(586)],
+                           "engines": list(ENGINES)}, KNOWN)
 
     def test_duplicates_deduped_preserving_order(self):
-        spec = SweepSpec.validate({"workloads": ["astar", "astar", "bfs"],
-                                   "engines": ["baseline", "baseline"]},
-                                  KNOWN)
-        assert spec.workloads == ["astar", "bfs"]
-        assert spec.engines == ["baseline"]
+        spec, configs = validate_spec(
+            {"workloads": ["astar", "astar", "bfs"],
+             "engines": ["baseline", "baseline"]}, KNOWN)
+        assert spec["workloads"] == ["astar", "bfs"]
+        assert spec["engines"] == ["baseline"]
+        assert [c.workload for c in configs] == ["astar", "bfs"]
 
-    def test_configs_from_spec_matches_sweep_cli_derivation(self):
-        """The one identity the bit-identical acceptance check rests on:
-        service-side configs mint the same cache keys as the CLI sweep's
-        ``RunConfig(w, e, n)`` cross product, in the same order."""
-        spec = {"workloads": ["astar", "bfs"],
-                "engines": ["baseline", "phelps"], "instructions": 5000}
-        cli = [RunConfig(workload=w, engine=e, max_instructions=5000)
-               for w in spec["workloads"] for e in spec["engines"]]
-        assert [c.cache_key() for c in configs_from_spec(spec)] \
-            == [c.cache_key() for c in cli]
+    def test_points_dedup_by_cache_key_first_seen(self):
+        """Two documents that mint one key are one point: an omitted
+        field and its default value are the same configuration."""
+        deep = RunConfig(workload="bfs", engine="phelps",
+                         core=CoreConfig(pipeline_stages=19))
+        doc = {"points": [{"workload": "astar", "max_instructions": 500},
+                          deep.to_dict(),
+                          RunConfig(workload="astar",
+                                    max_instructions=500).to_dict()]}
+        spec, configs = validate_spec(doc, KNOWN)
+        assert [c.cache_key() for c in configs] == [
+            RunConfig(workload="astar", max_instructions=500).cache_key(),
+            deep.cache_key()]
+        # The normalized spec is the full to_dict() of each unique point.
+        assert spec == _points(*configs)
+        assert configs_from_spec(spec)[1].core == deep.core
+
+    def test_points_form_submits(self):
+        state = make_state()
+        record = state.submit(
+            _points(RunConfig(workload="astar", max_instructions=1000),
+                    RunConfig(workload="astar", engine="phelps",
+                              max_instructions=1000,
+                              phelps_config=PhelpsConfig().ablation_b1())),
+            make_dir=lambda cid: f"/c/{cid}")
+        assert record.total_points == 2
+        assert record.counts == {"pending": 2}
 
 
 class TestSubmitAndBackPressure:

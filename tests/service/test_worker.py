@@ -15,12 +15,16 @@ import threading
 
 import pytest
 
+from repro.core import CoreConfig
 from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
                                     run_campaign)
 from repro.harness.runcache import RunCache
+from repro.harness.simulator import RunConfig
+from repro.phelps import PhelpsConfig
 from repro.service.daemon import CampaignService
 from repro.service.queue import configs_from_spec
-from repro.service.worker import INJECT_ENV, WorkerOptions, work_service
+from repro.service.worker import (INJECT_ENV, RemoteJournal, WorkerOptions,
+                                  work_service)
 
 from tests.service.test_daemon import post, quick_config, wait_for
 
@@ -74,6 +78,24 @@ class TestDrain:
             doc = journal.read_point(key)
             assert doc["completed_by"] == "w1"
             assert doc["source"] == "worker"
+
+    def test_points_spec_with_overrides_matches_local_campaign(self,
+                                                               daemon):
+        """Per-point core and Phelps overrides travel as RunConfig dicts:
+        the served campaign is fingerprint-equal to local run_campaign."""
+        configs = [RunConfig(workload="astar", max_instructions=1500,
+                             core=CoreConfig(pipeline_stages=19)),
+                   RunConfig(workload="astar", engine="phelps",
+                             max_instructions=1500,
+                             phelps_config=PhelpsConfig().ablation_b1())]
+        spec = {"points": [c.to_dict() for c in configs]}
+        journal = submit(daemon, spec)
+        report = work_service(daemon.url, options("w1"))
+        assert report.claimed == report.completed == 2
+        reference = run_campaign(configs, jobs=1)
+        assert set(reference) == {c.cache_key() for c in configs}
+        assert fingerprints(journal) == {
+            k: entry_fingerprint(v) for k, v in reference.items()}
 
     def test_cache_hits_short_circuit_simulation(self, daemon, tmp_path):
         cache = RunCache(tmp_path / "wcache")
@@ -160,3 +182,40 @@ class TestInjection:
         report = work_service(daemon.url, options("w1"))
         assert report.completed == 2
         assert sorted(journal.statuses().values()) == ["done", "done"]
+
+
+class _ScriptedClient:
+    """Answers ``/claim`` with one canned document, records the rest."""
+
+    def __init__(self, claim):
+        self.claim = claim
+        self.posts = []
+
+    def post(self, path, body, idempotency_key=None):
+        self.posts.append((path, body))
+        return self.claim if path == "/claim" else {"ok": True}
+
+
+class TestClaimRefusal:
+    @pytest.mark.parametrize("config", [
+        RunConfig(workload="bfs").to_dict(),           # mints another key
+        {"workload": "astar", "rob_size": 316},        # does not rebuild
+    ])
+    def test_config_that_does_not_mint_the_key_is_failed(self, config):
+        key = RunConfig(workload="astar").cache_key()
+        client = _ScriptedClient({"key": key, "shard": {}, "config": config})
+        remote = RemoteJournal(client, "c0001", "w1", log=lambda msg: None)
+        assert remote.claim() is None
+        path, body = client.posts[-1]
+        assert path == "/fail" and body["key"] == key
+        assert body["error"].startswith("ClaimRefused")
+        assert remote.held == set()
+
+    def test_matching_config_is_run(self):
+        config = RunConfig(workload="astar", core=CoreConfig(rob_size=320))
+        client = _ScriptedClient({"key": config.cache_key(), "shard": {},
+                                  "config": config.to_dict()})
+        remote = RemoteJournal(client, "c0001", "w1", log=lambda msg: None)
+        key, got, _ = remote.claim()
+        assert key == config.cache_key() and got == config
+        assert [path for path, _ in client.posts] == ["/claim"]
