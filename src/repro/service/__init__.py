@@ -7,10 +7,11 @@ resume, and the live telemetry endpoint.  This package lifts them into a
 standing service with one lease authority, the daemon:
 
 * :mod:`repro.service.lease` — the point state machine as pure
-  transitions on a shard dict (generation-fenced claims, renewals,
-  first-done-wins completion, retry cap, poison breaker) and the
-  :class:`~repro.service.lease.PointTable` that holds one campaign in
-  memory and writes every transition through to its journal.
+  transitions on a shard dict (generation-fenced claims, renewals and
+  failures, first-done-wins completion, retry cap, poison breaker) and
+  the :class:`~repro.service.lease.PointTable` that holds one campaign in
+  memory, writes every transition through to its journal, and answers
+  every repeated request from the shard.
 * :mod:`repro.service.queue` — submission specs, tenants, quotas,
   priorities, weighted fair scheduling, and back-pressure accounting.
 * :mod:`repro.service.worker` — the pull-model worker loop: ask the
@@ -24,11 +25,10 @@ standing service with one lease authority, the daemon:
   Prometheus service gauges.
 * :mod:`repro.service.httpclient` — the resilient worker-side HTTP
   client: timeouts, deterministic-jitter retries, status-aware error
-  handling, a circuit breaker, idempotency keys.
+  handling, a circuit breaker.
 * :mod:`repro.service.chaosproxy` — a seeded network-fault proxy
   (latency, drops, 500s, truncation, duplicate delivery, response-body
-  corruption) the chaos suites and CI put between workers and the
-  daemon.
+  corruption) the chaos tests put between workers and the daemon.
 * :mod:`repro.service.integrity` — the result-integrity subsystem:
   seeded sampled audit re-execution on a *different* worker, fingerprint
   voting with a daemon-side tie-break on mismatch, per-worker reputation

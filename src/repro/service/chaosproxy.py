@@ -11,19 +11,19 @@ fault plan so every chaos run is reproducible:
   request ever reaching the daemon;
 * **truncate** — the request is forwarded but only half of the daemon's
   response bytes come back before the connection closes (the
-  dropped-response shape that makes idempotency keys earn their keep);
+  dropped-response shape: the request applied, the client retries);
 * **duplicate** — the request is delivered to the daemon *twice* and the
-  client sees only the second response — exactly what a retried publish
-  looks like daemon-side, so first-done-wins and the idempotency store
-  get exercised against real double deliveries;
+  client sees only the second response — exactly what a retried request
+  looks like daemon-side, so the point table's answers to repeated
+  claims and publishes get exercised against real double deliveries;
 * **corrupt** — one byte of the daemon's response *body* to a
   ``POST /complete`` is flipped in flight (length-preserving XOR, so
   Content-Length still matches).  The garbled JSON fails to parse
-  client-side and is retried under the same idempotency key — wire
-  corruption that a checksumless protocol would swallow becomes just
-  another retriable failure, distinct from the *silent* worker-side
-  corruption (``REPRO_SERVICE_INJECT`` ``corrupt_after_claims``) that
-  only the audit subsystem can catch.
+  client-side and the publish is retried as a repeat — wire corruption
+  that a checksumless protocol would swallow becomes just another
+  retriable failure, distinct from the *silent* worker-side corruption
+  (``REPRO_SERVICE_INJECT`` ``corrupt_after_claims``) that only the
+  audit subsystem can catch.
 
 The proxy assumes one HTTP request per connection, which is what both
 ``urllib`` clients and the daemon's HTTP/1.0 responses produce; it reads
@@ -31,16 +31,8 @@ one request (headers + ``Content-Length`` body), forwards it, and
 streams the response until the daemon closes.  ``retarget()`` repoints
 the backend — how the chaos suites restart a daemon on a new port while
 workers keep hammering one stable proxy URL.
-
-Also runnable as a process for CI::
-
-    python -m repro.service.chaosproxy --port 8342 \\
-        --backend 127.0.0.1:8341 --seed 7 --error-rate 0.15 \\
-        --drop-rate 0.10 --truncate-rate 0.10 --duplicate-rate 0.10 \\
-        --latency-rate 0.3 --latency-seconds 0.05
 """
 
-import argparse
 import random
 import socket
 import sys
@@ -323,52 +315,3 @@ def _read_http_message(conn: socket.socket) -> Optional[bytes]:
             break
         body += chunk
     return head + b"\r\n\r\n" + body
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.chaosproxy",
-        description="seeded network-chaos proxy for the campaign service")
-    parser.add_argument("--port", type=int, default=0,
-                        help="listen port (0 = ephemeral, printed)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--backend", required=True, metavar="HOST:PORT",
-                        help="daemon address to forward to")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--drop-rate", type=float, default=0.0)
-    parser.add_argument("--error-rate", type=float, default=0.0)
-    parser.add_argument("--truncate-rate", type=float, default=0.0)
-    parser.add_argument("--duplicate-rate", type=float, default=0.0)
-    parser.add_argument("--latency-rate", type=float, default=0.0)
-    parser.add_argument("--latency-seconds", type=float, default=0.05)
-    parser.add_argument("--corrupt-rate", type=float, default=0.0,
-                        help="byte-flip rate for /complete response "
-                             "bodies")
-    parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    backend_host, _, backend_port = args.backend.partition(":")
-    plan = FaultPlan(seed=args.seed, drop_rate=args.drop_rate,
-                     error_rate=args.error_rate,
-                     truncate_rate=args.truncate_rate,
-                     duplicate_rate=args.duplicate_rate,
-                     latency_rate=args.latency_rate,
-                     latency_seconds=args.latency_seconds,
-                     corrupt_rate=args.corrupt_rate)
-    proxy = ChaosProxy(backend_host, int(backend_port or 80), plan=plan,
-                       host=args.host, port=args.port, log=args.verbose)
-    proxy.start()
-    print(f"chaosproxy: {proxy.url} -> {args.backend} "
-          f"(seed={args.seed})", flush=True)
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        proxy.stop()
-        print(f"chaosproxy: {proxy.counters()}", flush=True)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -37,9 +37,10 @@ HTTP API (JSON unless noted)::
     POST   /renew                 {campaign, worker, key, hb?}
                                   -> 200 ok / 409 lease lost
     POST   /complete              {campaign, worker, key, entry, source?}
-                                  -> {accepted} (idempotent; publishes to
-                                  journal + run cache)
-    POST   /fail                  {campaign, worker, key, error}
+                                  -> {accepted} (first done wins; publishes
+                                  to journal + run cache)
+    POST   /fail                  {campaign, worker, key, error, generation?}
+                                  -> 200 ok / 409 lease lost
     POST   /release               {campaign, worker, key} -> {released}
     GET    /metrics               Prometheus text (service gauges)
     GET    /healthz               liveness probe
@@ -47,11 +48,11 @@ HTTP API (JSON unless noted)::
 The five ``POST`` lease endpoints are the remote-execution protocol:
 workers never see the campaign filesystem (``/schedule`` carries no
 path; only the operator views under ``/campaigns`` show ``dir``).
-``/claim`` hands out the next pending point in manifest order, and the
-lease length is always the daemon's ``lease_seconds``.
-``complete``/``fail`` honour ``Idempotency-Key`` headers through a
-bounded replay store — a retried publish whose first response was lost
-returns the recorded answer instead of re-applying.
+``/claim`` hands out the next pending point in manifest order (or the
+point the worker already holds), and the lease length is always the
+daemon's ``lease_seconds``.  A repeated request — a retry whose first
+answer was lost, a duplicated delivery — is answered by the point table
+from the shard itself (:mod:`repro.service.lease`), never re-applied.
 
 On SIGTERM (or :meth:`CampaignService.drain`) the daemon drains
 gracefully: ``/schedule`` answers ``{"shutdown": true}`` and ``/claim``
@@ -65,7 +66,6 @@ Every response carries ``Cache-Control: no-store`` — these are live
 views; a cached 404 or stale counts would actively mislead.
 """
 
-import collections
 import json
 import os
 import pathlib
@@ -86,7 +86,8 @@ from repro.harness.simulator import RunConfig, simulate
 from repro.obs.events import EventTrace
 from repro.obs.promtext import CONTENT_TYPE, prom_line, render_prometheus
 from repro.service.integrity import IntegrityConfig, IntegrityMonitor
-from repro.service.lease import LeaseLost, PointTable
+from repro.service.lease import (APPLIED, REPEAT, STALE, LeaseLost,
+                                 PointTable)
 from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
                                  TenantPolicy, ValidationError,
                                  configs_from_spec)
@@ -170,13 +171,9 @@ class CampaignService:
         # HTTP-protocol health (the repro_service_http_* metrics).
         self.http_requests: Dict[str, int] = {}
         self.http_retries = 0        # requests arriving with Attempt > 1
-        self.http_duplicates = 0     # idempotent replays suppressed
+        self.http_duplicates = 0     # publishes answered, not applied
         self._worker_breaker_opens: Dict[str, int] = {}
         self._http_lock = threading.Lock()
-        # Idempotency replay store: key -> (status, response doc).
-        self._idem: "collections.OrderedDict[str, Tuple[int, Dict]]" = \
-            collections.OrderedDict()
-        self._idem_cap = 4096
         # The point tables: every transition holds this one lock.
         self._lock = threading.RLock()
         self._tables: Dict[str, PointTable] = {}
@@ -620,26 +617,6 @@ class CampaignService:
                 self._worker_breaker_opens[worker] = max(
                     self._worker_breaker_opens.get(worker, 0), opens)
 
-    def _idem_lookup(self, idem: Optional[str]) -> Optional[Tuple[int, Dict]]:
-        if not idem:
-            return None
-        with self._http_lock:
-            hit = self._idem.get(idem)
-            if hit is not None:
-                self._idem.move_to_end(idem)
-                self.http_duplicates += 1
-        return hit
-
-    def _idem_store(self, idem: Optional[str], status: int,
-                    doc: Dict) -> None:
-        if not idem:
-            return
-        with self._http_lock:
-            self._idem[idem] = (status, doc)
-            self._idem.move_to_end(idem)
-            while len(self._idem) > self._idem_cap:
-                self._idem.popitem(last=False)
-
     def _configs(self, record: CampaignRecord) -> Dict[str, RunConfig]:
         """``key -> RunConfig`` for one campaign (memoised)."""
         cmap = self._config_maps.get(record.id)
@@ -668,16 +645,14 @@ class CampaignService:
                     f"not the claimed {key}")
         return None
 
-    def _lease_rpc(self, op: str, doc: Dict,
-                   idem: Optional[str] = None) -> Tuple[int, Dict]:
+    def _lease_rpc(self, op: str, doc: Dict) -> Tuple[int, Dict]:
         """One remote lease operation -> (status, response document).
 
         Applies the :class:`~repro.service.lease.PointTable` transition
-        (generation-fenced claims, 409 on a fenced renew, idempotent
-        first-done-wins completion) and refreshes the campaign record.
-        ``complete``/``fail`` with an idempotency key replay the recorded
-        response instead of re-applying — a duplicated delivery (retry
-        whose first response was dropped) is therefore indistinguishable
+        (generation-fenced claims and failures, 409 on a fenced renew or
+        fail, first-done-wins completion) and refreshes the campaign
+        record.  A repeat finds its effect already in the shard and gets
+        the same answer, so a duplicated delivery is indistinguishable
         from a single one.
         """
         cid = doc.get("campaign")
@@ -687,11 +662,7 @@ class CampaignService:
             return 404, {"error": "no such campaign", "campaign": cid}
         worker = str(doc.get("worker") or "?")
         if op == "complete" or op == "fail":
-            replay = self._idem_lookup(idem)
-            if replay is not None:
-                return replay
             response = self._publish(op, record, table, worker, doc)
-            self._idem_store(idem, *response)
         else:
             response = self._lease_step(op, record, table, worker, doc)
         self._refresh(cid)
@@ -753,7 +724,9 @@ class CampaignService:
 
     def _publish(self, op: str, record: CampaignRecord, table: PointTable,
                  worker: str, doc: Dict) -> Tuple[int, Dict]:
-        """``complete``/``fail``: audit verdicts first, then the point."""
+        """``complete``/``fail``: audit verdicts first, then the point.
+        A publish the table answers without a transition counts in
+        ``repro_service_http_duplicates_total``."""
         cid = record.id
         key = doc.get("key")
         if not key:
@@ -762,9 +735,15 @@ class CampaignService:
             error = str(doc.get("error") or "unknown error")
             verdict = self.integrity.on_audit_fail(cid, table, key,
                                                    worker, error)
-            if verdict is None:
-                table.fail(key, worker, error)
-            return 200, {"ok": True, "key": key, **(verdict or {})}
+            if verdict is not None:
+                return 200, {"ok": True, "key": key, **verdict}
+            outcome = table.fail(key, worker, error, doc.get("generation"))
+            self._count_duplicate(outcome)
+            if outcome == STALE:
+                return 409, {"error": "lease_lost", "key": key,
+                             "holder": (table.read_point(key)
+                                        or {}).get("worker")}
+            return 200, {"ok": True, "key": key}
         entry = doc.get("entry")
         if not isinstance(entry, dict):
             return 400, {"error": "missing entry"}
@@ -779,16 +758,25 @@ class CampaignService:
         verdict = self.integrity.on_audit_complete(
             cid, table, key, worker, entry, cache=self.cache, config=config)
         if verdict is not None:
+            self._count_duplicate(REPEAT if verdict.pop("repeat", False)
+                                  else APPLIED)
             return 200, {"accepted": True, "key": key, **verdict}
         with self._lock:
-            accepted = table.complete(key, worker, entry,
-                                      source=doc.get("source", "worker"))
-            if accepted and self.config.audit_rate > 0.0:
+            outcome = table.complete(key, worker, entry,
+                                     source=doc.get("source", "worker"))
+            if outcome == APPLIED and self.config.audit_rate > 0.0:
                 self.integrity.consider(cid, table, key,
                                         table.read_point(key))
-        if accepted and self.cache is not None and config is not None:
+        self._count_duplicate(outcome)
+        if (outcome == APPLIED and self.cache is not None
+                and config is not None):
             self.cache.put(config, entry)
-        return 200, {"accepted": accepted, "key": key}
+        return 200, {"accepted": outcome != STALE, "key": key}
+
+    def _count_duplicate(self, outcome: str) -> None:
+        if outcome != APPLIED:
+            with self._http_lock:
+                self.http_duplicates += 1
 
     def _metrics_text(self) -> str:
         snap = self.state.snapshot()
@@ -982,8 +970,7 @@ class CampaignService:
                         self._send_json({"error": "body must be an object"},
                                         code=400)
                         return
-                    status, response = service._lease_rpc(
-                        op, doc, idem=self.headers.get("Idempotency-Key"))
+                    status, response = service._lease_rpc(op, doc)
                     self._send_json(response, code=status)
                 except (BrokenPipeError, ConnectionResetError):
                     pass

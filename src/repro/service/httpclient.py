@@ -23,9 +23,11 @@ every request with:
   allowed through (*half-open*) and a success closes the breaker.  A
   dead daemon therefore degrades a worker to a slow reconnect loop
   instead of an exit;
-* **idempotency keys** — callers tag mutating requests
-  (``Idempotency-Key`` header) so a retried publish whose first response
-  was dropped mid-flight cannot double-apply daemon-side.
+* **repeat-safe retries** — retrying a publish whose first response
+  was dropped is safe because the daemon's point table answers a repeat
+  from the shard instead of re-applying it.  (``request`` still accepts
+  an ``idempotency_key`` and sends it as a header; the daemon ignores
+  it.)
 
 Every request also carries ``X-Repro-Worker``, ``X-Repro-Attempt`` (1 on
 the first try) and ``X-Repro-Breaker-Opens`` headers, which is how the
@@ -190,10 +192,8 @@ class ServiceClient:
     def get(self, path: str) -> Dict:
         return self.request("GET", path)
 
-    def post(self, path: str, doc: Optional[Dict] = None,
-             idempotency_key: Optional[str] = None) -> Dict:
-        return self.request("POST", path, doc=doc,
-                            idempotency_key=idempotency_key)
+    def post(self, path: str, doc: Optional[Dict] = None) -> Dict:
+        return self.request("POST", path, doc=doc)
 
     def request(self, method: str, path: str, doc: Optional[Dict] = None,
                 idempotency_key: Optional[str] = None) -> Dict:

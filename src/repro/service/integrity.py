@@ -63,8 +63,8 @@ AUDIT_ACTIVE_STATUSES = ("pending", "running", "arbitrating")
 # point itself may be pathological), so they weigh less.
 REPUTATION_WEIGHTS = {"mismatch": 4.0, "crash": 2.0, "lease_expired": 1.0}
 
-# Synthetic generation base for audit leases: keeps audit idempotency
-# keys (worker:campaign:key:gN) disjoint from any real claim generation.
+# Synthetic generation base for audit leases: keeps an audit run's
+# generation disjoint from any real claim generation of the point.
 _AUDIT_GENERATION_BASE = 1_000_000
 
 _MAX_AUDIT_ATTEMPTS = 3
@@ -306,8 +306,8 @@ class IntegrityMonitor:
 
         The audit is pinned away from the original completer — a worker
         cannot vouch for itself — and the returned shard carries
-        ``audit: true`` plus a synthetic generation so the worker's
-        idempotency keys cannot collide with the original completion's.
+        ``audit: true`` plus a synthetic generation, so a failure report
+        from the audit run can never match the point's own lease.
         """
         if self.reputation.is_quarantined(worker):
             return None
@@ -351,16 +351,19 @@ class IntegrityMonitor:
         opens arbitration: a third, daemon-local execution votes, and
         :meth:`_arbitrate` repairs or rejects accordingly.  Arbitration
         runs on a background thread by default so the completing
-        worker's HTTP request is never blocked on a simulation.
+        worker's HTTP request is never blocked on a simulation.  A
+        repeat of the audit worker's publish gets its first answer again
+        (flagged ``repeat``) and never re-arbitrates or re-scores anyone.
         """
         with self._lock:
             record = self._records.get((campaign, key))
-            if record is None or record.status != "running":
-                return None
-            if record.audit_worker != worker:
+            if record is None or record.audit_worker != worker:
                 # A late completion from some fenced-out third worker is
                 # not the audit vote; let first-done-wins dispose of it.
                 return None
+            if record.status != "running":
+                return {"audit": ("passed" if record.status == "passed"
+                                  else "mismatch"), "repeat": True}
             fingerprint = entry_fingerprint(entry)
             if fingerprint == record.original_fingerprint:
                 record.status = "passed"
@@ -394,20 +397,21 @@ class IntegrityMonitor:
 
     def on_audit_fail(self, campaign: str, table: PointTable,
                       key: str, worker: str, error: str) -> Optional[Dict]:
-        """An audit run errored: requeue it (bounded) — not a mismatch."""
+        """An audit run errored: requeue it (bounded) — not a mismatch.
+        None when the run is not ``worker``'s live audit (the point
+        table then fences the report)."""
         with self._lock:
             record = self._records.get((campaign, key))
-            if record is None or record.status != "running":
+            if (record is None or record.status != "running"
+                    or record.audit_worker != worker):
                 return None
-            if record.audit_worker != worker:
-                return None
+            record.audit_worker = None
             if record.attempts >= _MAX_AUDIT_ATTEMPTS:
                 record.status = "unresolved"
                 self.audits_unresolved += 1
                 status = "unresolved"
             else:
                 record.status = "pending"
-                record.audit_worker = None
                 status = "pending"
         table.mark(key, "done", audit={"status": status, "error": error})
         self._log(f"audit run of {campaign}/{key} failed on {worker} "

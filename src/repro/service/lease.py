@@ -25,6 +25,17 @@ The transitions are pure functions of a shard dict (``*_shard`` below);
 * **Completion is idempotent.**  Simulations are deterministic, so a
   worker whose lease was stolen may still finish and publish: the first
   ``done`` wins and every later completion is a no-op.
+* **Failure is fenced.**  A failure report applies only while the point
+  is ``running`` under the reporting worker at the generation it
+  claimed; a stale worker cannot fail another worker's lease, and
+  nothing fails a ``done`` point.
+* **Repeats are answered from the shard.**  A publish that finds its
+  own effect already recorded (a ``done`` point this worker completed,
+  a failure this worker reported at this generation) gets the same
+  answer again with no transition (:data:`REPEAT`), and a repeated
+  claim returns the point the worker already holds — so a retried or
+  duplicated request is indistinguishable from a single one, with no
+  replay store beside the table.
 * **Poison points stop crash loops.**  Every failed attempt (an explicit
   failure or a lease that lapsed mid-run) records its worker in the
   shard's ``failed_workers`` list; once a point has failed under
@@ -50,9 +61,14 @@ from repro.obs.live import campaign_view
 
 __all__ = ["DEFAULT_LEASE_SECONDS", "LeaseLost", "PointTable", "claim_shard",
            "renew_shard", "complete_shard", "fail_shard", "release_shard",
-           "reap_shard", "lease_fields"]
+           "reap_shard", "lease_fields", "APPLIED", "REPEAT", "STALE"]
 
 DEFAULT_LEASE_SECONDS = 30.0
+
+# What a publish (:meth:`PointTable.complete` / :meth:`PointTable.fail`)
+# did: made the transition, found its own effect already recorded, or
+# found the point owned by someone else (or finished) and changed nothing.
+APPLIED, REPEAT, STALE = "applied", "repeat", "stale"
 
 # Shard fields owned by the lease layer; stripped when a point leaves
 # ``running`` so stale lease data can never shadow a fresh claim.
@@ -126,6 +142,12 @@ def _poison(doc: Dict, now: float, error: Optional[str] = None) -> Dict:
     return fields
 
 
+def _holds(doc: Dict, worker: str, generation: Optional[int]) -> bool:
+    """Is ``doc`` leased to ``worker`` (at ``generation``, if given)?"""
+    return (doc.get("status") == "running" and doc.get("worker") == worker
+            and generation in (None, doc.get("generation", 0)))
+
+
 # ---------------------------------------------------------------------
 # Pure transitions: shard dict in, new shard dict (or a verdict) out.
 # ---------------------------------------------------------------------
@@ -150,8 +172,7 @@ def renew_shard(doc: Optional[Dict], key: str, worker: str,
     ``hb`` (a :class:`~repro.obs.live.HeartbeatTicker` payload) is folded
     into the shard: for leased points the shard is the heartbeat channel.
     """
-    if (doc is None or doc.get("status") != "running"
-            or doc.get("worker") != worker):
+    if doc is None or not _holds(doc, worker, None):
         raise LeaseLost(key, worker, holder=doc.get("worker") if doc else None)
     fields = dict(doc)
     fields.update(lease_fields(worker, lease_seconds, now))
@@ -177,8 +198,12 @@ def complete_shard(doc: Dict, worker: str, entry: Dict,
     return fields
 
 
-def fail_shard(doc: Dict, worker: str, error: str) -> Dict:
-    """Record a failed attempt (the reaper retries up to its cap)."""
+def fail_shard(doc: Dict, worker: str, error: str,
+               generation: Optional[int] = None) -> Optional[Dict]:
+    """Record a failed attempt (the reaper retries up to its cap); None
+    unless ``worker`` holds the point at ``generation`` (None: any)."""
+    if not _holds(doc, worker, generation):
+        return None
     fields = _strip_lease(dict(doc))
     fields["status"] = "failed"
     fields["error"] = error
@@ -189,7 +214,7 @@ def fail_shard(doc: Dict, worker: str, error: str) -> Dict:
 
 def release_shard(doc: Dict, worker: str) -> Optional[Dict]:
     """Hand a held point back (shutdown courtesy); None if not held."""
-    if doc.get("status") != "running" or doc.get("worker") != worker:
+    if not _holds(doc, worker, None):
         return None
     return _requeue(doc, "released")
 
@@ -330,8 +355,14 @@ class PointTable:
                    lease_seconds: float = DEFAULT_LEASE_SECONDS,
                    now: Optional[float] = None
                    ) -> Optional[Tuple[str, Dict]]:
-        """Claim the first pending point in manifest order."""
+        """Claim the first pending point in manifest order — unless
+        ``worker`` already holds one here: a repeated claim (a retry whose
+        answer was lost, a duplicated delivery) gets that point back
+        instead of stranding it under a lease nobody will renew."""
         with self.lock:
+            for key in self._live:
+                if _holds(self._points[key], worker, None):
+                    return key, dict(self._points[key])
             if not self._counts.get("pending"):
                 return None
             for key in self.keys:
@@ -349,20 +380,34 @@ class PointTable:
                 _now(now), hb=hb))
 
     def complete(self, key: str, worker: str, entry: Dict,
-                 source: str = "worker") -> bool:
-        """Publish a result; False if the point is unknown or done."""
+                 source: str = "worker") -> str:
+        """Publish a result: :data:`APPLIED`; :data:`REPEAT` if this
+        worker already completed the point; :data:`STALE` if another
+        completion won or the key is unknown."""
         with self.lock:
             doc = self._points.get(key)
             done = doc and complete_shard(doc, worker, entry, source)
             if done:
                 self.write_point(key, done)
-            return bool(done)
+                return APPLIED
+            return (REPEAT if doc and doc.get("completed_by") == worker
+                    else STALE)
 
-    def fail(self, key: str, worker: str, error: str) -> None:
+    def fail(self, key: str, worker: str, error: str,
+             generation: Optional[int] = None) -> str:
+        """Report a failed attempt: :data:`APPLIED` while ``worker``
+        holds the point at ``generation`` (None: any); :data:`REPEAT` if
+        that failure is already recorded; otherwise :data:`STALE`."""
         with self.lock:
-            if key in self._points:
-                self.write_point(key, fail_shard(self._points[key], worker,
-                                                 error))
+            doc = self._points.get(key)
+            failed = doc and fail_shard(doc, worker, error, generation)
+            if failed:
+                self.write_point(key, failed)
+                return APPLIED
+            return (REPEAT if doc and doc.get("status") == "failed"
+                    and doc.get("failed_by") == worker
+                    and generation in (None, doc.get("generation", 0))
+                    else STALE)
 
     def release(self, key: str, worker: str) -> bool:
         with self.lock:

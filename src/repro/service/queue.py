@@ -372,6 +372,11 @@ class ServiceState:
             if record is None:
                 return False
             finished_now = False
+            # A claim that landed turns its tenant's oldest offer into
+            # the lease it was for, so the quota slot frees as soon as
+            # that lease ends rather than when the offer times out.
+            del self._offers.get(record.tenant,
+                                 [])[:max(0, leased - record.leased)]
             record.counts = dict(counts)
             record.leased = leased
             record.lease_expired = lease_expired

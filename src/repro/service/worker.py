@@ -22,12 +22,12 @@ from the renewal inside its heartbeat hook, abandons the point, and
 moves on; the new owner's result is the one that lands.  On exit the
 worker courteously releases exactly the points it still holds.
 
-Fault injection (CI only): ``REPRO_SERVICE_INJECT`` is a JSON object
+Fault injection (tests only): ``REPRO_SERVICE_INJECT`` is a JSON object
 ``{"worker": "w1", "die_after_claims": 2, "flag": "/path"}`` — the named
 worker hard-exits (``os._exit``, no cleanup, exactly like SIGKILL) right
 after its Nth successful claim, once per flag file, which is how the
-service smoke tests manufacture a deterministic mid-campaign worker
-death for the reaper to heal.  Two further plan keys exercise the
+service tests manufacture a deterministic mid-campaign worker death for
+the reaper to heal.  Two further plan keys exercise the
 result-integrity path: ``"corrupt_after_claims": N`` makes the worker
 silently perturb one SimStats field of every entry from its Nth claim
 on before publishing (the silent-data-corruption failure mode audits
@@ -186,13 +186,14 @@ class RemoteJournal:
       (``renew_misses``): the daemon may requeue the point while we are
       dark, but first-done-wins makes finishing anyway safe, and
       abandoning real compute because of a blip would be strictly worse.
-    * ``complete``/``fail`` — retried with the idempotency key
-      ``worker:campaign:key:gN`` until ``publish_retry_seconds`` is
-      exhausted, riding through breaker-open windows; a dropped response
-      therefore cannot double-apply, and a daemon restart mid-publish
-      costs only patience.  Completion bodies carry the full run-cache
-      entry, so the daemon publishes to the journal *and* the shared
-      cache on its side of the wire.
+    * ``complete``/``fail`` — retried until ``publish_retry_seconds`` is
+      exhausted, riding through breaker-open windows.  The daemon's point
+      table answers a repeat from the shard (a done point this worker
+      completed, a failure already recorded at the claimed generation,
+      which ``fail`` sends), so a dropped response cannot double-apply
+      and a daemon restart mid-publish costs only patience.  Completion
+      bodies carry the full run-cache entry, so the daemon publishes to
+      the journal *and* the shared cache on its side of the wire.
     * ``release_held`` — hands back exactly the points still held.
     """
 
@@ -253,15 +254,10 @@ class RemoteJournal:
             self.renew_misses += 1
 
     def _publish(self, path: str, body: Dict) -> Dict:
-        # Deterministic per (holder, point, generation): a retried
-        # publish of the same attempt reuses the key; a re-claimed point
-        # (new generation) mints a fresh one.
-        idem = (f"{self.worker_id}:{self.campaign_id}:{body['key']}"
-                f":g{self._generations.get(body['key'], 0)}")
         deadline = time.monotonic() + self.publish_retry_seconds
         while True:
             try:
-                return self.client.post(path, body, idempotency_key=idem)
+                return self.client.post(path, body)
             except CircuitOpen as exc:
                 if time.monotonic() >= deadline:
                     raise
@@ -290,9 +286,11 @@ class RemoteJournal:
 
     def fail(self, key: str, error: str) -> None:
         try:
-            self._publish("/fail", self._body(key=key, error=error))
+            self._publish("/fail", self._body(
+                key=key, error=error,
+                generation=self._generations.get(key, 0)))
         except (TransportError, CircuitOpen, HttpStatusError) as exc:
-            self._log(f"fail-report of {key} lost ({exc}); "
+            self._log(f"fail-report of {key} not applied ({exc}); "
                       "the reaper will requeue it")
         self.held.discard(key)
 
@@ -320,7 +318,7 @@ def _run_point(transport, key: str, config: RunConfig,
     ``transport`` is a :class:`RemoteJournal` (or anything with its
     ``renew``/``complete``/``fail`` surface): renewals raise
     :class:`LeaseLost` only on authoritative fencing, and publication is
-    idempotent (first done wins).
+    idempotent (first done wins; repeats are answered, not re-applied).
 
     ``audit`` runs re-execute an already-done point for the daemon's
     integrity monitor: the local RunCache is bypassed in both directions

@@ -194,7 +194,7 @@ def test_worker_hang_reaped_by_timeout():
     _require_fork()
     with worker_fault_env("hang", [0], hang_seconds=60.0):
         results = simulate_many(_worker_configs(), jobs=2, retries=1,
-                                timeout=3.0, backoff=0.05)
+                                timeout=1.0, backoff=0.05)
     assert results[0].attempts == 2
     assert "timeout" in results[0].last_error
     assert results[0].stats.retired >= 800

@@ -253,3 +253,18 @@ def test_points_spec_resumes_and_audits(tmp_path, capsys):
             == fingerprint
     assert main(["audit", str(camp), "--rate", "1.0", "-q"]) == 0
     assert "audit: 2 re-executed, 0 mismatched" in capsys.readouterr().out
+
+
+def test_sweep_cache_dir_shards_are_named_by_path_for(tmp_path):
+    """``sweep --cache-dir`` across two workers writes one shard per
+    point, each exactly where ``RunCache.path_for`` looks for it."""
+    cache_dir = tmp_path / "shards"
+    assert main(["sweep", "-w", "astar", "perlbench", "-e", "baseline",
+                 "phelps", "-n", "5000", "--jobs", "2", "--cache-dir",
+                 str(cache_dir), "-q"]) == 0
+    cache = RunCache(cache_dir)
+    configs = _configs(5000)
+    assert sorted(cache_dir.glob("*.json")) \
+        == sorted(cache.path_for(c) for c in configs)
+    for config in configs:
+        assert cache.get(config)["cycles"] > 0

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -39,3 +41,31 @@ class TestCommands:
                      "perfbp", "-n", "8000"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
+
+
+class TestObservabilityExports:
+    """``run --metrics-json`` / ``--trace-out``: the files tools read."""
+
+    def test_metrics_json_has_the_required_keys(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["run", "astar", "--engine", "phelps", "-n", "5000",
+                     "--metrics-json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        for key in ("workload", "engine", "cycles", "retired", "ipc",
+                    "mpki", "counters", "epochs"):
+            assert key in payload, key
+        assert (payload["workload"], payload["engine"]) == ("astar",
+                                                            "phelps")
+        assert payload["cycles"] > 0
+        assert isinstance(payload["counters"], dict) and payload["counters"]
+        assert isinstance(payload["epochs"], list)
+
+    def test_trace_out_is_a_chrome_trace(self, tmp_path):
+        out = tmp_path / "trace.json"
+        assert main(["run", "astar", "--engine", "phelps", "-n", "5000",
+                     "--trace-out", str(out)]) == 0
+        entries = json.loads(out.read_text())
+        assert isinstance(entries, list) and entries
+        for entry in entries:
+            for key in ("name", "ph", "ts", "pid", "tid"):
+                assert key in entry, (key, entry)

@@ -122,7 +122,7 @@ def test_timeout_then_retry_succeeds(tmp_path, monkeypatch):
                RunConfig(workload="perlbench", max_instructions=N)]
     events = []
     start = time.time()
-    results = simulate_many(configs, jobs=2, timeout=2.0, retries=1,
+    results = simulate_many(configs, jobs=2, timeout=1.0, retries=1,
                             progress=events.append, poll_interval=0.05)
     assert time.time() - start < 40  # terminated, not slept out
     assert all(r.stats.retired >= N for r in results)

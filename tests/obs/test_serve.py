@@ -4,12 +4,18 @@ Servers bind port 0 (ephemeral) so parallel test runs never collide.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.cli import main
+from repro.harness import CampaignJournal
 from repro.obs.live import LiveStatus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.serve import TelemetryServer
@@ -120,3 +126,85 @@ def test_live_views_are_marked_no_store(campaign):
         for path in ("/metrics", "/campaign", "/live"):
             with urllib.request.urlopen(srv.url + path, timeout=5) as resp:
                 assert resp.headers["Cache-Control"] == "no-store", path
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+
+
+def _spawn(*args):
+    """``python -m repro ARGS`` with unbuffered stdout, and the URL of
+    the telemetry endpoint it announces on its first lines."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"),
+               PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-m", "repro", *args],
+                            cwd=REPO, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, text=True)
+    for line in proc.stdout:
+        found = re.search(r"(http://\S+)", line)
+        if found:
+            return proc, found.group(1)
+    raise AssertionError(f"{args[0]} never announced its endpoint")
+
+
+def test_served_sweep_end_to_end(tmp_path, capsys):
+    """A 2x2 ``sweep --serve`` scraped while workers are hot: valid
+    exposition whose point gauges sum to the point count, fresh
+    heartbeats, a /campaign view that ends equal to the journal — also
+    through a standalone ``repro serve`` — and a ``watch`` frame of the
+    finished campaign."""
+    camp = tmp_path / "livecamp"
+    sweep, url = _spawn("sweep", "-w", "astar", "sssp", "-e", "baseline",
+                        "phelps", "-n", "20000", "--jobs", "2",
+                        "--manifest", str(camp), "--serve", "0",
+                        "--heartbeat-interval", "0.5")
+    try:
+        deadline = time.monotonic() + 120
+        while True:   # until a running point has a heartbeat in /live
+            assert time.monotonic() < deadline, "no heartbeat seen"
+            time.sleep(0.05)
+            try:
+                live = json.loads(_get(url + "/live"))
+            except urllib.error.HTTPError:   # no live.json yet
+                continue
+            running = {k: p for k, p in live["points"].items()
+                       if p["status"] == "running"}
+            if running and all(p.get("hb") for p in running.values()):
+                break
+        metrics = _get(url + "/metrics")
+        campaign = json.loads(_get(url + "/campaign"))
+        # Mid-run heartbeats are fresh: within the 2x-interval (1.0 s)
+        # stall threshold.
+        assert live["stalled"] == 0, live
+        for key, point in running.items():
+            assert point["heartbeat_age"] < 1.0, (key, point)
+        samples = {}
+        for line in metrics.splitlines():
+            if line and not line.startswith("#"):
+                name, value = line.rsplit(" ", 1)
+                assert name[0].isalpha() or name[0] == "_", line
+                samples[name] = float(value)
+        gauges = [n for n in samples if n.startswith("repro_campaign_points")]
+        assert sum(samples[n] for n in gauges) == 4
+        assert {p["status"] for p in campaign["points"].values()} \
+            <= {"pending", "running", "done"}
+        assert sweep.wait(timeout=300) == 0
+    finally:
+        if sweep.poll() is None:
+            sweep.kill()
+        sweep.stdout.close()
+
+    server, served = _spawn("serve", str(camp), "--port", "0")
+    try:
+        final = json.loads(_get(served + "/campaign"))
+    finally:
+        server.terminate()
+        server.wait(timeout=30)
+        server.stdout.close()
+    assert {k: p["status"] for k, p in final["points"].items()} \
+        == CampaignJournal(camp).statuses()
+    assert final["points"].keys() == campaign["points"].keys()
+
+    capsys.readouterr()
+    assert main(["watch", str(camp), "--once"]) == 0
+    frame = capsys.readouterr().out
+    assert "done" in frame and "4/4" in frame

@@ -150,7 +150,9 @@ class TestWorkerPoolEndToEnd:
         flag = tmp_path / "died.flag"
         monkeypatch.setenv(INJECT_ENV, json.dumps(
             {"worker": "svc-w1", "die_after_claims": 1, "flag": str(flag)}))
-        config = quick_config(tmp_path, workers=2)
+        # The dead worker's lease must lapse before anyone retakes its
+        # point; renewals every 0.2 s keep the survivors' 1 s leases.
+        config = quick_config(tmp_path, workers=2, lease_seconds=1.0)
         with CampaignService(config) as svc:
             wait_for(lambda: svc.live_workers() == 2, timeout=30,
                      what="worker pool")
@@ -316,12 +318,13 @@ class TestPointTable:
                 for w in ("r1", "r2")]
             for t in threads:
                 t.start()
-            for t in threads:
-                t.join(timeout=120)
             record = wait_for(
                 lambda: (lambda d: d if d["status"] in ("done", "failed")
                          else None)(get(f"{svc.url}/campaigns/{cid}")[1]),
-                timeout=30, what="campaign to finish")
+                timeout=120, what="campaign to finish")
+            svc.drain(drain_seconds=0)   # /schedule: shutdown
+            for t in threads:
+                t.join(timeout=60)
             assert record["status"] == "done", record
             assert svc.integrity.counters()["audits_passed"] == 4
             _, results = get(f"{svc.url}/campaigns/{cid}/results")

@@ -232,8 +232,8 @@ class TestOnTheWire:
     def test_protocol_headers_and_idempotency_key(self, stub_server):
         url = f"http://127.0.0.1:{stub_server.server_address[1]}"
         client = ServiceClient(url, worker_id="w42", retries=0)
-        client.post("/complete", {"key": "k"},
-                    idempotency_key="w42:c1:k:g0")
+        client.request("POST", "/complete", {"key": "k"},
+                       idempotency_key="w42:c1:k:g0")
         seen = stub_server.seen[0]
         assert seen["headers"]["X-Repro-Worker"] == "w42"
         assert seen["headers"]["X-Repro-Attempt"] == "1"

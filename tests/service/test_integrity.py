@@ -380,6 +380,58 @@ class TestCompleteValidation:
             assert svc.integrity.complete_rejects == 1
 
 
+class TestRepeatedAuditPublish:
+    ONE = {"workloads": ["astar"], "engines": ["baseline"],
+           "instructions": 1500}
+
+    def _audited(self, svc):
+        """One point completed by w1 and its audit claimed by w2."""
+        _, doc, _ = post(f"{svc.url}/campaigns", self.ONE)
+        cid = doc["id"]
+        wait_for(lambda: svc.state.get(cid).status == "active",
+                 timeout=30, what="activation")
+        _, claim, _ = post(f"{svc.url}/claim", {"campaign": cid,
+                                                 "worker": "w1"})
+        key = claim["key"]
+        post(f"{svc.url}/complete", {"campaign": cid, "worker": "w1",
+                                     "key": key, "entry": {"cycles": 1}})
+        _, audit, _ = post(f"{svc.url}/claim", {"campaign": cid,
+                                                 "worker": "w2"})
+        assert (audit["key"], audit["audit"]) == (key, True)
+        body = {"campaign": cid, "worker": "w2", "key": key,
+                "generation": audit["shard"]["generation"]}
+        return cid, key, body
+
+    def test_late_audit_fail_never_undoes_the_point(self, tmp_path):
+        with CampaignService(quick_config(tmp_path, audit_rate=1.0)) as svc:
+            cid, key, body = self._audited(svc)
+            fail = {**body, "error": "boom"}
+            code, doc, _ = post(f"{svc.url}/fail", fail)
+            assert (code, doc["audit"]) == (200, "pending")
+            # The audit run is no longer w2's: the late copy reaches the
+            # point table, which refuses to fail a done point.
+            code, _doc, _ = post(f"{svc.url}/fail", fail)
+            shard = svc._tables[cid].read_point(key)
+            assert (shard["status"], shard["entry"]) == ("done",
+                                                         {"cycles": 1})
+            assert key in svc._tables[cid].results()
+            assert code == 409
+            assert svc.http_duplicates == 1
+
+    def test_repeated_audit_complete_is_answered_not_rescored(
+            self, tmp_path):
+        with CampaignService(quick_config(tmp_path, audit_rate=1.0)) as svc:
+            cid, key, body = self._audited(svc)
+            done = {**body, "entry": {"cycles": 1}}
+            code, first, _ = post(f"{svc.url}/complete", done)
+            assert (code, first["audit"]) == (200, "passed")
+            code, again, _ = post(f"{svc.url}/complete", done)
+            assert (code, again) == (200, first)
+            assert svc.integrity.counters()["audits_passed"] == 1
+            assert svc.integrity.reputation.score("w2") == 0.0
+            assert svc.http_duplicates == 1
+
+
 class TestQuarantineStopsScheduling:
     def test_quarantined_worker_gets_no_schedule_or_claim(self, tmp_path):
         with CampaignService(quick_config(tmp_path)) as svc:
@@ -468,6 +520,7 @@ class TestAuditEndToEnd:
                 what="chaos campaign to finish")
             assert record["status"] == "done", record
             counters = svc.integrity.counters()
+            assert counters["audits_scheduled"] >= 4
             assert counters["audit_mismatches"] >= 1
             assert (counters["audits_repaired"]
                     + counters["audits_rejected"]) >= 1
@@ -488,6 +541,9 @@ class TestAuditEndToEnd:
             assert list(journal_dir.glob("*.integrity.json"))
             assert list(journal_dir.glob("*.corrupt"))
             _, results = get(f"{svc.url}/campaigns/{cid}/results")
+        # The served journal, repairs included, passes the offline gate.
+        from repro.cli import main
+        assert main(["audit", str(journal_dir), "--rate", "1.0", "-q"]) == 0
         reference = run_campaign(configs_from_spec(SPEC), jobs=1)
         assert {k: entry_fingerprint(v)
                 for k, v in results["results"].items()} \
@@ -645,15 +701,17 @@ class TestChaosCorruptFault:
         assert _corrupt_complete_response(
             b"POST /claim HTTP/1.1\r\n\r\n{}", response) is None
 
-    def test_corrupted_publish_is_retried_under_the_same_key(
-            self, tmp_path, monkeypatch):
+    def test_corrupted_publish_is_answered_as_a_repeat(
+            self, tmp_path):
         """Wire corruption end-to-end: a chaos proxy garbling /complete
         response bodies forces the worker's publish loop to retry; the
-        daemon's idempotency store makes the dup a replay, and the
-        campaign still finishes.  (Rate < 1.0 so a clean confirmation
-        eventually gets through — at 1.0 the worker can never learn the
-        publish landed, which is the right behaviour but never ends.)"""
+        retry finds the point done by this worker, the point table
+        answers it as a repeat, and the campaign finishes bit-identical
+        to a local run.  (Rate < 1.0 so a clean confirmation eventually
+        gets through — at 1.0 the worker can never learn the publish
+        landed, which is the right behaviour but never ends.)"""
         from repro.service.chaosproxy import ChaosProxy, FaultPlan
+        from repro.service.worker import WorkerOptions, work_service
 
         config = quick_config(tmp_path)
         with CampaignService(config) as svc:
@@ -666,13 +724,18 @@ class TestChaosCorruptFault:
                 cid = doc["id"]
                 wait_for(lambda: get(f"{svc.url}/campaigns/{cid}")[1].get(
                     "status") == "active", timeout=30, what="activation")
-                from repro.service.worker import (WorkerOptions,
-                                                  work_service)
                 report = work_service(proxy.url, WorkerOptions(
                     worker_id="wchaos", max_idle_polls=3, log=False,
-                    http_retries=2, publish_retry_seconds=30.0))
+                    poll_interval=0.05, heartbeat_interval=0.2,
+                    http_retries=2, http_backoff=0.01,
+                    breaker_reset_seconds=0.05, publish_retry_seconds=30.0))
                 assert report.completed == 4
                 assert proxy.counters()["injected"]["corrupt"] >= 1
-                assert svc.http_duplicates >= 1  # replayed publish
+                assert svc.http_duplicates >= 1  # a repeated publish
             wait_for(lambda: get(f"{svc.url}/campaigns/{cid}")[1].get(
                 "status") == "done", what="chaos campaign")
+            _, results = get(f"{svc.url}/campaigns/{cid}/results")
+        reference = run_campaign(configs_from_spec(SPEC), jobs=1)
+        assert {k: entry_fingerprint(v)
+                for k, v in results["results"].items()} \
+            == {k: entry_fingerprint(v) for k, v in reference.items()}

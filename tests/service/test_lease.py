@@ -1,5 +1,6 @@
 """Lease-layer contracts on the point table: claiming, fencing,
-idempotent completion, expiry, retries, release.
+idempotent completion, expiry, retries, release, and the answers to
+repeated requests.
 
 Expiry is driven by an injected ``now`` — no test here sleeps.  Every
 transition must also be written through: the journal on disk always
@@ -9,7 +10,8 @@ equals the table in memory.
 import pytest
 
 from repro.harness.campaign import CampaignJournal
-from repro.service.lease import LeaseLost, PointTable
+from repro.service.lease import (APPLIED, REPEAT, STALE, LeaseLost,
+                                 PointTable)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -67,8 +69,20 @@ class TestClaim:
 
     def test_claim_next_follows_manifest_order(self, tmp_path):
         table = make_table(tmp_path, keys=("z", "a", "m"))
-        order = [table.claim_next("w1", now=T0)[0] for _ in range(3)]
+        order = [table.claim_next(w, now=T0)[0] for w in ("w1", "w2", "w3")]
         assert order == ["z", "a", "m"]
+
+    def test_repeated_claim_returns_the_held_point(self, tmp_path):
+        """A duplicated /claim must not lease a second point the worker
+        never learns about: it would sit leased until it lapsed, then
+        requeue with the worker blamed in ``failed_workers``."""
+        table = make_table(tmp_path, keys=("a", "b"))
+        key, first = table.claim_next("W", now=T0)
+        again, second = table.claim_next("W", now=T0 + 1)
+        assert (again, second) == (key, first)   # no transition either
+        assert table.read_point("b")["status"] == "pending"
+        assert table.reap(now=T0 + 3600) == [("a", "lease_expired", "W")]
+        assert table.read_point("b").get("failed_workers") is None
 
     def test_many_rounds_of_racing_never_double_claim(self, tmp_path):
         """Every generation is claimable exactly once even across many
@@ -153,9 +167,11 @@ class TestCompletion:
     def test_double_completion_is_idempotent(self, tmp_path):
         table = make_table(tmp_path, keys=("p",))
         table.claim("p", "w1", now=T0)
-        assert table.complete("p", "w1", {"cycles": 10}) is True
+        assert table.complete("p", "w1", {"cycles": 10}) == APPLIED
         # A fenced-out worker finishing anyway: first done wins.
-        assert table.complete("p", "w2", {"cycles": 10}) is False
+        assert table.complete("p", "w2", {"cycles": 10}) == STALE
+        # The winner's own repeat is answered from the shard.
+        assert table.complete("p", "w1", {"cycles": 666}) == REPEAT
         doc = on_disk(table, "p")
         assert doc["completed_by"] == "w1"
         assert doc["entry"] == {"cycles": 10}
@@ -184,11 +200,52 @@ class TestCompletion:
     def test_unknown_keys_are_refused(self, tmp_path):
         table = make_table(tmp_path, keys=("p",))
         assert table.claim("nope", "w1", now=T0) is None
-        assert table.complete("nope", "w1", {"cycles": 1}) is False
+        assert table.complete("nope", "w1", {"cycles": 1}) == STALE
+        assert table.fail("nope", "w1", "boom") == STALE
         assert table.release("nope", "w1") is False
         with pytest.raises(LeaseLost):
             table.renew("nope", "w1", now=T0)
         assert not (table.root / "nope.json").exists()
+
+
+class TestFailFencing:
+    def test_stale_fail_never_touches_another_workers_lease(self, tmp_path):
+        table = make_table(tmp_path, keys=("p",))
+        table.claim("p", "w1", lease_seconds=1, now=T0)   # generation 0
+        table.reap(now=T0 + 5)                            # w1's lease lapsed
+        assert table.claim("p", "w2", now=T0 + 5)["generation"] == 1
+        outcome = table.fail("p", "w1", "late")
+        doc = on_disk(table, "p")
+        assert (doc["status"], doc["worker"]) == ("running", "w2")
+        assert doc.get("failed_workers") == ["w1"]   # the reaper's blame only
+        assert outcome == STALE
+        assert table.fail("p", "w1", "late", generation=0) == STALE
+        # Nor does a fail un-done a finished point, even the holder's own.
+        assert table.complete("p", "w2", {"cycles": 10}) == APPLIED
+        outcome = table.fail("p", "w2", "late")
+        assert on_disk(table, "p")["status"] == "done"
+        assert table.results() == {"p": {"cycles": 10}}
+        assert outcome == STALE
+        assert table.fail("p", "w2", "late", generation=1) == STALE
+
+    def test_fail_needs_the_claimed_generation(self, tmp_path):
+        table = make_table(tmp_path, keys=("p",))
+        table.claim("p", "w1", now=T0)
+        table.release("p", "w1")
+        table.claim("p", "w1", now=T0)                # generation 1 now
+        assert table.fail("p", "w1", "old attempt", generation=0) == STALE
+        assert table.read_point("p")["status"] == "running"
+        assert table.fail("p", "w1", "boom", generation=1) == APPLIED
+
+    def test_repeated_fail_is_answered_without_a_transition(self, tmp_path):
+        table = make_table(tmp_path, keys=("p",))
+        table.claim("p", "w1", now=T0)
+        assert table.fail("p", "w1", "boom", generation=0) == APPLIED
+        before = on_disk(table, "p")
+        assert table.fail("p", "w1", "boom", generation=0) == REPEAT
+        assert table.fail("p", "w2", "boom", generation=0) == STALE
+        assert on_disk(table, "p") == before
+        assert before["failed_workers"] == ["w1"]
 
 
 class TestPrepareFencing:

@@ -242,6 +242,21 @@ class TestScheduling:
         second = state.schedule()
         assert second[0].id == b.id   # ...then capped by its own offer
 
+    def test_a_landed_claim_turns_its_offer_into_the_lease(self):
+        """Once the offered claim shows as a lease, the offer stops
+        counting: when that lease ends the quota slot is free at once,
+        not when the offer would have timed out."""
+        state = make_state(
+            tenants={"small": TenantPolicy(max_leased=1)}, offer_ttl=30.0)
+        a = submit(state, tenant="small", workloads=("astar", "bfs"))
+        state.mark_active(a.id)
+        state.refresh_counts(a.id, {"pending": 2}, 0, 0)
+        assert [c.id for c in state.schedule()] == [a.id]
+        state.refresh_counts(a.id, {"pending": 1, "running": 1}, 1, 0)
+        assert state.schedule() == []             # the lease holds the slot
+        state.refresh_counts(a.id, {"pending": 1, "done": 1}, 0, 0)
+        assert [c.id for c in state.schedule()] == [a.id]
+
     def test_cancelled_campaigns_are_never_offered(self):
         state = make_state()
         record = submit(state)

@@ -153,7 +153,7 @@ class TestLeaseProtocol:
             key, _config, _shard = remote.claim()
             assert remote.complete(key, {"cycles": 1}) is True
             # A different worker re-completing the same point is refused
-            # (no idempotency replay involved: different key).
+            # (first done wins; it is not a repeat of rw1's publish).
             code, doc = post(f"{svc.url}/complete",
                              {"campaign": cid, "worker": "rw2", "key": key,
                               "entry": {"cycles": 999}})
@@ -202,29 +202,56 @@ class TestLeaseProtocol:
                 remote.renew(key)
             assert key not in remote.held
 
-    def test_idempotent_replay_suppresses_duplicates(self, tmp_path):
+    def test_repeated_publish_is_answered_by_the_table(self, tmp_path):
+        """A repeat of a landed /complete (even with a mangled body)
+        finds the point done by this worker, and the point table gives
+        the same answer; the first entry stays, and the repeat is
+        counted."""
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
             remote = RemoteJournal(client, cid, "rw1")
-            key, _config, shard = remote.claim()
-            idem = f"rw1:{cid}:{key}:g{shard.get('generation', 0)}"
+            key, _config, _shard = remote.claim()
             body = {"campaign": cid, "worker": "rw1", "key": key,
                     "entry": {"cycles": 7}}
-            code, first = post(f"{svc.url}/complete", body,
-                               headers={"Idempotency-Key": idem})
+            code, first = post(f"{svc.url}/complete", body)
             assert (code, first["accepted"]) == (200, True)
-            # The retransmit (same key, even a mangled body) replays the
-            # recorded response instead of re-applying.
-            code, replay = post(f"{svc.url}/complete",
-                                {**body, "entry": {"cycles": 666}},
-                                headers={"Idempotency-Key": idem})
-            assert (code, replay) == (200, first)
+            code, repeat = post(f"{svc.url}/complete",
+                                {**body, "entry": {"cycles": 666}})
+            assert (code, repeat) == (200, first)
             shard = CampaignJournal(campaign_dir(svc, cid)).read_point(key)
             assert shard["entry"] == {"cycles": 7}
             _status, metrics = get(f"{svc.url}/metrics")
             assert "repro_service_http_duplicates_total 1" in metrics
             assert "repro_service_http_requests_total" in metrics
+
+    def test_stale_fail_is_fenced_over_http(self, tmp_path):
+        """A worker whose lease lapsed cannot fail the point's new
+        owner, and no /fail un-does a finished point."""
+        with CampaignService(quick_config(tmp_path)) as svc:
+            cid = submit_and_activate(svc)
+            old = RemoteJournal(ServiceClient(svc.url, worker_id="rw1"),
+                                cid, "rw1")
+            key, _config, _shard = old.claim()
+            svc._reap(now=time.time() + 3600)
+            new = RemoteJournal(ServiceClient(svc.url, worker_id="rw2"),
+                                cid, "rw2")
+            assert new.claim()[0] == key
+            stale = {"campaign": cid, "worker": "rw1", "key": key,
+                     "error": "late", "generation": 0}
+            code, doc = post(f"{svc.url}/fail", stale)
+            assert (code, doc["error"], doc["holder"]) \
+                == (409, "lease_lost", "rw2")
+            journal = CampaignJournal(campaign_dir(svc, cid))
+            shard = journal.read_point(key)
+            assert (shard["status"], shard["worker"]) == ("running", "rw2")
+            assert new.complete(key, {"cycles": 5}) is True
+            code, _doc = post(f"{svc.url}/fail", {**stale, "worker": "rw2",
+                                                  "generation": 1})
+            assert code == 409
+            assert journal.read_point(key)["status"] == "done"
+            _status, results = get(f"{svc.url}/campaigns/{cid}/results")
+            assert results["results"][key] == {"cycles": 5}
 
     def test_release_returns_only_held_points(self, tmp_path):
         with CampaignService(quick_config(tmp_path)) as svc:
@@ -279,7 +306,8 @@ class TestRemoteWorker:
             cid = submit_and_activate(svc)
             with monkeypatch.context() as m:
                 m.setattr(CampaignJournal, "__init__", trap)
-                report = work_service(svc.url, worker_options())
+                report = work_service(svc.url,
+                                      worker_options(max_idle_polls=2))
             assert report.claimed == 4
             assert report.completed == 4
             assert report.failed == 0
@@ -316,11 +344,16 @@ class TestRemoteWorker:
                 == "done")
             wait_for(lambda: done() >= 1, timeout=60, what="first point")
             svc_a.stop()
-            time.sleep(0.8)   # the worker polls a dead daemon: breaker
+            # The worker hits the dead daemon: breaker_threshold (2)
+            # consecutive failed connections open its breaker.
+            dark = proxy.counters()["connections"]
+            wait_for(lambda: proxy.counters()["connections"] >= dark + 3,
+                     timeout=30, interval=0.02, what="failed connections")
             svc_b = CampaignService(quick_config(tmp_path)).start()
             proxy.retarget("127.0.0.1", svc_b.port)
             wait_for(lambda: done() == 4, timeout=120,
                      what="campaign completion after restart")
+            svc_b.drain(drain_seconds=0)   # /schedule: shutdown
             thread.join(timeout=60)
             assert not thread.is_alive()
             report = report_box["report"]
@@ -365,18 +398,22 @@ class TestRemoteWorker:
             _status, metrics = get(f"{svc_a.url}/metrics")
             assert "repro_service_draining 1" in metrics
             svc_a.stop()
-            # Restart: recovery re-adopts the campaign, the reaper heals
-            # the abandoned lease, a worker finishes the rest.
+            # Restart: recovery re-adopts the campaign and a worker
+            # finishes it.  It runs as rw1, so its first claim hands back
+            # the point the drained daemon left leased to rw1 (had the
+            # lease lapsed first, the reaper would have requeued it).
             svc_b = CampaignService(quick_config(tmp_path)).start()
-            wait_for(lambda: svc_b.state.get(cid) is not None, timeout=30,
-                     what="recovery")
-            # The drained point's lease must lapse before a new worker
-            # can retake it, so give the worker a generous idle budget.
-            report = work_service(svc_b.url,
-                                  worker_options(max_idle_polls=80))
-            assert report.completed == 4
+            assert svc_b.state.get(cid) is not None   # recovered at start
+            box = {}
+            thread = threading.Thread(target=lambda: box.update(
+                report=work_service(svc_b.url,
+                                    worker_options(max_idle_polls=80))))
+            thread.start()
             wait_for(lambda: get(f"{svc_b.url}/campaigns/{cid}")[1]
-                     ["status"] == "done", timeout=30, what="done")
+                     ["status"] == "done", timeout=120, what="done")
+            svc_b.drain(drain_seconds=0)   # /schedule: shutdown
+            thread.join(timeout=60)
+            assert box["report"].completed == 4
             assert journal_fingerprints(root) == reference
         finally:
             if svc_b is not None:
@@ -420,9 +457,11 @@ class TestChaosSweep:
                          "--max-idle-polls", "80", "-q"],
                         env=env, cwd=str(tmp_path)))
                     if wid == "cw1":
-                        # Head start: the doomed worker must win at least
-                        # one claim before the survivor drains the sweep.
-                        time.sleep(0.5)
+                        # The doomed worker must win a claim before the
+                        # survivor drains the sweep: it dies right after.
+                        wait_for(lambda: flag.exists() or
+                                 procs[0].poll() is not None, timeout=60,
+                                 interval=0.02, what="cw1's first claim")
                 try:
                     wait_for(lambda: get(f"{svc.url}/campaigns/{cid}")[1]
                              ["status"] == "done", timeout=180,
@@ -445,7 +484,14 @@ class TestChaosSweep:
                         else:
                             raise AssertionError(
                                 "repro_service_http_retries_total missing")
-                    assert "repro_service_http_requests_total" in metrics
+                    claims = [line for line in metrics.splitlines()
+                              if line.startswith(
+                                  "repro_service_http_requests_total")
+                              and 'endpoint="claim"' in line]
+                    assert claims and float(claims[0].split()[-1]) >= 4
+                    # The survivor exits cleanly when the daemon drains.
+                    svc.drain(drain_seconds=0)
+                    assert procs[1].wait(timeout=60) == 0
                 finally:
                     for proc in procs:
                         if proc.poll() is None:
@@ -458,3 +504,22 @@ class TestChaosSweep:
             assert journal_fingerprints(root) == reference
         reread = journal_fingerprints(root)
         assert reread == reference   # survives daemon shutdown untouched
+
+    def test_every_request_delivered_twice_is_bit_identical(
+            self, tmp_path, reference):
+        """``duplicate_rate=1.0``: every claim, renew and publish reaches
+        the daemon twice.  The point table answers each second copy —
+        the held point again, the same acceptance — so no point is
+        stranded under a lease its worker never learned of, and every
+        completion counts exactly once."""
+        with CampaignService(quick_config(tmp_path)) as svc:
+            plan = FaultPlan(seed=7, duplicate_rate=1.0)
+            with ChaosProxy("127.0.0.1", svc.port, plan=plan) as proxy:
+                cid = submit_and_activate(svc)
+                report = work_service(proxy.url, worker_options(
+                    poll_interval=0.05, max_idle_polls=2))
+                assert proxy.counters()["injected"]["duplicate"] >= 8
+            assert report.claimed == 4
+            assert report.completed == 4
+            assert svc.http_duplicates >= 4     # each second /complete
+            assert journal_fingerprints(campaign_dir(svc, cid)) == reference

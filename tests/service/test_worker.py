@@ -191,7 +191,7 @@ class _ScriptedClient:
         self.claim = claim
         self.posts = []
 
-    def post(self, path, body, idempotency_key=None):
+    def post(self, path, body):
         self.posts.append((path, body))
         return self.claim if path == "/claim" else {"ok": True}
 
@@ -208,6 +208,7 @@ class TestClaimRefusal:
         assert remote.claim() is None
         path, body = client.posts[-1]
         assert path == "/fail" and body["key"] == key
+        assert body["generation"] == 0     # the claimed generation fences it
         assert body["error"].startswith("ClaimRefused")
         assert remote.held == set()
 
