@@ -1008,7 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: w<pid>)")
     worker.add_argument("--heartbeat-interval", type=float, default=1.0)
     worker.add_argument("--poll-interval", type=float, default=0.5,
-                        help="idle wait between /schedule polls")
+                        help="idle wait after a /claim that got no work")
     worker.add_argument("--max-idle-polls", type=int, default=0,
                         help="exit after this many consecutive empty "
                              "polls (0 = poll forever)")

@@ -6,8 +6,9 @@ shards.  Each active campaign lives in memory as a
 recovery); every lease transition — claim, renew, complete, fail,
 release, requeue, poison, audit mark — runs under one lock and writes its
 shard through to the journal before the RPC answers.  Counts, terminal
-status, scheduling, results and drain all come from the tables; after
-start-up the daemon never reads a shard back.  Around the tables run a
+status, scheduling, results and drain all come from the tables — audit
+runs included, which lease through them like points; after start-up the
+daemon never reads a shard back.  Around the tables run a
 threaded stdlib HTTP server and one plain **control thread** that
 
 * activates queued campaigns (write-ahead journal + run-cache dedup);
@@ -31,9 +32,8 @@ HTTP API (JSON unless noted)::
     GET    /campaigns/<id>/results  key -> result entry for done points
     GET    /campaigns/<id>/stream   SSE: one status frame per interval
     DELETE /campaigns/<id>        cooperative cancel
-    GET    /schedule?worker=ID    worker pull: which campaign to claim from
-    POST   /claim                 {campaign, worker}
-                                  -> {key, config, shard} or {key: null}
+    POST   /claim                 {worker} -> {campaign, key, config,
+                                  shard, audit?} or {key: null, shutdown?}
     POST   /renew                 {campaign, worker, key, hb?}
                                   -> 200 ok / 409 lease lost
     POST   /complete              {campaign, worker, key, entry, source?}
@@ -45,18 +45,19 @@ HTTP API (JSON unless noted)::
     GET    /metrics               Prometheus text (service gauges)
     GET    /healthz               liveness probe
 
-The five ``POST`` lease endpoints are the remote-execution protocol:
-workers never see the campaign filesystem (``/schedule`` carries no
-path; only the operator views under ``/campaigns`` show ``dir``).
-``/claim`` hands out the next pending point in manifest order (or the
-point the worker already holds), and the lease length is always the
-daemon's ``lease_seconds``.  A repeated request — a retry whose first
-answer was lost, a duplicated delivery — is answered by the point table
-from the shard itself (:mod:`repro.service.lease`), never re-applied.
+The five ``POST`` lease endpoints are the remote-execution protocol, and
+``/claim`` is all of the scheduling: one request picks the campaign
+(weighted-fair, quota-exact) and leases a point or an audit run in it.
+Workers never see the campaign filesystem (the claim answer carries no
+path; only the operator views under ``/campaigns`` show ``dir``), and
+the lease length is always the daemon's ``lease_seconds``.  A repeated
+request — a retry whose first answer was lost, a duplicated delivery —
+is answered by the point table from the shard itself
+(:mod:`repro.service.lease`), never re-applied.
 
 On SIGTERM (or :meth:`CampaignService.drain`) the daemon drains
-gracefully: ``/schedule`` answers ``{"shutdown": true}`` and ``/claim``
-stops handing out wins, leased points get up to ``drain_seconds`` to
+gracefully: ``/claim`` answers ``{"key": null, "shutdown": true}``,
+leases — points and audit runs — get up to ``drain_seconds`` to
 complete or lapse (renew/complete stay served), unfinished active
 campaigns receive the manifest interruption record a SIGINT'd sweep
 writes, and only then does the daemon exit — so a restart resumes
@@ -103,8 +104,14 @@ _INDEX = """repro campaign service
   GET    /campaigns/<id>/results  done-point result entries
   GET    /campaigns/<id>/stream   SSE status frames
   DELETE /campaigns/<id>        cooperative cancel
-  GET    /schedule?worker=ID    worker pull endpoint
+  POST   /claim                 {worker}: lease a point or an audit run
+  POST   /renew                 {campaign, worker, key, hb?}
+  POST   /complete              {campaign, worker, key, entry, source?}
+  POST   /fail                  {campaign, worker, key, error, generation?}
+  POST   /release               {campaign, worker, key}
   GET    /metrics               Prometheus service gauges
+  GET    /healthz               liveness probe
+  GET    /                      this index
 """
 
 
@@ -156,7 +163,7 @@ class CampaignService:
         self.retries = 0
         self.worker_respawns = 0
         self.points_poisoned = 0
-        # Result integrity: the audit book, worker reputation, and the
+        # Result integrity: audit sampling, worker reputation, and the
         # daemon-local arbitration executor (a straight deterministic
         # re-simulation; tests inject a stub via integrity.run_config).
         self.integrity = IntegrityMonitor(
@@ -282,12 +289,12 @@ class CampaignService:
 
     # -------------------------------------------------------------- drain
     def drain(self, drain_seconds: Optional[float] = None) -> None:
-        """Graceful shutdown: no new offers/claims, wait for leases.
+        """Graceful shutdown: no new claims, wait for leases.
 
-        ``/schedule`` starts answering ``{"shutdown": true}`` and
-        ``/claim`` declines, while renew/complete stay served; then the
-        daemon waits up to ``drain_seconds`` for every unexpired lease to
-        complete or lapse, and finally writes the manifest interruption
+        ``/claim`` starts answering ``{"shutdown": true}``, while
+        renew/complete stay served; then the daemon waits up to
+        ``drain_seconds`` for every unexpired lease (point or audit run)
+        to complete or lapse, and finally writes the manifest interruption
         record (the PR-5 shape a SIGINT'd sweep leaves) for each active
         campaign with work remaining, so a restart — daemon or ``sweep
         --resume`` — continues bit-identically.
@@ -323,7 +330,9 @@ class CampaignService:
 
         Everything needed to resume lives in ``campaign.json`` (the spec
         plus the ``service`` submission metadata written at activation);
-        the point table is loaded from the shards, once.
+        the point table is loaded from the shards, once, leases and audit
+        leases alike.  Only an arbitration dies with the process: its
+        audit runs again.
         """
         for manifest_path in sorted(self.root.glob("*/campaign.json")):
             table = PointTable.load(CampaignJournal(manifest_path.parent),
@@ -344,16 +353,14 @@ class CampaignService:
                 status="active", total_points=len(table.keys))
             self._tables[cid] = table
             self.state.adopt(record)
-            adopted_audits = self.integrity.adopt(cid, table)
-            if adopted_audits:
-                self._log(f"re-adopted {adopted_audits} in-flight "
-                          f"audit(s) for {cid}")
-            if self.config.audit_rate > 0.0:
-                # Completions that landed unsampled (a crash between the
-                # two writes, or a lower rate last time) are offered now.
-                for key in table.keys:
-                    self.integrity.consider(cid, table, key,
-                                            table.read_point(key))
+            for key in table.keys:
+                shard = table.read_point(key)
+                if (shard.get("audit") or {}).get("status") == "arbitrating":
+                    table.mark(key, "done", audit={"status": "pending"})
+                elif self.config.audit_rate > 0.0:
+                    # Completions that landed unsampled (a crash between
+                    # the two writes, or a lower rate last time).
+                    self.integrity.consider(cid, table, key, shard)
             self._refresh(cid)
             self._log(f"recovered campaign {cid} "
                       f"({record.status}, {record.total_points} points)")
@@ -431,12 +438,11 @@ class CampaignService:
         if table is None:
             return
         with self._lock:
-            counts, leased, expired, retrying = table.summary(
+            counts, leased, expired, retrying, audits = table.summary(
                 max_attempts=self.config.max_attempts,
                 poison_distinct=self.config.poison_workers)
             finished = self.state.refresh_counts(
-                cid, counts, leased, expired,
-                audits_pending=self.integrity.pending_audits(cid),
+                cid, counts, leased, expired, audits_pending=audits,
                 retrying=retrying)
         if finished:
             record = self.state.get(cid)
@@ -451,8 +457,9 @@ class CampaignService:
     # ------------------------------------------------------------- reaper
     def _reap(self, now: Optional[float] = None
               ) -> List[Tuple[str, str, str, Optional[str]]]:
-        """Requeue lapsed leases and due retries across live campaigns;
-        ``(campaign, key, reason, worker)`` per transition."""
+        """Requeue lapsed leases (points and audit runs) and due retries
+        across live campaigns; ``(campaign, key, reason, worker)`` per
+        transition."""
         reaped_all = []
         for cid, table in self._live_tables(("active", "cancelled")):
             cancelled = self.state.get(cid).status == "cancelled"
@@ -468,6 +475,7 @@ class CampaignService:
                     if worker:
                         self.integrity.record_misbehaviour(
                             worker, "lease_expired")
+                    self.integrity.audit_requeued(table, key)
                 elif reason == "poisoned":
                     self.points_poisoned += 1
                     self.events.point_poisoned(
@@ -493,7 +501,7 @@ class CampaignService:
             else:
                 self.worker_respawns += 1
                 # Exit 0 is a clean shutdown (idle exit, or a quarantined
-                # worker obeying /schedule); anything else — injection
+                # worker obeying /claim); anything else — injection
                 # os._exit, a signal's negative code, a crash — counts
                 # against the worker's reputation.
                 if proc.returncode != 0:
@@ -570,25 +578,49 @@ class CampaignService:
                 "total_points": record.total_points,
                 "done": len(results), "results": results}
 
-    def _schedule_doc(self, worker: str) -> Dict:
-        """Which campaign ``worker`` should claim from next.  Never
-        carries a filesystem path: workers only speak the lease RPCs."""
+    def _claim(self, worker: str) -> Dict:
+        """``POST /claim``, all of the scheduling in one step.
+
+        In order: the drain and quarantine answers; the point or audit
+        run ``worker`` already holds in any active campaign; else, in
+        weighted-fair order without tenants at their quota, the first
+        pending point of a campaign, then a pending audit of a point
+        ``worker`` did not complete.  The new lease is folded into its
+        campaign record before the lock is let go, so the next claim
+        sees it and quotas are exact.
+        """
         if self._stopping.is_set() or self._draining.is_set():
-            return {"shutdown": True}
+            return {"key": None, "shutdown": True}
         if self.integrity.is_quarantined(worker):
             # A quarantined worker gets no work, ever: the shutdown
             # answer makes a pool worker exit cleanly, and the
             # supervisor replaces the slot under a fresh identity.
-            return {"shutdown": True, "quarantined": True}
-        # Skip campaigns whose only remaining work is audits this worker
-        # cannot legally run (it completed the originals itself).
-        for head in self.state.schedule():
-            audits = self.integrity.assignable(head.id, worker)
-            if head.counts.get("pending", 0) > 0 or audits:
-                return {"campaign_id": head.id,
-                        "lease_seconds": self.config.lease_seconds,
-                        "worker": worker, "audits": audits}
-        return {"campaign_id": None}
+            return {"key": None, "shutdown": True, "quarantined": True}
+        lease = self.config.lease_seconds
+        with self._lock:
+            got = next(((cid, held) for cid, table
+                        in self._live_tables(("active",))
+                        if (held := table.held(worker))), None)
+            if got is None:
+                for record in self.state.schedule():
+                    table = self._tables[record.id]
+                    claimed = (table.claim_next(worker, lease)
+                               or table.claim_audit(worker, lease))
+                    if claimed:
+                        got = record.id, claimed
+                        break
+                else:
+                    return {"key": None}
+            cid, (key, shard) = got
+            self._refresh(cid)
+        self.events.point_claimed(cid, key, worker)
+        answer = {"campaign": cid, "key": key, "shard": shard,
+                  "config": self._configs(self.state.get(cid))[key].to_dict()}
+        if shard.get("status") == "done":
+            # An audit run: the worker re-executes with its cache
+            # bypassed and publishes with source="audit".
+            answer["audit"] = True
+        return answer
 
     # --------------------------------------------- remote lease protocol
     def _count_http(self, endpoint: str, headers) -> None:
@@ -626,134 +658,95 @@ class CampaignService:
         return cmap
 
     @staticmethod
-    def _entry_config_mismatch(key: str, entry: Dict) -> Optional[str]:
+    def _entry_config_problem(key: str,
+                              entry: Dict) -> Optional[Tuple[str, str]]:
         """Zeroth-line integrity check on a completion: the *whole*
         embedded config (:func:`~repro.harness.runcache.entry_from_result`)
         must rebuild into a :class:`RunConfig` that mints the claimed key,
         or the entry is for a different point (a buggy or lying worker)
-        and would poison the store.  Entries without one (hand-rolled
-        test fixtures) are not checkable and pass through."""
+        and would poison the store.  ``(error, detail)``, or None."""
         embedded = entry.get("config")
         if not isinstance(embedded, dict):
-            return None
+            return "entry_config_missing", "the entry embeds no config"
         try:
             minted = RunConfig.from_dict(embedded).cache_key()
         except (ValueError, TypeError) as exc:
-            return f"embedded config does not rebuild: {exc}"
+            return ("entry_config_mismatch",
+                    f"embedded config does not rebuild: {exc}")
         if minted != key:
-            return (f"embedded config mints {minted}, "
-                    f"not the claimed {key}")
+            return ("entry_config_mismatch",
+                    f"embedded config mints {minted}, not the claimed {key}")
         return None
 
     def _lease_rpc(self, op: str, doc: Dict) -> Tuple[int, Dict]:
         """One remote lease operation -> (status, response document).
 
-        Applies the :class:`~repro.service.lease.PointTable` transition
-        (generation-fenced claims and failures, 409 on a fenced renew or
-        fail, first-done-wins completion) and refreshes the campaign
-        record.  A repeat finds its effect already in the shard and gets
-        the same answer, so a duplicated delivery is indistinguishable
-        from a single one.
+        ``claim`` is :meth:`_claim`; the others apply the
+        :class:`~repro.service.lease.PointTable` transition
+        (generation-fenced failures, 409 on a fenced renew or fail,
+        first-done-wins completion) and refresh the campaign record.  A
+        repeat finds its effect already in the shard and gets the same
+        answer, so a duplicated delivery is indistinguishable from a
+        single one.
         """
+        if op == "claim":
+            return 200, self._claim(str(doc.get("worker") or "?"))
         cid = doc.get("campaign")
         record = self.state.get(cid) if cid else None
         table = self._tables.get(cid) if cid else None
         if record is None or table is None:
             return 404, {"error": "no such campaign", "campaign": cid}
         worker = str(doc.get("worker") or "?")
-        if op == "complete" or op == "fail":
-            response = self._publish(op, record, table, worker, doc)
-        else:
-            response = self._lease_step(op, record, table, worker, doc)
-        self._refresh(cid)
-        return response
-
-    def _lease_step(self, op: str, record: CampaignRecord, table: PointTable,
-                    worker: str, doc: Dict) -> Tuple[int, Dict]:
-        """``claim``/``renew``/``release``."""
-        cid = record.id
-        if op == "claim":
-            if self._draining.is_set() or self._stopping.is_set():
-                return 200, {"key": None, "draining": True}
-            if self.integrity.is_quarantined(worker):
-                return 200, {"key": None, "quarantined": True}
-            if record.status != "active":
-                return 200, {"key": None, "status": record.status}
-            got = table.claim_next(worker, self.config.lease_seconds)
-            audit = got is None
-            if audit:
-                # No claimable point: maybe an audit run instead.  The
-                # assignment is pinned away from the original completer
-                # and carries ``audit: true`` plus a synthetic
-                # generation, so the worker re-executes with the cache
-                # bypassed and publishes with ``source="audit"``.
-                got = self.integrity.assign(cid, table, worker)
-                if got is None:
-                    return 200, {"key": None}
-            key, shard = got
-            self.events.point_claimed(cid, key, worker)
-            response = {"key": key, "shard": shard,
-                        "config": self._configs(record)[key].to_dict()}
-            if audit:
-                response["audit"] = True
-            return 200, response
-
         key = doc.get("key")
         if not key:
             return 400, {"error": "missing key"}
-        if op == "renew":
-            # Audit runs lease from the audit book, not the shard (the
-            # shard is already ``done``; a renew would fence them).
-            audit_ok = self.integrity.audit_renew(cid, key, worker)
-            if audit_ok is True:
-                return 200, {"ok": True, "audit": True}
-            if audit_ok is False:
-                return 409, {"error": "lease_lost", "key": key,
-                             "holder": None}
+        if op == "renew":   # a point's lease or an audit run's alike
             try:
-                shard = table.renew(key, worker, self.config.lease_seconds,
-                                    hb=doc.get("hb"))
+                table.renew(key, worker, self.config.lease_seconds,
+                            hb=doc.get("hb"))
+                response = 200, {"ok": True}
             except LeaseLost as exc:
-                return 409, {"error": "lease_lost", "key": key,
-                             "holder": exc.holder}
-            return 200, {"ok": True, "lease_expires_unix":
-                         shard.get("lease_expires_unix")}
-        if op == "release":
-            return 200, {"released": table.release(key, worker), "key": key}
-        return 404, {"error": f"unknown operation {op!r}"}
+                response = 409, {"error": "lease_lost", "key": key,
+                                 "holder": exc.holder}
+        elif op == "release":
+            response = 200, {"released": table.release(key, worker),
+                             "key": key}
+        else:
+            response = self._publish(op, record, table, worker, key, doc)
+        self._refresh(cid)
+        return response
 
     def _publish(self, op: str, record: CampaignRecord, table: PointTable,
-                 worker: str, doc: Dict) -> Tuple[int, Dict]:
+                 worker: str, key: str, doc: Dict) -> Tuple[int, Dict]:
         """``complete``/``fail``: audit verdicts first, then the point.
         A publish the table answers without a transition counts in
         ``repro_service_http_duplicates_total``."""
         cid = record.id
-        key = doc.get("key")
-        if not key:
-            return 400, {"error": "missing key"}
         if op == "fail":
             error = str(doc.get("error") or "unknown error")
-            verdict = self.integrity.on_audit_fail(cid, table, key,
-                                                   worker, error)
-            if verdict is not None:
-                return 200, {"ok": True, "key": key, **verdict}
             outcome = table.fail(key, worker, error, doc.get("generation"))
             self._count_duplicate(outcome)
             if outcome == STALE:
                 return 409, {"error": "lease_lost", "key": key,
                              "holder": (table.read_point(key)
                                         or {}).get("worker")}
+            audit = (self.integrity.audit_requeued(table, key)
+                     if outcome == APPLIED else None)
+            if audit is not None:
+                self._log(f"audit run of {cid}/{key} failed on {worker} "
+                          f"({error}); {audit}")
+                return 200, {"ok": True, "key": key, "audit": audit}
             return 200, {"ok": True, "key": key}
         entry = doc.get("entry")
         if not isinstance(entry, dict):
             return 400, {"error": "missing entry"}
-        problem = self._entry_config_mismatch(key, entry)
+        problem = self._entry_config_problem(key, entry)
         if problem is not None:
             self.integrity.complete_rejects += 1
             self._log(f"rejected completion of {cid}/{key} from "
-                      f"{worker}: {problem}")
-            return 422, {"error": "entry_config_mismatch",
-                         "detail": problem, "key": key}
+                      f"{worker}: {problem[1]}")
+            return 422, {"error": problem[0], "detail": problem[1],
+                         "key": key}
         config = self._configs(record).get(key)
         verdict = self.integrity.on_audit_complete(
             cid, table, key, worker, entry, cache=self.cache, config=config)
@@ -887,13 +880,11 @@ class CampaignService:
                            headers=headers)
 
             def _route(self):
-                parsed = urllib.parse.urlparse(self.path)
-                parts = [p for p in parsed.path.split("/") if p]
-                query = dict(urllib.parse.parse_qsl(parsed.query))
-                return parts, query
+                path = urllib.parse.urlparse(self.path).path
+                return [p for p in path.split("/") if p]
 
             def do_GET(self):
-                parts, query = self._route()
+                parts = self._route()
                 try:
                     if not parts:
                         self._send(200, "text/plain; charset=utf-8",
@@ -903,10 +894,6 @@ class CampaignService:
                     elif parts == ["metrics"]:
                         self._send(200, CONTENT_TYPE,
                                    service._metrics_text().encode())
-                    elif parts == ["schedule"]:
-                        service._count_http("schedule", self.headers)
-                        self._send_json(service._schedule_doc(
-                            query.get("worker", "?")))
                     elif parts == ["campaigns"]:
                         self._send_json(service.state.snapshot())
                     elif len(parts) == 2 and parts[0] == "campaigns":
@@ -926,7 +913,7 @@ class CampaignService:
             _LEASE_OPS = ("claim", "renew", "complete", "fail", "release")
 
             def do_POST(self):
-                parts, _query = self._route()
+                parts = self._route()
                 if len(parts) == 1 and parts[0] in self._LEASE_OPS:
                     self._lease_op(parts[0])
                     return
@@ -976,7 +963,7 @@ class CampaignService:
                     pass
 
             def do_DELETE(self):
-                parts, _query = self._route()
+                parts = self._route()
                 try:
                     if len(parts) == 2 and parts[0] == "campaigns":
                         record = service._cancel(parts[1])

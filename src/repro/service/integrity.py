@@ -10,16 +10,17 @@ cheap to verify: re-run the point anywhere and the
 bit-for-bit.  This module is the daemon-side machinery that does so
 systematically:
 
-* **Audit scheduling** (:meth:`IntegrityMonitor.consider`, called on
+* **Audit sampling** (:meth:`IntegrityMonitor.consider`, called on
   the completion that makes a point ``done``) — a seeded,
   deterministic sample (:func:`should_audit`) of worker-completed
-  points is re-enqueued as *audit runs*, handed only to a worker other
-  than the original completer.  The audit state is persisted into the
-  point shard (an ``audit`` sub-document that never touches the result
-  ``entry``, so fingerprints are unaffected) and therefore survives a
-  daemon restart.  Every audit mark and repair goes through the
-  campaign's :class:`~repro.service.lease.PointTable`, the daemon's
-  single writer of point shards.
+  points gets a ``pending`` audit.  The audit lives in the point shard
+  (an ``audit`` sub-document that never touches the result ``entry``,
+  so fingerprints are unaffected), and the audit *run* is a lease in
+  the campaign's :class:`~repro.service.lease.PointTable` like any
+  other: claimed through ``/claim`` by a worker other than the original
+  completer, renewed, failed and reaped there, and reloaded from the
+  shards on a daemon restart.  This module decides only what to sample
+  and what an audit result means.
 * **Arbitration** (:meth:`IntegrityMonitor.on_audit_complete`) — a
   matching audit is a cheap pass.  On mismatch a third, daemon-local
   tie-break execution runs and majority vote decides; the losing entry
@@ -30,9 +31,9 @@ systematically:
   post-mortem.
 * **Worker reputation** (:class:`WorkerReputation`) — mismatches,
   crashes, and lease expiries fold into a rolling per-worker score;
-  crossing the threshold quarantines the worker: ``/schedule`` answers
-  shutdown, ``/claim`` stops handing out wins, and the supervisor
-  respawns a pool slot under a fresh identity.
+  crossing the threshold quarantines the worker: ``/claim`` answers it
+  shutdown, and the supervisor respawns a pool slot under a fresh
+  identity.
 * **Poison points** — the lease layer's reaper consults
   ``poison_workers`` (see :func:`repro.service.lease.reap_shard`): a
   point whose attempts failed under that many *distinct* workers is the
@@ -44,30 +45,20 @@ import hashlib
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.harness.campaign import entry_fingerprint
 from repro.service.lease import PointTable
 from repro.utils.shards import atomic_write_json, quarantine_shard
 
 __all__ = ["IntegrityConfig", "IntegrityMonitor", "IntegrityViolation",
-           "WorkerReputation", "should_audit", "AUDIT_ACTIVE_STATUSES",
-           "REPUTATION_WEIGHTS"]
-
-# Audit sub-document statuses that still hold the campaign open.
-AUDIT_ACTIVE_STATUSES = ("pending", "running", "arbitrating")
+           "WorkerReputation", "should_audit", "REPUTATION_WEIGHTS"]
 
 # Rolling-score weights per reputation event kind.  A mismatch is direct
 # evidence of bad data; a crash or lease expiry is circumstantial (the
 # point itself may be pathological), so they weigh less.
 REPUTATION_WEIGHTS = {"mismatch": 4.0, "crash": 2.0, "lease_expired": 1.0}
-
-# Synthetic generation base for audit leases: keeps an audit run's
-# generation disjoint from any real claim generation of the point.
-_AUDIT_GENERATION_BASE = 1_000_000
-
-_MAX_AUDIT_ATTEMPTS = 3
 
 
 def should_audit(key: str, rate: float, seed: int = 0) -> bool:
@@ -170,26 +161,11 @@ class WorkerReputation:
             return dict(self._quarantined)
 
 
-@dataclass
-class AuditRecord:
-    """One sampled point's in-memory audit state."""
-
-    campaign: str
-    key: str
-    original_worker: str
-    original_fingerprint: str
-    status: str = "pending"   # -> running -> passed | arbitrating
-    #                            -> repaired | rejected | unresolved
-    audit_worker: Optional[str] = None
-    attempts: int = 0
-    generation: int = 0
-
-
 class IntegrityMonitor:
-    """The daemon's integrity brain: audit book + reputation + counters.
+    """The daemon's integrity brain: sampling, arbitration, reputation.
 
     Thread-safe; the daemon calls in from the HTTP handler threads
-    (sampling on completion, claim/renew/complete routing), the reaper
+    (sampling and audit verdicts on completion), the reaper
     (lease-expiry blame), and the supervisor (crash blame).
     ``run_config`` is the arbitration executor — ``RunConfig -> entry``;
     the default (installed by the daemon) simulates locally, tests
@@ -206,9 +182,7 @@ class IntegrityMonitor:
         self.reputation = WorkerReputation(
             threshold=self.config.quarantine_threshold,
             window=self.config.reputation_window)
-        self._records: Dict[Tuple[str, str], AuditRecord] = {}
-        self._lock = threading.RLock()
-        self._seq = 0
+        self._lock = threading.Lock()
         # Counters behind the repro_service_audit_* metrics.
         self.audits_scheduled = 0
         self.audits_passed = 0
@@ -221,7 +195,7 @@ class IntegrityMonitor:
     # ---------------------------------------------------------- sampling
     def consider(self, campaign: str, table: PointTable, key: str,
                  shard: Dict) -> bool:
-        """Maybe schedule one done point for audit; True when scheduled.
+        """Maybe give one done point a pending audit; True when sampled.
 
         Only worker-sourced completions are sampled: cache hits were
         verified when first computed, and audit completions are the
@@ -238,114 +212,20 @@ class IntegrityMonitor:
                             self.config.audit_seed):
             table.mark(key, "done", audit={"status": "skipped"})
             return False
-        record = AuditRecord(
-            campaign=campaign, key=key,
-            original_worker=str(shard.get("completed_by") or "?"),
-            original_fingerprint=entry_fingerprint(shard["entry"]))
         with self._lock:
-            if (campaign, key) in self._records:
-                return False
-            self._seq += 1
-            record.generation = _AUDIT_GENERATION_BASE + self._seq
-            self._records[(campaign, key)] = record
             self.audits_scheduled += 1
         table.mark(key, "done", audit={"status": "pending"})
         self._log(f"audit scheduled for {campaign}/{key} "
-                  f"(completed by {record.original_worker})")
+                  f"(completed by {shard.get('completed_by')})")
         return True
-
-    def adopt(self, campaign: str, table: PointTable) -> int:
-        """Re-adopt persisted audit state after a daemon restart.
-
-        ``pending``/``running``/``arbitrating`` audits restart from
-        ``pending`` — the in-flight execution (if any) will be fenced by
-        the monitor simply not knowing its worker.
-        """
-        adopted = 0
-        for key in table.keys:
-            shard = table.read_point(key) or {}
-            audit = shard.get("audit") or {}
-            if audit.get("status") not in AUDIT_ACTIVE_STATUSES:
-                continue
-            if shard.get("status") != "done" or shard.get("entry") is None:
-                continue
-            record = AuditRecord(
-                campaign=campaign, key=key,
-                original_worker=str(shard.get("completed_by") or "?"),
-                original_fingerprint=entry_fingerprint(shard["entry"]))
-            with self._lock:
-                if (campaign, key) in self._records:
-                    continue
-                self._seq += 1
-                record.generation = _AUDIT_GENERATION_BASE + self._seq
-                self._records[(campaign, key)] = record
-            table.mark(key, "done", audit={"status": "pending"})
-            adopted += 1
-        return adopted
-
-    # -------------------------------------------------------- assignment
-    def pending_audits(self, campaign: str) -> int:
-        """Audits still holding this campaign open (any active status)."""
-        with self._lock:
-            return sum(1 for (cid, _), r in self._records.items()
-                       if cid == campaign
-                       and r.status in AUDIT_ACTIVE_STATUSES)
-
-    def assignable(self, campaign: str, worker: str) -> bool:
-        """Is there a pending audit this worker may legally run?"""
-        if self.reputation.is_quarantined(worker):
-            return False
-        with self._lock:
-            return any(r.status == "pending" and r.original_worker != worker
-                       for (cid, _), r in self._records.items()
-                       if cid == campaign)
-
-    def assign(self, campaign: str, table: PointTable,
-               worker: str) -> Optional[Tuple[str, Dict]]:
-        """Hand one pending audit to ``worker``; ``(key, shard)`` or None.
-
-        The audit is pinned away from the original completer — a worker
-        cannot vouch for itself — and the returned shard carries
-        ``audit: true`` plus a synthetic generation, so a failure report
-        from the audit run can never match the point's own lease.
-        """
-        if self.reputation.is_quarantined(worker):
-            return None
-        with self._lock:
-            candidates = sorted(
-                (key for (cid, key), r in self._records.items()
-                 if cid == campaign and r.status == "pending"
-                 and r.original_worker != worker))
-            if not candidates:
-                return None
-            key = candidates[0]
-            record = self._records[(campaign, key)]
-            record.status = "running"
-            record.audit_worker = worker
-            record.attempts += 1
-            generation = record.generation
-        table.mark(key, "done", audit={"status": "running",
-                                       "worker": worker})
-        shard = {"key": key, "status": "done", "audit": True,
-                 "generation": generation, "worker": worker}
-        self._log(f"audit of {campaign}/{key} assigned to {worker}")
-        return key, shard
-
-    def audit_renew(self, campaign: str, key: str,
-                    worker: str) -> Optional[bool]:
-        """Route an audit-run renew: True ok, False fenced, None not ours."""
-        with self._lock:
-            record = self._records.get((campaign, key))
-            if record is None or record.status != "running":
-                return None
-            return record.audit_worker == worker
 
     # -------------------------------------------------------- completion
     def on_audit_complete(self, campaign: str, table: PointTable,
                           key: str, worker: str, entry: Dict,
                           cache=None, config=None,
                           arbitrate_async: bool = True) -> Optional[Dict]:
-        """Fold an audit run's result in; None when (cid, key) isn't ours.
+        """Fold an audit run's result in; None unless ``worker`` runs (or
+        ran) this point's audit.
 
         A fingerprint match closes the audit (``passed``).  A mismatch
         opens arbitration: a third, daemon-local execution votes, and
@@ -355,68 +235,57 @@ class IntegrityMonitor:
         repeat of the audit worker's publish gets its first answer again
         (flagged ``repeat``) and never re-arbitrates or re-scores anyone.
         """
-        with self._lock:
-            record = self._records.get((campaign, key))
-            if record is None or record.audit_worker != worker:
+        with table.lock:
+            shard = table.read_point(key) or {}
+            audit = shard.get("audit") or {}
+            if shard.get("status") != "done" or audit.get("worker") != worker:
                 # A late completion from some fenced-out third worker is
                 # not the audit vote; let first-done-wins dispose of it.
                 return None
-            if record.status != "running":
-                return {"audit": ("passed" if record.status == "passed"
+            if audit.get("status") != "running":
+                return {"audit": ("passed" if audit.get("status") == "passed"
                                   else "mismatch"), "repeat": True}
-            fingerprint = entry_fingerprint(entry)
-            if fingerprint == record.original_fingerprint:
-                record.status = "passed"
+            matched = (entry_fingerprint(entry)
+                       == entry_fingerprint(shard["entry"]))
+            table.mark(key, "done", audit={
+                "status": "passed" if matched else "arbitrating",
+                "worker": worker})
+        original_worker = str(shard.get("completed_by") or "?")
+        with self._lock:
+            if matched:
                 self.audits_passed += 1
-                matched = True
             else:
-                record.status = "arbitrating"
                 self.audit_mismatches += 1
-                matched = False
         if matched:
-            table.mark(key, "done", audit={"status": "passed",
-                                           "worker": worker})
             self._log(f"audit passed for {campaign}/{key} (by {worker})")
             return {"audit": "passed"}
-        table.mark(key, "done", audit={"status": "arbitrating",
-                                       "worker": worker})
         if self.events is not None:
-            self.events.audit_mismatch(campaign, key,
-                                       record.original_worker, worker)
+            self.events.audit_mismatch(campaign, key, original_worker,
+                                       worker)
         self._log(f"AUDIT MISMATCH on {campaign}/{key}: "
-                  f"{record.original_worker} vs {worker}; arbitrating")
+                  f"{original_worker} vs {worker}; arbitrating")
+        args = (campaign, table, key, original_worker, worker, entry,
+                cache, config)
         if arbitrate_async:
             threading.Thread(
-                target=self._arbitrate_safely,
-                args=(campaign, table, key, worker, entry, cache, config),
+                target=self._arbitrate_safely, args=args,
                 name=f"repro-arbitrate-{key[:12]}", daemon=True).start()
         else:
-            self._arbitrate_safely(campaign, table, key, worker, entry,
-                                   cache, config)
+            self._arbitrate_safely(*args)
         return {"audit": "mismatch"}
 
-    def on_audit_fail(self, campaign: str, table: PointTable,
-                      key: str, worker: str, error: str) -> Optional[Dict]:
-        """An audit run errored: requeue it (bounded) — not a mismatch.
-        None when the run is not ``worker``'s live audit (the point
-        table then fences the report)."""
-        with self._lock:
-            record = self._records.get((campaign, key))
-            if (record is None or record.status != "running"
-                    or record.audit_worker != worker):
-                return None
-            record.audit_worker = None
-            if record.attempts >= _MAX_AUDIT_ATTEMPTS:
-                record.status = "unresolved"
+    def audit_requeued(self, table: PointTable, key: str) -> Optional[str]:
+        """The audit status of ``key`` after its run failed or lapsed
+        (None unless the point is ``done``), counting an audit that used
+        its last run as ``unresolved``."""
+        shard = table.read_point(key) or {}
+        if shard.get("status") != "done":
+            return None
+        status = (shard.get("audit") or {}).get("status")
+        if status == "unresolved":
+            with self._lock:
                 self.audits_unresolved += 1
-                status = "unresolved"
-            else:
-                record.status = "pending"
-                status = "pending"
-        table.mark(key, "done", audit={"status": status, "error": error})
-        self._log(f"audit run of {campaign}/{key} failed on {worker} "
-                  f"({error}); {status}")
-        return {"audit": status}
+        return status
 
     # ------------------------------------------------------- arbitration
     def _arbitrate_safely(self, *args) -> None:
@@ -426,16 +295,12 @@ class IntegrityMonitor:
             self._log(f"arbitration error: {exc}")
 
     def _arbitrate(self, campaign: str, table: PointTable, key: str,
-                   audit_worker: str, audit_entry: Dict,
-                   cache=None, config=None) -> None:
+                   original_worker: str, audit_worker: str,
+                   audit_entry: Dict, cache=None, config=None) -> None:
         """Third execution + majority vote; repair or reject accordingly."""
-        with self._lock:
-            record = self._records.get((campaign, key))
-        if record is None:
-            return
         shard = table.read_point(key) or {}
         original_entry = shard.get("entry")
-        original_fp = record.original_fingerprint
+        original_fp = entry_fingerprint(original_entry)
         audit_fp = entry_fingerprint(audit_entry)
         tie_fp = None
         tie_error = None
@@ -447,7 +312,7 @@ class IntegrityMonitor:
 
         if tie_fp == audit_fp:
             verdict = "repaired"       # 2:1 against the original entry
-            loser_worker = record.original_worker
+            loser_worker = original_worker
             winner_entry, loser_entry = audit_entry, original_entry
         elif tie_fp == original_fp:
             verdict = "rejected"       # 2:1 against the audit entry
@@ -461,7 +326,7 @@ class IntegrityMonitor:
         report = {
             "kind": "integrity_violation",
             "campaign": campaign, "key": key, "verdict": verdict,
-            "original_worker": record.original_worker,
+            "original_worker": original_worker,
             "audit_worker": audit_worker,
             "original_fingerprint_sha256":
                 hashlib.sha256(original_fp.encode()).hexdigest(),
@@ -490,7 +355,7 @@ class IntegrityMonitor:
             repaired["entry"] = winner_entry
             repaired["completed_by"] = audit_worker
             repaired["source"] = "audit"
-            repaired["repaired_from"] = record.original_worker
+            repaired["repaired_from"] = original_worker
             repaired["audit"] = {"status": "repaired",
                                  "worker": audit_worker}
             table.write_point(key, repaired)
@@ -508,7 +373,6 @@ class IntegrityMonitor:
                           report, indent=1, sort_keys=True)
 
         with self._lock:
-            record.status = verdict
             if verdict == "repaired":
                 self.audits_repaired += 1
             elif verdict == "rejected":
@@ -548,7 +412,3 @@ class IntegrityMonitor:
                 "audits_unresolved": self.audits_unresolved,
                 "complete_rejects": self.complete_rejects,
             }
-
-    def records(self) -> List[AuditRecord]:
-        with self._lock:
-            return list(self._records.values())

@@ -42,6 +42,13 @@ The transitions are pure functions of a shard dict (``*_shard`` below);
   ``poison_distinct`` *distinct* workers the fault is the point's, not
   the fleet's, and it goes to the terminal ``poisoned`` status instead
   of requeueing forever.
+* **Audit runs are leases on done points.**  A sampled ``done`` point
+  carries an ``audit`` sub-document beside (never inside) its
+  ``entry``, so fingerprints do not move.  An audit run is claimed by a
+  worker other than the original completer, renewed, failed and reaped
+  through the same transitions as a point — a lapsed or failed run goes
+  back to ``pending`` until :data:`MAX_AUDIT_ATTEMPTS` — and counts as a
+  lease for the drain and the tenant quotas.
 
 The table is the single writer of its campaign's shards.  It is loaded
 once (:meth:`PointTable.load`); afterwards every transition runs under
@@ -60,10 +67,17 @@ from repro.harness.campaign import CampaignJournal
 from repro.obs.live import campaign_view
 
 __all__ = ["DEFAULT_LEASE_SECONDS", "LeaseLost", "PointTable", "claim_shard",
-           "renew_shard", "complete_shard", "fail_shard", "release_shard",
-           "reap_shard", "lease_fields", "APPLIED", "REPEAT", "STALE"]
+           "claim_audit_shard", "renew_shard", "complete_shard",
+           "fail_shard", "release_shard", "reap_shard", "lease_fields",
+           "APPLIED", "REPEAT", "STALE", "AUDIT_ACTIVE_STATUSES",
+           "MAX_AUDIT_ATTEMPTS"]
 
 DEFAULT_LEASE_SECONDS = 30.0
+
+# Audit sub-document statuses that still hold the campaign open, and the
+# runs one audit may take before it is left ``unresolved``.
+AUDIT_ACTIVE_STATUSES = ("pending", "running", "arbitrating")
+MAX_AUDIT_ATTEMPTS = 3
 
 # What a publish (:meth:`PointTable.complete` / :meth:`PointTable.fail`)
 # did: made the transition, found its own effect already recorded, or
@@ -148,6 +162,29 @@ def _holds(doc: Dict, worker: str, generation: Optional[int]) -> bool:
             and generation in (None, doc.get("generation", 0)))
 
 
+def _holds_audit(doc: Dict, worker: str) -> bool:
+    """Is ``worker`` running the audit of done point ``doc``?"""
+    audit = doc.get("audit") or {}
+    return (doc.get("status") == "done" and audit.get("status") == "running"
+            and audit.get("worker") == worker)
+
+
+def _requeue_audit(doc: Dict, error: str) -> Dict:
+    """A failed or lapsed audit run: ``pending`` again, or ``unresolved``
+    once it has had :data:`MAX_AUDIT_ATTEMPTS` runs."""
+    audit = _strip_lease(dict(doc["audit"]))
+    audit["status"] = ("pending" if int(audit.get("attempts", 0))
+                       < MAX_AUDIT_ATTEMPTS else "unresolved")
+    audit["error"] = error
+    return {**doc, "audit": audit}
+
+
+def _without_entry(doc: Dict) -> Dict:
+    """An audit run's claim answer: the auditor must not see the result
+    it is checking."""
+    return {k: v for k, v in doc.items() if k != "entry"}
+
+
 # ---------------------------------------------------------------------
 # Pure transitions: shard dict in, new shard dict (or a verdict) out.
 # ---------------------------------------------------------------------
@@ -164,14 +201,34 @@ def claim_shard(doc: Dict, worker: str, lease_seconds: float,
     return fields
 
 
+def claim_audit_shard(doc: Dict, worker: str, lease_seconds: float,
+                      now: float) -> Optional[Dict]:
+    """Audit ``pending -> running`` on a ``done`` point under ``worker``;
+    None unless pending, or if ``worker`` completed the point (a worker
+    cannot vouch for itself)."""
+    audit = doc.get("audit") or {}
+    if (doc.get("status") != "done" or audit.get("status") != "pending"
+            or doc.get("completed_by") == worker):
+        return None
+    audit = dict(audit, status="running",
+                 attempts=int(audit.get("attempts", 0)) + 1)
+    audit.pop("error", None)
+    audit.update(lease_fields(worker, lease_seconds, now))
+    return {**doc, "audit": audit}
+
+
 def renew_shard(doc: Optional[Dict], key: str, worker: str,
                 lease_seconds: float, now: float,
                 hb: Optional[Dict] = None) -> Dict:
-    """Extend ``worker``'s lease; raises :class:`LeaseLost` if not held.
+    """Extend ``worker``'s lease (on the point or on its audit run);
+    raises :class:`LeaseLost` if not held.
 
     ``hb`` (a :class:`~repro.obs.live.HeartbeatTicker` payload) is folded
     into the shard: for leased points the shard is the heartbeat channel.
     """
+    if doc is not None and _holds_audit(doc, worker):
+        return {**doc, "audit": {**doc["audit"],
+                                 **lease_fields(worker, lease_seconds, now)}}
     if doc is None or not _holds(doc, worker, None):
         raise LeaseLost(key, worker, holder=doc.get("worker") if doc else None)
     fields = dict(doc)
@@ -201,7 +258,10 @@ def complete_shard(doc: Dict, worker: str, entry: Dict,
 def fail_shard(doc: Dict, worker: str, error: str,
                generation: Optional[int] = None) -> Optional[Dict]:
     """Record a failed attempt (the reaper retries up to its cap); None
-    unless ``worker`` holds the point at ``generation`` (None: any)."""
+    unless ``worker`` holds the point at ``generation`` (None: any).  A
+    failed audit run requeues the audit; the point stays ``done``."""
+    if _holds_audit(doc, worker):
+        return _requeue_audit(doc, error)
     if not _holds(doc, worker, generation):
         return None
     fields = _strip_lease(dict(doc))
@@ -231,9 +291,19 @@ def reap_shard(doc: Dict, now: float, max_attempts: int = 0,
     * ``failed`` with ``attempts`` below ``max_attempts`` (0 disables) —
       requeue (``retry``);
     * either, with ``poison_distinct`` > 0 and that many distinct failed
-      workers — the terminal ``poisoned`` status instead.
+      workers — the terminal ``poisoned`` status instead;
+    * ``done`` with a running audit whose lease lapsed (or that has no
+      recorded expiry) — requeue the audit (``lease_expired``, blaming
+      the auditor).
     """
     status = doc.get("status")
+    if status == "done":
+        audit = doc.get("audit") or {}
+        if (audit.get("status") != "running"
+                or audit.get("lease_expires_unix", 0) >= now):
+            return None
+        return (_requeue_audit(doc, "lease expired"), "lease_expired",
+                audit.get("worker"))
     if status == "running":
         expires = doc.get("lease_expires_unix")
         if expires is None or expires >= now:
@@ -277,6 +347,7 @@ class PointTable:
         self._points: Dict[str, Dict] = {}
         self._counts: Dict[str, int] = {}
         self._live: Dict[str, None] = {}   # running/failed keys, in order
+        self._audits: Dict[str, None] = {}  # done keys with an active audit
         for point in manifest.get("points", ()):
             key = point["key"]
             if key not in self._points:
@@ -312,6 +383,10 @@ class PointTable:
             self._live[key] = None
         else:
             self._live.pop(key, None)
+        if (doc.get("audit") or {}).get("status") in AUDIT_ACTIVE_STATUSES:
+            self._audits[key] = None
+        else:
+            self._audits.pop(key, None)
 
     # ------------------------------------------------ journal surface
     def read_point(self, key: str) -> Optional[Dict]:
@@ -351,23 +426,48 @@ class PointTable:
                                           _now(now))
             return self.write_point(key, claimed) if claimed else None
 
-    def claim_next(self, worker: str,
-                   lease_seconds: float = DEFAULT_LEASE_SECONDS,
-                   now: Optional[float] = None
-                   ) -> Optional[Tuple[str, Dict]]:
-        """Claim the first pending point in manifest order — unless
-        ``worker`` already holds one here: a repeated claim (a retry whose
-        answer was lost, a duplicated delivery) gets that point back
-        instead of stranding it under a lease nobody will renew."""
+    def held(self, worker: str) -> Optional[Tuple[str, Dict]]:
+        """The point or audit run ``worker`` holds here, if any: a
+        repeated claim (a retry whose answer was lost, a duplicated
+        delivery) gets it back instead of stranding it under a lease
+        nobody will renew."""
         with self.lock:
             for key in self._live:
                 if _holds(self._points[key], worker, None):
                     return key, dict(self._points[key])
-            if not self._counts.get("pending"):
-                return None
+            for key in self._audits:
+                if _holds_audit(self._points[key], worker):
+                    return key, _without_entry(self._points[key])
+        return None
+
+    def claim_next(self, worker: str,
+                   lease_seconds: float = DEFAULT_LEASE_SECONDS,
+                   now: Optional[float] = None
+                   ) -> Optional[Tuple[str, Dict]]:
+        """Claim the first pending point in manifest order, unless
+        ``worker`` already :meth:`held` one here."""
+        with self.lock:
+            got = self.held(worker)
+            if got or not self._counts.get("pending"):
+                return got
             for key in self.keys:
                 if self._points[key].get("status", "pending") == "pending":
                     return key, self.claim(key, worker, lease_seconds, now)
+        return None
+
+    def claim_audit(self, worker: str,
+                    lease_seconds: float = DEFAULT_LEASE_SECONDS,
+                    now: Optional[float] = None
+                    ) -> Optional[Tuple[str, Dict]]:
+        """Lease the first pending audit ``worker`` may run: ``(key,
+        shard without its entry)`` or None."""
+        with self.lock:
+            for key in self._audits:
+                claimed = claim_audit_shard(self._points[key], worker,
+                                            lease_seconds, _now(now))
+                if claimed:
+                    return key, _without_entry(
+                        self.write_point(key, claimed))
         return None
 
     def renew(self, key: str, worker: str,
@@ -419,11 +519,12 @@ class PointTable:
 
     def reap(self, now: Optional[float] = None, max_attempts: int = 0,
              poison_distinct: int = 0) -> List[Reaped]:
-        """Apply :func:`reap_shard` to every running/failed point."""
+        """Apply :func:`reap_shard` to every running/failed point and
+        every active audit."""
         now = _now(now)
         reaped: List[Reaped] = []
         with self.lock:
-            for key in list(self._live):
+            for key in [*self._live, *self._audits]:
                 verdict = reap_shard(self._points[key], now, max_attempts,
                                      poison_distinct)
                 if verdict is not None:
@@ -435,20 +536,24 @@ class PointTable:
     # ----------------------------------------------------------- views
     def summary(self, now: Optional[float] = None, max_attempts: int = 0,
                 poison_distinct: int = 0
-                ) -> Tuple[Dict[str, int], int, int, int]:
-        """``(counts, leased, lease_expired, retrying)``.
+                ) -> Tuple[Dict[str, int], int, int, int, int]:
+        """``(counts, leased, lease_expired, retrying, audits)``.
 
+        Running audits count as leases like running points.
         ``retrying`` counts ``failed`` points the reaper still owes a
         verdict (retry budget left, or a poison verdict due): they are in
-        flight, not terminal.
+        flight, not terminal.  ``audits`` counts active audits, which
+        hold the campaign open.
         """
         now = _now(now)
         leased = expired = retrying = 0
         with self.lock:
-            for key in self._live:
+            for key in [*self._live, *self._audits]:
                 doc = self._points[key]
-                if doc.get("status") == "running":
-                    if doc.get("lease_expires_unix", now) < now:
+                lease = (doc["audit"] if doc.get("status") == "done"
+                         else doc)
+                if lease.get("status") == "running":
+                    if lease.get("lease_expires_unix", now) < now:
                         expired += 1
                     else:
                         leased += 1
@@ -456,7 +561,8 @@ class PointTable:
                                 poison_distinct) is not None:
                     retrying += 1
             counts = {s: n for s, n in self._counts.items() if n}
-        return counts, leased, expired, retrying
+            audits = len(self._audits)
+        return counts, leased, expired, retrying, audits
 
     def results(self) -> Dict[str, Dict]:
         """``key -> entry`` for every done point, in manifest order."""

@@ -8,19 +8,19 @@ through it under its lock.
 Scheduling model
 ----------------
 A campaign is submitted by a *tenant* with a *priority*.  Campaigns are
-*activated* (journal prepared, points claimable) up to a cap, and active
-campaigns are offered to pulling workers in **weighted fair order**: the
-tenant with the smallest ``leased / weight`` deficit goes first, ties
-break by priority (higher first) then submission order.  A tenant at its
-``max_leased`` quota is skipped entirely — its campaigns stay queued or
-idle-active while other tenants' workers proceed, which is exactly the
-isolation property the quotas exist to give.
+*activated* (journal prepared, points claimable) up to a cap, and
+:meth:`ServiceState.schedule` lists the active campaigns with work in
+**weighted fair order**: the tenant with the smallest ``leased /
+weight`` deficit goes first, ties break by priority (higher first) then
+submission order.  A tenant at its ``max_leased`` quota is skipped
+entirely — its campaigns stay queued or idle-active while other
+tenants' workers proceed, which is exactly the isolation property the
+quotas exist to give.
 
-Because workers *pull*, quota enforcement has a read-claim window; the
-state closes it with short-lived **offers**: every scheduling response
-counts against the tenant's quota for a few seconds (or until the
-point table shows the lease), so two workers racing the same quota slot
-cannot both be offered it.
+The daemon's ``/claim`` walks that order, leases, and folds the new
+lease back in (:meth:`ServiceState.refresh_counts`) within one hold of
+its lock, so the next claim already sees it: quotas are exact, with no
+window between reading the order and taking the lease.
 
 Back-pressure
 -------------
@@ -168,10 +168,10 @@ class CampaignRecord:
     status: str = "queued"   # queued -> active -> done|failed|cancelled
     total_points: int = 0
     counts: Dict[str, int] = field(default_factory=dict)
-    leased: int = 0          # running points with an unexpired lease
+    leased: int = 0          # unexpired leases: points and audit runs
     lease_expired: int = 0
     deduped: int = 0         # points served from the run cache at activation
-    audits_pending: int = 0  # integrity audits still holding us open
+    audits_pending: int = 0  # active integrity audits holding us open
     finished_unix: Optional[float] = None
     error: Optional[str] = None
 
@@ -203,19 +203,16 @@ class ServiceState:
                  max_queued_points: int = 100_000,
                  max_active_campaigns: int = 4,
                  retry_after: float = 5.0,
-                 offer_ttl: float = 2.0,
                  tenants: Optional[Dict[str, TenantPolicy]] = None,
                  default_policy: Optional[TenantPolicy] = None):
         self.known_workloads = set(known_workloads)
         self.max_queued_points = max_queued_points
         self.max_active_campaigns = max_active_campaigns
         self.retry_after = retry_after
-        self.offer_ttl = offer_ttl
         self.tenants = dict(tenants or {})
         self.default_policy = default_policy or TenantPolicy()
         self.campaigns: Dict[str, CampaignRecord] = {}
         self.peak_leased: Dict[str, int] = {}
-        self._offers: Dict[str, List[float]] = {}  # tenant -> offer deadlines
         self._seq = 0
         self._lock = threading.Lock()
 
@@ -292,20 +289,15 @@ class ServiceState:
             return record
 
     # -------------------------------------------------------- scheduling
-    def _tenant_leased_locked(self) -> Dict[str, float]:
-        now = time.monotonic()
-        leased: Dict[str, float] = {}
+    def _tenant_leased_locked(self) -> Dict[str, int]:
+        leased: Dict[str, int] = {}
         for c in self.campaigns.values():
             if c.status == "active":
                 leased[c.tenant] = leased.get(c.tenant, 0) + c.leased
-        for tenant, deadlines in self._offers.items():
-            live = [d for d in deadlines if d > now]
-            self._offers[tenant] = live
-            leased[tenant] = leased.get(tenant, 0) + len(live)
         return leased
 
     def _fair_order_locked(self, records: List[CampaignRecord],
-                           leased: Dict[str, float]) -> List[CampaignRecord]:
+                           leased: Dict[str, int]) -> List[CampaignRecord]:
         def sort_key(c: CampaignRecord):
             deficit = leased.get(c.tenant, 0) / max(
                 self.policy(c.tenant).weight, 1e-9)
@@ -325,13 +317,9 @@ class ServiceState:
             leased = self._tenant_leased_locked()
             return self._fair_order_locked(queued, leased)[:slots]
 
-    def schedule(self, offer: bool = True) -> List[CampaignRecord]:
-        """Active campaigns a worker may claim from, weighted-fair order.
-
-        Quota-capped tenants are filtered out; with ``offer`` each
-        returned campaign's tenant is charged one short-lived offer so
-        concurrent pollers cannot oversubscribe a quota slot.
-        """
+    def schedule(self) -> List[CampaignRecord]:
+        """Active campaigns with pending points or audits, in
+        weighted-fair order, skipping tenants at their quota."""
         with self._lock:
             leased = self._tenant_leased_locked()
             claimable = [c for c in self.campaigns.values()
@@ -341,13 +329,8 @@ class ServiceState:
             eligible = []
             for c in self._fair_order_locked(claimable, leased):
                 cap = self.policy(c.tenant).max_leased
-                if cap is not None and leased.get(c.tenant, 0) >= cap:
-                    continue
-                eligible.append(c)
-            if offer and eligible:
-                head = eligible[0]
-                self._offers.setdefault(head.tenant, []).append(
-                    time.monotonic() + self.offer_ttl)
+                if cap is None or leased.get(c.tenant, 0) < cap:
+                    eligible.append(c)
             return eligible
 
     # -------------------------------------------------------- refreshing
@@ -372,11 +355,6 @@ class ServiceState:
             if record is None:
                 return False
             finished_now = False
-            # A claim that landed turns its tenant's oldest offer into
-            # the lease it was for, so the quota slot frees as soon as
-            # that lease ends rather than when the offer times out.
-            del self._offers.get(record.tenant,
-                                 [])[:max(0, leased - record.leased)]
             record.counts = dict(counts)
             record.leased = leased
             record.lease_expired = lease_expired
@@ -392,12 +370,7 @@ class ServiceState:
                                      else "done")
                     record.finished_unix = round(time.time(), 3)
                     finished_now = True
-            tenant_leased: Dict[str, int] = {}
-            for c in self.campaigns.values():
-                if c.status == "active":
-                    tenant_leased[c.tenant] = (tenant_leased.get(c.tenant, 0)
-                                               + c.leased)
-            for tenant, n in tenant_leased.items():
+            for tenant, n in self._tenant_leased_locked().items():
                 if n > self.peak_leased.get(tenant, 0):
                     self.peak_leased[tenant] = n
             return finished_now

@@ -1,20 +1,20 @@
 """Pull-model campaign worker: claim, simulate, publish, repeat.
 
 One worker process runs one point at a time for a campaign daemon
-(``repro worker --connect URL``): it polls ``GET /schedule`` for which
-campaign to claim from next, claims a point with ``POST /claim``,
-simulates it with the lease renewed from the simulation heartbeat hook
-(so a healthy worker's lease never lapses and watchers see live progress
-in the point shard), publishes the result with ``/complete`` (or
-``/fail``), and claims the next.  :class:`RemoteJournal` is that
-protocol's client side.  A worker **never touches the campaign root** —
+(``repro worker --connect URL``): one ``POST /claim`` gets it a point or
+an audit run — the daemon picks the campaign — which it simulates with
+the lease renewed from the simulation heartbeat hook (so a healthy
+worker's lease never lapses and watchers see live progress in the point
+shard), publishes the result with ``/complete`` (or ``/fail``), and
+claims the next.  :class:`RemoteJournal` is that protocol's client
+side.  A worker **never touches the campaign root** —
 it is never even told the path — so worker hosts need no shared
 filesystem.  All HTTP goes through the resilient
 :class:`~repro.service.httpclient.ServiceClient` (retries, backoff,
 circuit breaker): a daemon restart or a flaky link degrades the worker
 to a breaker-paced reconnect loop instead of an exit.
 ``WorkerOptions.max_misses`` (0 = never) bounds how many consecutive
-failed schedule polls are tolerated before giving up.
+failed claims are tolerated before giving up.
 
 A worker that loses its lease mid-simulation (the reaper requeued it, or
 a resume fenced it out) gets :class:`~repro.service.lease.LeaseLost`
@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.simulator import RunConfig, simulate
-from repro.service.httpclient import (CircuitOpen, HttpStatusError, NotFound,
+from repro.service.httpclient import (CircuitOpen, HttpStatusError,
                                       ServiceClient, TransportError)
 from repro.service.lease import LeaseLost
 
@@ -61,10 +61,10 @@ class WorkerOptions:
 
     worker_id: str = ""
     heartbeat_interval: float = 1.0
-    poll_interval: float = 0.5     # idle wait between schedule polls
+    poll_interval: float = 0.5     # idle wait between empty claims
     max_idle_polls: int = 0        # 0 = poll forever (daemon pool mode)
     max_points: int = 0            # 0 = unbounded
-    max_misses: int = 0            # consecutive failed polls before exit
+    max_misses: int = 0            # consecutive failed claims before exit
     #                                (0 = never die: the circuit breaker
     #                                paces reconnection instead)
     cache_dir: Optional[str] = None
@@ -173,14 +173,12 @@ class _Injection:
 
 
 class RemoteJournal:
-    """The worker side of the daemon's lease protocol for one campaign.
+    """The worker side of the daemon's lease protocol.
 
     Error philosophy, per operation:
 
     * ``claim`` — transport errors propagate (the loop decides whether
-      to back off or move on); a 404 propagates as
-      :class:`~repro.service.httpclient.NotFound` so the loop can drop a
-      campaign the daemon no longer knows.
+      to back off or move on).
     * ``renew`` — only an authoritative ``409`` becomes
       :class:`LeaseLost`.  Transport errors are swallowed and counted
       (``renew_misses``): the daemon may requeue the point while we are
@@ -195,38 +193,42 @@ class RemoteJournal:
       bodies carry the full run-cache entry, so the daemon publishes to
       the journal *and* the shared cache on its side of the wire.
     * ``release_held`` — hands back exactly the points still held.
+
+    ``held`` maps each held key to the campaign and generation its claim
+    named; every later request for the key goes to that campaign.
     """
 
-    def __init__(self, client: ServiceClient, campaign_id: str,
-                 worker_id: str, publish_retry_seconds: float = 120.0,
-                 log=None):
+    def __init__(self, client: ServiceClient, worker_id: str,
+                 publish_retry_seconds: float = 120.0, log=None):
         self.client = client
-        self.campaign_id = campaign_id
         self.worker_id = worker_id
         self.publish_retry_seconds = publish_retry_seconds
-        self.held: set = set()
+        self.held: Dict[str, Tuple[str, int]] = {}
+        self.shutdown = False
         self.renew_misses = 0
         self.publish_retries = 0
-        self._generations: Dict[str, int] = {}
         self._log = log or (lambda msg: print(msg, file=sys.stderr,
                                               flush=True))
 
-    def _body(self, **fields) -> Dict:
-        return {"campaign": self.campaign_id, "worker": self.worker_id,
+    def _body(self, key: str, **fields) -> Dict:
+        campaign = self.held.get(key, (None, 0))[0]
+        return {"campaign": campaign, "worker": self.worker_id, "key": key,
                 **fields}
 
     def claim(self) -> Optional[Tuple[str, RunConfig, Dict]]:
-        """``(key, config, shard)`` for the point the daemon hands out,
-        or None when it has nothing for us.  A config that does not mint
+        """``(key, config, shard)`` for the point or audit run the daemon
+        hands out, or None when it has nothing for us (``shutdown`` is
+        then set if it asked us to exit).  A config that does not mint
         the claimed key is refused with ``/fail`` (its result would land
         under the wrong point); the retry cap bounds its comebacks."""
-        doc = self.client.post("/claim", self._body())
+        doc = self.client.post("/claim", {"worker": self.worker_id})
+        self.shutdown = bool(doc.get("shutdown"))
         key = doc.get("key")
         if not key:
             return None
         shard = doc.get("shard") or {}
-        self.held.add(key)
-        self._generations[key] = int(shard.get("generation", 0))
+        self.held[key] = (doc.get("campaign"),
+                          int(shard.get("generation", 0)))
         try:
             config = RunConfig.from_dict(doc["config"])
             minted = config.cache_key()
@@ -238,14 +240,14 @@ class RemoteJournal:
         return key, config, shard
 
     def renew(self, key: str, hb: Optional[Dict] = None) -> None:
-        body = self._body(key=key)
+        body = self._body(key)
         if hb is not None:
             body["hb"] = hb
         try:
             self.client.post("/renew", body)
         except HttpStatusError as exc:
             if exc.status == 409:
-                self.held.discard(key)
+                self.held.pop(key, None)
                 info = exc.json() or {}
                 raise LeaseLost(key, self.worker_id,
                                 holder=info.get("holder")) from exc
@@ -273,7 +275,7 @@ class RemoteJournal:
                  source: str = "worker") -> bool:
         try:
             doc = self._publish("/complete", self._body(
-                key=key, entry=entry, source=source))
+                key, entry=entry, source=source))
         except (TransportError, CircuitOpen, HttpStatusError) as exc:
             # The result is lost to us but not to the campaign: the
             # reaper requeues the point and a deterministic rerun
@@ -281,25 +283,24 @@ class RemoteJournal:
             self._log(f"publish of {key} failed ({exc}); "
                       "leaving it to the reaper")
             doc = {}
-        self.held.discard(key)
+        self.held.pop(key, None)
         return bool(doc.get("accepted"))
 
     def fail(self, key: str, error: str) -> None:
         try:
             self._publish("/fail", self._body(
-                key=key, error=error,
-                generation=self._generations.get(key, 0)))
+                key, error=error, generation=self.held.get(key, (0, 0))[1]))
         except (TransportError, CircuitOpen, HttpStatusError) as exc:
             self._log(f"fail-report of {key} not applied ({exc}); "
                       "the reaper will requeue it")
-        self.held.discard(key)
+        self.held.pop(key, None)
 
     def release_held(self) -> int:
         """Best-effort: hand back exactly what we still hold."""
         released = 0
         for key in sorted(self.held):
             try:
-                doc = self.client.post("/release", self._body(key=key))
+                doc = self.client.post("/release", self._body(key))
             except (TransportError, CircuitOpen, HttpStatusError):
                 continue  # the reaper covers what courtesy cannot
             if doc.get("released"):
@@ -380,14 +381,14 @@ def _run_point(transport, key: str, config: RunConfig,
 
 def work_service(base_url: str, options: Optional[WorkerOptions] = None
                  ) -> WorkerReport:
-    """Work for a daemon: poll ``/schedule``, claim one point, repeat.
+    """Work for a daemon: claim one point (or audit run), run it, repeat.
 
     The loop ends when the daemon asks (``{"shutdown": true}``),
-    ``max_idle_polls`` consecutive polls offer nothing (0 = never),
+    ``max_idle_polls`` consecutive claims get nothing (0 = never),
     ``max_points`` claims were made, or — only when ``max_misses`` is
-    nonzero — that many consecutive polls failed outright.  With the
+    nonzero — that many consecutive claims failed outright.  With the
     default ``max_misses=0`` an unreachable daemon never kills the
-    worker: the circuit breaker fails polls fast and the loop becomes a
+    worker: the circuit breaker fails claims fast and the loop becomes a
     slow reconnect loop until the daemon returns.
     """
     options = options or WorkerOptions()
@@ -399,92 +400,50 @@ def work_service(base_url: str, options: Optional[WorkerOptions] = None
         backoff=options.http_backoff,
         breaker_threshold=options.breaker_threshold,
         breaker_reset_seconds=options.breaker_reset_seconds)
-    remotes: Dict[str, RemoteJournal] = {}
+    remote = RemoteJournal(
+        client, options.worker_id,
+        publish_retry_seconds=options.publish_retry_seconds,
+        log=lambda msg: _log(options, msg))
     cache = RunCache(options.cache_dir) if options.cache_dir else None
     idle = 0
     misses = 0
-
-    def miss(why: str) -> bool:
-        """Count one failed poll; True when the loop should give up."""
-        nonlocal misses
-        misses += 1
-        if options.max_misses and misses >= options.max_misses:
-            _log(options, f"daemon unreachable ({why}) for {misses} "
-                          "consecutive polls; exiting")
-            return True
-        return False
-
-    while True:
-        if options.max_points and report.claimed >= options.max_points:
-            break
+    while not (options.max_points and report.claimed >= options.max_points):
         try:
-            doc = client.get(f"/schedule?worker={options.worker_id}"
-                             "&remote=1")
-        except CircuitOpen as exc:
-            if miss("circuit open"):
+            got = remote.claim()
+        except (CircuitOpen, TransportError, HttpStatusError) as exc:
+            misses += 1
+            if options.max_misses and misses >= options.max_misses:
+                _log(options, f"daemon unreachable ({exc}) for {misses} "
+                              "consecutive claims; exiting")
                 break
-            time.sleep(min(max(exc.retry_in, 0.05), 2.0))
-            continue
-        except (TransportError, HttpStatusError) as exc:
-            if miss(str(exc)):
-                break
-            time.sleep(options.poll_interval)
+            time.sleep(min(max(exc.retry_in, 0.05), 2.0)
+                       if isinstance(exc, CircuitOpen)
+                       else options.poll_interval)
             continue
         misses = 0
-        if doc.get("shutdown"):
+        if remote.shutdown:
             _log(options, "daemon asked for shutdown")
             break
-        cid = doc.get("campaign_id")
-        if not cid:
+        if got is None:
             idle += 1
             report.idle_polls += 1
             if options.max_idle_polls and idle >= options.max_idle_polls:
                 break
             time.sleep(options.poll_interval)
             continue
-        remote = remotes.get(cid)
-        if remote is None:
-            remote = RemoteJournal(
-                client, cid, options.worker_id,
-                publish_retry_seconds=options.publish_retry_seconds,
-                log=lambda msg: _log(options, msg))
-            remotes[cid] = remote
-        try:
-            got = remote.claim()
-        except NotFound:
-            # The campaign is authoritatively gone (daemon restarted
-            # without it, or it was deleted): drop it and move on.
-            _log(options, f"campaign {cid} gone; dropping it")
-            remotes.pop(cid, None)
-            continue
-        except CircuitOpen as exc:
-            if miss("circuit open"):
-                break
-            time.sleep(min(max(exc.retry_in, 0.05), 2.0))
-            continue
-        except (TransportError, HttpStatusError) as exc:
-            if miss(str(exc)):
-                break
-            time.sleep(options.poll_interval)
-            continue
-        if got is None:
-            # Lost every race (or the offer went stale): not idleness,
-            # just contention; poll again immediately.
-            continue
         idle = 0
         key, config, shard = got
         report.claimed += 1
+        cid = remote.held[key][0]
         if cid not in report.campaigns:
             report.campaigns.append(cid)
         injection.maybe_die(report.claimed)
         _run_point(remote, key, config, options, report, cache,
                    injection=injection, audit=bool(shard.get("audit")))
     # Courtesy: hand back exactly the points still held (normally none).
-    for remote in remotes.values():
-        report.released += remote.release_held()
+    report.released = remote.release_held()
     report.http_retries = client.stats.retries
     report.breaker_opens = client.stats.breaker_opens
-    report.renew_misses = sum(r.renew_misses for r in remotes.values())
-    report.publish_retries = sum(r.publish_retries
-                                 for r in remotes.values())
+    report.renew_misses = remote.renew_misses
+    report.publish_retries = remote.publish_retries
     return report

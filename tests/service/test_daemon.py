@@ -8,6 +8,8 @@ worker is killed mid-flight.
 """
 
 import json
+import pathlib
+import re
 import sys
 import threading
 import time
@@ -19,7 +21,7 @@ import pytest
 from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
                                     run_campaign)
 from repro.harness.runcache import RunCache
-from repro.service.daemon import CampaignService, ServiceConfig
+from repro.service.daemon import _INDEX, CampaignService, ServiceConfig
 from repro.service.queue import TenantPolicy, configs_from_spec
 from repro.service.worker import INJECT_ENV, WorkerOptions, work_service
 
@@ -27,6 +29,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 SPEC = {"workloads": ["astar", "perlbench"],
         "engines": ["baseline", "phelps"], "instructions": 1500}
+
+DOCS = pathlib.Path(__file__).resolve().parents[2] / "docs"
 
 
 def get(url, timeout=10.0):
@@ -92,6 +96,39 @@ class TestHTTPSurface:
                 with urllib.request.urlopen(svc.url + path,
                                             timeout=10) as resp:
                     assert resp.headers["Cache-Control"] == "no-store", path
+
+    def test_documented_routes_are_the_served_routes(self, tmp_path):
+        """The route table in docs/campaign-service.md, the daemon's
+        index page and the handler agree: every listed route is served,
+        and a deleted route (``GET /schedule``) answers the router's
+        404, so no document can keep an endpoint the code dropped."""
+        table = (DOCS / "campaign-service.md").read_text()
+        documented = {(method, path) for path, method in re.findall(
+            r"^\| `(/[^`]*)` \| (GET|POST|DELETE) \|", table, re.M)}
+        indexed = set(re.findall(r"^ +(GET|POST|DELETE) +(/\S*)", _INDEX,
+                                 re.M))
+        assert documented == indexed
+        assert ("POST", "/claim") in indexed and len(indexed) == 14
+
+        def first_line(method, path):
+            req = urllib.request.Request(
+                svc.url + path, method=method,
+                data=b"{}" if method == "POST" else None)
+            try:
+                with urllib.request.urlopen(req, timeout=10) as resp:
+                    return resp.readline()   # the SSE stream never ends
+            except urllib.error.HTTPError as exc:
+                return exc.read()
+
+        with CampaignService(quick_config(tmp_path)) as svc:
+            cid = activate(svc)
+            # The cancel goes last: it ends the campaign the rest read.
+            for method, path in sorted(indexed,
+                                       key=lambda r: r[0] == "DELETE"):
+                path = path.replace("<id>", cid)
+                assert first_line(method, path) != b"not found\n", path
+            assert first_line("GET", "/schedule?worker=w1") \
+                == b"not found\n"
 
     def test_back_pressure_returns_429_with_retry_after(self, tmp_path):
         config = quick_config(tmp_path, max_queued_points=5,
@@ -191,7 +228,8 @@ class TestWorkerPoolEndToEnd:
 
     def test_tenant_quota_caps_concurrent_leases(self, tmp_path):
         """A max_leased=1 tenant with two pool workers never holds two
-        leases at once, and its campaign still completes."""
+        leases at once, and its campaign still completes; the pool
+        workers schedule with /claim alone."""
         config = quick_config(
             tmp_path, workers=2,
             tenants={"small": TenantPolicy(max_leased=1)})
@@ -205,7 +243,76 @@ class TestWorkerPoolEndToEnd:
                 lambda: get(f"{svc.url}/campaigns/{cid}")[1].get(
                     "status") == "done",
                 what="quota-capped campaign to finish")
-            assert svc.state.peak_leased.get("small", 0) <= 1
+            assert svc.state.peak_leased.get("small", 0) == 1
+            assert "schedule" not in svc.http_requests
+            assert svc.http_requests["claim"] >= 4
+
+
+def claim(svc, worker):
+    return post(f"{svc.url}/claim", {"worker": worker})[1]
+
+
+class TestClaimScheduling:
+    """``/claim`` schedules and leases in one step under the daemon's
+    lock, so quotas are exact with no offer bookkeeping and no timers."""
+
+    def test_racing_claims_get_an_exact_quota(self, tmp_path):
+        """Four racers per round (more than the cores) on a max_leased=1
+        tenant: exactly one wins, and its completion frees the slot for
+        the next round at once."""
+        config = quick_config(tmp_path, lease_seconds=60.0,
+                              tenants={"small": TenantPolicy(max_leased=1)})
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the racers finely
+        try:
+            with CampaignService(config) as svc:
+                cid = activate(svc, {**SPEC, "tenant": "small"})
+                for round_no in range(4):
+                    won = self._race(svc, round_no)
+                    assert won["campaign"] == cid
+                    assert claim(svc, "late") == {"key": None}   # held
+                    code, doc, _ = post(f"{svc.url}/complete", {
+                        "campaign": cid, "worker": won["worker"],
+                        "key": won["key"], "entry": {
+                            "cycles": 1, "config": won["config"]}})
+                    assert (code, doc["accepted"]) == (200, True)
+                assert svc.state.get(cid).status == "done"
+                assert svc.state.peak_leased["small"] == 1
+        finally:
+            sys.setswitchinterval(switch)
+
+    @staticmethod
+    def _race(svc, round_no):
+        barrier = threading.Barrier(4)
+        answers = {}
+
+        def race(worker):
+            barrier.wait()
+            answers[worker] = claim(svc, worker)
+
+        threads = [threading.Thread(target=race, args=(f"r{round_no}.{i}",))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads), round_no
+        winners = [{**a, "worker": w} for w, a in answers.items() if a["key"]]
+        assert len(answers) == 4 and len(winners) == 1, (round_no, answers)
+        return winners[0]
+
+    def test_a_held_lease_is_answered_before_fair_order(self, tmp_path):
+        """A repeated claim returns the lease the worker holds in any
+        campaign, even when weighted fairness now prefers another."""
+        with CampaignService(quick_config(tmp_path)) as svc:
+            first = activate(svc, {**SPEC, "tenant": "a"})
+            held = claim(svc, "w1")
+            second = activate(svc, {**SPEC, "tenant": "b"})
+            # Tenant b holds no lease, so it is first in fair order now.
+            assert claim(svc, "w2")["campaign"] == second
+            again = claim(svc, "w1")
+            assert (again["campaign"], again["key"]) == (first, held["key"])
+            assert svc.state.get(first).leased == 1
 
 
 class TestRecovery:
@@ -260,11 +367,10 @@ class TestPointTable:
             table = svc._tables[cid]
             for round_no in range(200):
                 worker = f"w{round_no}"
-                status, claim = svc._lease_rpc(
-                    "claim", {"campaign": cid, "worker": worker})
-                assert status == 200 and claim["key"], claim
-                key = claim["key"]
-                generation = claim["shard"]["generation"]
+                status, answer = svc._lease_rpc("claim", {"worker": worker})
+                assert status == 200 and answer["key"], answer
+                key = answer["key"]
+                generation = answer["shard"]["generation"]
                 barrier = threading.Barrier(2)
                 out = {}
 
@@ -297,8 +403,9 @@ class TestPointTable:
 
     def test_daemon_reads_no_shard_after_activation(self, tmp_path,
                                                     monkeypatch):
-        """Once a campaign is active the daemon serves counts, schedule,
-        claims, completions, audits, results and its terminal status from
+        """Once a campaign is active the daemon serves counts, claims
+        (scheduling included), completions, audits, results and its
+        terminal status from
         memory: a booby-trapped ``read_point`` never fires while the
         campaign runs to completion (audits included)."""
         def trap(self, key):
@@ -322,7 +429,7 @@ class TestPointTable:
                 lambda: (lambda d: d if d["status"] in ("done", "failed")
                          else None)(get(f"{svc.url}/campaigns/{cid}")[1]),
                 timeout=120, what="campaign to finish")
-            svc.drain(drain_seconds=0)   # /schedule: shutdown
+            svc.drain(drain_seconds=0)   # /claim: shutdown
             for t in threads:
                 t.join(timeout=60)
             assert record["status"] == "done", record
@@ -344,7 +451,7 @@ class TestPointTable:
 
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = activate(svc)
-            svc._lease_rpc("claim", {"campaign": cid, "worker": "w1"})
+            svc._lease_rpc("claim", {"worker": "w1"})
             work_service(svc.url, WorkerOptions(
                 worker_id="w2", max_points=1, poll_interval=0.05,
                 log=False))

@@ -9,8 +9,8 @@ terminal ``poisoned`` status without stalling the rest of the sweep.
 
 import dataclasses
 import json
+import threading
 import time
-import urllib.request
 
 import pytest
 
@@ -163,18 +163,19 @@ class TestMonitorUnit:
         monitor = self._monitor()
         shard = self._done(journal, "p", "w1", {"cycles": 10})
         assert monitor.consider("c1", journal, "p", shard) is True
-        assert monitor.pending_audits("c1") == 1
-        # Pinned away from the original completer.
-        assert monitor.assign("c1", journal, "w1") is None
-        key, ashard = monitor.assign("c1", journal, "w2")
-        assert key == "p" and ashard["audit"] is True
-        assert ashard["generation"] >= 1_000_000
-        assert monitor.audit_renew("c1", "p", "w2") is True
-        assert monitor.audit_renew("c1", "p", "w9") is False
+        assert journal.summary(now=T0)[4] == 1   # holds the campaign open
+        # The audit run leases through the table, pinned away from the
+        # original completer.
+        assert journal.claim_audit("w1", now=T0) is None
+        key, ashard = journal.claim_audit("w2", now=T0)
+        assert key == "p" and ashard["audit"]["worker"] == "w2"
+        # Only the auditor's completion is the audit vote.
+        assert monitor.on_audit_complete(
+            "c1", journal, "p", "w9", {"cycles": 10}) is None
         verdict = monitor.on_audit_complete(
             "c1", journal, "p", "w2", {"cycles": 10})
         assert verdict == {"audit": "passed"}
-        assert monitor.pending_audits("c1") == 0
+        assert journal.summary(now=T0)[4] == 0
         assert journal.read_point("p")["audit"]["status"] == "passed"
         assert monitor.counters()["audits_passed"] == 1
 
@@ -186,7 +187,7 @@ class TestMonitorUnit:
         monitor.run_config = lambda config: good   # honest tie-breaker
         shard = self._done(journal, "p", "w1", bad)
         monitor.consider("c1", journal, "p", shard)
-        monitor.assign("c1", journal, "w2")
+        journal.claim_audit("w2", now=T0)
         verdict = monitor.on_audit_complete(
             "c1", journal, "p", "w2", good, config=object(),
             arbitrate_async=False)
@@ -217,7 +218,7 @@ class TestMonitorUnit:
         monitor.run_config = lambda config: good
         shard = self._done(journal, "p", "w1", good)
         monitor.consider("c1", journal, "p", shard)
-        monitor.assign("c1", journal, "w2")
+        journal.claim_audit("w2", now=T0)
         monitor.on_audit_complete("c1", journal, "p", "w2",
                                   {"cycles": 99}, config=object(),
                                   arbitrate_async=False)
@@ -233,7 +234,7 @@ class TestMonitorUnit:
         monitor = self._monitor()
         shard = self._done(journal, "p", "w1", {"cycles": 10})
         monitor.consider("c1", journal, "p", shard)
-        monitor.assign("c1", journal, "w2")
+        journal.claim_audit("w2", now=T0)
         assert monitor.on_audit_complete(
             "c1", journal, "p", "w3", {"cycles": 10}) is None
 
@@ -259,18 +260,20 @@ class TestMonitorUnit:
         assert monitor.consider("c1", journal, "q",
                                 journal.read_point("q")) is False
 
-    def test_adopt_restores_active_audits_after_restart(self, tmp_path):
+    def test_reloaded_table_restores_audit_leases(self, tmp_path):
         journal = make_journal(tmp_path)
         monitor = self._monitor()
         shard = self._done(journal, "p", "w1", {"cycles": 10})
         monitor.consider("c1", journal, "p", shard)
-        monitor.assign("c1", journal, "w2")   # in flight at "crash"
-        fresh = self._monitor()               # the restarted daemon
+        journal.claim_audit("w2", lease_seconds=10, now=T0)  # at "crash"
+        # The restarted daemon loads the audit lease like any other.
         reloaded = PointTable.load(CampaignJournal(journal.root))
-        assert fresh.adopt("c1", reloaded) == 1
-        assert fresh.pending_audits("c1") == 1
-        # Back to pending: the lost in-flight run is simply forgotten.
-        key, _ = fresh.assign("c1", reloaded, "w3")
+        assert reloaded.summary(now=T0 + 1)[1:] == (1, 0, 0, 1)
+        assert reloaded.held("w2")[0] == "p"
+        assert reloaded.claim_audit("w3", now=T0 + 1) is None
+        # Its auditor never comes back: the lease lapses and requeues.
+        assert reloaded.reap(now=T0 + 11) == [("p", "lease_expired", "w2")]
+        key, _ = reloaded.claim_audit("w3", now=T0 + 11)
         assert key == "p"
 
     def test_audit_subdocument_is_fingerprint_neutral(self, tmp_path):
@@ -283,7 +286,7 @@ class TestMonitorUnit:
         before = entry_fingerprint(entry)
         shard = self._done(journal, "p", "w1", entry)
         monitor.consider("c1", journal, "p", shard)
-        monitor.assign("c1", journal, "w2")
+        journal.claim_audit("w2", now=T0)
         monitor.on_audit_complete("c1", journal, "p", "w2", dict(entry))
         after = journal.read_point("p")
         assert after["audit"]["status"] == "passed"
@@ -315,8 +318,7 @@ class TestCompleteValidation:
             cid = doc["id"]
             wait_for(lambda: get(f"{svc.url}/campaigns/{cid}")[1].get(
                 "status") == "active", timeout=30, what="activation")
-            code, claim, _ = post(f"{svc.url}/claim",
-                                  {"campaign": cid, "worker": "w1"})
+            code, claim, _ = post(f"{svc.url}/claim", {"worker": "w1"})
             assert code == 200 and claim["key"]
             key = claim["key"]
             # An entry whose embedded config belongs to a different
@@ -332,11 +334,20 @@ class TestCompleteValidation:
             assert svc.integrity.complete_rejects == 1
             _, metrics = get(f"{svc.url}/metrics")
             assert "repro_service_complete_rejects_total 1" in metrics
-            # The honest completion (no embedded config to check, like
-            # the minimal test entries) still lands.
+            # An entry that embeds no config cannot be checked, so it
+            # is refused too: stripping the config is no way around it.
             code, body, _ = post(f"{svc.url}/complete",
                                  {"campaign": cid, "worker": "w1",
                                   "key": key, "entry": {"cycles": 1}})
+            assert (code, body["error"]) == (422, "entry_config_missing")
+            assert svc.integrity.complete_rejects == 2
+            assert svc._tables[cid].read_point(key)["status"] == "running"
+            # The honest completion still lands.
+            code, body, _ = post(f"{svc.url}/complete",
+                                 {"campaign": cid, "worker": "w1",
+                                  "key": key, "entry": {
+                                      "cycles": 1,
+                                      "config": claim["config"]}})
             assert code == 200 and body["accepted"] is True
 
     def test_truthful_embedded_config_is_accepted(self, tmp_path):
@@ -345,8 +356,7 @@ class TestCompleteValidation:
             cid = doc["id"]
             wait_for(lambda: get(f"{svc.url}/campaigns/{cid}")[1].get(
                 "status") == "active", timeout=30, what="activation")
-            _, claim, _ = post(f"{svc.url}/claim",
-                               {"campaign": cid, "worker": "w1"})
+            _, claim, _ = post(f"{svc.url}/claim", {"worker": "w1"})
             # The claim carries the full RunConfig.to_dict().
             key, config_doc = claim["key"], claim["config"]
             assert RunConfig.from_dict(config_doc).cache_key() == key
@@ -366,8 +376,7 @@ class TestCompleteValidation:
             cid = doc["id"]
             wait_for(lambda: get(f"{svc.url}/campaigns/{cid}")[1].get(
                 "status") == "active", timeout=30, what="activation")
-            _, claim, _ = post(f"{svc.url}/claim",
-                               {"campaign": cid, "worker": "w1"})
+            _, claim, _ = post(f"{svc.url}/claim", {"worker": "w1"})
             claimed = RunConfig.from_dict(claim["config"])
             other = dataclasses.replace(claimed,
                                         core=CoreConfig(pipeline_stages=19))
@@ -385,26 +394,28 @@ class TestRepeatedAuditPublish:
            "instructions": 1500}
 
     def _audited(self, svc):
-        """One point completed by w1 and its audit claimed by w2."""
+        """One point completed by w1 and its audit claimed by w2; the
+        entry both publish."""
         _, doc, _ = post(f"{svc.url}/campaigns", self.ONE)
         cid = doc["id"]
         wait_for(lambda: svc.state.get(cid).status == "active",
                  timeout=30, what="activation")
-        _, claim, _ = post(f"{svc.url}/claim", {"campaign": cid,
-                                                 "worker": "w1"})
+        _, claim, _ = post(f"{svc.url}/claim", {"worker": "w1"})
         key = claim["key"]
+        entry = {"cycles": 1, "config": claim["config"]}
         post(f"{svc.url}/complete", {"campaign": cid, "worker": "w1",
-                                     "key": key, "entry": {"cycles": 1}})
-        _, audit, _ = post(f"{svc.url}/claim", {"campaign": cid,
-                                                 "worker": "w2"})
-        assert (audit["key"], audit["audit"]) == (key, True)
+                                     "key": key, "entry": entry})
+        _, audit, _ = post(f"{svc.url}/claim", {"worker": "w2"})
+        assert (audit["campaign"], audit["key"], audit["audit"]) \
+            == (cid, key, True)
+        assert "entry" not in audit["shard"]   # the auditor is blind
         body = {"campaign": cid, "worker": "w2", "key": key,
                 "generation": audit["shard"]["generation"]}
-        return cid, key, body
+        return cid, key, body, entry
 
     def test_late_audit_fail_never_undoes_the_point(self, tmp_path):
         with CampaignService(quick_config(tmp_path, audit_rate=1.0)) as svc:
-            cid, key, body = self._audited(svc)
+            cid, key, body, entry = self._audited(svc)
             fail = {**body, "error": "boom"}
             code, doc, _ = post(f"{svc.url}/fail", fail)
             assert (code, doc["audit"]) == (200, "pending")
@@ -412,8 +423,7 @@ class TestRepeatedAuditPublish:
             # point table, which refuses to fail a done point.
             code, _doc, _ = post(f"{svc.url}/fail", fail)
             shard = svc._tables[cid].read_point(key)
-            assert (shard["status"], shard["entry"]) == ("done",
-                                                         {"cycles": 1})
+            assert (shard["status"], shard["entry"]) == ("done", entry)
             assert key in svc._tables[cid].results()
             assert code == 409
             assert svc.http_duplicates == 1
@@ -421,8 +431,8 @@ class TestRepeatedAuditPublish:
     def test_repeated_audit_complete_is_answered_not_rescored(
             self, tmp_path):
         with CampaignService(quick_config(tmp_path, audit_rate=1.0)) as svc:
-            cid, key, body = self._audited(svc)
-            done = {**body, "entry": {"cycles": 1}}
+            cid, key, body, entry = self._audited(svc)
+            done = {**body, "entry": entry}
             code, first, _ = post(f"{svc.url}/complete", done)
             assert (code, first["audit"]) == (200, "passed")
             code, again, _ = post(f"{svc.url}/complete", done)
@@ -432,6 +442,68 @@ class TestRepeatedAuditPublish:
             assert svc.http_duplicates == 1
 
 
+class TestAuditLeases:
+    """An audit run is a lease in the point table: a silent auditor is
+    reaped like a silent point worker, and a running audit holds the
+    drain like a leased point."""
+
+    LEASE = 60.0
+
+    def _audit_claimed(self, svc):
+        cid, key, body, entry = TestRepeatedAuditPublish()._audited(svc)
+        return cid, key, entry
+
+    def test_stranded_audit_is_reaped_and_runs_elsewhere(self, tmp_path):
+        config = quick_config(tmp_path, audit_rate=1.0,
+                              lease_seconds=self.LEASE)
+        with CampaignService(config) as svc:
+            cid, key, entry = self._audit_claimed(svc)   # w2 goes silent
+            assert svc.state.get(cid).leased == 1
+            reaped = svc._reap(now=time.time() + self.LEASE + 1)
+            assert reaped == [(cid, key, "lease_expired", "w2")]
+            audit = svc._tables[cid].read_point(key)["audit"]
+            assert audit["status"] == "pending" and "worker" not in audit
+            assert svc.lease_expirations == 1
+            assert svc.integrity.reputation.score("w2") == 1.0
+            assert svc.state.get(cid).status == "active"
+            # The completer may not audit itself; a third worker may.
+            _, claim, _ = post(f"{svc.url}/claim", {"worker": "w1"})
+            assert claim == {"key": None}
+            _, claim, _ = post(f"{svc.url}/claim", {"worker": "w3"})
+            assert (claim["key"], claim["audit"]) == (key, True)
+            code, doc, _ = post(f"{svc.url}/complete", {
+                "campaign": cid, "worker": "w3", "key": key,
+                "entry": entry})
+            assert (code, doc["audit"]) == (200, "passed")
+            assert svc.state.get(cid).status == "done"
+            assert svc.state.get(cid).audits_pending == 0
+
+    def test_running_audit_holds_the_drain(self, tmp_path):
+        config = quick_config(tmp_path, audit_rate=1.0,
+                              lease_seconds=self.LEASE)
+        with CampaignService(config) as svc:
+            cid, key, entry = self._audit_claimed(svc)
+            drain = threading.Thread(target=svc.drain,
+                                     kwargs={"drain_seconds": 60})
+            drain.start()
+            drain.join(timeout=0.5)
+            assert drain.is_alive(), "drain ignored the audit lease"
+            _, claim, _ = post(f"{svc.url}/claim", {"worker": "w3"})
+            assert claim == {"key": None, "shutdown": True}
+            # The audit run may still land while draining; then the
+            # drain ends, with nothing left to interrupt.
+            code, doc, _ = post(f"{svc.url}/complete", {
+                "campaign": cid, "worker": "w2", "key": key,
+                "entry": entry})
+            assert (code, doc["audit"]) == (200, "passed")
+            drain.join(timeout=10)
+            assert not drain.is_alive()
+            assert svc.state.get(cid).status == "done"
+            manifest = CampaignJournal(svc.state.get(cid).dir) \
+                .load_manifest()
+            assert not manifest.get("interruptions")
+
+
 class TestQuarantineStopsScheduling:
     def test_quarantined_worker_gets_no_schedule_or_claim(self, tmp_path):
         with CampaignService(quick_config(tmp_path)) as svc:
@@ -439,22 +511,21 @@ class TestQuarantineStopsScheduling:
             cid = doc["id"]
             wait_for(lambda: get(f"{svc.url}/campaigns/{cid}")[1].get(
                 "status") == "active", timeout=30, what="activation")
-            # Healthy worker: offered the campaign.
-            _, offer = get(f"{svc.url}/schedule?worker=wbad")
-            assert offer["campaign_id"] == cid
-            # Two mismatches cross the default 5.0 threshold.
+            # Healthy worker: handed a point.
+            _, claim, _ = post(f"{svc.url}/claim", {"worker": "wbad"})
+            assert (claim["campaign"], bool(claim["key"])) == (cid, True)
+            # Two mismatches cross the default 5.0 threshold: the one
+            # scheduling RPC answers shutdown, and there is no other.
             svc.integrity.record_misbehaviour("wbad", "mismatch")
             svc.integrity.record_misbehaviour("wbad", "mismatch")
-            _, offer = get(f"{svc.url}/schedule?worker=wbad")
-            assert offer.get("shutdown") is True
-            assert offer.get("quarantined") is True
-            code, claim, _ = post(f"{svc.url}/claim",
-                                  {"campaign": cid, "worker": "wbad"})
+            code, claim, _ = post(f"{svc.url}/claim", {"worker": "wbad"})
             assert code == 200
-            assert claim["key"] is None and claim["quarantined"] is True
+            assert claim == {"key": None, "shutdown": True,
+                             "quarantined": True}
+            assert get(f"{svc.url}/schedule?worker=wbad")[0] == 404
             # An innocent worker is unaffected.
-            _, offer = get(f"{svc.url}/schedule?worker=wgood")
-            assert offer["campaign_id"] == cid
+            _, claim, _ = post(f"{svc.url}/claim", {"worker": "wgood"})
+            assert (claim["campaign"], bool(claim["key"])) == (cid, True)
             _, metrics = get(f"{svc.url}/metrics")
             assert "repro_service_workers_quarantined 1" in metrics
             assert 'repro_service_worker_quarantined{worker="wbad"} 1' \
@@ -468,8 +539,8 @@ class TestAuditEndToEnd:
             self, tmp_path):
         """audit-rate 1.0 over an honest pool: every point re-executes
         on the other worker, every audit passes, nothing is rewritten,
-        and the campaign only goes terminal once the audit book is
-        empty."""
+        and the campaign only goes terminal once every audit has
+        resolved."""
         config = quick_config(tmp_path, workers=2, audit_rate=1.0)
         with CampaignService(config) as svc:
             wait_for(lambda: svc.live_workers() == 2, timeout=30,
@@ -596,8 +667,10 @@ class TestAuditEndToEnd:
 
 class TestRestartRecovery:
     def test_restarted_daemon_readopts_pending_audits(self, tmp_path):
-        """A campaign fully done but with its audit book still open must
-        come back 'active' after a restart, not terminal."""
+        """A campaign fully done but with an audit still running must
+        come back 'active' after a restart, not terminal: the point
+        table loads the audit lease from the shard, the reaper requeues
+        it once it lapses, and a pool worker runs it again."""
         config = quick_config(tmp_path, workers=2, audit_rate=1.0)
         with CampaignService(config) as svc:
             wait_for(lambda: svc.live_workers() == 2, timeout=30,
@@ -607,21 +680,28 @@ class TestRestartRecovery:
             wait_for(lambda: get(f"{svc.url}/campaigns/{cid}")[1].get(
                 "status") == "done", what="audited campaign")
         # Rewind one audit to a persisted in-flight state, as if the
-        # daemon died mid-audit.
+        # daemon died mid-audit and its auditor with it.
         journal = CampaignJournal(tmp_path / "svc" / cid)
         manifest = journal.load_manifest()
         key = manifest["points"][0]["key"]
-        journal.mark(key, "done", audit={"status": "running",
-                                         "worker": "svc-w0"})
+        journal.mark(key, "done", audit={
+            "status": "running", "worker": "svc-w0", "attempts": 1,
+            "lease_expires_unix": time.time() - 1})
         with CampaignService(quick_config(tmp_path, workers=2,
                                           audit_rate=1.0)) as svc2:
             status, record = get(f"{svc2.url}/campaigns/{cid}")
             assert status == 200
-            # Adopted open: the audit book holds it active until the
-            # re-adopted audit resolves again.
+            assert record["status"] == "active", record
             wait_for(lambda: get(f"{svc2.url}/campaigns/{cid}")[1].get(
                 "status") == "done", what="re-audited campaign")
             assert svc2.integrity.counters()["audits_passed"] >= 1
+            assert svc2.lease_expirations >= 1
+            assert svc2.integrity.reputation.score("svc-w0") == 1.0
+            _, results = get(f"{svc2.url}/campaigns/{cid}/results")
+        reference = run_campaign(configs_from_spec(SPEC), jobs=1)
+        assert {k: entry_fingerprint(v)
+                for k, v in results["results"].items()} \
+            == {k: entry_fingerprint(v) for k, v in reference.items()}
 
 
 class TestObservability:

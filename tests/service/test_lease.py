@@ -1,6 +1,6 @@
 """Lease-layer contracts on the point table: claiming, fencing,
-idempotent completion, expiry, retries, release, and the answers to
-repeated requests.
+idempotent completion, expiry, retries, release, audit-run leases, and
+the answers to repeated requests.
 
 Expiry is driven by an injected ``now`` — no test here sleeps.  Every
 transition must also be written through: the journal on disk always
@@ -10,8 +10,8 @@ equals the table in memory.
 import pytest
 
 from repro.harness.campaign import CampaignJournal
-from repro.service.lease import (APPLIED, REPEAT, STALE, LeaseLost,
-                                 PointTable)
+from repro.service.lease import (APPLIED, MAX_AUDIT_ATTEMPTS, REPEAT, STALE,
+                                 LeaseLost, PointTable)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -156,10 +156,10 @@ class TestLeaseExpiry:
         table.claim("b", "w1", lease_seconds=1, now=T0)
         table.claim("c", "w1", now=T0)
         table.fail("c", "w1", "boom")
-        counts, leased, expired, retrying = table.summary(
+        counts, leased, expired, retrying, audits = table.summary(
             now=T0 + 5, max_attempts=2)
         assert counts == {"running": 2, "failed": 1}
-        assert (leased, expired, retrying) == (1, 1, 1)
+        assert (leased, expired, retrying, audits) == (1, 1, 1, 0)
         assert table.summary(now=T0 + 5, max_attempts=1)[3] == 0
 
 
@@ -246,6 +246,62 @@ class TestFailFencing:
         assert table.fail("p", "w2", "boom", generation=0) == STALE
         assert on_disk(table, "p") == before
         assert before["failed_workers"] == ["w1"]
+
+
+def audited_table(tmp_path):
+    """Point "p" completed by w1 with a pending audit."""
+    table = make_table(tmp_path, keys=("p", "q"))
+    table.claim("p", "w1", now=T0)
+    table.complete("p", "w1", {"cycles": 10})
+    table.mark("p", "done", audit={"status": "pending"})
+    return table
+
+
+class TestAuditLease:
+    def test_audit_run_is_pinned_away_from_the_completer(self, tmp_path):
+        table = audited_table(tmp_path)
+        assert table.claim_audit("w1", now=T0) is None
+        key, shard = table.claim_audit("w2", lease_seconds=30, now=T0)
+        assert key == "p" and "entry" not in shard   # the auditor is blind
+        audit = on_disk(table, "p")["audit"]
+        assert (audit["status"], audit["worker"], audit["attempts"],
+                audit["lease_expires_unix"]) == ("running", "w2", 1, T0 + 30)
+        assert table.claim_audit("w3", now=T0) is None
+        # A repeated claim gets the held audit back, like a held point.
+        assert table.claim_next("w2", now=T0) == (key, shard)
+        assert table.read_point("q")["status"] == "pending"
+
+    def test_audit_lease_renews_counts_and_lapses(self, tmp_path):
+        table = audited_table(tmp_path)
+        table.claim_audit("w2", lease_seconds=10, now=T0)
+        table.renew("p", "w2", lease_seconds=10, now=T0 + 5)
+        with pytest.raises(LeaseLost):
+            table.renew("p", "w3", now=T0 + 5)
+        assert table.summary(now=T0 + 12)[1:] == (1, 0, 0, 1)
+        assert table.reap(now=T0 + 12) == []
+        assert table.summary(now=T0 + 20)[1:] == (0, 1, 0, 1)
+        assert table.reap(now=T0 + 20) == [("p", "lease_expired", "w2")]
+        doc = on_disk(table, "p")
+        assert doc["status"] == "done" and doc["entry"] == {"cycles": 10}
+        assert doc["audit"]["status"] == "pending"
+        assert "worker" not in doc["audit"]
+        assert doc.get("failed_workers") is None   # the point is not blamed
+        with pytest.raises(LeaseLost):
+            table.renew("p", "w2", now=T0 + 20)
+        assert table.claim_audit("w3", now=T0 + 20)[0] == "p"
+
+    def test_failed_audit_runs_requeue_up_to_the_cap(self, tmp_path):
+        table = audited_table(tmp_path)
+        for attempt in range(1, MAX_AUDIT_ATTEMPTS + 1):
+            table.claim_audit("w2", now=T0)
+            assert table.fail("p", "w2", "boom") == APPLIED
+            assert table.fail("p", "w2", "boom") == STALE   # not w2's now
+            audit = on_disk(table, "p")["audit"]
+            assert audit["attempts"] == attempt
+        assert audit["status"] == "unresolved"
+        assert table.claim_audit("w3", now=T0) is None
+        assert table.summary(now=T0)[4] == 0    # no longer holds it open
+        assert table.results() == {"p": {"cycles": 10}}
 
 
 class TestPrepareFencing:

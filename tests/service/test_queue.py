@@ -190,8 +190,7 @@ class TestScheduling:
     def test_weighted_fair_order_prefers_starved_tenant(self):
         state = make_state(
             tenants={"big": TenantPolicy(weight=1.0),
-                     "small": TenantPolicy(weight=1.0)},
-            offer_ttl=0.0)  # no offer accounting in this test
+                     "small": TenantPolicy(weight=1.0)})
         a = submit(state, tenant="big", workloads=("astar", "bfs"))
         b = submit(state, tenant="small", workloads=("astar", "bfs"))
         state.mark_active(a.id)
@@ -199,11 +198,11 @@ class TestScheduling:
         state.refresh_counts(a.id, {"pending": 1, "running": 1}, 1, 0)
         state.refresh_counts(b.id, {"pending": 2}, 0, 0)
         # big already holds a lease; small's deficit is lower.
-        assert [c.id for c in state.schedule(offer=False)] == [b.id, a.id]
+        assert [c.id for c in state.schedule()] == [b.id, a.id]
 
     def test_weight_scales_the_fair_share(self):
         state = make_state(
-            tenants={"heavy": TenantPolicy(weight=4.0)}, offer_ttl=0.0)
+            tenants={"heavy": TenantPolicy(weight=4.0)})
         a = submit(state, tenant="heavy", workloads=("astar", "bfs"))
         b = submit(state, tenant="light", workloads=("astar", "bfs"))
         state.mark_active(a.id)
@@ -211,51 +210,20 @@ class TestScheduling:
         state.refresh_counts(a.id, {"pending": 1, "running": 2}, 2, 0)
         state.refresh_counts(b.id, {"pending": 1, "running": 1}, 1, 0)
         # heavy: 2 leased / weight 4 = 0.5 < light: 1 / 1 = 1.0
-        assert [c.id for c in state.schedule(offer=False)] == [a.id, b.id]
+        assert [c.id for c in state.schedule()] == [a.id, b.id]
 
     def test_quota_capped_tenant_is_skipped(self):
         state = make_state(
-            tenants={"small": TenantPolicy(max_leased=1)}, offer_ttl=0.0)
+            tenants={"small": TenantPolicy(max_leased=1)})
         a = submit(state, tenant="small", workloads=("astar", "bfs"))
         b = submit(state, tenant="other")
         state.mark_active(a.id)
         state.mark_active(b.id)
         state.refresh_counts(a.id, {"pending": 1, "running": 1}, 1, 0)
         state.refresh_counts(b.id, {"pending": 1}, 0, 0)
-        eligible = [c.id for c in state.schedule(offer=False)]
+        eligible = [c.id for c in state.schedule()]
         assert a.id not in eligible   # at quota
         assert b.id in eligible       # other tenants proceed
-
-    def test_offers_close_the_read_claim_window(self):
-        """Two workers polling before either's claim shows in a journal
-        scan must not both be pointed at a quota-capped tenant."""
-        state = make_state(
-            tenants={"small": TenantPolicy(max_leased=1)}, offer_ttl=30.0)
-        a = submit(state, tenant="small", workloads=("astar", "bfs"))
-        b = submit(state, tenant="other")
-        state.mark_active(a.id)
-        state.mark_active(b.id)
-        state.refresh_counts(a.id, {"pending": 2}, 0, 0)
-        state.refresh_counts(b.id, {"pending": 1}, 0, 0)
-        first = state.schedule()
-        assert first[0].id == a.id    # small offered once...
-        second = state.schedule()
-        assert second[0].id == b.id   # ...then capped by its own offer
-
-    def test_a_landed_claim_turns_its_offer_into_the_lease(self):
-        """Once the offered claim shows as a lease, the offer stops
-        counting: when that lease ends the quota slot is free at once,
-        not when the offer would have timed out."""
-        state = make_state(
-            tenants={"small": TenantPolicy(max_leased=1)}, offer_ttl=30.0)
-        a = submit(state, tenant="small", workloads=("astar", "bfs"))
-        state.mark_active(a.id)
-        state.refresh_counts(a.id, {"pending": 2}, 0, 0)
-        assert [c.id for c in state.schedule()] == [a.id]
-        state.refresh_counts(a.id, {"pending": 1, "running": 1}, 1, 0)
-        assert state.schedule() == []             # the lease holds the slot
-        state.refresh_counts(a.id, {"pending": 1, "done": 1}, 0, 0)
-        assert [c.id for c in state.schedule()] == [a.id]
 
     def test_cancelled_campaigns_are_never_offered(self):
         state = make_state()

@@ -128,7 +128,7 @@ class TestLeaseProtocol:
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
-            remote = RemoteJournal(client, cid, "rw1")
+            remote = RemoteJournal(client, "rw1")
             got = remote.claim()
             assert got is not None
             key, config, shard = got
@@ -136,31 +136,34 @@ class TestLeaseProtocol:
             # stay content-addressed.
             assert config.cache_key() == key
             assert shard["worker"] == "rw1"
+            assert remote.held == {key: (cid, 0)}
             remote.renew(key, hb={"instructions": 10})
             doc = CampaignJournal(campaign_dir(svc, cid)).read_point(key)
             assert doc["hb"] == {"instructions": 10}
-            assert remote.complete(key, {"cycles": 123}) is True
+            assert remote.complete(key, {"cycles": 123,
+                                         "config": config.to_dict()}) is True
             doc = CampaignJournal(campaign_dir(svc, cid)).read_point(key)
             assert doc["status"] == "done"
             assert doc["completed_by"] == "rw1"
-            assert remote.held == set()
+            assert not remote.held
 
     def test_first_done_wins_over_http(self, tmp_path):
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
-            remote = RemoteJournal(client, cid, "rw1")
-            key, _config, _shard = remote.claim()
-            assert remote.complete(key, {"cycles": 1}) is True
+            remote = RemoteJournal(client, "rw1")
+            key, config, _shard = remote.claim()
+            entry = {"cycles": 1, "config": config.to_dict()}
+            assert remote.complete(key, entry) is True
             # A different worker re-completing the same point is refused
             # (first done wins; it is not a repeat of rw1's publish).
             code, doc = post(f"{svc.url}/complete",
                              {"campaign": cid, "worker": "rw2", "key": key,
-                              "entry": {"cycles": 999}})
+                              "entry": {**entry, "cycles": 999}})
             assert code == 200
             assert doc["accepted"] is False
             shard = CampaignJournal(campaign_dir(svc, cid)).read_point(key)
-            assert shard["entry"] == {"cycles": 1}
+            assert shard["entry"] == entry
 
     def test_claim_race_has_one_winner(self, tmp_path):
         """Two workers race the last pending point of a campaign; the
@@ -168,8 +171,8 @@ class TestLeaseProtocol:
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc, {**SPEC, "workloads": ["astar"],
                                             "engines": ["baseline"]})
-            remotes = [RemoteJournal(ServiceClient(svc.url, worker_id=w),
-                                     cid, w) for w in ("a", "b")]
+            remotes = [RemoteJournal(ServiceClient(svc.url, worker_id=w), w)
+                       for w in ("a", "b")]
             barrier = threading.Barrier(len(remotes))
             wins = {}
 
@@ -189,7 +192,7 @@ class TestLeaseProtocol:
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
-            remote = RemoteJournal(client, cid, "rw1")
+            remote = RemoteJournal(client, "rw1")
             key, _config, _shard = remote.claim()
             # The lease lapses unrenewed (an hour passes on the reaper's
             # clock); the reaper requeues it, and the next renew gets an
@@ -210,17 +213,18 @@ class TestLeaseProtocol:
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
-            remote = RemoteJournal(client, cid, "rw1")
-            key, _config, _shard = remote.claim()
+            remote = RemoteJournal(client, "rw1")
+            key, config, _shard = remote.claim()
+            entry = {"cycles": 7, "config": config.to_dict()}
             body = {"campaign": cid, "worker": "rw1", "key": key,
-                    "entry": {"cycles": 7}}
+                    "entry": entry}
             code, first = post(f"{svc.url}/complete", body)
             assert (code, first["accepted"]) == (200, True)
             code, repeat = post(f"{svc.url}/complete",
-                                {**body, "entry": {"cycles": 666}})
+                                {**body, "entry": {**entry, "cycles": 666}})
             assert (code, repeat) == (200, first)
             shard = CampaignJournal(campaign_dir(svc, cid)).read_point(key)
-            assert shard["entry"] == {"cycles": 7}
+            assert shard["entry"] == entry
             _status, metrics = get(f"{svc.url}/metrics")
             assert "repro_service_http_duplicates_total 1" in metrics
             assert "repro_service_http_requests_total" in metrics
@@ -231,11 +235,11 @@ class TestLeaseProtocol:
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
             old = RemoteJournal(ServiceClient(svc.url, worker_id="rw1"),
-                                cid, "rw1")
-            key, _config, _shard = old.claim()
+                                "rw1")
+            key, config, _shard = old.claim()
             svc._reap(now=time.time() + 3600)
             new = RemoteJournal(ServiceClient(svc.url, worker_id="rw2"),
-                                cid, "rw2")
+                                "rw2")
             assert new.claim()[0] == key
             stale = {"campaign": cid, "worker": "rw1", "key": key,
                      "error": "late", "generation": 0}
@@ -245,19 +249,20 @@ class TestLeaseProtocol:
             journal = CampaignJournal(campaign_dir(svc, cid))
             shard = journal.read_point(key)
             assert (shard["status"], shard["worker"]) == ("running", "rw2")
-            assert new.complete(key, {"cycles": 5}) is True
+            entry = {"cycles": 5, "config": config.to_dict()}
+            assert new.complete(key, entry) is True
             code, _doc = post(f"{svc.url}/fail", {**stale, "worker": "rw2",
                                                   "generation": 1})
             assert code == 409
             assert journal.read_point(key)["status"] == "done"
             _status, results = get(f"{svc.url}/campaigns/{cid}/results")
-            assert results["results"][key] == {"cycles": 5}
+            assert results["results"][key] == entry
 
     def test_release_returns_only_held_points(self, tmp_path):
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
-            remote = RemoteJournal(client, cid, "rw1")
+            remote = RemoteJournal(client, "rw1")
             key, _config, _shard = remote.claim()
             assert remote.release_held() == 1
             shard = CampaignJournal(campaign_dir(svc, cid)).read_point(key)
@@ -268,24 +273,25 @@ class TestLeaseProtocol:
 
     def test_unknown_campaign_is_404(self, tmp_path):
         with CampaignService(quick_config(tmp_path)) as svc:
-            code, doc = post(f"{svc.url}/claim",
-                             {"campaign": "c999", "worker": "x"})
-            assert code == 404
-            code, _doc = post(f"{svc.url}/renew",
-                              {"campaign": "c999", "worker": "x",
-                               "key": "k"})
-            assert code == 404
+            for op in ("renew", "complete", "fail", "release"):
+                code, doc = post(f"{svc.url}/{op}",
+                                 {"campaign": "c999", "worker": "x",
+                                  "key": "k"})
+                assert (code, doc["campaign"]) == (404, "c999"), op
+            # /claim names no campaign: with none active, it has nothing.
+            assert post(f"{svc.url}/claim", {"worker": "x"}) \
+                == (200, {"key": None})
 
-    def test_schedule_never_carries_a_path(self, tmp_path):
-        """Workers learn which campaign to claim from, never where it
-        lives (nor the key list: the daemon picks the point at /claim);
-        only the operator views show the directory."""
+    def test_claim_never_carries_a_path(self, tmp_path):
+        """Workers learn which campaign their point is in, never where it
+        lives (nor the key list: the daemon picks the point); only the
+        operator views show the directory."""
         with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
-            _status, sched = get(f"{svc.url}/schedule?worker=probe")
-            assert sched["campaign_id"] == cid
-            assert not {"dir", "cache_dir", "keys"} & set(sched)
-            assert str(tmp_path) not in json.dumps(sched)
+            _status, claim = post(f"{svc.url}/claim", {"worker": "probe"})
+            assert claim["campaign"] == cid
+            assert not {"dir", "cache_dir", "keys"} & set(claim)
+            assert str(tmp_path) not in json.dumps(claim)
             _status, record = get(f"{svc.url}/campaigns/{cid}")
             assert record["dir"] == str(campaign_dir(svc, cid))
 
@@ -353,7 +359,7 @@ class TestRemoteWorker:
             proxy.retarget("127.0.0.1", svc_b.port)
             wait_for(lambda: done() == 4, timeout=120,
                      what="campaign completion after restart")
-            svc_b.drain(drain_seconds=0)   # /schedule: shutdown
+            svc_b.drain(drain_seconds=0)   # /claim: shutdown
             thread.join(timeout=60)
             assert not thread.is_alive()
             report = report_box["report"]
@@ -371,7 +377,7 @@ class TestRemoteWorker:
 
     def test_drain_then_restart_resumes_bit_identically(self, tmp_path,
                                                         reference):
-        """SIGTERM semantics: drain stops offers/claims, waits for the
+        """SIGTERM semantics: drain stops claims, waits for the
         lease, records the interruption in the manifest, and a restarted
         daemon resumes the campaign to a bit-identical finish."""
         config = quick_config(tmp_path)
@@ -381,14 +387,11 @@ class TestRemoteWorker:
             cid = submit_and_activate(svc_a)
             root = campaign_dir(svc_a, cid)
             client = ServiceClient(svc_a.url, worker_id="rw1")
-            remote = RemoteJournal(client, cid, "rw1")
+            remote = RemoteJournal(client, "rw1")
             key, _config, _shard = remote.claim()
             svc_a.drain(drain_seconds=0.3)
-            _status, sched = get(f"{svc_a.url}/schedule?worker=probe")
-            assert sched.get("shutdown") is True
-            code, doc = post(f"{svc_a.url}/claim",
-                             {"campaign": cid, "worker": "rw2"})
-            assert (code, doc["key"], doc["draining"]) == (200, None, True)
+            code, doc = post(f"{svc_a.url}/claim", {"worker": "rw2"})
+            assert (code, doc) == (200, {"key": None, "shutdown": True})
             # Renew/complete stay served while draining.
             remote.renew(key)
             manifest = CampaignJournal(root).load_manifest()
@@ -411,7 +414,7 @@ class TestRemoteWorker:
             thread.start()
             wait_for(lambda: get(f"{svc_b.url}/campaigns/{cid}")[1]
                      ["status"] == "done", timeout=120, what="done")
-            svc_b.drain(drain_seconds=0)   # /schedule: shutdown
+            svc_b.drain(drain_seconds=0)   # /claim: shutdown
             thread.join(timeout=60)
             assert box["report"].completed == 4
             assert journal_fingerprints(root) == reference

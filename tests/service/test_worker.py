@@ -203,20 +203,23 @@ class TestClaimRefusal:
     ])
     def test_config_that_does_not_mint_the_key_is_failed(self, config):
         key = RunConfig(workload="astar").cache_key()
-        client = _ScriptedClient({"key": key, "shard": {}, "config": config})
-        remote = RemoteJournal(client, "c0001", "w1", log=lambda msg: None)
+        client = _ScriptedClient({"campaign": "c0001", "key": key,
+                                  "shard": {}, "config": config})
+        remote = RemoteJournal(client, "w1", log=lambda msg: None)
         assert remote.claim() is None
         path, body = client.posts[-1]
         assert path == "/fail" and body["key"] == key
+        assert body["campaign"] == "c0001"
         assert body["generation"] == 0     # the claimed generation fences it
         assert body["error"].startswith("ClaimRefused")
-        assert remote.held == set()
+        assert not remote.held
 
     def test_matching_config_is_run(self):
         config = RunConfig(workload="astar", core=CoreConfig(rob_size=320))
-        client = _ScriptedClient({"key": config.cache_key(), "shard": {},
+        client = _ScriptedClient({"campaign": "c0001",
+                                  "key": config.cache_key(), "shard": {},
                                   "config": config.to_dict()})
-        remote = RemoteJournal(client, "c0001", "w1", log=lambda msg: None)
+        remote = RemoteJournal(client, "w1", log=lambda msg: None)
         key, got, _ = remote.claim()
         assert key == config.cache_key() and got == config
-        assert [path for path, _ in client.posts] == ["/claim"]
+        assert client.posts == [("/claim", {"worker": "w1"})]
