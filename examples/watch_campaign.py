@@ -1,28 +1,27 @@
 #!/usr/bin/env python
 """Live-telemetry tour: run a small campaign and watch it from outside.
 
-Launches a journaled sweep in a background thread with fast heartbeats,
-serves it over the stdlib HTTP telemetry endpoint, and — from the
-*outside*, exactly like `repro watch` / a Prometheus scraper would —
-polls the live view while the simulation runs, printing the dashboard
-table and a couple of scraped gauges per frame.
+Launches a journaled sweep in a background thread with fast heartbeats
+and — from the *outside*, exactly like `repro watch DIR` would — reads
+the journal's point shards while the simulation runs, printing the
+dashboard table per frame.  Each worker heartbeat renews its point's
+lease and lands in that point's shard, so the journal is the only
+status book there is.
 
     python examples/watch_campaign.py [--dir /tmp/livecamp] [-n 20000]
 
 Everything here is observable after the fact too: point `repro watch`
-or `repro serve` at the campaign directory once this exits.
+at the campaign directory once this exits.
 """
 
 import argparse
-import json
 import tempfile
 import threading
 import time
-import urllib.request
 from pathlib import Path
 
 from repro.harness import CampaignJournal, RunConfig, run_campaign
-from repro.obs import TelemetryServer, live_view, read_live, render_watch
+from repro.obs.live import journal_view, render_watch
 
 
 def main() -> None:
@@ -43,30 +42,18 @@ def main() -> None:
         run_campaign(configs, journal=journal, jobs=args.jobs,
                      heartbeat_interval=0.2)
 
+    # The sweep runs in a thread only to keep the tour in one process.
     worker = threading.Thread(target=sweep, daemon=True)
     worker.start()
-
-    with TelemetryServer(root, interval=0.2) as srv:
-        print(f"campaign dir : {root}")
-        print(f"endpoint     : {srv.url}  (/metrics /campaign /live /stream)")
-        while worker.is_alive():
-            time.sleep(0.5)
-            doc = read_live(root)
-            if doc is None:  # sweep still preparing the journal
-                continue
-            view = live_view(doc, now=time.time())
+    print(f"campaign dir : {root}")
+    while worker.is_alive():
+        time.sleep(0.5)
+        view = journal_view(root)
+        if view is not None:  # None while the sweep writes the manifest
             print("\n" + render_watch(view))
-            with urllib.request.urlopen(srv.url + "/metrics",
-                                        timeout=5) as resp:
-                gauges = [line for line in resp.read().decode().splitlines()
-                          if line.startswith("repro_campaign_points")]
-            print("scraped      : " + "  ".join(gauges))
+    worker.join()
 
-        worker.join()
-        with urllib.request.urlopen(srv.url + "/campaign", timeout=5) as resp:
-            final = json.loads(resp.read().decode())
-
-    print(f"\nfinal statuses: {final['counts']}")
+    print(f"\nfinal statuses: {journal_view(root)['counts']}")
     print(f"replay the dashboard any time:  "
           f"python -m repro watch {root} --once")
 

@@ -12,9 +12,7 @@
     python -m repro sweep -w astar -e baseline phelps --manifest camp/
     python -m repro sweep --resume camp/
     python -m repro run astar -n 500000 --snapshot-interval 100000 --snapshot-dir snaps/
-    python -m repro sweep -w astar bfs -e baseline phelps --manifest camp/ --serve 8320
     python -m repro watch camp/
-    python -m repro serve camp/ --port 8320
     python -m repro audit camp/ --rate 0.25 --seed 7
     python -m repro perf --out BENCH_perf.json
     python -m repro perf --record            # append to benchmarks/perf_history/
@@ -32,7 +30,7 @@ import sys
 from repro.harness import (CampaignJournal, RunCache, RunConfig, ascii_table,
                            entry_from_result, epoch_table, interrupt_guard,
                            metrics_report, poll_interrupt, run_campaign,
-                           simulate, simulate_many)
+                           simulate)
 from repro.obs import ObserveConfig, write_chrome_trace
 from repro.utils.shards import atomic_write_json
 from repro.phelps import PhelpsConfig
@@ -47,7 +45,7 @@ _ENGINE_CHOICES = ["baseline", "perfbp", "phelps", "br", "br_nonspec", "br12",
 # argparse's usage-error code; 1 stays the generic failure.
 EXIT_HANG = 3            # forward-progress watchdog fired (SimulationHang)
 EXIT_DIVERGENCE = 4      # golden-model divergence (DivergenceError)
-EXIT_WORKER_FAILURE = 5  # simulate_many run failed every attempt
+EXIT_WORKER_FAILURE = 5  # a sweep point failed every attempt
 EXIT_INVARIANT = 6       # cycle-level sanitizer violation (InvariantViolation)
 EXIT_PERF_REGRESSION = 7 # perf --compare found a same-host regression
 EXIT_INTEGRITY = 8       # audit re-execution fingerprint-diverged from a
@@ -63,8 +61,8 @@ exit codes:
      commit for CoreConfig.watchdog_cycles cycles (SimulationHang)
   4  golden-model divergence: committed architectural state disagreed
      with the oracle functional executor (DivergenceError)
-  5  worker failure: a simulate_many run failed on every attempt
-     (SimulationFailed)
+  5  worker failure: a sweep point (or a point of run -w A B) failed
+     on every attempt (SimulationFailed)
   6  invariant violation: the cycle-level sanitizer found inconsistent
      microarchitectural state (InvariantViolation)
   7  perf regression: perf --compare found a same-host slowdown past the
@@ -103,16 +101,17 @@ def _metrics_payload(result) -> dict:
     }
 
 
-def _print_run_summary(result, verbose: bool = False) -> None:
-    s = result.stats
-    cfg = result.config
-    print(f"{cfg.workload} [{cfg.engine}] "
-          f"{s.retired:,} insts in {s.cycles:,} cycles "
-          f"({result.wall_seconds:.1f}s wall)")
-    print(f"  IPC {s.ipc:.3f}  MPKI {s.mpki:.2f}  "
-          f"mispredicts {s.mispredicts:,}  helper insts {s.helper_retired:,}")
-    if verbose and s.engine:
-        for k, v in s.engine.items():
+def _print_run_summary(entry: dict, verbose: bool = False) -> None:
+    """Summary of one result entry (:func:`entry_from_result`)."""
+    cfg = entry["config"]
+    print(f"{cfg['workload']} [{cfg['engine']}] "
+          f"{entry['retired']:,} insts in {entry['cycles']:,} cycles "
+          f"({entry['wall_seconds']:.1f}s wall)")
+    print(f"  IPC {entry['ipc']:.3f}  MPKI {entry['mpki']:.2f}  "
+          f"mispredicts {entry['mispredicts']:,}  "
+          f"helper insts {entry['helper_retired']:,}")
+    if verbose and entry["engine"]:
+        for k, v in entry["engine"].items():
             print(f"  {k}: {v}")
 
 
@@ -128,8 +127,10 @@ def _cmd_run(args) -> int:
                              snapshot_interval=args.snapshot_interval,
                              snapshot_dir=args.snapshot_dir)
                    for w in args.workloads]
-        for result in simulate_many(configs, jobs=args.jobs):
-            _print_run_summary(result, verbose=args.verbose)
+        entries = run_campaign(configs, jobs=args.jobs)
+        for config in configs:
+            _print_run_summary(entries[config.cache_key()],
+                               verbose=args.verbose)
         return 0
     workload = args.workloads[0]
     observe = bool(args.observe or args.metrics_json or args.trace_out
@@ -146,7 +147,7 @@ def _cmd_run(args) -> int:
     if result.resumed_at is not None:
         print(f"  resumed from snapshot at {result.resumed_at:,} retired "
               f"instructions ({args.snapshot_dir})")
-    _print_run_summary(result, verbose=args.verbose)
+    _print_run_summary(entry_from_result(result), verbose=args.verbose)
     if args.metrics_json:
         atomic_write_json(args.metrics_json, _metrics_payload(result),
                           indent=1, default=str)
@@ -229,26 +230,11 @@ def _cmd_sweep(args) -> int:
     print(f"sweep: {len(configs)} points (jobs={args.jobs or 'auto'}"
           + (f", journal={journal.root}" if journal is not None else "")
           + ")")
-    server = None
-    if args.serve is not None:
-        if journal is None:
-            print("sweep: --serve needs a campaign directory "
-                  "(--manifest or --resume)", file=sys.stderr)
-            return 2
-        from repro.obs.serve import TelemetryServer
-        server = TelemetryServer(journal.root, port=args.serve,
-                                 interval=args.heartbeat_interval).start()
-        print(f"sweep: telemetry at {server.url} "
-              f"(/metrics /campaign /live /stream)")
-    try:
-        entries = run_campaign(configs, journal=journal, cache=cache,
-                               jobs=args.jobs, timeout=args.timeout,
-                               progress=_progress if not args.quiet else None,
-                               spec=spec_doc,
-                               heartbeat_interval=args.heartbeat_interval)
-    finally:
-        if server is not None:
-            server.stop()
+    entries = run_campaign(configs, journal=journal, cache=cache,
+                           jobs=args.jobs, timeout=args.timeout,
+                           progress=_progress if not args.quiet else None,
+                           spec=spec_doc,
+                           heartbeat_interval=args.heartbeat_interval)
 
     # Speedup is against the first point of the same workload.
     rows, base = [], {}
@@ -446,46 +432,31 @@ def _cmd_perf(args) -> int:
     return 0
 
 
-def _remote_view(base_url: str):
-    """One dashboard frame fetched over HTTP: a ``repro serve`` telemetry
-    endpoint (``/live`` or ``/campaign``) or a campaign-service campaign
-    URL (``.../campaigns/<id>``) — whichever the URL turns out to be."""
+def _remote_view(url: str):
+    """One dashboard frame of a daemon campaign (``.../campaigns/<id>``),
+    or None when the URL answers no campaign view."""
     import json as json_mod
     import urllib.error
     import urllib.request
 
     from repro.obs.live import live_view
 
-    base = base_url.rstrip("/")
-
-    def get(path):
-        try:
-            with urllib.request.urlopen(base + path, timeout=10) as resp:
-                return json_mod.loads(resp.read().decode())
-        except (urllib.error.URLError, OSError, ValueError):
-            return None
-
-    doc = get("/live")
-    if doc is not None and doc.get("points") is not None:
-        return doc  # already a derived live view
-    for path in ("/campaign", ""):
-        doc = get(path)
-        if doc is not None and doc.get("points") is not None:
-            return live_view({
-                "schema": 1, "source": "remote",
-                "total": doc.get("total", len(doc["points"])),
-                "counts": doc.get("counts", {}),
-                "points": doc["points"],
-            })
-    return None
+    try:
+        with urllib.request.urlopen(url.rstrip("/"), timeout=10) as resp:
+            doc = json_mod.loads(resp.read().decode())
+    except (urllib.error.URLError, OSError, ValueError):
+        return None
+    if not isinstance(doc, dict) or doc.get("points") is None:
+        return None
+    return live_view(doc)
 
 
 def _cmd_watch(args) -> int:
-    """Terminal dashboard tailing a campaign's live.json (or journal),
-    or — with --connect — a remote telemetry/service endpoint."""
+    """Terminal dashboard over a campaign's point shards: a journal
+    directory, or — with --connect — a daemon campaign URL."""
     import time as time_mod
 
-    from repro.obs.live import journal_view, live_view, read_live, render_watch
+    from repro.obs.live import finished_count, journal_view, render_watch
 
     if not args.connect and not args.dir:
         print("watch: a campaign directory or --connect URL is required",
@@ -496,47 +467,23 @@ def _cmd_watch(args) -> int:
             return _remote_view(args.connect)
     else:
         def frame():
-            doc = read_live(args.dir)
-            if doc is not None:
-                return live_view(doc)
             return journal_view(args.dir)
 
     view = frame()
     if view is None:
         where = args.connect or args.dir
-        print(f"watch: no campaign at {where} "
-              f"(expected live.json/campaign.json or a telemetry URL)",
-              file=sys.stderr)
+        print(f"watch: no campaign at {where} (expected campaign.json or "
+              f"a .../campaigns/<id> URL)", file=sys.stderr)
         return 2
     while True:
         if not args.once:
             print("\x1b[2J\x1b[H", end="")  # clear screen, home cursor
         print(render_watch(view, limit=args.limit))
-        counts = view.get("counts") or {}
-        finished = counts.get("done", 0) + counts.get("failed", 0)
-        if args.once or (view.get("total") and finished >= view["total"]):
+        total = view.get("total")
+        if args.once or (total and finished_count(view) >= total):
             return 0
         time_mod.sleep(args.interval)
         view = frame() or view
-
-
-def _cmd_serve(args) -> int:
-    """Standalone telemetry endpoint over a campaign directory."""
-    import time as time_mod
-
-    from repro.obs.serve import TelemetryServer
-
-    server = TelemetryServer(args.dir, port=args.port,
-                             host=args.host, interval=args.interval).start()
-    print(f"serving {args.dir} at {server.url} "
-          f"(/metrics /campaign /live /stream; Ctrl-C stops)")
-    try:
-        while True:
-            time_mod.sleep(3600)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        server.stop()
 
 
 def _parse_tenants(specs):
@@ -890,21 +837,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (default: CPU count; "
                             "1 = serial in-process)")
     sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-run timeout in seconds (one retry)")
+                       help="per-attempt timeout in seconds; a timed-out "
+                            "attempt fails the point, which is retried "
+                            "once before the sweep exits 5")
     sweep.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="sharded run cache directory (one JSON file per "
                             "run key, e.g. benchmarks/results/cache)")
     sweep.add_argument("-q", "--quiet", action="store_true",
                        help="suppress per-run progress lines")
-    sweep.add_argument("--serve", type=int, metavar="PORT", default=None,
-                       help="serve live telemetry over HTTP while the "
-                            "sweep runs (/metrics, /campaign, /live, "
-                            "/stream; needs --manifest or --resume; "
-                            "port 0 = ephemeral)")
     sweep.add_argument("--heartbeat-interval", type=float, default=1.0,
                        metavar="SEC",
-                       help="worker progress-heartbeat cadence in seconds "
-                            "(drives live.json and the watch/serve views)")
+                       help="worker progress-heartbeat cadence in seconds; "
+                            "each heartbeat lands in the point's journal "
+                            "shard, where 'repro watch DIR' reads it")
     sweep.set_defaults(fn=_cmd_sweep)
 
     watch = sub.add_parser(
@@ -914,9 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign directory (the --manifest/"
                             "--resume DIR of a sweep)")
     watch.add_argument("--connect", metavar="URL", default=None,
-                       help="watch a remote campaign over HTTP instead of "
-                            "a directory: a 'repro serve' endpoint or a "
-                            "campaign-service .../campaigns/<id> URL")
+                       help="watch a campaign-service campaign over HTTP "
+                            "instead of a directory: its "
+                            ".../campaigns/<id> URL")
     watch.add_argument("--interval", type=float, default=1.0,
                        help="refresh period in seconds")
     watch.add_argument("--once", action="store_true",
@@ -925,18 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="truncate the point table to this many rows "
                             "(0 = all)")
     watch.set_defaults(fn=_cmd_watch)
-
-    serve = sub.add_parser(
-        "serve", help="HTTP telemetry endpoint over a campaign directory "
-                      "(Prometheus /metrics, /campaign JSON, SSE /stream)")
-    serve.add_argument("dir", help="campaign directory to serve")
-    serve.add_argument("--port", type=int, default=8320,
-                       help="listen port (0 = ephemeral, printed at start)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default loopback only)")
-    serve.add_argument("--interval", type=float, default=1.0,
-                       help="SSE frame period in seconds")
-    serve.set_defaults(fn=_cmd_serve)
 
     service = sub.add_parser(
         "service", help="campaign daemon: submit sweeps over HTTP, "

@@ -28,7 +28,7 @@ __all__ = ["ENGINE_FAULTS", "STORAGE_FAULTS", "WORKER_FAULTS",
 ENGINE_FAULTS = ("queue-flip", "queue-drop", "dbt-flip", "loop-table-drop")
 # Shard-store faults, workload-independent (run once per suite).
 STORAGE_FAULTS = ("runcache-truncate", "checkpoint-truncate")
-# Parallel-runner faults, workload-independent (run once per suite).
+# Local-sweep worker faults, workload-independent (run once per suite).
 WORKER_FAULTS = ("worker-kill", "worker-hang")
 
 
@@ -127,30 +127,34 @@ def _checkpoint_case(workload: str, seed: int, workdir: str) -> Dict:
     }
 
 
-def _worker_case(fault: str, workload: str) -> Dict:
-    from repro.harness.parallel import simulate_many
+def _worker_case(fault: str, workload: str, workdir: str) -> Dict:
+    from repro.harness.campaign import CampaignJournal, run_campaign
     from repro.harness.simulator import RunConfig
 
     configs = [RunConfig(workload=workload, max_instructions=1500),
                RunConfig(workload=workload, max_instructions=2000)]
+    journal = CampaignJournal(workdir)
     if fault == "worker-kill":
         with worker_fault_env("kill", [0]):
-            results = simulate_many(configs, jobs=2, retries=1, backoff=0.05)
+            entries = run_campaign(configs, journal=journal, jobs=2)
     else:
         with worker_fault_env("hang", [0], hang_seconds=120.0):
-            results = simulate_many(configs, jobs=2, retries=1, timeout=5.0,
-                                    backoff=0.05)
-    if results[0].attempts != 2 or not results[0].last_error:
+            entries = run_campaign(configs, journal=journal, jobs=2,
+                                   timeout=5.0)
+    faulted, clean = (journal.read_point(c.cache_key()) for c in configs)
+    if faulted["attempts_taken"] != 2 or not faulted.get("last_error"):
         raise RuntimeError(
-            f"retry not surfaced: attempts={results[0].attempts} "
-            f"last_error={results[0].last_error!r}")
-    if results[1].attempts != 1 or results[1].last_error:
-        raise RuntimeError("clean run carried retry metadata")
+            f"retry not journaled: attempts_taken="
+            f"{faulted['attempts_taken']} "
+            f"last_error={faulted.get('last_error')!r}")
+    if clean["attempts_taken"] != 1 or clean.get("last_error"):
+        raise RuntimeError("clean point carried retry provenance")
     return {
         "outcome": "recovered",
-        "details": {"attempts": results[0].attempts,
-                    "last_error": results[0].last_error,
-                    "cycles": results[0].stats.cycles},
+        "details": {"attempts_taken": faulted["attempts_taken"],
+                    "last_error": faulted["last_error"],
+                    "failed_workers": faulted["failed_workers"],
+                    "cycles": entries[configs[0].cache_key()]["cycles"]},
     }
 
 
@@ -188,7 +192,8 @@ def run_chaos_suite(workloads: List[str], instructions: int = 30_000,
         _run("checkpoint-truncate", first, _checkpoint_case, first, seed,
              workdir + "/checkpoints")
         for fault in WORKER_FAULTS:
-            _run(fault, first, _worker_case, fault, first)
+            _run(fault, first, _worker_case, fault, first,
+                 f"{workdir}/{fault}")
     finally:
         if own_dir:
             shutil.rmtree(workdir, ignore_errors=True)

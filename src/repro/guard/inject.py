@@ -19,8 +19,9 @@ Fault classes
 * :func:`truncate_file` — chop the tail off a RunCache / checkpoint shard,
   simulating a writer killed mid-write (stores must quarantine and heal).
 * :func:`worker_fault_env` — arm ``repro.harness.parallel`` workers to
-  die or hang via the ``REPRO_INJECT_WORKER`` environment hook
-  (``simulate_many`` must retry and surface ``attempts``).
+  die or hang via the ``REPRO_INJECT_WORKER`` environment hook (the
+  sweep must retry the point and journal ``attempts_taken`` and
+  ``last_error``).
 """
 
 import json

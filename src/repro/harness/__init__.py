@@ -1,13 +1,12 @@
-"""Simulation harness: run configuration, experiment sweeps, reporting."""
+"""Simulation harness: run configuration, campaigns, reporting."""
 
 from repro.harness.simulator import RunConfig, SimResult, simulate
-from repro.harness.experiment import compare_engines, speedup, sweep
+from repro.harness.experiment import compare_engines, speedup
 from repro.harness.parallel import (Progress, SimulationFailed,
                                     SweepInterrupted, interrupt_guard,
-                                    poll_interrupt, retry_delay,
-                                    simulate_many)
-from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
-                                    run_campaign)
+                                    poll_interrupt)
+from repro.harness.campaign import (CampaignJournal, activate,
+                                    entry_fingerprint, run_campaign)
 from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.reporting import (ascii_table, epoch_table, format_series,
                                      metrics_report)
@@ -21,21 +20,19 @@ __all__ = [
     "RunConfig",
     "SimResult",
     "simulate",
-    "simulate_many",
     "Progress",
     "SimulationFailed",
     "SweepInterrupted",
     "interrupt_guard",
     "poll_interrupt",
-    "retry_delay",
     "CampaignJournal",
+    "activate",
     "entry_fingerprint",
     "run_campaign",
     "RunCache",
     "entry_from_result",
     "compare_engines",
     "speedup",
-    "sweep",
     "ascii_table",
     "epoch_table",
     "format_series",

@@ -2,43 +2,38 @@
 
 A campaign is a set of :class:`RunConfig` points (a sweep cross product)
 with a write-ahead journal: one atomic JSON shard per point under the
-campaign directory, keyed by ``RunConfig.cache_key()`` and carrying a
-status machine::
+campaign directory, keyed by ``RunConfig.cache_key()``, moving through
+the point state machine of :mod:`repro.harness.lease`::
 
     pending -> running -> done
-                      \\-> failed
+                      \\-> failed -> pending (retry) | poisoned
 
-plus attempts provenance.  The journal is written *ahead* of the work
-(every point starts as a ``pending`` shard; a point flips to ``running``
-the moment its worker spawns and to ``done``/``failed`` the moment its
-result lands), so the journal is crash-consistent at every instant: after
-a SIGKILL, ``done`` points hold their full result entry, ``running``
-points are exactly the in-flight casualties to requeue, and nothing is
-ever half-written (shards use the :mod:`repro.utils.shards` atomic-write
-discipline; unreadable shards are quarantined to ``*.corrupt`` and
-requeued — only that point recomputes).
+The journal is written *ahead* of the work, so it is crash-consistent
+at every instant: after a SIGKILL, ``done`` points hold their full
+result entry, ``running`` points are exactly the in-flight casualties to
+requeue, and nothing is ever half-written (atomic shard writes;
+unreadable shards are quarantined to ``*.corrupt`` and only that point
+recomputes).
 
-``python -m repro sweep --resume <dir>`` rebuilds the point set from the
-manifest (``campaign.json``), skips ``done`` points, requeues
-``running``/``failed`` ones, and — because every simulation is
-deterministic — produces results bit-identical to an uninterrupted
-sweep.  :func:`entry_fingerprint` is the canonical "bit-identical"
-comparison: a result entry minus host-dependent wall-clock.
+:func:`activate` is the one way a point set becomes a live
+:class:`~repro.harness.lease.PointTable`, for the local sweep and the
+campaign daemon alike; :func:`run_campaign` drives the table with local
+worker processes.  Because every simulation is deterministic, a resumed
+sweep's results are bit-identical to an uninterrupted one's, as
+:func:`entry_fingerprint` (an entry minus wall-clock) compares them.
 """
 
 import json
 import pathlib
-import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.harness.parallel import (Progress, SweepInterrupted,
-                                    simulate_many)
-from repro.harness.runcache import entry_from_result
+from repro.harness.lease import PointTable
+from repro.harness.parallel import Progress, SweepInterrupted, run_points
 from repro.harness.simulator import RunConfig
-from repro.obs.live import LIVE_NAME, LiveStatus
 from repro.utils.shards import atomic_write_json, quarantine_shard
 
-__all__ = ["CampaignJournal", "entry_fingerprint", "run_campaign"]
+__all__ = ["CampaignJournal", "activate", "entry_fingerprint",
+           "run_campaign"]
 
 _SCHEMA = 1
 _MANIFEST = "campaign.json"
@@ -100,15 +95,6 @@ class CampaignJournal:
     def write_manifest(self, doc: Dict) -> None:
         atomic_write_json(self.manifest_path, doc, indent=1, sort_keys=True)
 
-    def note_interrupted(self, done: int, total: int) -> None:
-        """Append an interruption record to the manifest history."""
-        doc = self.load_manifest()
-        if doc is None:
-            return
-        doc.setdefault("interruptions", []).append(
-            {"done": done, "total": total, "unix": int(time.time())})
-        self.write_manifest(doc)
-
     # ----------------------------------------------------------- shards
     def read_point(self, key: str) -> Optional[Dict]:
         """The point's shard, or None (missing / quarantined = recompute).
@@ -149,7 +135,7 @@ class CampaignJournal:
         """Replace a point's shard wholesale (one atomic rename).
 
         Unlike :meth:`mark` nothing from the on-disk shard is merged
-        back in — the lease layer (:mod:`repro.service.lease`) uses this
+        back in — the lease layer (:mod:`repro.harness.lease`) uses this
         to *drop* stale lease fields when a point changes hands, which a
         merge could silently resurrect.
         """
@@ -159,19 +145,23 @@ class CampaignJournal:
         return doc
 
     def note_attempt(self, key: str) -> None:
-        """A worker just spawned for this point: running, attempts += 1."""
-        doc = self.read_point(key) or {"key": key, "attempts": 0}
-        self.mark(key, "running", attempts=int(doc.get("attempts", 0)) + 1)
+        # Nothing in src/ calls this (the point table claims points); it
+        # stays while perfbench's ``wrap_harness`` wraps it by name.
+        doc = self.read_point(key) or {}
+        self.mark(key, "running", attempts=doc.get("attempts", 0) + 1)
 
     # ------------------------------------------------------ preparation
     def prepare(self, configs: Sequence[RunConfig],
-                spec: Optional[Dict] = None) -> None:
-        """Write-ahead setup: manifest + a ``pending`` shard per point.
+                spec: Optional[Dict] = None
+                ) -> Tuple[Dict, Dict[str, Dict]]:
+        """Write-ahead setup: the manifest plus a ``pending`` shard for
+        every point that has none; returns ``(manifest, key -> shard)``
+        for every point the manifest names, each shard read once.
 
-        Idempotent, and the heart of resume: points already ``done`` are
-        left alone; points found ``running`` (in flight at a crash) or
-        ``failed`` are requeued to ``pending`` with a ``requeued`` marker
-        so their attempts provenance records the history.
+        Idempotent: points named again are not appended twice, and
+        existing shards are returned as they are — requeueing what a
+        previous run left ``running`` or ``failed`` is
+        :meth:`PointTable.resume`'s job.
         """
         manifest = self.load_manifest()
         points = [{"key": c.cache_key(), "workload": c.workload,
@@ -186,34 +176,46 @@ class CampaignJournal:
             if missing:
                 manifest["points"] = list(manifest.get("points", ())) + missing
                 self.write_manifest(manifest)
-        for point in points:
-            key = point["key"]
-            doc = self.read_point(key)
-            if doc is None:
-                self.mark(key, "pending")
-            elif doc.get("status") == "done" and doc.get("entry") is not None:
-                continue
-            elif doc.get("status") in ("running", "failed"):
-                # Strip any lease and bump the generation: a resume must
-                # fence out a worker that still thinks it owns the point
-                # (its renewals raise LeaseLost against the new shard).
-                requeued = {k: v for k, v in doc.items()
-                            if k not in ("worker", "lease_expires_unix",
-                                         "lease_renewed_unix", "hb",
-                                         "error")}
-                requeued["status"] = "pending"
-                requeued["requeued"] = True
-                requeued["generation"] = int(doc.get("generation", 0)) + 1
-                self.write_point(key, requeued)
-
-    def statuses(self) -> Dict[str, str]:
-        """``key -> status`` for every point named in the manifest."""
-        manifest = self.load_manifest() or {}
-        out: Dict[str, str] = {}
+        shards: Dict[str, Dict] = {}
         for point in manifest.get("points", ()):
-            doc = self.read_point(point["key"])
-            out[point["key"]] = doc.get("status", "pending") if doc else "pending"
-        return out
+            key = point["key"]
+            shards[key] = self.read_point(key) or self.write_point(
+                key, {"attempts": 0, "status": "pending"})
+        return manifest, shards
+
+
+def activate(journal: Optional[CampaignJournal],
+             configs: Sequence[RunConfig], spec: Optional[Dict] = None,
+             cache=None, lock=None) -> Tuple[PointTable, int]:
+    """Turn a point set into a live :class:`PointTable`; the one
+    activation the local sweep and the campaign daemon share.
+
+    Journals the manifest and ``pending`` shards (:meth:`CampaignJournal.
+    prepare`), loads the shards it read into the table, requeues what a
+    previous run left ``running`` or ``failed`` (:meth:`PointTable.
+    resume`), and marks every run-cache hit ``done`` (``source:
+    "cache"``).  Without a journal the table lives in memory only.
+    Returns ``(table, cache hits)``.
+    """
+    if journal is None:
+        manifest = {"points": [{"key": c.cache_key(), "workload": c.workload,
+                                "engine": c.engine} for c in configs]}
+        table = PointTable(None, manifest, {}, lock)
+    else:
+        manifest, shards = journal.prepare(configs, spec=spec)
+        table = PointTable(journal, manifest, shards, lock)
+        table.resume()
+    deduped = 0
+    if cache is not None:
+        for config in configs:
+            key = config.cache_key()
+            if table.read_point(key)["status"] == "done":
+                continue
+            hit = cache.get(config)
+            if hit is not None:
+                table.mark(key, "done", entry=hit, source="cache")
+                deduped += 1
+    return table, deduped
 
 
 def run_campaign(configs: Sequence[RunConfig],
@@ -225,129 +227,44 @@ def run_campaign(configs: Sequence[RunConfig],
                  progress: Optional[Callable[[Progress], None]] = None,
                  events=None,
                  spec: Optional[Dict] = None,
-                 live: Optional[LiveStatus] = None,
                  heartbeat_interval: float = 1.0) -> Dict[str, Dict]:
-    """Run a point set with journal + cache flushing; returns key -> entry.
+    """Run a point set through a point table; returns key -> entry.
 
-    The one sweep path for fresh runs, cache-warm reruns, and resumes:
+    The one sweep path for fresh runs, cache-warm reruns and resumes:
+    :func:`activate` skips journal ``done`` points and run-cache hits
+    (their stored entries are returned as-is — that is what makes a
+    resumed sweep bit-identical to an uninterrupted one), then
+    :func:`~repro.harness.parallel.run_points` simulates the rest, every
+    result written through to the journal shard and the cache the
+    moment it lands.  Worker heartbeats fold into the running point's
+    shard, where ``repro watch DIR`` reads them.
 
-    * journal ``done`` points and run-cache hits are *skipped* (their
-      stored entries are returned as-is — that is what makes a resumed
-      sweep bit-identical to an uninterrupted one);
-    * every completed run is flushed to the journal shard and the cache
-      the moment it finishes (``simulate_many``'s ``on_result``), never
-      batched at the end;
-    * on SIGINT/SIGTERM the :class:`SweepInterrupted` is re-raised with
-      campaign-level counts after an obs ``campaign_interrupted`` event
-      and a manifest interruption record.
-
-    ``journal``/``cache`` are both optional — with neither, this is a
-    plain ``simulate_many`` returning entries keyed by config.
-
-    Live telemetry: a journaled campaign automatically maintains
-    ``live.json`` beside the journal — worker heartbeats (every
-    ``heartbeat_interval`` seconds) and status transitions fold into one
-    atomically-published document that ``repro watch`` / ``repro serve``
-    tail.  Pass ``live`` to use a pre-built :class:`~repro.obs.live.
-    LiveStatus` (e.g. at a custom path); telemetry is skipped entirely
-    when there is no journal and no explicit ``live``.
+    A point whose ``retries + 1`` attempts all fail raises
+    :class:`~repro.harness.parallel.SimulationFailed`.  On
+    SIGINT/SIGTERM the :class:`SweepInterrupted` is re-raised with
+    campaign-level counts after an obs ``campaign_interrupted`` event
+    and a manifest interruption record.  ``journal``/``cache`` are both
+    optional: with neither, the table lives in memory.
     """
     configs = list(configs)
-    keys = [c.cache_key() for c in configs]
-    total = len(configs)
-    entries: Dict[str, Dict] = {}
-
-    if live is None and journal is not None:
-        live = LiveStatus(journal.root / LIVE_NAME,
-                          interval=heartbeat_interval)
-    if live is not None:
-        for config, key in zip(configs, keys):
-            live.point(key, config.workload, config.engine)
-
-    if journal is not None:
-        journal.prepare(configs, spec=spec)
-        for key in keys:
-            doc = journal.read_point(key)
-            if doc and doc.get("status") == "done" and doc.get("entry") is not None:
-                entries[key] = doc["entry"]
-                if live is not None:
-                    live.mark(key, "done",
-                              wall_seconds=doc["entry"].get("wall_seconds"))
-
-    to_run: List[int] = []
-    for i, (config, key) in enumerate(zip(configs, keys)):
-        if key in entries:
-            continue
-        if cache is not None:
-            hit = cache.get(config)
-            if hit is not None:
-                entries[key] = hit
-                if journal is not None:
-                    journal.mark(key, "done", entry=hit, source="cache")
-                if live is not None:
-                    live.mark(key, "done",
-                              wall_seconds=hit.get("wall_seconds"))
-                continue
-        to_run.append(i)
-
-    if live is not None:
-        live.write(force=True)
-    if not to_run:
-        return entries
-
-    run_configs = [configs[i] for i in to_run]
-    run_keys = [keys[i] for i in to_run]
-
-    def _progress(p: Progress) -> None:
-        key = run_keys[p.index]
-        if journal is not None:
-            if p.kind in ("start", "retry"):
-                journal.note_attempt(key)
-            elif p.kind == "failed":
-                journal.mark(key, "failed", error=p.error)
-        if live is not None:
-            if p.kind in ("start", "retry"):
-                live.mark(key, "running")
-            elif p.kind == "failed":
-                live.mark(key, "failed", error=p.error,
-                          wall_seconds=p.wall_seconds)
-            elif p.kind == "done":
-                live.mark(key, "done", wall_seconds=p.wall_seconds)
-            live.write()
-        if progress is not None:
-            progress(p)
-
-    def _on_result(index: int, result) -> None:
-        key = run_keys[index]
-        entry = entry_from_result(result)
-        entries[key] = entry
-        if cache is not None:
-            cache.put(run_configs[index], entry)
-        if journal is not None:
-            journal.mark(key, "done", entry=entry,
-                         attempts_taken=result.attempts,
-                         last_error=result.last_error)
-
-    heartbeat = None
-    if live is not None:
-        def heartbeat(index: int, payload: Dict) -> None:
-            live.beat(run_keys[index], payload)
-            live.write()
-
+    table, _ = activate(journal, configs, spec=spec, cache=cache)
+    points = {}
+    for index, config in enumerate(configs):
+        points.setdefault(config.cache_key(), (index, config))
+    stray = [k for k in table.keys if k not in points
+             and table.read_point(k)["status"] != "done"]
+    if stray:
+        raise ValueError(f"journal {journal.root} names {len(stray)} "
+                         f"unfinished point(s) this run does not: "
+                         f"{', '.join(stray[:3])}")
     try:
-        simulate_many(run_configs, jobs=jobs, timeout=timeout,
-                      retries=retries, progress=_progress,
-                      on_result=_on_result, heartbeat=heartbeat,
-                      heartbeat_interval=heartbeat_interval)
+        run_points(table, points, jobs=jobs, timeout=timeout,
+                   retries=retries, progress=progress, cache=cache,
+                   heartbeat_interval=heartbeat_interval)
     except SweepInterrupted:
-        done = len(entries)
+        done = sum(1 for k in table.results() if k in points)
         if events is not None:
-            events.campaign_interrupted(done, total)
-        if journal is not None:
-            journal.note_interrupted(done, total)
-        if live is not None:
-            live.write(force=True)
-        raise SweepInterrupted(done, total) from None
-    if live is not None:
-        live.write(force=True)
-    return entries
+            events.campaign_interrupted(done, len(points))
+        table.note_interrupted(done, len(points))
+        raise SweepInterrupted(done, len(points)) from None
+    return {k: e for k, e in table.results().items() if k in points}

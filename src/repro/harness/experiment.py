@@ -1,7 +1,8 @@
-"""Experiment sweeps used by the figure/table benchmarks."""
+"""Engine comparisons of one workload (``repro compare``); sweeps of many
+points run as campaigns (:func:`~repro.harness.campaign.run_campaign`)."""
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.harness.simulator import RunConfig, SimResult, simulate
 
@@ -37,12 +38,3 @@ def mpki_reduction(result: SimResult, baseline: SimResult) -> float:
     if baseline.mpki <= 0:
         return 0.0
     return 1.0 - result.mpki / baseline.mpki
-
-
-def sweep(workloads: Iterable[str], engines: Iterable[str],
-          max_instructions: int = 120_000) -> Dict[str, Dict[str, SimResult]]:
-    """Full cross product used by Fig. 12a-style experiments."""
-    return {
-        w: compare_engines(w, engines, max_instructions=max_instructions)
-        for w in workloads
-    }

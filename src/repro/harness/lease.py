@@ -1,4 +1,4 @@
-"""Lease layer: the point state machine and the daemon's point table.
+"""Lease layer: the point state machine and the campaign point table.
 
 Every campaign point is one journal shard (the
 :class:`~repro.harness.campaign.CampaignJournal` format) moving through::
@@ -8,7 +8,10 @@ Every campaign point is one journal shard (the
     running -> pending (lease expired / released) | poisoned
 
 The transitions are pure functions of a shard dict (``*_shard`` below);
-:class:`PointTable` applies them to one campaign held in memory:
+:class:`PointTable` applies them to one campaign held in memory.  The
+campaign daemon drives a table for every active campaign, and the local
+``sweep`` (:func:`~repro.harness.campaign.run_campaign`) drives one with
+local worker processes, so a point moves the same way on both paths:
 
 * **Claiming** is generation-scoped.  Every shard carries a
   ``generation`` counter, bumped on every requeue; only a ``pending``
@@ -21,7 +24,11 @@ The transitions are pure functions of a shard dict (``*_shard`` below);
   point instead of fighting the new owner.
 * **The reaper** (:meth:`PointTable.reap`) requeues points whose lease
   lapsed — SIGKILLed workers lose their in-flight work but never strand
-  it — and retries failed points up to a cap.
+  it — and retries failed points up to a cap, keeping the failed
+  attempt's error as ``last_error``.
+* **Resume fences.**  :meth:`PointTable.resume` requeues every point a
+  previous run left ``running`` or ``failed`` with a generation bump, so
+  a worker that still thinks it owns one gets :class:`LeaseLost`.
 * **Completion is idempotent.**  Simulations are deterministic, so a
   worker whose lease was stolen may still finish and publish: the first
   ``done`` wins and every later completion is a no-op.
@@ -51,19 +58,20 @@ The transitions are pure functions of a shard dict (``*_shard`` below);
   lease for the drain and the tenant quotas.
 
 The table is the single writer of its campaign's shards.  It is loaded
-once (:meth:`PointTable.load`); afterwards every transition runs under
-one lock, updates the in-memory shard and writes it through with
+once (:func:`~repro.harness.campaign.activate`, or :meth:`PointTable.load`
+on daemon recovery); afterwards every transition runs under one lock,
+updates the in-memory shard and writes it through with
 :meth:`~repro.harness.campaign.CampaignJournal.write_point` before
 returning, so the files stay exactly what ``sweep --resume``,
 ``repro watch`` and a restarted daemon read — and the table never reads
-them again.
+them again.  A table without a journal (a sweep with no ``--manifest``)
+keeps its shards in memory only.
 """
 
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.harness.campaign import CampaignJournal
 from repro.obs.live import campaign_view
 
 __all__ = ["DEFAULT_LEASE_SECONDS", "LeaseLost", "PointTable", "claim_shard",
@@ -143,7 +151,8 @@ def _requeue(doc: Dict, reason: str) -> Dict:
     fields["status"] = "pending"
     fields["generation"] = int(doc.get("generation", 0)) + 1
     fields["requeued"] = reason
-    fields.pop("error", None)
+    if "error" in fields:
+        fields["last_error"] = fields.pop("error")
     return fields
 
 
@@ -337,7 +346,7 @@ class PointTable:
     integrity monitor's audit marks and repairs go through it too.
     """
 
-    def __init__(self, journal: CampaignJournal, manifest: Dict,
+    def __init__(self, journal, manifest: Dict,
                  shards: Dict[str, Optional[Dict]],
                  lock: Optional[threading.RLock] = None):
         self.journal = journal
@@ -356,7 +365,7 @@ class PointTable:
                       or {"key": key, "attempts": 0, "status": "pending"})
 
     @classmethod
-    def load(cls, journal: CampaignJournal,
+    def load(cls, journal,
              lock: Optional[threading.RLock] = None
              ) -> Optional["PointTable"]:
         """Read the manifest and every shard once; None without a
@@ -396,7 +405,9 @@ class PointTable:
 
     def write_point(self, key: str, doc: Dict) -> Dict:
         with self.lock:
-            doc = self.journal.write_point(key, doc)
+            doc = (self.journal.write_point(key, doc)
+                   if self.journal is not None
+                   else dict(doc, key=key))
             self._put(key, doc)
             return dict(doc)
 
@@ -408,12 +419,23 @@ class PointTable:
             return self.write_point(key, doc)
 
     def note_interrupted(self, done: int, total: int) -> None:
-        """Append the manifest interruption record a SIGINT'd sweep
-        writes (:meth:`CampaignJournal.note_interrupted`)."""
+        """Append a manifest interruption record: a SIGINT'd sweep and
+        a drained daemon leave the same history."""
+        if self.journal is None:
+            return
         with self.lock:
             self.manifest.setdefault("interruptions", []).append(
                 {"done": done, "total": total, "unix": int(time.time())})
             self.journal.write_manifest(self.manifest)
+
+    def resume(self) -> None:
+        """Requeue every ``running`` or ``failed`` point (``requeued:
+        "resumed"``, generation bumped): a resumed campaign fences out any
+        worker that still thinks it owns a point — its renewals raise
+        :class:`LeaseLost` — and retries what failed last time."""
+        with self.lock:
+            for key in list(self._live):
+                self.write_point(key, _requeue(self._points[key], "resumed"))
 
     # ----------------------------------------------------- transitions
     def claim(self, key: str, worker: str,

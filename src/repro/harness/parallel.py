@@ -1,75 +1,57 @@
-"""Process-pool fan-out for independent simulation runs.
+"""Local worker processes driving a campaign's point table.
 
-Every paper figure is a cross product of independent (workload, engine,
-config) points; :func:`simulate_many` runs them across worker processes
-with deterministic result ordering, a per-run timeout with one retry, and
-progress callbacks.  With ``jobs <= 1`` it degrades to a plain in-process
-serial loop (no multiprocessing machinery, no timeout enforcement), which
-keeps single-core environments and debuggers simple.
+:func:`run_points` is the engine behind
+:func:`~repro.harness.campaign.run_campaign`.  It moves points through
+the :class:`~repro.harness.lease.PointTable` transitions the campaign
+daemon applies for remote workers: a free slot ``claim_next``s a point
+and simulates it in a forked worker process; a heartbeat ``renew``s the
+lease, folding its payload into the shard (what ``repro watch DIR``
+reads); a result ``complete``s the point; a crash or a ``timeout``
+``fail``s it, and the reaper (``reap(max_attempts=retries + 1)``)
+requeues it or leaves it ``failed``.  So the retry cap, generation
+fencing and shard provenance are the daemon's own.  With ``jobs <= 1``
+points run in-process with no fork, no timeout and no retry: a
+simulation error fails the point and propagates typed.
 
-Each worker runs exactly one simulation and ships the :class:`SimResult`
-back over a queue.  The in-process :class:`~repro.obs.Observability` hub
-holds closures and is not picklable, so workers drop it (``obs=None``)
-after ``simulate`` has folded its snapshot into ``SimStats.metrics`` /
-``SimStats.epochs`` — observability data still arrives in the parent,
-just in its serialized form.
-
-Retries back off exponentially with deterministic jitter (seeded from
-the run index and attempt number, so two sweeps retry on identical
-schedules) up to a ``max_delay`` ceiling, and every returned
-:class:`SimResult` carries ``attempts`` / ``last_error`` provenance
-instead of silently substituting the retry's output.  The
-``REPRO_INJECT_WORKER`` environment hook lets the fault harness
-(:mod:`repro.guard.inject`) kill or hang selected workers.
+Workers ship the result *entry* (the in-process observability hub holds
+closures and never crosses the process boundary; its data is already
+serialized into the entry).  The ``REPRO_INJECT_WORKER`` environment
+hook lets the fault harness (:mod:`repro.guard.inject`) kill or hang
+selected workers.
 
 Graceful interruption: inside :func:`interrupt_guard`, the first SIGINT
 or SIGTERM sets a flag instead of killing the process — the dispatch
-loops stop starting new work, flush every completed result, and raise
-:class:`SweepInterrupted` (the CLI maps it to exit code 130).  A second
-SIGINT restores the default handler and re-delivers the signal, so an
-impatient operator can still hard-kill.  Journal/cache state stays
-crash-consistent either way: results are flushed as they complete, never
-at the end.
+loop stops claiming, flushes every completed result, hands in-flight
+points back (``release``) and raises :class:`SweepInterrupted` (exit
+code 130).  A second SIGINT restores the default handler and
+re-delivers the signal, so an impatient operator can still hard-kill.
 """
 
 import contextlib
-import dataclasses
 import json
 import multiprocessing as mp
 import os
 import queue as queue_mod
-import random
 import signal
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
-from repro.harness.simulator import RunConfig, SimResult, simulate
+from repro.harness.lease import APPLIED, DEFAULT_LEASE_SECONDS, LeaseLost
+from repro.harness.runcache import entry_from_result
+from repro.harness.simulator import RunConfig, simulate
 
-__all__ = ["simulate_many", "Progress", "SimulationFailed", "SweepInterrupted",
-           "interrupt_guard", "poll_interrupt", "retry_delay"]
+__all__ = ["run_points", "Progress", "SimulationFailed", "SweepInterrupted",
+           "interrupt_guard", "poll_interrupt"]
 
 # Worker fault-injection hook (see repro.guard.inject.worker_fault_env):
 # a JSON spec {"mode": "kill"|"hang", "indices": [...], "max_attempt": N,
 # "exit_code": int, "hang_seconds": float} consumed at worker startup.
 _FAULT_ENV = "REPRO_INJECT_WORKER"
 
-
-def retry_delay(index: int, attempt: int, backoff: float,
-                max_delay: float = 30.0) -> float:
-    """Exponential backoff with deterministic jitter, in seconds.
-
-    ``backoff * 2**(attempt-1)`` scaled by a jitter factor in [1, 2) drawn
-    from a generator seeded by (index, attempt) — retries spread out, but
-    identically on every host and every rerun.  The result is capped at
-    ``max_delay`` (applied after jitter, so determinism is trivially
-    preserved): unbounded doubling would sleep for minutes by attempt 10.
-    """
-    if attempt <= 0 or backoff <= 0:
-        return 0.0
-    jitter = random.Random((index + 1) * 1_000_003 + attempt).random()
-    raw = backoff * (2 ** (attempt - 1)) * (1.0 + jitter)
-    return min(raw, max_delay)
+# How long the dispatch loop waits on the result queue before it checks
+# deadlines and dead workers.
+_POLL_SECONDS = 0.05
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +61,8 @@ class SweepInterrupted(RuntimeError):
     """A sweep stopped on SIGINT/SIGTERM after flushing completed work.
 
     ``done``/``total`` count fully-flushed runs; everything else was
-    either never started or is journaled as in-flight, so a ``--resume``
-    requeues exactly the unfinished points.
+    either never started or was handed back to ``pending``, so a
+    ``--resume`` requeues exactly the unfinished points.
     """
 
     def __init__(self, done: int = 0, total: int = 0):
@@ -94,12 +76,11 @@ class _InterruptState:
 
     def __init__(self):
         self.interrupted = False
-        self.signum: Optional[int] = None
 
 
 # Stack of active guards: nested ``interrupt_guard`` uses (e.g. ``guard
-# --matrix`` wrapping ``simulate_many``) share the outermost state, so one
-# Ctrl-C stops every layer and handlers are installed exactly once.
+# --matrix`` wrapping a sweep) share the outermost state, so one Ctrl-C
+# stops every layer and handlers are installed exactly once.
 _ACTIVE: List[_InterruptState] = []
 
 
@@ -125,7 +106,6 @@ def interrupt_guard():
             os.kill(os.getpid(), signal.SIGINT)
             return
         state.interrupted = True
-        state.signum = signum
 
     previous = {}
     try:
@@ -180,13 +160,13 @@ def _maybe_inject_worker_fault(index: int, attempt: int) -> None:
 class Progress:
     """One progress-callback notification.
 
-    ``kind`` is ``"start"``, ``"done"``, ``"retry"``, or ``"failed"``;
-    ``done_count``/``total`` give overall completion; ``index`` is the
-    position of the affected config in the input sequence.
+    ``kind`` is ``"start"``, ``"retry"`` (a claim of a point the reaper
+    requeued after a failed attempt), ``"done"`` or ``"failed"`` (out of
+    attempts); ``done_count``/``total`` count finished points among
+    those this run had to simulate.
     """
 
     kind: str
-    index: int
     config: RunConfig
     done_count: int
     total: int
@@ -204,8 +184,8 @@ class SimulationFailed(RuntimeError):
         super().__init__("simulation run(s) failed:\n" + "\n".join(lines))
 
 
-def _worker(index: int, attempt: int, config: RunConfig, out_q,
-            heartbeat_interval: Optional[float] = None) -> None:
+def _worker(key: str, index: int, attempt: int, config: RunConfig, out_q,
+            heartbeat_interval: float) -> None:
     # Forked inside the parent's interrupt_guard, the child inherits its
     # cooperative handlers: SIGTERM would set a flag instead of killing,
     # so ``proc.terminate()`` (timeouts, interruption cleanup) would hang
@@ -217,245 +197,229 @@ def _worker(index: int, attempt: int, config: RunConfig, out_q,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except ValueError:  # pragma: no cover - non-main-thread start
         pass
-    _maybe_inject_worker_fault(index, attempt)
+    _maybe_inject_worker_fault(index, attempt - 1)
     # Messages share the one result channel, tagged by kind: "hb" frames
     # stream progress mid-run, the single "res" frame ends the attempt.
     try:
-        if heartbeat_interval is not None:
-            def on_heartbeat(payload):
-                out_q.put(("hb", index, attempt, payload))
-
-            result = simulate(config, on_heartbeat=on_heartbeat,
-                              heartbeat_interval=heartbeat_interval)
-        else:
-            result = simulate(config)
-        # The hub's registry holds lambdas over live core objects; the
-        # stats snapshot is already serialized into result.stats.
-        result = dataclasses.replace(result, obs=None)
-        out_q.put(("res", index, attempt, True, result, None))
+        result = simulate(
+            config, heartbeat_interval=heartbeat_interval,
+            on_heartbeat=lambda p: out_q.put(("hb", key, attempt, p)))
+        out_q.put(("res", key, attempt, entry_from_result(result), None))
     except BaseException as exc:  # ship *any* worker death to the parent
-        out_q.put(("res", index, attempt, False, None, repr(exc)))
+        out_q.put(("res", key, attempt, None, repr(exc)))
 
 
-def _simulate_serial(configs: Sequence[RunConfig],
-                     progress: Optional[Callable[[Progress], None]],
-                     on_result: Optional[Callable[[int, SimResult], None]] = None,
-                     heartbeat: Optional[Callable[[int, Dict], None]] = None,
-                     heartbeat_interval: float = 1.0) -> List[SimResult]:
-    # The serial path mirrors the pool's observable behavior exactly —
-    # same Progress kinds, same heartbeat callbacks (delivered inline
-    # rather than over a queue) — so ``watch``/``live.json`` cannot tell
-    # a ``jobs=1`` sweep from a parallel one.
-    results: List[SimResult] = []
-    total = len(configs)
-    with interrupt_guard() as istate:
-        for i, config in enumerate(configs):
-            if istate.interrupted:
-                raise SweepInterrupted(len(results), total)
-            if progress:
-                progress(Progress("start", i, config, len(results), total))
-            start = time.time()
-            if heartbeat is not None:
-                def on_heartbeat(payload, _i=i):
-                    heartbeat(_i, payload)
+@dataclass
+class _Slot:
+    """One in-flight worker process."""
 
-                result = simulate(config, on_heartbeat=on_heartbeat,
-                                  heartbeat_interval=heartbeat_interval)
-            else:
-                result = simulate(config)
-            results.append(result)
-            if on_result:
-                on_result(i, result)
-            if progress:
-                progress(Progress("done", i, config, len(results), total,
-                                  wall_seconds=time.time() - start))
-    return results
+    proc: object
+    worker: str
+    attempt: int          # the shard's attempts at claim: tags its frames
+    start: float
+    deadline: Optional[float]
 
 
-def simulate_many(configs: Sequence[RunConfig],
-                  jobs: Optional[int] = None,
-                  timeout: Optional[float] = None,
-                  retries: int = 1,
-                  progress: Optional[Callable[[Progress], None]] = None,
-                  poll_interval: float = 0.05,
-                  backoff: float = 0.5,
-                  max_delay: float = 30.0,
-                  on_result: Optional[Callable[[int, SimResult], None]] = None,
-                  heartbeat: Optional[Callable[[int, Dict], None]] = None,
-                  heartbeat_interval: float = 1.0) -> List[SimResult]:
-    """Run every config and return results in input order.
+class _Run:
+    """The transitions one :func:`run_points` call makes, plus the
+    progress notifications they imply."""
 
-    ``jobs=None`` uses ``os.cpu_count()``; ``jobs<=1`` (or a single
-    config) runs serially in-process.  In the parallel path each run gets
-    ``timeout`` seconds (None = unlimited); a timed-out or crashed run is
-    retried up to ``retries`` times — attempt N+1 waits
-    ``retry_delay(index, N, backoff, max_delay)`` seconds first
-    (``backoff=0`` retries immediately) — before
-    :class:`SimulationFailed` is raised.  Each :class:`SimResult` records
-    ``attempts`` and ``last_error``.  Runs are deterministic, so parallel
-    results are bit-identical to the serial path.
+    def __init__(self, table, points, retries, progress, cache,
+                 heartbeat_interval):
+        self.table = table
+        self.points = points
+        self.max_attempts = retries + 1
+        self.progress = progress
+        self.cache = cache
+        self.heartbeat_interval = heartbeat_interval
+        # Leases only bound how long a silent worker is trusted; live
+        # workers renew on every heartbeat.
+        self.lease = max(DEFAULT_LEASE_SECONDS, 4 * heartbeat_interval)
+        self.total = table.summary()[0].get("pending", 0)
+        self.done_count = 0
+        self.failures: List[Tuple[int, RunConfig, str]] = []
 
-    ``on_result(index, result)`` fires as each run *completes* (not in
-    input order) — the campaign journal and run cache hook in here so
-    durable state is flushed the moment a result exists, which is what
-    makes interruption and crashes lose nothing that finished.
+    def _note(self, kind: str, key: str, **fields) -> None:
+        if self.progress is not None:
+            self.progress(Progress(kind, self.points[key][1],
+                                   self.done_count, self.total, **fields))
 
-    ``heartbeat(index, payload)`` streams per-run progress: when set,
-    each worker emits a heartbeat payload (see
-    :class:`~repro.obs.live.HeartbeatTicker`) at most every
-    ``heartbeat_interval`` seconds over the same channel results use,
-    tagged so the two never interleave incorrectly.  Heartbeats are pure
-    telemetry — results remain bit-identical with them on or off, in
-    both the pool and the serial path.
+    def claim(self, worker: str) -> Optional[Tuple[str, int]]:
+        """``(key, attempt)`` of the next pending point, or None."""
+        got = self.table.claim_next(worker, self.lease)
+        if got is None:
+            return None
+        key, shard = got
+        self._note("retry" if shard.get("requeued") == "retry" else "start",
+                   key)
+        return key, shard["attempts"]
 
-    SIGINT/SIGTERM during the sweep stops dispatching, flushes every
-    completed result, terminates in-flight workers, and raises
-    :class:`SweepInterrupted`; a second SIGINT hard-kills.
+    def beat(self, key: str, worker: str, payload: Dict) -> None:
+        try:
+            self.table.renew(key, worker, self.lease, hb=payload)
+        except LeaseLost:
+            pass    # reaped meanwhile: the frame is stale
+
+    def complete(self, key: str, worker: str, entry: Dict,
+                 wall: float) -> None:
+        if (self.table.complete(key, worker, entry) == APPLIED
+                and self.cache is not None):
+            self.cache.put(self.points[key][1], entry)
+        self.done_count += 1
+        self._note("done", key, wall_seconds=wall)
+
+    def fail(self, key: str, worker: str, error: str, wall: float):
+        """Fail the attempt and reap; the reaper's verdicts."""
+        self.table.fail(key, worker, error)
+        reaped = self.table.reap(max_attempts=self.max_attempts)
+        if self.table.read_point(key)["status"] == "failed":
+            index, config = self.points[key]
+            self.failures.append((index, config, error))
+            self.done_count += 1
+            self._note("failed", key, wall_seconds=wall, error=error)
+        return reaped
+
+
+def run_points(table, points: Dict[str, Tuple[int, RunConfig]],
+               jobs: Optional[int] = None, timeout: Optional[float] = None,
+               retries: int = 1, progress=None, cache=None,
+               heartbeat_interval: float = 1.0) -> None:
+    """Simulate every pending point of ``table`` with local workers.
+
+    ``points`` maps each key to ``(index, RunConfig)``, the index being
+    the config's position in the caller's list (fault injection and
+    :class:`SimulationFailed` name points by it).  ``jobs=None`` uses
+    ``os.cpu_count()``.  Each pool attempt gets ``timeout`` seconds
+    (None = unlimited); a point gets ``retries + 1`` attempts in all,
+    counting those a journal recorded before a resume.  Raises
+    :class:`SimulationFailed` for points out of attempts and
+    :class:`SweepInterrupted` on SIGINT/SIGTERM.
     """
-    configs = list(configs)
-    if not configs:
-        return []
+    run = _Run(table, points, retries, progress, cache, heartbeat_interval)
+    if not run.total:
+        return
     if jobs is None:
         jobs = os.cpu_count() or 1
-    jobs = min(jobs, len(configs))
-    if jobs <= 1:
-        return _simulate_serial(configs, progress, on_result,
-                                heartbeat, heartbeat_interval)
+    jobs = min(jobs, run.total)
+    with interrupt_guard() as istate:
+        if jobs <= 1:
+            _run_serial(run, istate)
+        else:
+            _run_pool(run, jobs, timeout, istate)
+    if run.failures:
+        raise SimulationFailed(sorted(run.failures, key=lambda f: f[0]))
 
+
+def _run_serial(run: _Run, istate) -> None:
+    worker = "local-1"
+    while not istate.interrupted:
+        got = run.claim(worker)
+        if got is None:
+            return
+        key, _ = got
+        start = time.time()
+        try:
+            result = simulate(
+                run.points[key][1], heartbeat_interval=run.heartbeat_interval,
+                on_heartbeat=lambda p, _k=key: run.beat(_k, worker, p))
+        except BaseException as exc:
+            run.table.fail(key, worker, repr(exc))
+            raise
+        run.complete(key, worker, entry_from_result(result),
+                     time.time() - start)
+    raise SweepInterrupted()
+
+
+def _run_pool(run: _Run, jobs: int, timeout: Optional[float],
+              istate) -> None:
     ctx = mp.get_context()
     out_q = ctx.Queue()
-    total = len(configs)
-    # (not_before, index, attempt): retries re-enter with a deadline in
-    # the future; first attempts are ready immediately.
-    pending: List[tuple] = [(0.0, i, 0) for i in range(total)]
-    pending.reverse()  # pop ready entries in input order
-    running: Dict[int, dict] = {}  # index -> {proc, attempt, deadline, start}
-    results: List[Optional[SimResult]] = [None] * total
-    failures: List[tuple] = []
-    last_errors: Dict[int, str] = {}
-    done_count = 0
+    free = [f"local-{n}" for n in range(jobs, 0, -1)]
+    running: Dict[str, _Slot] = {}
 
-    hb_interval = heartbeat_interval if heartbeat is not None else None
-
-    def _spawn(index: int, attempt: int) -> None:
-        proc = ctx.Process(target=_worker,
-                           args=(index, attempt, configs[index], out_q,
-                                 hb_interval),
-                           daemon=True)
-        proc.start()
-        now = time.time()
-        running[index] = {
-            "proc": proc, "attempt": attempt, "start": now,
-            "deadline": now + timeout if timeout is not None else None,
-        }
-        if progress:
-            kind = "start" if attempt == 0 else "retry"
-            progress(Progress(kind, index, configs[index], done_count, total))
-
-    def _reap(index: int, ok: bool, result, error) -> None:
-        nonlocal done_count
-        info = running.pop(index)
-        info["proc"].join()
-        wall = time.time() - info["start"]
-        if ok:
-            results[index] = dataclasses.replace(
-                result, attempts=info["attempt"] + 1,
-                last_error=last_errors.get(index))
-            if on_result:
-                on_result(index, results[index])
-            done_count += 1
-            if progress:
-                progress(Progress("done", index, configs[index], done_count,
-                                  total, wall_seconds=wall))
-        elif info["attempt"] < retries:
-            last_errors[index] = error
-            next_attempt = info["attempt"] + 1
-            not_before = time.time() + retry_delay(index, next_attempt,
-                                                   backoff, max_delay)
-            pending.append((not_before, index, next_attempt))
-        else:
-            last_errors[index] = error
-            failures.append((index, configs[index], error))
-            done_count += 1
-            if progress:
-                progress(Progress("failed", index, configs[index], done_count,
-                                  total, wall_seconds=wall, error=error))
-
-    def _pop_ready() -> Optional[tuple]:
-        now = time.time()
-        for pos in range(len(pending) - 1, -1, -1):
-            if pending[pos][0] <= now:
-                return pending.pop(pos)
-        return None
-
-    def _dispatch(msg) -> None:
-        """Route one tagged queue frame: heartbeats to the callback,
-        results to :func:`_reap`.  Frames from attempts already reaped
-        (e.g. a timed-out worker flushing before dying) are dropped."""
-        if msg[0] == "hb":
-            _, index, attempt, payload = msg
-            if (heartbeat is not None and index in running
-                    and running[index]["attempt"] == attempt):
-                heartbeat(index, payload)
-            return
-        _, index, attempt, ok, result, error = msg
-        if index in running and running[index]["attempt"] == attempt:
-            _reap(index, ok, result, error)
-
-    def _flush_completed() -> None:
-        """Drain frames already on the queue (workers that finished but
-        were not yet reaped) so an interruption loses nothing done."""
-        while True:
-            try:
-                msg = out_q.get_nowait()
-            except queue_mod.Empty:
+    def spawn() -> None:
+        while free and not istate.interrupted:
+            got = run.claim(free[-1])
+            if got is None:
                 return
-            _dispatch(msg)
+            key, attempt = got
+            index, config = run.points[key]
+            proc = ctx.Process(target=_worker, daemon=True,
+                               args=(key, index, attempt, config, out_q,
+                                     run.heartbeat_interval))
+            proc.start()
+            now = time.time()
+            running[key] = _Slot(proc, free.pop(), attempt, now,
+                                 now + timeout if timeout else None)
+
+    def retire(key: str) -> _Slot:
+        slot = running.pop(key)
+        slot.proc.join()
+        free.append(slot.worker)
+        return slot
+
+    def finish(key: str, entry: Optional[Dict], error: Optional[str]) -> None:
+        slot = retire(key)
+        wall = time.time() - slot.start
+        if entry is not None:
+            run.complete(key, slot.worker, entry, wall)
+            return
+        for other, _, _ in run.fail(key, slot.worker, error, wall):
+            if other in running:
+                # The reaper requeued a live process's point (its lease
+                # lapsed without a heartbeat): it is wedged.
+                running[other].proc.terminate()
+                retire(other)
+
+    def dispatch(msg) -> None:
+        """Route one tagged frame; frames from attempts already retired
+        (e.g. a timed-out worker flushing before dying) are dropped."""
+        kind, key, attempt = msg[:3]
+        slot = running.get(key)
+        if slot is None or slot.attempt != attempt:
+            return
+        if kind == "hb":
+            run.beat(key, slot.worker, msg[3])
+        else:
+            finish(key, msg[3], msg[4])
 
     try:
-        with interrupt_guard() as istate:
-            while pending or running:
-                if istate.interrupted:
-                    _flush_completed()
-                    raise SweepInterrupted(done_count, total)
-                while pending and len(running) < jobs:
-                    entry = _pop_ready()
-                    if entry is None:
-                        break  # every pending retry is still backing off
-                    _, index, attempt = entry
-                    _spawn(index, attempt)
-                try:
-                    msg = out_q.get(timeout=poll_interval)
-                except queue_mod.Empty:
-                    pass
-                else:
-                    _dispatch(msg)
+        while True:
+            if istate.interrupted:
+                # Flush frames already on the queue (workers that
+                # finished but were not yet reaped): nothing done is lost.
+                with contextlib.suppress(queue_mod.Empty):
+                    while True:
+                        dispatch(out_q.get_nowait())
+                raise SweepInterrupted()
+            spawn()
+            if not running:
+                return
+            try:
+                dispatch(out_q.get(timeout=_POLL_SECONDS))
+                continue
+            except queue_mod.Empty:
+                pass
+            now = time.time()
+            for key, slot in list(running.items()):
+                if key not in running:
                     continue
-                now = time.time()
-                for index, info in list(running.items()):
-                    deadline = info["deadline"]
-                    if deadline is not None and now > deadline:
-                        info["proc"].terminate()
-                        _reap(index, False, None,
-                              f"timeout after {timeout:.1f}s")
-                    elif not info["proc"].is_alive():
-                        # Died without reporting (e.g. hard kill): drain any
-                        # late queue frame first (possibly one of its own
-                        # final heartbeats), then treat as a crash.
-                        try:
-                            msg = out_q.get_nowait()
-                        except queue_mod.Empty:
-                            _reap(index, False, None,
-                                  f"worker exited with code {info['proc'].exitcode}")
-                        else:
-                            _dispatch(msg)
+                if slot.deadline is not None and now > slot.deadline:
+                    slot.proc.terminate()
+                    finish(key, None, f"timeout after {timeout:.1f}s")
+                elif not slot.proc.is_alive():
+                    # Died without reporting (e.g. hard kill): drain any
+                    # late frame first (possibly its own result), then
+                    # treat it as a crash.
+                    try:
+                        dispatch(out_q.get_nowait())
+                    except queue_mod.Empty:
+                        finish(key, None, "worker exited with code "
+                               f"{slot.proc.exitcode}")
     finally:
-        for info in running.values():
-            info["proc"].terminate()
-        for info in running.values():
-            info["proc"].join()
+        for slot in running.values():
+            slot.proc.terminate()
+        for key, slot in running.items():
+            slot.proc.join()
+            run.table.release(key, slot.worker)
         out_q.close()
-
-    if failures:
-        raise SimulationFailed(sorted(failures, key=lambda f: f[0]))
-    return results  # type: ignore[return-value]

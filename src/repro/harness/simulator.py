@@ -137,11 +137,6 @@ class SimResult:
     # The run's observability hub (None when observe was off): registry,
     # sampler, events, profiler, and the chrome_trace() exporter.
     obs: Optional[Observability] = None
-    # Parallel-runner provenance (``simulate_many``): how many attempts
-    # this run took and the error of the last *failed* attempt (None when
-    # the first attempt succeeded).  A serial ``simulate`` is attempt 1.
-    attempts: int = 1
-    last_error: Optional[str] = None
     # Snapshot/resume provenance: the retired-instruction count of the
     # snapshot this run resumed from (None when it started at cycle 0).
     resumed_at: Optional[int] = None

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.events import (EventTrace, Event, pipeline_trace_events,
                               to_chrome_trace, write_chrome_trace)
-from repro.obs.live import (HeartbeatTicker, LiveStatus, live_view,
-                            read_campaign, read_live, render_watch)
+from repro.obs.live import (HeartbeatTicker, live_view, read_campaign,
+                            render_watch)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                NullRegistry, flatten)
 from repro.obs.profile import StageProfiler
@@ -47,23 +47,11 @@ __all__ = [
     "pipeline_trace_events",
     "DEFAULT_WATCHES",
     "HeartbeatTicker",
-    "LiveStatus",
-    "TelemetryServer",
     "live_view",
-    "read_live",
     "read_campaign",
     "render_watch",
     "render_prometheus",
 ]
-
-
-def __getattr__(name):
-    # TelemetryServer drags in http.server; load it on first use so plain
-    # simulation runs never pay for the HTTP stack.
-    if name == "TelemetryServer":
-        from repro.obs.serve import TelemetryServer
-        return TelemetryServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

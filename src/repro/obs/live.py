@@ -1,4 +1,4 @@
-"""Live campaign telemetry: heartbeats, ``live.json``, and the watch view.
+"""Live campaign telemetry: heartbeats and the watch view.
 
 A long campaign is opaque from the outside: the journal says which points
 are pending/running/done, but nothing about whether a "running" worker is
@@ -8,22 +8,22 @@ adds the out-of-band layer:
 * :class:`HeartbeatTicker` — builds successive heartbeat payloads from a
   live core (retired, cycles, cycles/sec, phase, guard level).  It only
   *reads* core state, so heartbeat-enabled runs stay bit-identical to
-  silent ones; nothing here ever enters ``RunConfig.cache_key()``.
-* :class:`LiveStatus` — the campaign-side aggregator.  Workers' heartbeats
-  and status transitions fold into one document that is atomically
-  published to ``live.json`` beside the campaign journal (throttled, so a
-  chatty sweep does not grind on fsyncs).
+  silent ones; nothing here ever enters ``RunConfig.cache_key()``.  A
+  worker's heartbeat renews its point's lease, and the point table folds
+  the payload into the point's shard — local sweep and daemon alike — so
+  the shards are the one status book.
+* :func:`read_campaign` / :func:`campaign_view` — the per-point view of a
+  journal, read-only from disk or from the daemon's in-memory table.
+  Unlike :class:`~repro.harness.campaign.CampaignJournal` the reader
+  never quarantines an unreadable shard: observers must not mutate the
+  store they observe.
 * :func:`live_view` — derives the operator-facing quantities at *read*
   time: heartbeat ages, stalled-worker flags, overall ETA.  Storing raw
-  ``last`` timestamps and deriving ages on read is what lets a watcher
-  notice a SIGKILLed worker within a heartbeat interval — the dead worker
+  timestamps and deriving ages on read is what lets a watcher notice a
+  SIGKILLed worker within a heartbeat interval — the dead worker
   obviously cannot write its own obituary.
 * :func:`render_watch` — the refreshing ASCII dashboard behind
-  ``repro watch DIR``.
-* :func:`read_campaign` — a read-only journal loader for watchers and the
-  HTTP endpoint.  Unlike :class:`~repro.harness.campaign.CampaignJournal`
-  it never quarantines an unreadable shard: observers must not mutate the
-  store they observe.
+  ``repro watch``.
 
 Everything here is stdlib-only and deliberately independent of the
 harness package (watchers duck-type the journal) so ``repro.obs`` keeps
@@ -35,13 +35,13 @@ import pathlib
 import time
 from typing import Dict, List, Optional
 
-from repro.utils.shards import atomic_write_json
+__all__ = ["HeartbeatTicker", "live_view", "read_campaign", "campaign_view",
+           "render_watch", "journal_view", "finished_count",
+           "FINISHED_STATUSES"]
 
-__all__ = ["HeartbeatTicker", "LiveStatus", "live_view", "read_live",
-           "read_campaign", "campaign_view", "render_watch", "LIVE_NAME"]
-
-_SCHEMA = 1
-LIVE_NAME = "live.json"
+# Statuses no worker will move a point out of: what "finished" means to
+# the watch header and to ``repro watch``'s exit alike.
+FINISHED_STATUSES = ("done", "failed", "poisoned")
 
 # A point whose last heartbeat (or start) is older than this many
 # heartbeat intervals is flagged as stalled.  2x tolerates scheduling
@@ -91,118 +91,14 @@ class HeartbeatTicker:
         }
 
 
-class LiveStatus:
-    """Aggregates per-point status + heartbeats into ``live.json``.
-
-    Owned by ``run_campaign`` (one instance per campaign); every worker
-    event — spawn, heartbeat, completion, failure — funnels through
-    :meth:`mark` / :meth:`beat`, and :meth:`write` publishes the document
-    atomically, throttled to at most one write per ``write_interval``
-    seconds (status *transitions* force a write so the file never lags a
-    state change by more than the in-flight heartbeats).
-    """
-
-    def __init__(self, path, interval: float = 1.0,
-                 write_interval: Optional[float] = None):
-        self.path = pathlib.Path(path)
-        self.interval = float(interval)
-        # Heartbeats from N workers arrive at ~N/interval Hz; publishing
-        # at the heartbeat cadence (not per event) keeps disk traffic flat
-        # in the worker count.
-        self.write_interval = (self.interval / 2.0 if write_interval is None
-                               else float(write_interval))
-        self.points: Dict[str, Dict] = {}
-        self._last_write = 0.0
-
-    # ---------------------------------------------------------- building
-    def point(self, key: str, workload: str, engine: str,
-              status: str = "pending") -> None:
-        """Register one campaign point (idempotent)."""
-        self.points.setdefault(key, {
-            "workload": workload, "engine": engine, "status": status,
-            "attempts": 0, "started_unix": None, "finished_unix": None,
-            "wall_seconds": None, "error": None, "hb": None,
-        })
-
-    def mark(self, key: str, status: str, error: Optional[str] = None,
-             wall_seconds: Optional[float] = None) -> None:
-        """Status transition; forces the next :meth:`write` through."""
-        doc = self.points.get(key)
-        if doc is None:
-            self.point(key, "?", "?")
-            doc = self.points[key]
-        doc["status"] = status
-        now = round(time.time(), 3)
-        if status == "running":
-            doc["attempts"] += 1
-            doc["started_unix"] = now
-            doc["error"] = None
-        elif status in ("done", "failed"):
-            doc["finished_unix"] = now
-            doc["error"] = error
-            if wall_seconds is not None:
-                doc["wall_seconds"] = round(wall_seconds, 3)
-        self._last_write = 0.0  # transitions are never throttled away
-
-    def beat(self, key: str, payload: Dict) -> None:
-        """Fold one worker heartbeat into its point."""
-        doc = self.points.get(key)
-        if doc is None:
-            return
-        doc["hb"] = payload
-
-    # --------------------------------------------------------- publishing
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for doc in self.points.values():
-            out[doc["status"]] = out.get(doc["status"], 0) + 1
-        return out
-
-    def snapshot(self) -> Dict:
-        return {
-            "schema": _SCHEMA,
-            "updated_unix": round(time.time(), 3),
-            "heartbeat_interval": self.interval,
-            "total": len(self.points),
-            "counts": self.counts(),
-            "points": self.points,
-        }
-
-    def write(self, force: bool = False) -> bool:
-        """Publish ``live.json`` atomically; returns True if written."""
-        now = time.monotonic()
-        if not force and now - self._last_write < self.write_interval:
-            return False
-        self._last_write = now
-        atomic_write_json(self.path, self.snapshot(), indent=1,
-                          sort_keys=True)
-        return True
-
-
 # ----------------------------------------------------------------------
-# Read side: watchers, the HTTP endpoint, anything outside the sweep.
+# Read side: watchers, the daemon's views, anything outside the sweep.
 # ----------------------------------------------------------------------
-def read_live(campaign_dir) -> Optional[Dict]:
-    """The campaign's ``live.json``, or None (absent/torn — writes are
-    atomic, so "torn" means a foreign file; either way: no live data)."""
-    path = pathlib.Path(campaign_dir)
-    if path.is_dir():
-        path = path / LIVE_NAME
-    try:
-        doc = json.loads(path.read_text())
-    except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError,
-            OSError):
-        return None
-    if not isinstance(doc, dict) or doc.get("schema") != _SCHEMA:
-        return None
-    return doc
-
-
 def read_campaign(campaign_dir) -> Optional[Dict]:
-    """Read-only view of a campaign journal: manifest + per-point shards.
+    """Read-only :func:`campaign_view` of a campaign journal directory.
 
-    Returns ``{"manifest": .., "points": {key: view}, "counts": ..}`` or
-    None when no manifest exists.  Never writes, never quarantines — a
+    Returns ``{"points": {key: view}, "counts": .., ..}`` or None when no
+    manifest exists.  Never writes, never quarantines — a
     watcher that repaired the store it was watching would race the sweep
     that owns it; unreadable shards simply count as ``pending``.
     """
@@ -222,8 +118,7 @@ def read_campaign(campaign_dir) -> Optional[Dict]:
         except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError,
                 OSError):
             shards[key] = {}
-    return {"manifest": manifest,
-            **campaign_view(manifest.get("points", ()), shards)}
+    return campaign_view(manifest.get("points", ()), shards)
 
 
 def campaign_view(metas, shards: Dict[str, Dict],
@@ -260,6 +155,7 @@ def campaign_view(metas, shards: Dict[str, Dict],
             "worker": shard.get("worker"),
             "requeued": shard.get("requeued"),
             "hb": shard.get("hb"),
+            "lease_renewed_unix": shard.get("lease_renewed_unix"),
             "lease_expires_unix": expires,
             "lease_expired": expired,
             "audit": shard.get("audit"),
@@ -272,17 +168,19 @@ def campaign_view(metas, shards: Dict[str, Dict],
 
 def live_view(doc: Dict, now: Optional[float] = None,
               stall_after: Optional[float] = None) -> Dict:
-    """Derive the operator-facing view from a raw ``live.json`` document.
+    """Derive the operator-facing view from a :func:`campaign_view`-shaped
+    document (``points``, ``counts``, ``total``).
 
     Adds, per point: ``heartbeat_age`` (seconds since the last beat, or
-    since start when no beat arrived yet), ``stalled`` (running and silent
+    since the last lease renewal — the claim, at first — when no beat
+    arrived yet), ``stalled`` (running, its lease not lapsed, and silent
     past ``stall_after``, default ``2 x heartbeat_interval``), and
     ``progress`` (retired / instruction budget).  Adds, campaign-wide:
     ``stalled`` count and ``eta_seconds`` — mean done-point wall time
     scaled by the remaining work and divided by the observed concurrency.
     All derivation happens at read time from stored timestamps, so a
     killed worker's silence is visible the moment its age crosses the
-    threshold, not when something next writes the file.
+    threshold, not when something next writes a shard.
     """
     now = time.time() if now is None else now
     interval = float(doc.get("heartbeat_interval") or 1.0)
@@ -291,7 +189,6 @@ def live_view(doc: Dict, now: Optional[float] = None,
     view = {k: v for k, v in doc.items() if k != "points"}
     points: Dict[str, Dict] = {}
     stalled = 0
-    lease_expired = 0
     audits = 0
     poisoned = 0
     walls: List[float] = []
@@ -300,19 +197,14 @@ def live_view(doc: Dict, now: Optional[float] = None,
     for key, src in (doc.get("points") or {}).items():
         p = dict(src)
         hb = p.get("hb") or {}
-        last = hb.get("unix") or p.get("started_unix")
+        last = hb.get("unix") or p.get("lease_renewed_unix")
         age = round(now - last, 3) if last is not None else None
         p["heartbeat_age"] = age
-        # A lapsed lease (journal-derived docs carry the expiry) is a
-        # *diagnosed* dead worker awaiting the reaper — report it as its
-        # own state, distinct from the mere silence of "stalled".
-        expires = p.get("lease_expires_unix")
-        p["lease_expired"] = bool(p.get("status") == "running"
-                                  and expires is not None and expires < now)
-        if p["lease_expired"]:
-            lease_expired += 1
+        # A lapsed lease (flagged by :func:`campaign_view`) is a
+        # *diagnosed* dead worker awaiting the reaper — its own state,
+        # distinct from the mere silence of "stalled".
         p["stalled"] = bool(p.get("status") == "running"
-                            and not p["lease_expired"]
+                            and not p.get("lease_expired")
                             and age is not None and age > stall_after)
         total = hb.get("instructions")
         p["progress"] = (min(1.0, hb.get("retired", 0) / total)
@@ -342,7 +234,6 @@ def live_view(doc: Dict, now: Optional[float] = None,
         points[key] = p
     view["points"] = points
     view["stalled"] = stalled
-    view["lease_expired"] = lease_expired
     view["audits"] = audits
     view["poisoned"] = poisoned
     view["stall_after"] = stall_after
@@ -393,9 +284,7 @@ def render_watch(view: Dict, limit: int = 0) -> str:
     """
     counts = view.get("counts") or {}
     total = view.get("total", 0)
-    done = (counts.get("done", 0) + counts.get("failed", 0)
-            + counts.get("poisoned", 0))
-    head = (f"campaign: {done}/{total} finished  "
+    head = (f"campaign: {finished_count(view)}/{total} finished  "
             + "  ".join(f"{s}={counts[s]}" for s in
                         ("pending", "running", "done", "failed",
                          "poisoned")
@@ -449,19 +338,17 @@ def render_watch(view: Dict, limit: int = 0) -> str:
     return "\n".join(lines)
 
 
+def finished_count(view: Dict) -> int:
+    """Points in a view no worker will move again
+    (:data:`FINISHED_STATUSES`)."""
+    counts = view.get("counts") or {}
+    return sum(counts.get(s, 0) for s in FINISHED_STATUSES)
+
+
 def journal_view(campaign_dir) -> Optional[Dict]:
-    """A :func:`live_view`-shaped document straight from the journal —
-    no ``live.json`` needed.  Lets ``repro watch`` tail finished or
-    foreign campaigns, and is the primary view for service campaigns,
-    whose leased workers fold heartbeats into their *point shards* (each
-    point has exactly one owner) rather than a shared live.json."""
+    """A :func:`live_view` straight from a journal directory: what
+    ``repro watch DIR`` shows, for a local sweep or a daemon campaign
+    alike — both fold heartbeats into the *point shards* (each point has
+    exactly one owner)."""
     camp = read_campaign(campaign_dir)
-    if camp is None:
-        return None
-    return live_view({
-        "schema": _SCHEMA,
-        "source": "journal",
-        "total": camp["total"],
-        "counts": camp["counts"],
-        "points": camp["points"],
-    })
+    return None if camp is None else live_view(camp)

@@ -3,15 +3,11 @@
 The harness packages built every single-host primitive — the sharded
 atomic :class:`~repro.harness.runcache.RunCache`, the write-ahead
 :class:`~repro.harness.campaign.CampaignJournal` with bit-identical
-resume, and the live telemetry endpoint.  This package lifts them into a
-standing service with one lease authority, the daemon:
+resume, and the live heartbeat view.  This package lifts them into a
+standing service with one lease authority, the daemon, which holds each
+campaign in a :class:`~repro.harness.lease.PointTable` — the same point
+state machine the local ``sweep`` drives:
 
-* :mod:`repro.service.lease` — the point state machine as pure
-  transitions on a shard dict (generation-fenced claims, renewals and
-  failures, first-done-wins completion, retry cap, poison breaker) and
-  the :class:`~repro.service.lease.PointTable` that holds one campaign in
-  memory, writes every transition through to its journal, and answers
-  every repeated request from the shard.
 * :mod:`repro.service.queue` — submission specs, tenants, quotas,
   priorities, weighted fair scheduling, and back-pressure accounting.
 * :mod:`repro.service.worker` — the pull-model worker loop: ask the
@@ -36,7 +32,6 @@ standing service with one lease authority, the daemon:
   breaker that stops a crash-looping config from burning the fleet.
 """
 
-from repro.service.lease import DEFAULT_LEASE_SECONDS, LeaseLost, PointTable
 from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
                                  TenantPolicy, ValidationError,
                                  configs_from_spec)
@@ -51,9 +46,6 @@ from repro.service.worker import RemoteJournal, WorkerOptions, work_service
 from repro.service.daemon import CampaignService, ServiceConfig
 
 __all__ = [
-    "DEFAULT_LEASE_SECONDS",
-    "LeaseLost",
-    "PointTable",
     "ValidationError",
     "BackPressure",
     "TenantPolicy",

@@ -2,16 +2,18 @@
 
 :class:`CampaignService` is the single writer of its campaigns' point
 shards.  Each active campaign lives in memory as a
-:class:`~repro.service.lease.PointTable` (loaded once, at activation or
+:class:`~repro.harness.lease.PointTable` (loaded once, at activation or
 recovery); every lease transition — claim, renew, complete, fail,
 release, requeue, poison, audit mark — runs under one lock and writes its
 shard through to the journal before the RPC answers.  Counts, terminal
 status, scheduling, results and drain all come from the tables — audit
 runs included, which lease through them like points; after start-up the
 daemon never reads a shard back.  Around the tables run a
-threaded stdlib HTTP server and one plain **control thread** that
+threaded stdlib HTTP server — the only campaign HTTP handler — and one
+plain **control thread** that
 
-* activates queued campaigns (write-ahead journal + run-cache dedup);
+* activates queued campaigns (write-ahead journal + run-cache dedup,
+  :func:`~repro.harness.campaign.activate`, as a local sweep does);
 * reaps: requeues points whose lease lapsed (dead workers) and retries
   failed points up to ``max_attempts``;
 * supervises the in-daemon worker pool — just ``python -m repro worker
@@ -53,7 +55,7 @@ path; only the operator views under ``/campaigns`` show ``dir``), and
 the lease length is always the daemon's ``lease_seconds``.  A repeated
 request — a retry whose first answer was lost, a duplicated delivery —
 is answered by the point table from the shard itself
-(:mod:`repro.service.lease`), never re-applied.
+(:mod:`repro.harness.lease`), never re-applied.
 
 On SIGTERM (or :meth:`CampaignService.drain`) the daemon drains
 gracefully: ``/claim`` answers ``{"key": null, "shutdown": true}``,
@@ -81,13 +83,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 import repro
-from repro.harness.campaign import CampaignJournal
+from repro.harness.campaign import CampaignJournal, activate
 from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.simulator import RunConfig, simulate
 from repro.obs.events import EventTrace
 from repro.obs.promtext import CONTENT_TYPE, prom_line, render_prometheus
 from repro.service.integrity import IntegrityConfig, IntegrityMonitor
-from repro.service.lease import (APPLIED, REPEAT, STALE, LeaseLost,
+from repro.harness.lease import (APPLIED, REPEAT, STALE, LeaseLost,
                                  PointTable)
 from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
                                  TenantPolicy, ValidationError,
@@ -214,8 +216,8 @@ class CampaignService:
             self._httpd = ThreadingHTTPServer(
                 (self.config.host, self.config.port), self._handler_class())
         except OSError as exc:
-            # Same policy as TelemetryServer: a busy port degrades to an
-            # ephemeral one with a log line, never a dead daemon.
+            # A busy port degrades to an ephemeral one with a log line,
+            # never a dead daemon.
             self._log(f"cannot bind {self.config.host}:{self.config.port} "
                       f"({exc}); retrying on an ephemeral port")
             self._httpd = ThreadingHTTPServer(
@@ -397,7 +399,8 @@ class CampaignService:
                 self._activate(record)
 
     def _activate(self, record: CampaignRecord) -> None:
-        """Write-ahead setup for one queued campaign + run-cache dedup."""
+        """Write-ahead setup for one queued campaign + run-cache dedup:
+        the :func:`~repro.harness.campaign.activate` a local sweep runs."""
         journal = CampaignJournal(record.dir)
         journal.root.mkdir(parents=True, exist_ok=True)
         configs = self._configs(record)
@@ -408,17 +411,9 @@ class CampaignService:
             "priority": record.priority, "seq": record.seq,
             "submitted_unix": record.submitted_unix,
         }
-        journal.prepare(list(configs.values()), spec=spec_doc)
-        table = PointTable.load(journal, lock=self._lock)
-        deduped = 0
-        if self.cache is not None:
-            for key, config in configs.items():
-                if table.read_point(key).get("status") == "done":
-                    continue
-                hit = self.cache.get(config)
-                if hit is not None:
-                    table.mark(key, "done", entry=hit, source="cache")
-                    deduped += 1
+        table, deduped = activate(journal, list(configs.values()),
+                                  spec=spec_doc, cache=self.cache,
+                                  lock=self._lock)
         self._tables[record.id] = table
         self.state.mark_active(record.id, deduped=deduped)
         self.events.campaign_activated(record.id, len(configs), deduped)
@@ -682,7 +677,7 @@ class CampaignService:
         """One remote lease operation -> (status, response document).
 
         ``claim`` is :meth:`_claim`; the others apply the
-        :class:`~repro.service.lease.PointTable` transition
+        :class:`~repro.harness.lease.PointTable` transition
         (generation-fenced failures, 409 on a fenced renew or fail,
         first-done-wins completion) and refresh the campaign record.  A
         repeat finds its effect already in the shard and gets the same

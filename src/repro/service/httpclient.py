@@ -7,8 +7,8 @@ every request with:
 * **per-request timeouts** — a wedged daemon costs one timeout, not a
   hung worker;
 * **bounded retries with deterministic backoff** — delays come from
-  :func:`repro.harness.parallel.retry_delay` (exponential backoff scaled
-  by jitter seeded from the request sequence number), so two reruns of
+  :func:`backoff_delay` (exponential backoff scaled by jitter seeded
+  from the request sequence number), so two reruns of
   the same worker sleep identically: retry storms decorrelate without
   sacrificing reproducibility;
 * **status-aware error handling** — ``429`` sleeps the server's
@@ -37,15 +37,14 @@ breaker trips without a separate push channel.
 
 import http.client
 import json
+import random
 import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.harness.parallel import retry_delay
-
-__all__ = ["ServiceClient", "ClientStats", "HttpStatusError", "NotFound",
+__all__ = ["ServiceClient", "backoff_delay", "ClientStats", "HttpStatusError", "NotFound",
            "TransportError", "CircuitOpen", "BREAKER_CLOSED", "BREAKER_OPEN",
            "BREAKER_HALF_OPEN"]
 
@@ -56,6 +55,22 @@ BREAKER_HALF_OPEN = "half-open"
 # Ceiling on how long a 429 Retry-After hint is honoured: a confused (or
 # hostile) server must not be able to park a worker for an hour.
 _MAX_RETRY_AFTER = 30.0
+
+
+def backoff_delay(seq: int, attempt: int, backoff: float,
+                  max_delay: float = 30.0) -> float:
+    """Exponential backoff with deterministic jitter, in seconds.
+
+    ``backoff * 2**(attempt-1)`` scaled by a jitter factor in [1, 2) drawn
+    from a generator seeded by (seq, attempt) — retries spread out, but
+    identically on every host and every rerun.  The result is capped at
+    ``max_delay`` (applied after jitter, so determinism is trivially
+    preserved): unbounded doubling would sleep for minutes by attempt 10.
+    """
+    if attempt <= 0 or backoff <= 0:
+        return 0.0
+    jitter = random.Random((seq + 1) * 1_000_003 + attempt).random()
+    return min(backoff * (2 ** (attempt - 1)) * (1.0 + jitter), max_delay)
 
 
 class HttpStatusError(RuntimeError):
@@ -236,7 +251,7 @@ class ServiceClient:
                     self.stats.status_429 += 1
                     hint = min(exc.retry_after
                                if exc.retry_after is not None else
-                               retry_delay(seq, attempt, self.backoff,
+                               backoff_delay(seq, attempt, self.backoff,
                                            self.max_delay),
                                _MAX_RETRY_AFTER)
                     last_exc = exc
@@ -252,7 +267,7 @@ class ServiceClient:
                     self._record_transport_failure()
                     if (attempt < budget
                             and self.breaker_state() != BREAKER_OPEN):
-                        self._do_sleep(retry_delay(seq, attempt,
+                        self._do_sleep(backoff_delay(seq, attempt,
                                                    self.backoff,
                                                    self.max_delay))
                         continue
@@ -275,7 +290,7 @@ class ServiceClient:
                 self._record_transport_failure()
                 if (attempt < budget
                         and self.breaker_state() != BREAKER_OPEN):
-                    self._do_sleep(retry_delay(seq, attempt, self.backoff,
+                    self._do_sleep(backoff_delay(seq, attempt, self.backoff,
                                                self.max_delay))
                     continue
                 self.stats.failures += 1

@@ -16,7 +16,7 @@ systematically:
   points gets a ``pending`` audit.  The audit lives in the point shard
   (an ``audit`` sub-document that never touches the result ``entry``,
   so fingerprints are unaffected), and the audit *run* is a lease in
-  the campaign's :class:`~repro.service.lease.PointTable` like any
+  the campaign's :class:`~repro.harness.lease.PointTable` like any
   other: claimed through ``/claim`` by a worker other than the original
   completer, renewed, failed and reaped there, and reloaded from the
   shards on a daemon restart.  This module decides only what to sample
@@ -35,7 +35,7 @@ systematically:
   shutdown, and the supervisor respawns a pool slot under a fresh
   identity.
 * **Poison points** — the lease layer's reaper consults
-  ``poison_workers`` (see :func:`repro.service.lease.reap_shard`): a
+  ``poison_workers`` (see :func:`repro.harness.lease.reap_shard`): a
   point whose attempts failed under that many *distinct* workers is the
   point's fault, not the fleet's, and transitions to the terminal
   ``poisoned`` status instead of burning every worker in turn.
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.harness.campaign import entry_fingerprint
-from repro.service.lease import PointTable
+from repro.harness.lease import PointTable
 from repro.utils.shards import atomic_write_json, quarantine_shard
 
 __all__ = ["IntegrityConfig", "IntegrityMonitor", "IntegrityViolation",

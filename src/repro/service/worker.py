@@ -17,7 +17,7 @@ to a breaker-paced reconnect loop instead of an exit.
 failed claims are tolerated before giving up.
 
 A worker that loses its lease mid-simulation (the reaper requeued it, or
-a resume fenced it out) gets :class:`~repro.service.lease.LeaseLost`
+a resume fenced it out) gets :class:`~repro.harness.lease.LeaseLost`
 from the renewal inside its heartbeat hook, abandons the point, and
 moves on; the new owner's result is the one that lands.  On exit the
 worker courteously releases exactly the points it still holds.
@@ -48,7 +48,7 @@ from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.simulator import RunConfig, simulate
 from repro.service.httpclient import (CircuitOpen, HttpStatusError,
                                       ServiceClient, TransportError)
-from repro.service.lease import LeaseLost
+from repro.harness.lease import LeaseLost
 
 __all__ = ["RemoteJournal", "WorkerOptions", "work_service"]
 

@@ -14,7 +14,7 @@ from repro.core.uop import Uop
 from repro.guard.inject import (FaultInjector, corrupt_dbt,
                                 corrupt_prediction_queues, truncate_file,
                                 worker_fault_env)
-from repro.harness import SimulationFailed, simulate_many
+from repro.harness import CampaignJournal, SimulationFailed, run_campaign
 from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.simulator import RunConfig, simulate
 from repro.isa.instruction import Instruction
@@ -167,7 +167,7 @@ def test_checkpoint_truncate_quarantines_and_heals(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Worker faults: retry with surfaced provenance.
+# Worker faults: retry with journaled provenance.
 # ----------------------------------------------------------------------
 def _worker_configs():
     return [RunConfig(workload="astar", max_instructions=800),
@@ -179,31 +179,45 @@ def _require_fork():
         pytest.skip("worker fault env requires fork start method")
 
 
-def test_worker_kill_retried_with_provenance():
+def _shards(journal):
+    return [journal.read_point(c.cache_key()) for c in _worker_configs()]
+
+
+def test_worker_kill_retried_with_provenance(tmp_path):
     _require_fork()
+    journal = CampaignJournal(tmp_path / "camp")
     with worker_fault_env("kill", [0]):
-        results = simulate_many(_worker_configs(), jobs=2, retries=1,
-                                backoff=0.05)
-    assert results[0].attempts == 2
-    assert "exited" in results[0].last_error
-    assert results[0].stats.retired >= 800   # the retry's result is real
-    assert results[1].attempts == 1 and results[1].last_error is None
+        entries = run_campaign(_worker_configs(), journal=journal, jobs=2)
+    faulted, clean = _shards(journal)
+    assert faulted["attempts_taken"] == 2
+    assert "exited" in faulted["last_error"]
+    assert faulted["failed_workers"] == [faulted["failed_by"]]
+    # The retry's result is real.
+    assert entries[faulted["key"]]["retired"] >= 800
+    assert clean["attempts_taken"] == 1 and "last_error" not in clean
 
 
-def test_worker_hang_reaped_by_timeout():
+def test_worker_hang_reaped_by_timeout(tmp_path):
     _require_fork()
+    journal = CampaignJournal(tmp_path / "camp")
     with worker_fault_env("hang", [0], hang_seconds=60.0):
-        results = simulate_many(_worker_configs(), jobs=2, retries=1,
-                                timeout=1.0, backoff=0.05)
-    assert results[0].attempts == 2
-    assert "timeout" in results[0].last_error
-    assert results[0].stats.retired >= 800
+        entries = run_campaign(_worker_configs(), journal=journal, jobs=2,
+                               timeout=1.0)
+    faulted, _ = _shards(journal)
+    assert faulted["attempts_taken"] == 2
+    assert "timeout" in faulted["last_error"]
+    assert entries[faulted["key"]]["retired"] >= 800
 
 
-def test_worker_fault_exhausting_retries_fails_fast():
+def test_worker_fault_exhausting_retries_fails_fast(tmp_path):
     _require_fork()
+    journal = CampaignJournal(tmp_path / "camp")
     with worker_fault_env("kill", [0], max_attempt=10):
         with pytest.raises(SimulationFailed) as exc:
-            simulate_many(_worker_configs(), jobs=2, retries=1, backoff=0.05)
+            run_campaign(_worker_configs(), journal=journal, jobs=2)
     [(index, cfg, error)] = exc.value.failures
     assert index == 0 and "exited" in error
+    faulted, clean = _shards(journal)
+    assert faulted["status"] == "failed" and faulted["attempts"] == 2
+    assert "exited" in faulted["error"]
+    assert clean["status"] == "done"

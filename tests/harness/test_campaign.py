@@ -18,7 +18,8 @@ import pytest
 from repro.cli import main
 from repro.core import CoreConfig
 from repro.harness import (CampaignJournal, RunCache, RunConfig,
-                           entry_fingerprint, run_campaign)
+                           activate, entry_fingerprint, run_campaign)
+from repro.obs.live import read_campaign
 from repro.phelps import PhelpsConfig
 
 N = 1_500
@@ -30,6 +31,11 @@ def _configs(n=N):
             for w in ("astar", "perlbench") for e in ("baseline", "phelps")]
 
 
+def _statuses(root):
+    """``key -> status`` for every point the manifest names, read-only."""
+    return {k: p["status"] for k, p in read_campaign(root)["points"].items()}
+
+
 def _reference_fingerprints(configs):
     entries = run_campaign(configs, jobs=1)
     return {k: entry_fingerprint(v) for k, v in entries.items()}
@@ -38,27 +44,29 @@ def _reference_fingerprints(configs):
 def test_journal_roundtrip(tmp_path):
     journal = CampaignJournal(tmp_path / "camp")
     configs = _configs()
-    journal.prepare(configs, spec={"note": "x"})
     keys = [c.cache_key() for c in configs]
-    assert set(journal.statuses()) == set(keys)
-    assert set(journal.statuses().values()) == {"pending"}
+    manifest, shards = journal.prepare(configs, spec={"note": "x"})
+    assert [p["key"] for p in manifest["points"]] == keys
+    assert manifest["spec"] == {"note": "x"}
+    assert {k: s["status"] for k, s in shards.items()} \
+        == dict.fromkeys(keys, "pending")
+    assert _statuses(journal.root) == dict.fromkeys(keys, "pending")
 
-    journal.note_attempt(keys[0])
-    assert journal.read_point(keys[0])["status"] == "running"
-    assert journal.read_point(keys[0])["attempts"] == 1
-
-    journal.mark(keys[0], "done", entry={"ipc": 1.0})
+    table, _ = activate(journal, configs)
+    table.claim(keys[0], "w1")
+    table.complete(keys[0], "w1", {"ipc": 1.0})
     doc = journal.read_point(keys[0])
     assert doc["status"] == "done" and doc["attempts"] == 1
+    table.claim(keys[1], "w1")
 
-    # prepare() is the resume path: done points untouched, a crashed
-    # "running" point requeues to pending with provenance.
-    journal.note_attempt(keys[1])
-    journal.prepare(configs)
+    # Activation again is the resume path: done points untouched, a
+    # crashed "running" point requeues to pending with provenance.
+    table, _ = activate(journal, configs)
     assert journal.read_point(keys[0])["status"] == "done"
     requeued = journal.read_point(keys[1])
     assert requeued["status"] == "pending"
-    assert requeued["requeued"] is True and requeued["attempts"] == 1
+    assert requeued["requeued"] == "resumed" and requeued["attempts"] == 1
+    assert len(journal.load_manifest()["points"]) == len(configs)
 
 
 def test_campaign_completes_then_resume_skips_all(tmp_path):
@@ -66,7 +74,7 @@ def test_campaign_completes_then_resume_skips_all(tmp_path):
     journal = CampaignJournal(tmp_path / "camp")
     cache = RunCache(tmp_path / "cache")
     entries = run_campaign(configs, journal=journal, cache=cache, jobs=1)
-    assert set(journal.statuses().values()) == {"done"}
+    assert set(_statuses(journal.root).values()) == {"done"}
     assert all(c.cache_key() in entries for c in configs)
 
     # Second pass: everything served from the journal, nothing simulated.
@@ -78,33 +86,42 @@ def test_campaign_completes_then_resume_skips_all(tmp_path):
         == {k: entry_fingerprint(v) for k, v in entries.items()}
 
 
-def test_live_status_written_beside_journal(tmp_path):
-    """Any journaled campaign publishes live.json automatically; after
-    the run its statuses agree with the journal (the /campaign vs /live
-    fidelity property, without a server in the loop)."""
-    from repro.obs.live import live_view, read_live
-
-    configs = _configs()
-    journal = CampaignJournal(tmp_path / "camp")
-    run_campaign(configs, journal=journal, jobs=2, heartbeat_interval=0.05)
-
-    doc = read_live(tmp_path / "camp")
-    assert doc is not None and doc["schema"] == 1
-    assert doc["total"] == len(configs)
-    statuses = {k: p["status"] for k, p in doc["points"].items()}
-    assert statuses == journal.statuses()
-    assert set(statuses.values()) == {"done"}
-    # Heartbeats flowed: at least one point recorded pipeline progress.
-    assert any(p.get("hb") for p in doc["points"].values())
-    # Finished campaigns never read as stalled, however old the file.
-    view = live_view(doc, now=time.time() + 3600)
-    assert view["stalled"] == 0
-    assert view["counts"].get("done") == len(configs)
-
-    # Resume pass (all cache hits): live.json rewritten, still coherent.
-    run_campaign(configs, journal=journal, jobs=1)
-    doc = read_live(tmp_path / "camp")
-    assert {p["status"] for p in doc["points"].values()} == {"done"}
+def test_watch_shows_heartbeats_of_a_local_sweep(tmp_path, capsys):
+    """A local sweep's heartbeats land in its point shards, so ``repro
+    watch DIR --once`` shows a running point's progress mid-run — no
+    side file and no server — and the finished campaign afterwards."""
+    camp = tmp_path / "camp"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    sweep = subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep", "-w", "astar", "sssp",
+         "-e", "baseline", "phelps", "-n", "20000", "--jobs", "2",
+         "--manifest", str(camp), "--heartbeat-interval", "0.2", "-q"],
+        cwd=REPO, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while True:   # until a frame shows a running point's progress
+            assert sweep.poll() is None, "sweep ended before a heartbeat"
+            assert time.monotonic() < deadline, "no heartbeat seen"
+            time.sleep(0.05)
+            if not (camp / "campaign.json").exists():
+                continue
+            capsys.readouterr()
+            assert main(["watch", str(camp), "--once"]) == 0
+            rows = [line.split() for line in
+                    capsys.readouterr().out.splitlines()]
+            live = [r for r in rows if len(r) > 2 and r[1] == "running"
+                    and r[2].endswith("%")]
+            if live:
+                break
+        assert sweep.wait(timeout=300) == 0
+    finally:
+        if sweep.poll() is None:
+            sweep.kill()
+            sweep.wait()
+    capsys.readouterr()
+    assert main(["watch", str(camp), "--once"]) == 0
+    assert "campaign: 4/4 finished" in capsys.readouterr().out
 
 
 def test_truncated_shard_requeues_only_that_point(tmp_path):
@@ -125,7 +142,7 @@ def test_truncated_shard_requeues_only_that_point(tmp_path):
         == [victim]
     assert journal.quarantined == 1
     assert list((tmp_path / "camp").glob("*.corrupt"))
-    assert set(journal.statuses().values()) == {"done"}
+    assert set(_statuses(journal.root).values()) == {"done"}
     assert len(entries) == len(configs)
 
 
@@ -176,7 +193,7 @@ def test_sigkill_then_resume_bit_identical(tmp_path):
 
     # Resume through the CLI path and verify the journal converged.
     assert main(["sweep", "--resume", str(camp), "--jobs", "2"]) == 0
-    statuses = journal.statuses()
+    statuses = _statuses(camp)
     assert set(statuses.values()) == {"done"}, statuses
 
     configs = _configs(n)
@@ -225,11 +242,11 @@ def test_resume_refuses_point_overrides(tmp_path, capsys, override):
     camp = tmp_path / "camp"
     assert main(["sweep", "-w", "astar", "-e", "baseline", "-n", "500",
                  "--manifest", str(camp), "-j", "1", "-q"]) == 0
-    before = CampaignJournal(camp).statuses()
+    before = _statuses(camp)
     assert main(["sweep", "--resume", str(camp), *override, "-j", "1",
                  "-q"]) == 2
     assert "--resume" in capsys.readouterr().err
-    assert CampaignJournal(camp).statuses() == before
+    assert _statuses(camp) == before
 
 
 def test_points_spec_resumes_and_audits(tmp_path, capsys):
@@ -246,7 +263,7 @@ def test_points_spec_resumes_and_audits(tmp_path, capsys):
                  jobs=1)
     assert main(["sweep", "--resume", str(camp), "-j", "1", "-q"]) == 0
     journal = CampaignJournal(camp)
-    assert journal.statuses() == {c.cache_key(): "done" for c in configs}
+    assert _statuses(camp) == {c.cache_key(): "done" for c in configs}
     reference = _reference_fingerprints(configs)
     for key, fingerprint in reference.items():
         assert entry_fingerprint(journal.read_point(key)["entry"]) \

@@ -1,12 +1,18 @@
-"""simulate_many: determinism, ordering, progress, timeout and retry."""
+"""The local campaign engine: determinism, progress, timeout and retry.
 
-import dataclasses
+``run_campaign`` drives a point table with local worker processes
+(``repro.harness.parallel.run_points``); these tests pin what the old
+process-pool runner promised, now stated against the table and its
+journal shards.
+"""
+
 import time
 
 import pytest
 
 import repro.harness.parallel as parallel
-from repro.harness import Progress, SimulationFailed, simulate_many
+from repro.harness import (CampaignJournal, Progress, SimulationFailed,
+                           entry_fingerprint, run_campaign)
 from repro.harness.simulator import RunConfig, simulate
 
 N = 1_500  # instructions per point: enough pipeline activity, fast suite
@@ -24,21 +30,26 @@ def _configs():
     ]
 
 
+def _fingerprints(entries):
+    return {k: entry_fingerprint(v) for k, v in entries.items()}
+
+
+def _require_fork():
+    if parallel.mp.get_start_method() != "fork":
+        pytest.skip("injection requires fork start method")
+
+
 def test_parallel_matches_serial_bit_identical():
     configs = _configs()
     events = []
-    serial = simulate_many(configs, jobs=1)
-    fanned = simulate_many(configs, jobs=4, progress=events.append)
+    serial = run_campaign(configs, jobs=1)
+    fanned = run_campaign(configs, jobs=4, progress=events.append)
 
-    for cfg, s, p in zip(configs, serial, fanned):
-        # Results come back in input order ...
-        assert p.config == cfg
-        # ... with bit-identical stats (full dataclass equality).
-        assert p.stats == s.stats, cfg
-        # Workers drop the unpicklable hub; its data is already folded
-        # into stats.metrics / stats.epochs.
-        assert p.obs is None
-    assert fanned[3].stats.metrics  # observe=True survived serialization
+    assert set(fanned) == {c.cache_key() for c in configs}
+    # Bit-identical result entries, whichever process simulated them.
+    assert _fingerprints(fanned) == _fingerprints(serial)
+    # observe=True survived the process boundary in serialized form.
+    assert fanned[configs[3].cache_key()]["metrics"]
 
     # Every run announced a start and a done, and done_count reached total.
     assert sum(1 for e in events if e.kind == "start") == len(configs)
@@ -51,30 +62,36 @@ def test_parallel_matches_serial_bit_identical():
 def test_serial_fallback_progress_and_order():
     configs = _configs()[:2]
     events = []
-    results = simulate_many(configs, jobs=1, progress=events.append)
-    assert [r.config for r in results] == configs
+    run_campaign(configs, jobs=1, progress=events.append)
     assert [e.kind for e in events] == ["start", "done", "start", "done"]
-    # The serial path keeps the hub (useful in-process).
+    assert [e.config for e in events[::2]] == configs
     assert all(isinstance(e, Progress) for e in events)
 
 
-def _collect_heartbeats(jobs):
-    configs = _configs()[:2]
+def _heartbeats(tmp_path, jobs, monkeypatch):
+    """Run two points with a fast heartbeat; every payload renewed into
+    the table is recorded as ``(key, payload)``."""
     beats = []
-    results = simulate_many(configs, jobs=jobs,
-                            heartbeat=lambda i, p: beats.append((i, p)),
-                            heartbeat_interval=0.01)
-    return configs, beats, results
+    renew = parallel._Run.beat
+
+    def spy(self, key, worker, payload):
+        beats.append((key, payload))
+        renew(self, key, worker, payload)
+
+    monkeypatch.setattr(parallel._Run, "beat", spy)
+    configs = _configs()[:2]
+    entries = run_campaign(configs, journal=CampaignJournal(tmp_path / "j"),
+                           jobs=jobs, heartbeat_interval=0.01)
+    return configs, beats, entries
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_heartbeats_stream_from_both_paths(jobs):
-    """Satellite: the serial fallback must emit the same heartbeat shape
-    as the pool path, so live.json/watch behave identically at jobs=1."""
-    configs, beats, _ = _collect_heartbeats(jobs)
+def test_heartbeats_stream_from_both_paths(tmp_path, monkeypatch, jobs):
+    """The in-process path renews with the same heartbeat shape as the
+    pool path, so ``repro watch`` behaves identically at jobs=1."""
+    configs, beats, _ = _heartbeats(tmp_path, jobs, monkeypatch)
     assert beats, "no heartbeats arrived"
-    indices = {i for i, _ in beats}
-    assert indices <= set(range(len(configs)))
+    assert {k for k, _ in beats} <= {c.cache_key() for c in configs}
     for _, payload in beats:
         assert {"unix", "phase", "cycles", "retired", "instructions",
                 "cycles_per_sec", "guard", "halted"} <= payload.keys()
@@ -83,20 +100,19 @@ def test_heartbeats_stream_from_both_paths(jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_heartbeats_do_not_perturb_results(jobs):
-    """Telemetry is out-of-band: stats with heartbeats on are bit-
-    identical to a silent run (the acceptance bit-identity property)."""
-    configs, _, with_hb = _collect_heartbeats(jobs)
-    silent = simulate_many(configs, jobs=jobs)
-    for a, b in zip(with_hb, silent):
-        assert a.stats == b.stats
+def test_heartbeats_do_not_perturb_results(tmp_path, monkeypatch, jobs):
+    """Telemetry is out-of-band: entries with heartbeats streaming every
+    10 ms are bit-identical to a run with the default cadence."""
+    configs, _, with_hb = _heartbeats(tmp_path, jobs, monkeypatch)
+    quiet = run_campaign(configs, jobs=jobs)
+    assert _fingerprints(with_hb) == _fingerprints(quiet)
 
 
 def test_empty_and_single_config():
-    assert simulate_many([], jobs=8) == []
-    [only] = simulate_many(
-        [RunConfig(workload="astar", max_instructions=N)], jobs=8)
-    assert only.stats.retired >= N
+    assert run_campaign([], jobs=8) == {}
+    config = RunConfig(workload="astar", max_instructions=N)
+    only = run_campaign([config], jobs=8)
+    assert only[config.cache_key()]["retired"] >= N
 
 
 def test_timeout_then_retry_succeeds(tmp_path, monkeypatch):
@@ -105,134 +121,128 @@ def test_timeout_then_retry_succeeds(tmp_path, monkeypatch):
     The fake ``simulate`` is installed in the parent and inherited by the
     forked worker; a marker file distinguishes first from second attempt.
     """
-    if parallel.mp.get_start_method() != "fork":
-        pytest.skip("injection requires fork start method")
+    _require_fork()
 
-    def flaky(config):
+    def flaky(config, **kwargs):
         marker = tmp_path / f"{config.workload}-{config.engine}"
         if not marker.exists():
             marker.write_text("first attempt hangs")
             time.sleep(60)
-        return simulate(config)
+        return simulate(config, **kwargs)
 
     monkeypatch.setattr(parallel, "simulate", flaky)
-    # Two configs: a single config would short-circuit into the serial
-    # fallback (jobs = min(jobs, len(configs))), which has no timeouts.
+    # Two configs: a single config would run in-process (jobs is capped
+    # at the point count), which has no timeouts.
     configs = [RunConfig(workload="astar", max_instructions=N),
                RunConfig(workload="perlbench", max_instructions=N)]
     events = []
     start = time.time()
-    results = simulate_many(configs, jobs=2, timeout=1.0, retries=1,
-                            progress=events.append, poll_interval=0.05)
+    entries = run_campaign(configs, jobs=2, timeout=1.0, retries=1,
+                           progress=events.append)
     assert time.time() - start < 40  # terminated, not slept out
-    assert all(r.stats.retired >= N for r in results)
+    assert all(e["retired"] >= N for e in entries.values())
     kinds = [e.kind for e in events]
     assert kinds.count("retry") == 2 and kinds.count("done") == 2
 
 
-def test_retry_delay_deterministic_backoff():
-    # Bit-identical across calls: a retry schedule replays exactly.
-    assert parallel.retry_delay(3, 1, 0.5) == parallel.retry_delay(3, 1, 0.5)
-    # Jittered per index so same-attempt retries don't stampede together.
-    assert parallel.retry_delay(3, 1, 0.5) != parallel.retry_delay(4, 1, 0.5)
-    # Exponential envelope: attempt N lands in [b*2^(N-1), b*2^N).
-    assert 0.5 <= parallel.retry_delay(0, 1, 0.5) < 1.0
-    assert 1.0 <= parallel.retry_delay(0, 2, 0.5) < 2.0
-    # Disabled: first attempts and zero backoff never wait.
-    assert parallel.retry_delay(0, 0, 0.5) == 0.0
-    assert parallel.retry_delay(0, 3, 0.0) == 0.0
-
-
 def test_attempts_and_last_error_surfaced(tmp_path, monkeypatch):
-    if parallel.mp.get_start_method() != "fork":
-        pytest.skip("injection requires fork start method")
+    """The retried point's shard carries its provenance; the clean
+    point's stays pristine."""
+    _require_fork()
 
-    def flaky(config):
+    def flaky(config, **kwargs):
         marker = tmp_path / config.workload
         if config.workload == "astar" and not marker.exists():
             marker.write_text("x")
             raise RuntimeError("transient fault")
-        return simulate(config)
+        return simulate(config, **kwargs)
 
     monkeypatch.setattr(parallel, "simulate", flaky)
     configs = [RunConfig(workload="astar", max_instructions=N),
                RunConfig(workload="perlbench", max_instructions=N)]
-    results = simulate_many(configs, jobs=2, retries=1, backoff=0.05)
-    # The retried run carries its provenance; the clean run stays pristine.
-    assert results[0].attempts == 2
-    assert "transient fault" in results[0].last_error
-    assert results[1].attempts == 1 and results[1].last_error is None
+    journal = CampaignJournal(tmp_path / "camp")
+    run_campaign(configs, journal=journal, jobs=2, retries=1)
+    retried, clean = (journal.read_point(c.cache_key()) for c in configs)
+    assert retried["attempts_taken"] == 2
+    assert "transient fault" in retried["last_error"]
+    assert retried["requeued"] == "retry" and retried["generation"] == 1
+    assert retried["failed_workers"] == [retried["failed_by"]]
+    assert clean["attempts_taken"] == 1 and "last_error" not in clean
 
 
-def test_serial_results_default_provenance():
-    [r] = simulate_many([RunConfig(workload="astar", max_instructions=N)],
-                        jobs=1)
-    assert r.attempts == 1 and r.last_error is None
+def test_serial_results_default_provenance(tmp_path):
+    config = RunConfig(workload="astar", max_instructions=N)
+    journal = CampaignJournal(tmp_path / "camp")
+    run_campaign([config], journal=journal, jobs=1)
+    shard = journal.read_point(config.cache_key())
+    assert shard["attempts_taken"] == 1 and "last_error" not in shard
+    assert shard["completed_by"] == "local-1"
 
 
-def test_all_attempts_fail_raises(monkeypatch):
-    if parallel.mp.get_start_method() != "fork":
-        pytest.skip("injection requires fork start method")
+def test_all_attempts_fail_raises(tmp_path, monkeypatch):
+    _require_fork()
 
-    def boom(config):
+    def boom(config, **kwargs):
         raise RuntimeError("injected failure")
 
     monkeypatch.setattr(parallel, "simulate", boom)
     configs = [RunConfig(workload="astar", max_instructions=N),
                RunConfig(workload="perlbench", max_instructions=N)]
+    journal = CampaignJournal(tmp_path / "camp")
     events = []
     with pytest.raises(SimulationFailed) as exc:
-        simulate_many(configs, jobs=2, retries=1, progress=events.append)
+        run_campaign(configs, journal=journal, jobs=2, retries=1,
+                     progress=events.append)
     failures = exc.value.failures
     assert [i for i, _, _ in failures] == [0, 1]
     assert all("injected failure" in err for _, _, err in failures)
     # Each config: start, retry, failed.
     assert sum(1 for e in events if e.kind == "failed") == 2
     assert sum(1 for e in events if e.kind == "retry") == 2
+    for config in configs:
+        shard = journal.read_point(config.cache_key())
+        assert shard["status"] == "failed" and shard["attempts"] == 2
+        assert "injected failure" in shard["error"]
 
 
-def test_retry_delay_capped():
-    # The exponential envelope is clamped AFTER jitter: a deep attempt
-    # can never schedule past max_delay, and the cap itself is exact.
-    assert parallel.retry_delay(0, 12, 0.5) == 30.0
-    assert parallel.retry_delay(7, 12, 0.5, max_delay=2.5) == 2.5
-    # Determinism survives the cap (regression: the schedule must replay).
-    assert (parallel.retry_delay(3, 9, 0.5, max_delay=4.0)
-            == parallel.retry_delay(3, 9, 0.5, max_delay=4.0))
-    # Below the cap the jittered value passes through untouched.
-    assert parallel.retry_delay(0, 1, 0.5, max_delay=30.0) < 1.0
-
-
-def test_on_result_fires_per_completion():
+def test_each_completion_is_journaled_at_once(tmp_path):
+    """A point's shard is ``done`` before its progress event fires —
+    durable state never waits for the end of the sweep."""
     configs = _configs()[:3]
+    journal = CampaignJournal(tmp_path / "camp")
     seen = []
-    results = simulate_many(configs, jobs=2,
-                            on_result=lambda i, r: seen.append((i, r)))
-    # Every run reported exactly once, with the index of its input config.
-    assert sorted(i for i, _ in seen) == [0, 1, 2]
-    for i, r in seen:
-        assert r.config == configs[i]
-        assert r.stats == results[i].stats
+
+    def check(p):
+        if p.kind == "done":
+            shard = journal.read_point(p.config.cache_key())
+            seen.append(shard["status"])
+            assert shard["entry"]["cycles"] > 0
+
+    run_campaign(configs, journal=journal, jobs=2, progress=check)
+    assert seen == ["done"] * 3
 
 
-def test_serial_interrupt_raises_and_keeps_done(monkeypatch):
+def test_serial_interrupt_raises_and_keeps_done(tmp_path):
     import os
     import signal
 
     from repro.harness import SweepInterrupted
 
-    flushed = []
-
     def kick(p):
         # Deliver a real SIGINT after the first run completes; the guard
         # handler converts it to a flag, and the serial loop raises
-        # SweepInterrupted before dispatching the next point.
+        # SweepInterrupted before claiming the next point.
         if p.kind == "done" and p.done_count == 1:
             os.kill(os.getpid(), signal.SIGINT)
 
     configs = _configs()[:3]
+    journal = CampaignJournal(tmp_path / "camp")
     with pytest.raises(SweepInterrupted) as exc:
-        simulate_many(configs, jobs=1, progress=kick,
-                      on_result=lambda i, r: flushed.append(i))
+        run_campaign(configs, journal=journal, jobs=1, progress=kick)
     assert exc.value.done == 1 and exc.value.total == 3
-    assert flushed == [0]  # the completed run was flushed before raising
+    # The completed run was flushed before raising; the rest are pending,
+    # and the manifest records the interruption.
+    statuses = [journal.read_point(c.cache_key())["status"] for c in configs]
+    assert statuses == ["done", "pending", "pending"]
+    [record] = journal.load_manifest()["interruptions"]
+    assert (record["done"], record["total"]) == (1, 3)

@@ -1,18 +1,18 @@
-"""Live campaign telemetry: heartbeat payloads, live.json, watch view.
+"""Live campaign telemetry: heartbeat payloads and the watch view.
 
 The load-bearing properties: stalled-worker detection happens at *read*
 time from stored timestamps (a SIGKILLed worker cannot announce its own
-death), live.json writes are atomic and throttled, and heartbeat payloads
-only read core state.
+death), heartbeat payloads only read core state, and ``repro watch``
+stops once every point is finished.
 """
 
 import json
 import time
 
+from repro.cli import main
 from repro.core import Core
-from repro.obs.live import (HeartbeatTicker, LiveStatus, journal_view,
-                            live_view, read_campaign, read_live,
-                            render_watch)
+from repro.obs.live import (HeartbeatTicker, journal_view, live_view,
+                            read_campaign, render_watch)
 from repro.workloads import build_workload
 
 
@@ -23,11 +23,22 @@ def _beat(unix, retired=500, instructions=1000, cps=5000.0):
             "guard": "off", "halted": False}
 
 
-def _status(tmp_path, interval=1.0):
-    ls = LiveStatus(tmp_path / "live.json", interval=interval)
-    ls.point("k1", "astar", "phelps")
-    ls.point("k2", "sssp", "baseline")
-    return ls
+def _point(workload, engine, status="pending", **fields):
+    return {"workload": workload, "engine": engine, "status": status,
+            "attempts": 1 if status != "pending" else 0, **fields}
+
+
+def _doc(**points):
+    """A :func:`campaign_view`-shaped document over ``points``."""
+    counts = {}
+    for p in points.values():
+        counts[p["status"]] = counts.get(p["status"], 0) + 1
+    return {"total": len(points), "counts": counts, "points": points}
+
+
+def _two(k1=None, k2=None):
+    return _doc(k1=k1 or _point("astar", "phelps"),
+                k2=k2 or _point("sssp", "baseline"))
 
 
 class TestHeartbeatTicker:
@@ -54,115 +65,96 @@ class TestHeartbeatTicker:
         assert p["cycles_per_sec"] is not None and p["cycles_per_sec"] > 0
 
 
-class TestLiveStatus:
-    def test_write_is_atomic_json(self, tmp_path):
-        ls = _status(tmp_path)
-        ls.mark("k1", "running")
-        assert ls.write(force=True)
-        doc = json.loads((tmp_path / "live.json").read_text())
-        assert doc["schema"] == 1
-        assert doc["total"] == 2
-        assert doc["counts"] == {"running": 1, "pending": 1}
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_write_throttles_between_transitions(self, tmp_path):
-        ls = _status(tmp_path, interval=10.0)  # write_interval = 5s
-        assert ls.write()
-        assert not ls.write()      # throttled
-        ls.mark("k1", "running")   # transition resets the throttle
-        assert ls.write()
-        assert ls.write(force=True)
-
-    def test_transitions_record_timing_and_errors(self, tmp_path):
-        ls = _status(tmp_path)
-        ls.mark("k1", "running")
-        assert ls.points["k1"]["attempts"] == 1
-        assert ls.points["k1"]["started_unix"] is not None
-        ls.mark("k1", "failed", error="boom", wall_seconds=1.25)
-        assert ls.points["k1"]["error"] == "boom"
-        ls.mark("k1", "running")   # retry clears the error
-        assert ls.points["k1"]["attempts"] == 2
-        assert ls.points["k1"]["error"] is None
-        ls.mark("k1", "done", wall_seconds=2.5)
-        assert ls.points["k1"]["wall_seconds"] == 2.5
-
-    def test_read_live_roundtrip(self, tmp_path):
-        ls = _status(tmp_path)
-        ls.beat("k1", _beat(time.time()))
-        ls.write(force=True)
-        doc = read_live(tmp_path)
-        assert doc["points"]["k1"]["hb"]["retired"] == 500
-        assert read_live(tmp_path / "absent") is None
-
-
 class TestLiveView:
-    def test_fresh_heartbeat_not_stalled(self, tmp_path):
-        ls = _status(tmp_path)
+    def test_fresh_heartbeat_not_stalled(self):
         now = time.time()
-        ls.mark("k1", "running")
-        ls.beat("k1", _beat(now))
-        v = live_view(ls.snapshot(), now=now + 0.5)
-        p = v["points"]["k1"]
+        doc = _two(k1=_point("astar", "phelps", "running", hb=_beat(now)))
+        p = live_view(doc, now=now + 0.5)["points"]["k1"]
         assert not p["stalled"]
         assert 0.4 < p["heartbeat_age"] < 0.6
         assert p["progress"] == 0.5
 
-    def test_silent_running_point_goes_stalled(self, tmp_path):
+    def test_silent_running_point_goes_stalled(self):
         """A killed worker is flagged the moment its heartbeat age crosses
         the threshold — derived at read time, no writer involved."""
-        ls = _status(tmp_path)
         now = time.time()
-        ls.mark("k1", "running")
-        ls.beat("k1", _beat(now))
+        doc = _two(k1=_point("astar", "phelps", "running", hb=_beat(now)))
         # Default threshold is 2 x heartbeat_interval (interval=1.0).
-        assert not live_view(ls.snapshot(), now=now + 1.5)["points"]["k1"]["stalled"]
-        v = live_view(ls.snapshot(), now=now + 2.5)
+        assert not live_view(doc, now=now + 1.5)["points"]["k1"]["stalled"]
+        v = live_view(doc, now=now + 2.5)
         assert v["points"]["k1"]["stalled"]
         assert v["stalled"] == 1
 
-    def test_stalled_before_first_heartbeat_uses_start_time(self, tmp_path):
-        ls = _status(tmp_path)
-        ls.mark("k1", "running")  # stamps started_unix, no beat ever
-        start = ls.points["k1"]["started_unix"]
-        v = live_view(ls.snapshot(), now=start + 3.0)
+    def test_stalled_before_first_heartbeat_uses_start_time(self):
+        # The claim stamps lease_renewed_unix; no beat ever arrives.
+        start = time.time()
+        doc = _two(k1=_point("astar", "phelps", "running",
+                             lease_renewed_unix=start))
+        v = live_view(doc, now=start + 3.0)
         assert v["points"]["k1"]["stalled"]
 
-    def test_done_points_never_stall(self, tmp_path):
-        ls = _status(tmp_path)
-        ls.mark("k1", "running")
-        ls.beat("k1", _beat(time.time()))
-        ls.mark("k1", "done", wall_seconds=1.0)
-        v = live_view(ls.snapshot(), now=time.time() + 100)
+    def test_done_points_never_stall(self):
+        doc = _two(k1=_point("astar", "phelps", "done",
+                             hb=_beat(time.time()), wall_seconds=1.0))
+        v = live_view(doc, now=time.time() + 100)
         assert not v["points"]["k1"]["stalled"]
 
-    def test_eta_scales_with_remaining_work(self, tmp_path):
-        ls = _status(tmp_path)
-        ls.mark("k1", "done", wall_seconds=10.0)
+    def test_eta_scales_with_remaining_work(self):
         # k2 pending: one done point at 10s -> ETA ~10s for the one left.
-        v = live_view(ls.snapshot())
-        assert v["eta_seconds"] == 10.0
-        ls.mark("k2", "done", wall_seconds=10.0)
-        assert live_view(ls.snapshot())["eta_seconds"] is None
+        done = _point("astar", "phelps", "done", wall_seconds=10.0)
+        assert live_view(_two(k1=done))["eta_seconds"] == 10.0
+        both = _two(k1=done, k2=_point("sssp", "baseline", "done",
+                                       wall_seconds=10.0))
+        assert live_view(both)["eta_seconds"] is None
 
 
 class TestRenderWatch:
-    def test_frame_shows_status_and_stall_flag(self, tmp_path):
-        ls = _status(tmp_path)
+    def test_frame_shows_status_and_stall_flag(self):
         now = time.time()
-        ls.mark("k1", "running")
-        ls.beat("k1", _beat(now))
-        ls.mark("k2", "done", wall_seconds=2.0)
-        text = render_watch(live_view(ls.snapshot(), now=now + 5.0))
+        doc = _two(k1=_point("astar", "phelps", "running", hb=_beat(now)),
+                   k2=_point("sssp", "baseline", "done", wall_seconds=2.0))
+        text = render_watch(live_view(doc, now=now + 5.0))
         assert "astar/phelps" in text
         assert "STALLED" in text
         assert "1/2 finished" in text
 
-    def test_limit_truncates(self, tmp_path):
-        ls = LiveStatus(tmp_path / "live.json")
-        for i in range(10):
-            ls.point(f"k{i}", "astar", "baseline")
-        text = render_watch(live_view(ls.snapshot()), limit=3)
+    def test_limit_truncates(self):
+        doc = _doc(**{f"k{i}": _point("astar", "baseline")
+                      for i in range(10)})
+        text = render_watch(live_view(doc), limit=3)
         assert "... 7 more" in text
+
+
+class TestWatchExit:
+    def test_watch_returns_once_a_poisoned_campaign_is_finished(
+            self, tmp_path, monkeypatch, capsys):
+        """One done and one poisoned point is a finished campaign: the
+        header says 2/2 and ``watch`` exits 0 instead of polling on.
+        A regression raises from the patched sleep instead of hanging."""
+        root = tmp_path / "camp"
+        root.mkdir()
+        (root / "campaign.json").write_text(json.dumps({
+            "schema": 1,
+            "points": [{"key": "a", "workload": "astar", "engine": "phelps"},
+                       {"key": "b", "workload": "sssp",
+                        "engine": "baseline"}]}))
+        (root / "a.json").write_text(json.dumps(
+            {"key": "a", "status": "done", "attempts": 1,
+             "entry": {"wall_seconds": 1.0}}))
+        (root / "b.json").write_text(json.dumps(
+            {"key": "b", "status": "poisoned", "attempts": 3,
+             "error": "lease expired under 3 distinct workers"}))
+        polls = []
+
+        def sleep(seconds):
+            polls.append(seconds)
+            if len(polls) > 20:
+                raise AssertionError("watch kept polling a finished campaign")
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        assert main(["watch", str(root), "--interval", "0"]) == 0
+        assert polls == []
+        assert "campaign: 2/2 finished" in capsys.readouterr().out
 
 
 class TestReadCampaign:

@@ -1,13 +1,14 @@
-"""The HTTP telemetry endpoint: routes, formats, journal fidelity.
+"""The campaign telemetry served over HTTP: routes, formats, journal
+fidelity.
 
-Servers bind port 0 (ephemeral) so parallel test runs never collide.
+The campaign daemon is the one campaign HTTP handler, so these tests
+scrape it: a campaign is submitted with no worker pool, and the tests
+drive its points through the lease endpoints a remote worker uses.
+The daemon binds port 0 (ephemeral) so parallel test runs never collide.
 """
 
 import json
-import os
-import re
-import subprocess
-import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -15,196 +16,187 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.harness import CampaignJournal
-from repro.obs.live import LiveStatus
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.serve import TelemetryServer
+from repro.harness.campaign import CampaignJournal
+from repro.obs.live import live_view, read_campaign
+from repro.service.daemon import CampaignService, ServiceConfig
+from repro.service.worker import WorkerOptions, work_service
 
+pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
-@pytest.fixture
-def campaign(tmp_path):
-    root = tmp_path / "camp"
-    root.mkdir()
-    (root / "campaign.json").write_text(json.dumps({
-        "schema": 1,
-        "points": [{"key": "a", "workload": "astar", "engine": "phelps"},
-                   {"key": "b", "workload": "sssp", "engine": "baseline"}],
-    }))
-    (root / "a.json").write_text(json.dumps(
-        {"key": "a", "status": "done", "attempts": 1,
-         "entry": {"wall_seconds": 1.0}}))
-    (root / "b.json").write_text(json.dumps(
-        {"key": "b", "status": "running", "attempts": 1}))
-    ls = LiveStatus(root / "live.json", interval=0.5)
-    ls.point("a", "astar", "phelps")
-    ls.point("b", "sssp", "baseline")
-    ls.mark("a", "done", wall_seconds=1.0)
-    ls.mark("b", "running")
-    ls.beat("b", {"unix": time.time(), "phase": "run", "cycles": 100,
-                  "retired": 50, "instructions": 100,
-                  "cycles_per_sec": 1000.0, "retired_per_sec": 500.0,
-                  "guard": "off", "halted": False})
-    ls.write(force=True)
-    return root
+SPEC = {"workloads": ["astar", "sssp"], "engines": ["baseline", "phelps"],
+        "instructions": 1500}
 
 
 def _get(url):
-    with urllib.request.urlopen(url, timeout=5) as resp:
+    with urllib.request.urlopen(url, timeout=10) as resp:
         return resp.read().decode()
 
 
-def test_metrics_exposition(campaign):
-    reg = MetricsRegistry()
-    reg.counter("core.cycles").inc(9)
-    with TelemetryServer(campaign, registry=reg) as srv:
-        text = _get(srv.url + "/metrics")
-    assert "repro_core_cycles 9" in text
-    assert 'repro_campaign_points{status="done"} 1' in text
-    assert 'repro_campaign_points{status="running"} 1' in text
-    assert "repro_campaign_heartbeat_age_max" in text
+def _post(url, doc):
+    req = urllib.request.Request(
+        url, data=json.dumps(doc).encode(), method="POST",
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(req, timeout=10) as resp:
+        return json.loads(resp.read().decode())
 
 
-def test_campaign_route_matches_journal(campaign):
-    with TelemetryServer(campaign) as srv:
-        doc = json.loads(_get(srv.url + "/campaign"))
-    assert doc["counts"] == {"done": 1, "running": 1}
-    assert doc["points"]["a"]["status"] == "done"
-    assert doc["points"]["b"]["status"] == "running"
+def _wait_for(predicate, timeout, what):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.05)
 
 
-def test_live_route_derives_ages(campaign):
-    with TelemetryServer(campaign) as srv:
-        doc = json.loads(_get(srv.url + "/live"))
-    assert doc["points"]["b"]["heartbeat_age"] is not None
-    assert doc["points"]["b"]["stalled"] is False
+def _service(tmp_path):
+    return CampaignService(ServiceConfig(
+        root=str(tmp_path / "svc"), port=0, workers=0, lease_seconds=30.0,
+        reap_interval=0.3, stream_interval=0.05, heartbeat_interval=0.5,
+        cache_dir=None, log=False))
 
 
-def test_stream_emits_sse_frames(campaign):
-    with TelemetryServer(campaign, interval=0.05) as srv:
-        with urllib.request.urlopen(srv.url + "/stream", timeout=5) as resp:
-            assert resp.headers["Content-Type"] == "text/event-stream"
-            line = resp.readline().decode()
+def _activate(svc, spec=SPEC):
+    cid = _post(f"{svc.url}/campaigns", spec)["id"]
+    _wait_for(lambda: svc.state.get(cid).status == "active", 30,
+              "activation")
+    return cid
+
+
+@pytest.fixture
+def served(tmp_path):
+    """A daemon and a 2x2 campaign in it with one point claimed by
+    worker ``w1`` and one heartbeat in, three points still pending:
+    ``(service, campaign id, claimed key)``."""
+    with _service(tmp_path) as svc:
+        cid = _activate(svc)
+        claim = _post(f"{svc.url}/claim", {"worker": "w1"})
+        assert claim["campaign"] == cid and claim["key"]
+        _post(f"{svc.url}/renew", {
+            "campaign": cid, "worker": "w1", "key": claim["key"],
+            "hb": {"unix": time.time(), "phase": "run", "cycles": 100,
+                   "retired": 50, "instructions": 1500,
+                   "cycles_per_sec": 1000.0, "retired_per_sec": 500.0,
+                   "guard": "off", "halted": False}})
+        yield svc, cid, claim["key"]
+
+
+def test_metrics_exposition(served):
+    svc, cid, _ = served
+    text = _get(svc.url + "/metrics")
+    assert "repro_service_up 1" in text
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            name, value = line.rsplit(" ", 1)
+            assert name[0].isalpha() or name[0] == "_", line
+            samples[name] = float(value)
+    points = {n: v for n, v in samples.items()
+              if n.startswith("repro_service_campaign_points{")
+              and f'campaign="{cid}"' in n}
+    assert sum(points.values()) == 4
+    by_status = {n.split('status="')[1].split('"')[0]: v
+                 for n, v in points.items()}
+    assert by_status["pending"] == 3 and by_status["running"] == 1
+
+
+def test_campaign_route_matches_journal(served):
+    svc, cid, key = served
+    doc = json.loads(_get(f"{svc.url}/campaigns/{cid}"))
+    assert doc["counts"] == {"pending": 3, "running": 1}
+    assert doc["points"][key]["status"] == "running"
+    assert doc["points"][key]["worker"] == "w1"
+    journal = read_campaign(svc.state.get(cid).dir)
+    assert {k: p["status"] for k, p in doc["points"].items()} \
+        == {k: p["status"] for k, p in journal["points"].items()}
+
+
+def test_live_route_derives_ages(served):
+    """The view ``watch --connect`` derives from the campaign route:
+    the heartbeat just sent is fresh, so the point is not stalled."""
+    svc, cid, key = served
+    view = live_view(json.loads(_get(f"{svc.url}/campaigns/{cid}")))
+    point = view["points"][key]
+    assert point["heartbeat_age"] is not None
+    assert point["heartbeat_age"] < view["stall_after"]
+    assert point["stalled"] is False
+    assert point["progress"] == pytest.approx(50 / 1500)
+    assert view["stalled"] == 0
+
+
+def test_stream_emits_sse_frames(served):
+    svc, cid, _ = served
+    with urllib.request.urlopen(f"{svc.url}/campaigns/{cid}/stream",
+                                timeout=10) as resp:
+        assert resp.headers["Content-Type"] == "text/event-stream"
+        line = resp.readline().decode()
     assert line.startswith("data: ")
     frame = json.loads(line[len("data: "):])
-    assert frame["points"]["b"]["status"] == "running"
+    assert frame["id"] == cid
+    assert frame["status"] == "active"
+    assert frame["counts"]["running"] == 1
 
 
-def test_unknown_route_404s(campaign):
-    with TelemetryServer(campaign) as srv:
+def test_unknown_route_404s(served):
+    svc, _, _ = served
+    for path in ("/nope", "/live", "/campaign"):
         with pytest.raises(urllib.error.HTTPError) as err:
-            _get(srv.url + "/nope")
-        assert err.value.code == 404
+            _get(svc.url + path)
+        assert err.value.code == 404, path
 
 
 def test_missing_campaign_404s(tmp_path):
-    with TelemetryServer(tmp_path / "nothing") as srv:
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _get(srv.url + "/campaign")
-        assert err.value.code == 404
-        # /metrics still serves (empty registry, no campaign gauges).
-        assert _get(srv.url + "/metrics").endswith("\n")
+    with _service(tmp_path) as svc:
+        for path in ("/campaigns/c9999", "/campaigns/c9999/stream",
+                     "/campaigns/c9999/results"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(svc.url + path)
+            assert err.value.code == 404, path
+        # /metrics still serves (no campaigns, no campaign gauges).
+        text = _get(svc.url + "/metrics")
+        assert text.endswith("\n")
+        assert "repro_service_campaign_points" not in text
 
 
-def test_busy_port_degrades_to_ephemeral(campaign, capsys):
-    """A taken port must not kill the sweep the server rides along with:
-    the server falls back to an ephemeral port and says so."""
-    with TelemetryServer(campaign) as first:
-        second = TelemetryServer(campaign, port=first.port)
-        try:
-            second.start()
-            assert second.port != first.port
-            assert json.loads(_get(second.url + "/campaign"))["total"] == 2
-        finally:
-            second.stop()
-    err = capsys.readouterr().err
-    assert f"cannot bind 127.0.0.1:{first.port}" in err
-    assert "ephemeral port" in err
-
-
-def test_live_views_are_marked_no_store(campaign):
-    with TelemetryServer(campaign) as srv:
-        for path in ("/metrics", "/campaign", "/live"):
-            with urllib.request.urlopen(srv.url + path, timeout=5) as resp:
-                assert resp.headers["Cache-Control"] == "no-store", path
-
-
-REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-
-
-def _spawn(*args):
-    """``python -m repro ARGS`` with unbuffered stdout, and the URL of
-    the telemetry endpoint it announces on its first lines."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"),
-               PYTHONUNBUFFERED="1")
-    proc = subprocess.Popen([sys.executable, "-m", "repro", *args],
-                            cwd=REPO, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.DEVNULL, text=True)
-    for line in proc.stdout:
-        found = re.search(r"(http://\S+)", line)
-        if found:
-            return proc, found.group(1)
-    raise AssertionError(f"{args[0]} never announced its endpoint")
+def test_live_views_are_marked_no_store(served):
+    svc, cid, _ = served
+    for path in ("/metrics", f"/campaigns/{cid}",
+                 f"/campaigns/{cid}/results", f"/campaigns/{cid}/stream"):
+        with urllib.request.urlopen(svc.url + path, timeout=10) as resp:
+            assert resp.headers["Cache-Control"] == "no-store", path
 
 
 def test_served_sweep_end_to_end(tmp_path, capsys):
-    """A 2x2 ``sweep --serve`` scraped while workers are hot: valid
-    exposition whose point gauges sum to the point count, fresh
-    heartbeats, a /campaign view that ends equal to the journal — also
-    through a standalone ``repro serve`` — and a ``watch`` frame of the
-    finished campaign."""
-    camp = tmp_path / "livecamp"
-    sweep, url = _spawn("sweep", "-w", "astar", "sssp", "-e", "baseline",
-                        "phelps", "-n", "20000", "--jobs", "2",
-                        "--manifest", str(camp), "--serve", "0",
-                        "--heartbeat-interval", "0.5")
-    try:
-        deadline = time.monotonic() + 120
-        while True:   # until a running point has a heartbeat in /live
-            assert time.monotonic() < deadline, "no heartbeat seen"
-            time.sleep(0.05)
-            try:
-                live = json.loads(_get(url + "/live"))
-            except urllib.error.HTTPError:   # no live.json yet
-                continue
-            running = {k: p for k, p in live["points"].items()
-                       if p["status"] == "running"}
-            if running and all(p.get("hb") for p in running.values()):
-                break
-        metrics = _get(url + "/metrics")
-        campaign = json.loads(_get(url + "/campaign"))
-        # Mid-run heartbeats are fresh: within the 2x-interval (1.0 s)
-        # stall threshold.
-        assert live["stalled"] == 0, live
-        for key, point in running.items():
-            assert point["heartbeat_age"] < 1.0, (key, point)
-        samples = {}
-        for line in metrics.splitlines():
-            if line and not line.startswith("#"):
-                name, value = line.rsplit(" ", 1)
-                assert name[0].isalpha() or name[0] == "_", line
-                samples[name] = float(value)
-        gauges = [n for n in samples if n.startswith("repro_campaign_points")]
-        assert sum(samples[n] for n in gauges) == 4
-        assert {p["status"] for p in campaign["points"].values()} \
-            <= {"pending", "running", "done"}
-        assert sweep.wait(timeout=300) == 0
-    finally:
-        if sweep.poll() is None:
-            sweep.kill()
-        sweep.stdout.close()
-
-    server, served = _spawn("serve", str(camp), "--port", "0")
-    try:
-        final = json.loads(_get(served + "/campaign"))
-    finally:
-        server.terminate()
-        server.wait(timeout=30)
-        server.stdout.close()
-    assert {k: p["status"] for k, p in final["points"].items()} \
-        == CampaignJournal(camp).statuses()
-    assert final["points"].keys() == campaign["points"].keys()
-
-    capsys.readouterr()
-    assert main(["watch", str(camp), "--once"]) == 0
+    """A 2x2 campaign scraped while a worker is hot: the point gauges
+    sum to the point count, the final ``/campaigns/<id>`` view equals
+    the journal, and ``watch --connect`` frames the finished campaign.
+    (Mid-run heartbeats of a local sweep are checked through
+    ``repro watch DIR`` in the campaign tests.)"""
+    with _service(tmp_path) as svc:
+        cid = _activate(svc)
+        worker = threading.Thread(target=work_service, args=(
+            svc.url, WorkerOptions(worker_id="w1", max_points=4,
+                                   poll_interval=0.05,
+                                   heartbeat_interval=0.2, log=False)))
+        worker.start()
+        try:
+            metrics = _get(f"{svc.url}/metrics")
+            gauges = [float(line.rsplit(" ", 1)[1])
+                      for line in metrics.splitlines()
+                      if line.startswith("repro_service_campaign_points{")
+                      and f'campaign="{cid}"' in line]
+            assert sum(gauges) == 4
+            _wait_for(lambda: svc.state.get(cid).status == "done", 120,
+                      "campaign to finish")
+        finally:
+            worker.join(timeout=120)
+        url = f"{svc.url}/campaigns/{cid}"
+        final = json.loads(_get(url))
+        journal = CampaignJournal(svc.state.get(cid).dir)
+        statuses = {k: p["status"]
+                    for k, p in read_campaign(journal.root)["points"].items()}
+        assert {k: p["status"] for k, p in final["points"].items()} \
+            == statuses == dict.fromkeys(statuses, "done")
+        capsys.readouterr()
+        assert main(["watch", "--connect", url, "--once"]) == 0
     frame = capsys.readouterr().out
-    assert "done" in frame and "4/4" in frame
+    assert "campaign: 4/4 finished" in frame
+    assert "astar/phelps" in frame

@@ -21,9 +21,17 @@ import pytest
 from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
                                     run_campaign)
 from repro.harness.runcache import RunCache
+from repro.obs.live import read_campaign
 from repro.service.daemon import _INDEX, CampaignService, ServiceConfig
 from repro.service.queue import TenantPolicy, configs_from_spec
 from repro.service.worker import INJECT_ENV, WorkerOptions, work_service
+
+
+def statuses(journal):
+    """``key -> status`` for every point the journal's manifest names."""
+    return {k: p["status"]
+            for k, p in read_campaign(journal.root)["points"].items()}
+
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -96,6 +104,18 @@ class TestHTTPSurface:
                 with urllib.request.urlopen(svc.url + path,
                                             timeout=10) as resp:
                     assert resp.headers["Cache-Control"] == "no-store", path
+
+    def test_busy_port_degrades_to_ephemeral(self, tmp_path):
+        """A taken port must not kill the daemon: it falls back to an
+        ephemeral port instead."""
+        with CampaignService(quick_config(tmp_path)) as first:
+            second = CampaignService(quick_config(
+                tmp_path / "second", port=first.port)).start()
+            try:
+                assert second.port != first.port
+                assert get(f"{second.url}/healthz") == (200, {"ok": True})
+            finally:
+                second.stop()
 
     def test_documented_routes_are_the_served_routes(self, tmp_path):
         """The route table in docs/campaign-service.md, the daemon's
@@ -456,12 +476,45 @@ class TestPointTable:
                 worker_id="w2", max_points=1, poll_interval=0.05,
                 log=False))
             directory = svc.state.get(cid).dir
-        counts = CampaignJournal(directory).statuses()
+        counts = statuses(CampaignJournal(directory))
         assert sorted(counts.values()) == ["done", "pending", "pending",
                                            "running"]
         assert main(["sweep", "--resume", directory, "-q", "-j", "1"]) == 0
         journal = CampaignJournal(directory)
         reference = run_campaign(configs_from_spec(SPEC), jobs=1)
         assert {k: entry_fingerprint(journal.read_point(k)["entry"])
-                for k in journal.statuses()} \
+                for k in statuses(journal)} \
             == {k: entry_fingerprint(v) for k, v in reference.items()}
+
+
+class TestOneEngine:
+    """The local sweep and the daemon run points through the same point
+    table, so they leave the same shards and the same views."""
+
+    def test_local_and_served_shards_match(self, tmp_path):
+        """The same 2-point spec through ``run_campaign`` with a journal
+        and through a daemon with one worker: each pair of done shards
+        has the same fields and the same entry fingerprint, and only
+        the worker ids differ."""
+        spec = {"workloads": ["astar"], "engines": ["baseline", "phelps"],
+                "instructions": 1500}
+        local = CampaignJournal(tmp_path / "local")
+        run_campaign(configs_from_spec(spec), journal=local, jobs=2)
+        with CampaignService(quick_config(tmp_path, cache_dir=None)) as svc:
+            cid = activate(svc, spec)
+            work_service(svc.url, WorkerOptions(
+                worker_id="w1", max_points=2, poll_interval=0.05,
+                heartbeat_interval=0.2, log=False))
+            served = CampaignJournal(svc.state.get(cid).dir)
+        keys = [c.cache_key() for c in configs_from_spec(spec)]
+        for key in keys:
+            mine, theirs = local.read_point(key), served.read_point(key)
+            assert mine["status"] == theirs["status"] == "done"
+            assert mine.keys() == theirs.keys(), key
+            assert entry_fingerprint(mine["entry"]) \
+                == entry_fingerprint(theirs["entry"])
+            assert {f: v for f, v in mine.items()
+                    if f not in ("entry", "completed_by")} \
+                == {f: v for f, v in theirs.items()
+                    if f not in ("entry", "completed_by")}
+            assert theirs["completed_by"] == "w1"

@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.harness.parallel import retry_delay
+from repro.service.httpclient import backoff_delay
 from repro.service.httpclient import (BREAKER_CLOSED, BREAKER_HALF_OPEN,
                                       BREAKER_OPEN, CircuitOpen,
                                       HttpStatusError, NotFound,
@@ -127,11 +127,35 @@ class TestBackoffDeterminism:
             client.get("/x")
             runs.append(tuple(sleeps))
         assert runs[0] == runs[1]
-        # And the delays are exactly the retry_delay convention for the
+        # And the delays are exactly the backoff_delay convention for the
         # first request (seq=1).
-        expected = tuple(retry_delay(1, attempt, 0.25, 4.0)
+        expected = tuple(backoff_delay(1, attempt, 0.25, 4.0)
                          for attempt in (1, 2, 3))
         assert runs[0] == expected
+
+    def test_backoff_delay_is_deterministic_and_exponential(self):
+        # Bit-identical across calls: a retry schedule replays exactly.
+        assert backoff_delay(3, 1, 0.5) == backoff_delay(3, 1, 0.5)
+        # Jittered per request so same-attempt retries don't stampede.
+        assert backoff_delay(3, 1, 0.5) != backoff_delay(4, 1, 0.5)
+        # Exponential envelope: attempt N lands in [b*2^(N-1), b*2^N).
+        assert 0.5 <= backoff_delay(0, 1, 0.5) < 1.0
+        assert 1.0 <= backoff_delay(0, 2, 0.5) < 2.0
+        # Disabled: first attempts and zero backoff never wait.
+        assert backoff_delay(0, 0, 0.5) == 0.0
+        assert backoff_delay(0, 3, 0.0) == 0.0
+
+    def test_backoff_delay_capped(self):
+        # The exponential envelope is clamped AFTER jitter: a deep attempt
+        # can never schedule past max_delay, and the cap itself is exact.
+        assert backoff_delay(0, 12, 0.5) == 30.0
+        assert backoff_delay(7, 12, 0.5, max_delay=2.5) == 2.5
+        # Determinism survives the cap (regression: the schedule must
+        # replay).
+        assert (backoff_delay(3, 9, 0.5, max_delay=4.0)
+                == backoff_delay(3, 9, 0.5, max_delay=4.0))
+        # Below the cap the jittered value passes through untouched.
+        assert backoff_delay(0, 1, 0.5, max_delay=30.0) < 1.0
 
     def test_later_requests_decorrelate(self):
         client, sleeps, _ = scripted_client(

@@ -24,7 +24,7 @@ from repro.obs.live import live_view, render_watch
 from repro.service.daemon import CampaignService, ServiceConfig
 from repro.service.integrity import (IntegrityConfig, IntegrityMonitor,
                                      WorkerReputation, should_audit)
-from repro.service.lease import PointTable
+from repro.harness.lease import PointTable
 from repro.service.queue import configs_from_spec
 from repro.service.worker import INJECT_ENV
 

@@ -10,7 +10,7 @@ equals the table in memory.
 import pytest
 
 from repro.harness.campaign import CampaignJournal
-from repro.service.lease import (APPLIED, MAX_AUDIT_ATTEMPTS, REPEAT, STALE,
+from repro.harness.lease import (APPLIED, MAX_AUDIT_ATTEMPTS, REPEAT, STALE,
                                  LeaseLost, PointTable)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -307,23 +307,24 @@ class TestAuditLease:
 class TestPrepareFencing:
     def test_resume_strips_lease_and_bumps_generation(self, tmp_path):
         """``sweep --resume`` over a leased campaign fences live workers:
-        prepare() requeues running points with a generation bump, so the
-        old owner's renewals raise LeaseLost in a table loaded from the
-        resumed journal."""
+        activation requeues the table's running points with a generation
+        bump, so the old owner's renewals raise LeaseLost — in the resumed
+        table and in any table loaded from the resumed journal."""
+        from repro.harness.campaign import activate
         from repro.harness.simulator import RunConfig
 
         journal = CampaignJournal(tmp_path / "c")
         journal.root.mkdir()
         configs = [RunConfig(workload="astar", engine="baseline",
                              max_instructions=1000)]
-        journal.prepare(configs)
         key = configs[0].cache_key()
-        PointTable.load(journal).claim(key, "w1", now=T0)
-        journal.prepare(configs)  # the resume path
-        table = PointTable.load(journal)
-        doc = table.read_point(key)
-        assert doc["status"] == "pending"
-        assert doc["generation"] == 1
-        assert "worker" not in doc
-        with pytest.raises(LeaseLost):
-            table.renew(key, "w1", now=T0)
+        activate(journal, configs)[0].claim(key, "w1", now=T0)
+        resumed, _ = activate(journal, configs)  # the resume path
+        for table in (resumed, PointTable.load(journal)):
+            doc = table.read_point(key)
+            assert doc["status"] == "pending"
+            assert doc["generation"] == 1
+            assert doc["requeued"] == "resumed"
+            assert "worker" not in doc
+            with pytest.raises(LeaseLost):
+                table.renew(key, "w1", now=T0)

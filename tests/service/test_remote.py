@@ -25,7 +25,7 @@ from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
 from repro.service.chaosproxy import ChaosProxy, FaultPlan
 from repro.service.daemon import CampaignService, ServiceConfig
 from repro.service.httpclient import ServiceClient
-from repro.service.lease import LeaseLost
+from repro.harness.lease import LeaseLost
 from repro.service.queue import configs_from_spec
 from repro.service.worker import (INJECT_ENV, RemoteJournal, WorkerOptions,
                                   work_service)

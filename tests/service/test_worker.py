@@ -26,7 +26,7 @@ from repro.service.queue import configs_from_spec
 from repro.service.worker import (INJECT_ENV, RemoteJournal, WorkerOptions,
                                   work_service)
 
-from tests.service.test_daemon import post, quick_config, wait_for
+from tests.service.test_daemon import post, quick_config, statuses, wait_for
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -59,7 +59,7 @@ def options(worker_id, **overrides):
 
 def fingerprints(journal):
     out = {}
-    for key, status in journal.statuses().items():
+    for key, status in statuses(journal).items():
         assert status == "done", (key, status)
         out[key] = entry_fingerprint(journal.read_point(key)["entry"])
     return out
@@ -74,7 +74,7 @@ class TestDrain:
         assert fingerprints(journal) == {
             k: entry_fingerprint(v) for k, v in reference.items()}
         # Completion provenance survives in the shards.
-        for key in journal.statuses():
+        for key in statuses(journal):
             doc = journal.read_point(key)
             assert doc["completed_by"] == "w1"
             assert doc["source"] == "worker"
@@ -106,15 +106,14 @@ class TestDrain:
         assert report.cache_hits == 2
         assert fingerprints(journal) == {
             k: entry_fingerprint(v) for k, v in warm.items()}
-        doc = journal.read_point(next(iter(journal.statuses())))
+        doc = journal.read_point(next(iter(statuses(journal))))
         assert doc["source"] == "cache"
 
     def test_max_points_bounds_one_worker(self, daemon):
         journal = submit(daemon)
         report = work_service(daemon.url, options("w1", max_points=1))
         assert report.claimed == 1
-        statuses = sorted(journal.statuses().values())
-        assert statuses == ["done", "pending"]
+        assert sorted(statuses(journal).values()) == ["done", "pending"]
 
 
 class TestConcurrency:
@@ -137,9 +136,9 @@ class TestConcurrency:
         # campaign with no double completion.
         assert sum(r.completed for r in reports.values()) == 4
         assert sum(r.claimed for r in reports.values()) == 4
-        assert all(s == "done" for s in journal.statuses().values())
+        assert all(s == "done" for s in statuses(journal).values())
         completers = {journal.read_point(k)["completed_by"]
-                      for k in journal.statuses()}
+                      for k in statuses(journal)}
         assert completers <= {"w0", "w1", "w2"}
         reference = run_campaign(configs_from_spec(spec), jobs=1)
         assert fingerprints(journal) == {
@@ -168,9 +167,9 @@ class TestInjection:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 37, proc.stderr
         assert flag.exists()
-        statuses = journal.statuses()
-        assert sorted(statuses.values()) == ["pending", "running"]
-        running = next(k for k, s in statuses.items() if s == "running")
+        states = statuses(journal)
+        assert sorted(states.values()) == ["pending", "running"]
+        running = next(k for k, s in states.items() if s == "running")
         doc = journal.read_point(running)
         assert doc["worker"] == "victim"
         assert doc["lease_expires_unix"] > 0
@@ -181,7 +180,7 @@ class TestInjection:
             {"worker": "somebody-else", "die_after_claims": 1}))
         report = work_service(daemon.url, options("w1"))
         assert report.completed == 2
-        assert sorted(journal.statuses().values()) == ["done", "done"]
+        assert sorted(statuses(journal).values()) == ["done", "done"]
 
 
 class _ScriptedClient:
