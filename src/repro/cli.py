@@ -28,9 +28,9 @@ import argparse
 import sys
 
 from repro.harness import (CampaignJournal, RunCache, RunConfig, ascii_table,
-                           entry_from_result, epoch_table, interrupt_guard,
-                           metrics_report, poll_interrupt, run_campaign,
-                           simulate)
+                           compare_engines, entry_from_result, epoch_table,
+                           interrupt_guard, metrics_report, poll_interrupt,
+                           run_campaign, simulate)
 from repro.obs import ObserveConfig, write_chrome_trace
 from repro.utils.shards import atomic_write_json
 from repro.phelps import PhelpsConfig
@@ -164,11 +164,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    results = compare_engines(args.workload, args.engines,
+                              max_instructions=args.instructions)
     rows = []
     base_rate = None
     for engine in args.engines:
-        r = simulate(RunConfig(workload=args.workload, engine=engine,
-                               max_instructions=args.instructions))
+        r = results[engine]
         # A run can halt (or wedge) with 0 cycles or 0 retired; report
         # "n/a" rather than dividing by zero.
         rate = r.stats.retired / r.cycles if r.cycles else 0.0

@@ -10,6 +10,8 @@ LIFO stack with a top-of-stack cursor — allocation and release are a
 single indexed read/write plus a cursor bump, with no list resizing on the
 hot path.  Pop order (which physical name each allocation gets) is
 pinned by the recorded digest in ``tests/core/test_columnar_equiv.py``.
+The pipeline's rename, squash and retire paths do the same pops and
+pushes inline on ``_stack``/``_top``/``_held``.
 """
 
 from array import array
@@ -69,10 +71,6 @@ class SharedPhysPool:
         else:
             stack[top] = reg
         self._top = top + 1
-
-    def release_all_for(self, thread_id: int, regs) -> None:
-        for reg in regs:
-            self.release(thread_id, reg)
 
     # ------------------------------------------------------------------
     # Compact serialization: only the live prefix of the column, packed.

@@ -1,15 +1,13 @@
 """Per-thread load and store queues.
 
 The store queue supports store-to-load forwarding (youngest older store
-with a matching address) and memory-ordering-violation detection (a store
-resolving its address finds a younger load that already executed with the
-same address but did not see this store's data).
-
-Helper threads use the store queue's ``all_older_resolved`` check to issue
-loads conservatively (rollback-free, per DESIGN.md §6).
+with a matching address); the load queue supports memory-ordering-violation
+detection (a store resolving its address finds a younger load that already
+executed with the same address but did not see this store's data).  Loads
+of every thread issue speculatively and rely on that detection.
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.uop import Uop
 
@@ -44,17 +42,6 @@ class StoreQueue:
                 best = st
         return best
 
-    def unresolved_older(self, load_seq: int) -> bool:
-        """Any store older than the load without a resolved address yet?"""
-        for st in self.entries:
-            if st.seq >= load_seq:
-                break
-            if st.mem_addr is None:
-                return True
-        return False
-
-    def squash_from(self, seq: int) -> None:
-        self.entries = [e for e in self.entries if e.seq < seq]
 
 
 class LoadQueue:
@@ -89,6 +76,3 @@ class LoadQueue:
                 if victim is None or ld.seq < victim.seq:
                     victim = ld
         return victim
-
-    def squash_from(self, seq: int) -> None:
-        self.entries = [e for e in self.entries if e.seq < seq]

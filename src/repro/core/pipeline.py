@@ -40,8 +40,19 @@ from repro.core.stats import SimStats
 from repro.core.thread import MainFetchUnit, ThreadContext, ThreadKind
 from repro.core.uop import Uop, UopState
 
-# Age-ordered issue priority: oldest fetch, then thread id, then sequence.
-_ISSUE_ORDER = attrgetter("fetch_cycle", "thread_id", "seq")
+# Age-ordered issue priority.  ``Uop.age`` is the core's fetch ordinal:
+# each cycle fetch visits the threads in ascending id order (helpers are
+# appended with ever-larger ids) and a thread fetches in sequence order,
+# so the ordinal sorts exactly as (fetch_cycle, thread_id, seq) with no
+# bound on any of the three.
+_ISSUE_ORDER = attrgetter("age")
+
+# Enum members read on per-uop paths, bound once: reading a member off
+# its Enum class costs ~10x a module-global read on CPython 3.11.
+_MAIN = ThreadKind.MAIN
+_HALT, _JAL, _JALR, _MOV_LIVEIN = (Opcode.HALT, Opcode.JAL, Opcode.JALR,
+                                   Opcode.MOV_LIVEIN)
+_ISSUED, _RETIRED = UopState.ISSUED, UopState.RETIRED
 
 # Heartbeat cadence: consult the wall clock once per this many simulated
 # cycles (the pure-Python core sustains ~5-20k cycles/sec, so 256 cycles
@@ -51,8 +62,7 @@ _HB_STRIDE = 256
 
 def _engine_hook(engine: PreExecutionEngine, name: str):
     """``engine``'s hook ``name``, or None when neither its class nor the
-    instance overrides the no-op default.  Looked up per use, not once per
-    core, so wrappers installed on the instance later still see calls."""
+    instance overrides the no-op default."""
     hook = getattr(engine, name)
     if getattr(hook, "__func__", None) is getattr(PreExecutionEngine, name):
         return None
@@ -123,6 +133,7 @@ class Core:
         self.main.resume_pc = program.entry
         self.threads: List[ThreadContext] = [self.main]
         self._next_thread_id = 1
+        self._fetch_age = 0  # next Uop.age (see _ISSUE_ORDER)
         # Stable iteration snapshot + id lookup table.  The thread set only
         # changes at engine activate/terminate boundaries, so the per-cycle
         # stage loops iterate this tuple instead of copying ``threads``
@@ -173,6 +184,20 @@ class Core:
                 obs.registry.register_provider("guard", self.guard.metrics)
         if obs is not None:
             obs.attach_core(self)
+        self._resolve_engine_hooks()
+
+    def _resolve_engine_hooks(self) -> None:
+        """Bind the engine hooks the per-uop paths call, each to None when
+        it is the no-op default, so the null engine costs nothing per uop.
+        Runs at construction and at the start of every :meth:`run`: a
+        wrapper put on the engine instance before ``run()`` is called."""
+        engine = self.engine
+        self._fetch_override = _engine_hook(engine, "fetch_override")
+        self._note_fetched = _engine_hook(engine, "note_fetched")
+        self._engine_checkpoint = _engine_hook(engine, "checkpoint")
+        self._on_squash = _engine_hook(engine, "on_squash")
+        self._retire_blocked = _engine_hook(engine, "retire_blocked")
+        self._on_retire = _engine_hook(engine, "on_retire")
 
     # ------------------------------------------------------------------
     # Checkpoint boot (sampled simulation).
@@ -238,7 +263,6 @@ class Core:
         self.ready_q.clear()
         self._skip_latched = False
         for thread in self.threads:
-            thread.blocked_loads = []
             thread.fetch_stalled_until = 0
 
     def snapshot(self) -> bytes:
@@ -349,29 +373,42 @@ class Core:
     def _squash_thread(self, thread: ThreadContext, cutoff_seq: int) -> List[Uop]:
         """Squash all uops with seq >= cutoff in ``thread``; returns them."""
         squashed: List[Uop] = []
+        squashed_state = UopState.SQUASHED
         fq = thread.frontend_q
         while fq and fq[-1][1].seq >= cutoff_seq:
             u = fq.pop()[1]
-            u.state = UopState.SQUASHED
+            u.state = squashed_state
             squashed.append(u)
 
-        on_squash = _engine_hook(self.engine, "on_squash")
-        while thread.rob and thread.rob[-1].seq >= cutoff_seq:
-            u = thread.rob.pop()
-            if u.state is UopState.DISPATCHED:
+        on_squash = self._on_squash
+        dispatched = UopState.DISPATCHED
+        rob = thread.rob
+        rmt_map = thread.rmt.map
+        pool = self.pool
+        held, stack = pool._held, pool._stack
+        tid = thread.id
+        while rob and rob[-1].seq >= cutoff_seq:
+            u = rob.pop()
+            if u.state is dispatched:
                 self.iq_count -= 1
-            # Undo rename (reverse order restores earlier mappings correctly).
-            if u.phys_dest is not None:
-                thread.rmt.map[u.inst.dest_reg] = u.old_phys_dest
-                self.pool.release(thread.id, u.phys_dest)
+            inst = u.inst
+            # Undo rename (reverse order restores earlier mappings correctly)
+            # and release the register inline: this thread allocated it.
+            phys = u.phys_dest
+            if phys is not None:
+                rmt_map[inst.dest_reg] = u.old_phys_dest
+                held[tid] -= 1
+                top = pool._top
+                stack[top] = phys
+                pool._top = top + 1
             if u.pred_phys_dest is not None:
-                thread.pred_rmt.map[u.inst.pred_rd] = u.old_pred_phys_dest
-                self.pred_pool.release(thread.id, u.pred_phys_dest)
-            if u.inst.is_load:
+                thread.pred_rmt.map[inst.pred_rd] = u.old_pred_phys_dest
+                self.pred_pool.release(tid, u.pred_phys_dest)
+            if inst.is_load:
                 thread.lq.remove(u)
-            elif u.inst.is_store:
+            elif inst.is_store:
                 thread.sq.remove(u)
-            u.state = UopState.SQUASHED
+            u.state = squashed_state
             squashed.append(u)
             if on_squash is not None:
                 on_squash(thread, u)
@@ -416,47 +453,60 @@ class Core:
         if len(fq) >= width * (self._fe_depth + 1):
             return
 
-        is_main = thread.kind is ThreadKind.MAIN
-        if is_main:
-            inst0 = thread.fetch.peek()
-            if inst0 is not None:
-                ready = self.hierarchy.ifetch(inst0.pc, cycle)
-                if ready > cycle + 1:
-                    thread.fetch_stalled_until = ready
-                    return
-
-        # ``thread.fetch`` is looked up per iteration on purpose: the
-        # engine's ``note_fetched`` hook may retarget the helper's fetch
-        # unit mid-group.
-        engine = self.engine
+        # The main thread reads its PC and the program image directly.
+        # Helpers go through their fetch unit, looked up per iteration on
+        # purpose: the engine's ``note_fetched`` hook may retarget it
+        # mid-group.
+        if thread.kind is _MAIN:
+            unit = thread.fetch
+            by_pc = unit.program._by_pc
+            pc = unit.pc
+            if pc not in by_pc:
+                return
+            ready = self.hierarchy.ifetch(pc, cycle)
+            if ready > cycle + 1:
+                thread.fetch_stalled_until = ready
+                return
+            oracle = self.oracle
+            predictor, ras = self.predictor, self.ras
+            engine_checkpoint = self._engine_checkpoint
+        else:
+            by_pc = None
         predict = self._predict
-        note_fetched = _engine_hook(engine, "note_fetched")
-        oracle = self.oracle if is_main else None
+        note_fetched = self._note_fetched
         # Only branches move predictor/RAS/engine speculative state, so the
         # main-thread uops of a group up to a branch share one checkpoint.
         spec_ckpt = None
         tid = thread.id
+        seq = thread.next_seq
+        age = self._fetch_age
         ready_at = cycle + self._fe_depth
         fetched = 0
         while fetched < width:
-            fetch = thread.fetch
-            inst = fetch.peek()
-            if inst is None:
-                break
-            seq = thread.next_seq
-            thread.next_seq = seq + 1
-            uop = Uop(inst, tid, seq, cycle)
-            fetch.annotate_uop(uop)
-            if is_main:
+            if by_pc is None:
+                fetch = thread.fetch
+                inst = fetch.peek()
+                if inst is None:
+                    break
+                uop = Uop(inst, tid, seq, age)
+                fetch.annotate_uop(uop)
+            else:
+                inst = by_pc.get(pc)
+                if inst is None:
+                    break
+                uop = Uop(inst, tid, seq, age)
                 if spec_ckpt is None:
-                    spec_ckpt = (self.predictor.checkpoint(),
-                                 self.ras.checkpoint(), engine.checkpoint())
+                    spec_ckpt = (predictor.checkpoint(), ras.checkpoint(),
+                                 None if engine_checkpoint is None
+                                 else engine_checkpoint())
                 uop.spec_ckpt = spec_ckpt
                 if oracle is not None:
                     uop.oracle_mark = oracle.undo.mark()
                     if not oracle.halted:
                         uop.oracle_outcome = oracle.step()
                     uop.oracle_mark_after = oracle.undo.mark()
+            seq += 1
+            age += 1
             if inst.is_branch:
                 taken, target = predict(thread, uop)
                 spec_ckpt = None
@@ -465,13 +515,22 @@ class Core:
             fq.append((ready_at, uop))
             if note_fetched is not None:
                 note_fetched(thread, uop)
-            thread.fetch.advance(taken, target)
             fetched += 1
-            if inst.opcode is Opcode.HALT:
+            if by_pc is None:
+                thread.fetch.advance(taken, target)
+            elif taken and target is not None:
+                pc = target
+            else:
+                pc += 4
+            if inst.opcode is _HALT:
                 thread.fetch_halted = True
                 break
             if taken:
                 break
+        thread.next_seq = seq
+        self._fetch_age = age
+        if by_pc is not None:
+            unit.pc = pc
         if fetched:
             self._tick_work = True  # fetch group ends at a predicted-taken transfer
 
@@ -479,14 +538,16 @@ class Core:
         """Next-PC selection for a branch; records the prediction on the
         uop."""
         inst = uop.inst
-        is_main = thread.kind is ThreadKind.MAIN
+        is_main = thread.kind is _MAIN
         taken, target = False, None
         if inst.is_cond_branch:
             if is_main:
                 if self.oracle is not None:
                     taken = bool(uop.oracle_outcome.taken) if uop.oracle_outcome else False
                 else:
-                    override = self.engine.fetch_override(thread, inst)
+                    fetch_override = self._fetch_override
+                    override = (None if fetch_override is None
+                                else fetch_override(thread, inst))
                     if override is not None:
                         taken, uop.queue_token = override
                     else:
@@ -500,11 +561,11 @@ class Core:
                 # Runahead chains).
                 taken = thread.fetch.predict_branch(inst)
             target = inst.imm
-        elif inst.opcode is Opcode.JAL:
+        elif inst.opcode is _JAL:
             taken, target = True, inst.imm
             if is_main and inst.rd == 1:
                 self.ras.push(inst.pc + 4)
-        elif inst.opcode is Opcode.JALR:
+        elif inst.opcode is _JALR:
             taken = True
             if self.oracle is not None and is_main and uop.oracle_outcome is not None:
                 target = uop.oracle_outcome.next_pc
@@ -534,48 +595,59 @@ class Core:
         prf_quota = thread.share.prf_quota
         pool = self.pool
         pred_pool = self.pred_pool
+        # The integer free list is allocated from inline.  Only this loop
+        # moves it until the group ends, so its held count and stack top
+        # are read once here and written back once below.
+        stack = pool._stack
+        top = free_top = pool._top
+        held_count = pool._held.get(tid, 0)
         prf = self.prf
         pred_prf = self.pred_prf
         prf_ready = prf.ready
+        waiters = prf._waiters
         rob = thread.rob
-        rob_cap = thread.share.rob
+        rob_room = thread.share.rob - len(rob)
         lq, sq = thread.lq, thread.sq
         # ``map`` rebinds only at squash-recovery / helper-teardown
         # boundaries, never inside a dispatch group, so one load suffices.
         rmt_map = thread.rmt.map
+        ready_q = self.ready_q
+        iq_count = self.iq_count  # only dispatch moves it in this loop
         dispatched_state = UopState.DISPATCHED
         done_state = UopState.DONE
+        renamed = 0
         for _ in range(thread.share.dispatch_width):
             if not fq:
-                return
+                break
             ready_cycle, uop = fq[0]
             if ready_cycle > cycle:
-                return
+                break
             inst = uop.inst
             needs_iq = inst.needs_iq
-            if len(rob) >= rob_cap:
-                return
-            if needs_iq and self.iq_count >= iq_size:
-                return
+            if rob_room <= 0:
+                break
+            if needs_iq and iq_count >= iq_size:
+                break
             is_load = inst.is_load
             is_store = inst.is_store
             if is_load and lq.full():
-                return
+                break
             if is_store and sq.full():
-                return
+                break
             dest = inst.dest_reg
-            if dest is not None and not pool.can_allocate(tid, prf_quota):
-                return
+            if dest is not None and (not top or held_count >= prf_quota):
+                break
             if inst.is_pred_producer and not pred_pool.can_allocate(
                     tid, pred_quota):
-                return
+                break
 
             fq.popleft()
-            self._tick_work = True
+            renamed += 1
+            rob_room -= 1
 
             # Source rename, unrolled for 0-2 sources (phys_srcs starts empty).
             srcs = inst.src_regs
-            if inst.opcode is Opcode.MOV_LIVEIN:
+            if inst.opcode is _MOV_LIVEIN:
                 if uop.livein_value is None:
                     # Live-in copy from the *main thread's* rename map.
                     uop.phys_srcs = [self.main.rmt.map[inst.rs1]]
@@ -583,17 +655,21 @@ class Core:
                 uop.phys_srcs = [rmt_map[srcs[0]], rmt_map[srcs[1]]]
             elif srcs:
                 uop.phys_srcs = [rmt_map[srcs[0]]]
-            if inst.pred_rs is not None:
-                uop.pred_phys_src = thread.pred_rmt.map[inst.pred_rs]
-            if inst.pred_rs2 is not None:
-                uop.pred_phys_src2 = thread.pred_rmt.map[inst.pred_rs2]
+            pred_rs, pred_rs2 = inst.pred_rs, inst.pred_rs2
+            if pred_rs is not None:
+                uop.pred_phys_src = thread.pred_rmt.map[pred_rs]
+            if pred_rs2 is not None:
+                uop.pred_phys_src2 = thread.pred_rmt.map[pred_rs2]
 
-            # Destination rename.
+            # Destination rename (dest_reg is never x0).
             if dest is not None:
-                phys = pool.allocate(tid, prf_quota)
-                uop.old_phys_dest = thread.rmt.set(dest, phys)
+                held_count += 1
+                top -= 1
+                phys = stack[top]
+                uop.old_phys_dest = rmt_map[dest]
+                rmt_map[dest] = phys
                 uop.phys_dest = phys
-                prf.mark_not_ready(phys)
+                prf_ready[phys] = False
             if inst.is_pred_producer:
                 pphys = pred_pool.allocate(tid, pred_quota)
                 uop.old_pred_phys_dest = thread.pred_rmt.set(inst.pred_rd, pphys)
@@ -611,41 +687,40 @@ class Core:
                 continue
 
             uop.state = dispatched_state
-            self.iq_count += 1
+            iq_count += 1
+            # Wakeup subscription for each not-yet-ready source.
             pending = 0
             for phys in uop.phys_srcs:
-                # Ready-column test first: ``subscribe`` only does work
-                # for not-yet-ready producers.
-                if not prf_ready[phys] and prf.subscribe(phys, uop):
+                if not prf_ready[phys]:
+                    subscribers = waiters.get(phys)
+                    if subscribers is None:
+                        waiters[phys] = [uop]
+                    else:
+                        subscribers.append(uop)
                     pending += 1
-            if uop.pred_phys_src is not None:
+            if pred_rs is not None:
                 if pred_prf.subscribe(uop.pred_phys_src, uop):
                     pending += 1
-            if uop.pred_phys_src2 is not None:
+            if pred_rs2 is not None:
                 if pred_prf.subscribe(uop.pred_phys_src2, uop):
                     pending += 1
             uop.pending = pending
             if pending == 0:
-                self.ready_q.append(uop)
+                ready_q.append(uop)
+        if renamed:
+            self.iq_count = iq_count
+            self._tick_work = True
+        if top != free_top:
+            pool._top = top
+            pool._held[tid] = held_count
 
     # ------------------------------------------------------------------
     # Issue + execute.
     # ------------------------------------------------------------------
     def _issue(self) -> None:
-        # Retry previously blocked helper loads first (oldest first).
-        candidates = None
-        for thread in self._thread_tuple:
-            if thread.blocked_loads:
-                if candidates is None:
-                    candidates = []
-                candidates.extend(thread.blocked_loads)
-                thread.blocked_loads = []
-        if candidates is None:
-            candidates = self.ready_q
-            if not candidates:
-                return  # nothing issuable this cycle
-        else:
-            candidates.extend(self.ready_q)
+        candidates = self.ready_q
+        if not candidates:
+            return  # nothing issuable this cycle
         self.ready_q = []
 
         cfg = self.config
@@ -670,24 +745,12 @@ class Core:
             if lanes[lane_id] <= 0:
                 leftover.append(uop)
                 continue
-            thread = thread_by_id[uop.thread_id]
-            if uop.inst.is_load and not self._load_may_issue(thread, uop):
-                thread.blocked_loads.append(uop)
-                continue
+            # Loads issue speculatively in every thread: a memory-order
+            # violation is caught when the conflicting store resolves.
             lanes[lane_id] -= 1
             budget -= 1
-            execute(thread, uop)
+            execute(thread_by_id[uop.thread_id], uop)
         self.ready_q.extend(leftover)
-
-    def _thread(self, thread_id: int) -> ThreadContext:
-        return self._thread_by_id[thread_id]
-
-    def _load_may_issue(self, thread: ThreadContext, uop: Uop) -> bool:
-        """Loads issue speculatively; memory-order violations are detected
-        when the conflicting store resolves (main and helper threads alike —
-        the paper's helper threads are rollback-free *except* for load
-        violations)."""
-        return True
 
     def _execute(self, thread: ThreadContext, uop: Uop) -> None:
         """Execute-stage entry point: dispatch on the instruction's
@@ -695,7 +758,7 @@ class Core:
         Stays a method (rather than inlining the table walk into
         :meth:`_issue`) so the profiler/tracer wrappers keep a single
         interception point."""
-        uop.state = UopState.ISSUED
+        uop.state = _ISSUED
         self._tick_work = True
         self.iq_count -= 1
         self._exec_handlers[uop.inst.exec_kind](thread, uop)
@@ -815,27 +878,35 @@ class Core:
         if not events:
             return
         self._tick_work = True
+        issued, dispatched, done = (UopState.ISSUED, UopState.DISPATCHED,
+                                    UopState.DONE)
+        prf = self.prf
+        value, ready, waiters = prf.value, prf.ready, prf._waiters
+        ready_q = self.ready_q
         for uop in events:
-            if uop.state is not UopState.ISSUED:
+            if uop.state is not issued:
                 continue  # squashed after issue
-            thread = self._thread(uop.thread_id)
-            uop.state = UopState.DONE
-            if uop.phys_dest is not None:
-                for waiter in self.prf.write(uop.phys_dest, uop.result):
-                    self._wake(waiter)
-            if uop.pred_phys_dest is not None:
-                for waiter in self.pred_prf.write_pred(
-                        uop.pred_phys_dest, bool(uop.pred_enabled), bool(uop.taken)):
-                    self._wake(waiter)
+            uop.state = done
+            # Register write and wakeup, inline.  A uop writes at most one
+            # of the two files, and never physical register 0.
+            phys = uop.phys_dest
+            if phys is not None:
+                value[phys] = uop.result
+                ready[phys] = True
+                woken = waiters.pop(phys, None)
+            elif uop.pred_phys_dest is not None:
+                woken = self.pred_prf.write_pred(
+                    uop.pred_phys_dest, bool(uop.pred_enabled), bool(uop.taken))
+            else:
+                woken = None
+            if woken:
+                for waiter in woken:
+                    if waiter.state is dispatched:
+                        waiter.pending -= 1
+                        if waiter.pending <= 0:
+                            ready_q.append(waiter)
             if uop.inst.is_branch:
-                self._resolve_branch(thread, uop)
-
-    def _wake(self, uop: Uop) -> None:
-        if uop.state is not UopState.DISPATCHED:
-            return
-        uop.pending -= 1
-        if uop.pending <= 0:
-            self.ready_q.append(uop)
+                self._resolve_branch(self._thread_by_id[uop.thread_id], uop)
 
     def _resolve_branch(self, thread: ThreadContext, uop: Uop) -> None:
         mispredicted = (bool(uop.pred_taken) != bool(uop.taken)
@@ -844,7 +915,7 @@ class Core:
                                 bool(uop.pred_taken) != bool(uop.taken))
         if not mispredicted:
             return
-        if thread.kind is ThreadKind.MAIN:
+        if thread.kind is _MAIN:
             refetch = uop.actual_target if uop.taken else uop.pc + 4
             self._recover_to(thread, uop, refetch, inclusive=False)
         else:
@@ -860,16 +931,20 @@ class Core:
     # Retire.
     # ------------------------------------------------------------------
     def _retire(self) -> None:
+        retire_blocked = self._retire_blocked
+        retire_uop = self._retire_uop
+        done = UopState.DONE
         for thread in self._thread_tuple:
+            rob = thread.rob
             count = 0
-            while thread.rob and count < thread.share.retire_width:
-                uop = thread.rob[0]
-                if uop.state is not UopState.DONE:
+            while rob and count < thread.share.retire_width:
+                uop = rob[0]
+                if uop.state is not done:
                     break
-                if self.engine.retire_blocked(thread, uop):
+                if retire_blocked is not None and retire_blocked(thread, uop):
                     break
-                thread.rob.popleft()
-                self._retire_uop(thread, uop)
+                rob.popleft()
+                retire_uop(thread, uop)
                 count += 1
                 if self.halted:
                     return
@@ -877,9 +952,9 @@ class Core:
     def _retire_uop(self, thread: ThreadContext, uop: Uop) -> None:
         self._tick_work = True
         inst = uop.inst
-        uop.state = UopState.RETIRED
+        uop.state = _RETIRED
         thread.retired += 1
-        is_main = thread.kind is ThreadKind.MAIN
+        is_main = thread.kind is _MAIN
         if not is_main:
             self.stats.helper_retired += 1
         elif self.guard is not None:
@@ -908,16 +983,22 @@ class Core:
                     self.predictor.update(inst.pc, bool(uop.taken), uop.predictor_meta)
                 if uop.taken:
                     self.btb.insert(inst.pc, uop.actual_target)
-        elif inst.opcode is Opcode.JALR and is_main:
+        elif inst.opcode is _JALR and is_main:
             self.indirect.update(inst.pc, uop.actual_target)
-        elif inst.opcode is Opcode.HALT and is_main:
+        elif inst.opcode is _HALT and is_main:
             self.halted = True
 
-        # Committed rename state + physical register reclamation.
+        # Committed rename state + physical register reclamation (inline
+        # release: the previous mapping was allocated by this thread).
         if uop.phys_dest is not None:
             thread.amt.map[inst.dest_reg] = uop.phys_dest
-            if uop.old_phys_dest is not None and uop.old_phys_dest != ZERO_REG:
-                self.pool.release(thread.id, uop.old_phys_dest)
+            old = uop.old_phys_dest
+            if old != ZERO_REG:
+                pool = self.pool
+                pool._held[thread.id] -= 1
+                top = pool._top
+                pool._stack[top] = old
+                pool._top = top + 1
         if uop.pred_phys_dest is not None:
             if uop.old_pred_phys_dest is not None and uop.old_pred_phys_dest != PRED_ALWAYS:
                 self.pred_pool.release(thread.id, uop.old_pred_phys_dest)
@@ -925,10 +1006,11 @@ class Core:
         if is_main:
             if inst.is_branch:
                 thread.resume_pc = uop.actual_target if uop.taken else inst.pc + 4
-            elif inst.opcode is not Opcode.HALT:
+            elif inst.opcode is not _HALT:
                 thread.resume_pc = inst.pc + 4
 
-        self.engine.on_retire(thread, uop)
+        if self._on_retire is not None:
+            self._on_retire(thread, uop)
 
     # ------------------------------------------------------------------
     # Main loop.
@@ -1004,8 +1086,6 @@ class Core:
         bound = horizon
         fe_depth = self._fe_depth
         for thread in self._thread_tuple:
-            if thread.blocked_loads:
-                return cycle
             rob = thread.rob
             if rob and rob[0].state is UopState.DONE:
                 return cycle  # a retire is possible right now
@@ -1080,6 +1160,7 @@ class Core:
         The wall clock is only consulted every ``_HB_STRIDE`` cycles, so
         the disabled path costs one ``is None`` test per tick.
         """
+        self._resolve_engine_hooks()
         fast = self.config.enable_cycle_skip
         tick = self.tick
         main = self.main

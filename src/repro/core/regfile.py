@@ -13,7 +13,7 @@ count drops; at zero they enter the ready queue).
 """
 
 from array import array
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 ZERO_REG = 0  # physical register 0 is the architected constant zero
 PRED_ALWAYS = 0  # predicate physical register 0 = pred0 = unconditional
@@ -54,15 +54,6 @@ class PhysRegFile:
     def read(self, reg: int) -> int:
         # value[ZERO_REG] is invariantly 0, so no zero-register branch.
         return self.value[reg]
-
-    def drop_waiters(self, predicate: Callable) -> None:
-        """Remove waiters matching ``predicate`` (used on squash)."""
-        for reg in list(self._waiters):
-            kept = [w for w in self._waiters[reg] if not predicate(w)]
-            if kept:
-                self._waiters[reg] = kept
-            else:
-                del self._waiters[reg]
 
     # ------------------------------------------------------------------
     # Compact serialization: the columns pickle as packed bytes, not

@@ -8,7 +8,7 @@ flexibly shared.
 
 import enum
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Optional
 
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
@@ -86,7 +86,7 @@ class ThreadContext:
         "id", "kind", "fetch", "share", "rmt", "amt", "pred_rmt", "rob",
         "frontend_q", "lq", "sq", "next_seq", "fetch_halted",
         "fetch_stalled_until", "wait_for_moves", "resume_pc", "spec_cache",
-        "blocked_loads", "retired", "retired_stores", "retired_branches",
+        "retired", "retired_stores", "retired_branches",
         "mispredicts", "load_violations", "read_value", "commit_store",
     )
 
@@ -115,7 +115,6 @@ class ThreadContext:
         self.wait_for_moves = False     # MT stalls until live-in moves retire
         self.resume_pc = 0              # next correct-path PC after last retire
         self.spec_cache = None          # helper threads: speculative store D$
-        self.blocked_loads: List[Uop] = []  # helper loads awaiting store addrs
         self.retired = 0
         self.retired_stores = 0
         self.retired_branches = 0

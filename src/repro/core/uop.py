@@ -15,6 +15,9 @@ class UopState(enum.Enum):
     SQUASHED = "squashed"
 
 
+_FETCHED = UopState.FETCHED  # bound once: an Enum member read is slow
+
+
 class Uop:
     """One dynamic instruction instance."""
 
@@ -31,16 +34,16 @@ class Uop:
         "result", "taken", "actual_target", "mem_addr", "store_value",
         "ready_cycle", "pred_enabled", "forward_seq",
         # flags
-        "mispredicted", "is_wrong_path_marker", "livein_value",
-        "fetch_cycle",
+        "mispredicted", "livein_value", "age",
     )
 
-    def __init__(self, inst: Instruction, thread_id: int, seq: int, fetch_cycle: int):
+    def __init__(self, inst: Instruction, thread_id: int, seq: int,
+                 age: int = 0):
         self.inst = inst
         self.thread_id = thread_id
         self.seq = seq
         self.pc = inst.pc
-        self.state = UopState.FETCHED
+        self.state = _FETCHED
         self.pred_taken = False  # only branches are predicted
         self.pred_target: Optional[int] = None
         self.predictor_meta: Any = None
@@ -68,9 +71,9 @@ class Uop:
         self.pred_enabled: Optional[bool] = None  # predication outcome (PRED/SD)
         self.forward_seq: Optional[int] = None  # seq of store this load forwarded from
         self.mispredicted = False
-        self.is_wrong_path_marker = False
         self.livein_value: Optional[int] = None  # MOV_LIVEIN immediate value path
-        self.fetch_cycle = fetch_cycle
+        # Issue-order key: the core's fetch ordinal (see pipeline._ISSUE_ORDER).
+        self.age = age
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<uop t{self.thread_id} #{self.seq} {self.inst.opcode.value}"

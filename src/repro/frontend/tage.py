@@ -117,7 +117,7 @@ class _FoldedHistories:
     """
 
     __slots__ = ("hists", "widths", "stride", "ones", "bits", "_all_ones",
-                 "_carry", "_wraps", "_out_sel", "_out_masks")
+                 "_carry", "_wraps", "_out_sel", "_out_masks", "_plan")
 
     def __init__(self, hists: List[int], widths: Tuple[int, ...]):
         self.hists = tuple(sorted({min(h, 64) for h in hists}))
@@ -135,6 +135,10 @@ class _FoldedHistories:
         self._carry = sum(mask for mask, _ in self._wraps)
         self._out_sel = sum(1 << (h - 1) for h in self.hists)
         self._out_masks: Dict[int, int] = {}
+        # (history mask, width, bit offset) of every register, for refold.
+        self._plan = tuple(
+            ((1 << h) - 1, w, self.group_base(w) + self.lane_shift(h))
+            for w in self.widths for h in self.hists)
         self.bits = 0
 
     def group_base(self, width: int) -> int:
@@ -146,10 +150,8 @@ class _FoldedHistories:
         return self.stride * self.hists.index(min(hist, 64))
 
     def refold(self, ghr: int) -> None:
-        self.bits = sum(
-            fold_bits(ghr & ((1 << h) - 1), w) << (self.group_base(w)
-                                                   + self.lane_shift(h))
-            for w in self.widths for h in self.hists)
+        self.bits = sum(fold_bits(ghr & mask, w) << offset
+                        for mask, w, offset in self._plan)
 
     def shift_in(self, ghr: int, taken: bool) -> None:
         """Shift one outcome into every register; ``ghr`` is the history

@@ -162,7 +162,6 @@ def pipeline_snapshot(core) -> List[Dict]:
             "frontend_q": len(t.frontend_q),
             "lq": len(t.lq.entries),
             "sq": len(t.sq.entries),
-            "blocked_loads": len(t.blocked_loads),
             "fetch_halted": t.fetch_halted,
             "wait_for_moves": t.wait_for_moves,
             "resume_pc": f"{t.resume_pc:#x}",

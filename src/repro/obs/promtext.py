@@ -1,45 +1,17 @@
-"""Prometheus text exposition for the metric registry.
+"""Prometheus text exposition for the campaign daemon's ``/metrics``.
 
-Renders a flat ``{dotted.name: value}`` snapshot (the shape produced by
-:meth:`repro.obs.metrics.MetricsRegistry.snapshot`) as Prometheus
-`text exposition format`__ — the lingua franca any scraper, ``curl`` or
-Grafana agent already speaks.  Mapping rules:
-
-* dotted names become underscore names under a ``repro_`` namespace
-  (``core.skip.walk_cycles`` -> ``repro_core_skip_walk_cycles``); any
-  character outside ``[a-zA-Z0-9_]`` is folded to ``_``;
-* histogram snapshots (the ``{count, sum, mean, min, max}`` dicts the
-  registry's :class:`~repro.obs.metrics.Histogram` emits) expand into one
-  sample per statistic (``<name>_count``, ``<name>_sum``, ...);
-* booleans render as 0/1, non-numeric values (strings, lists) are
-  skipped — exposition format carries numbers only;
-* two dotted names that fold to the same exposition name keep only the
-  first (duplicate sample names are invalid exposition).
-
-Everything is typed ``gauge``: the registry cannot promise monotonicity
-across snapshots of different runs, and untyped metrics scrape fine.
+:func:`prom_line` renders one sample in the Prometheus `text exposition
+format`__; :func:`render_prometheus` joins pre-rendered samples into the
+document.  Booleans render as 0/1.
 
 __ https://prometheus.io/docs/instrumenting/exposition_formats/
 """
 
-import re
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
-__all__ = ["prom_name", "prom_line", "render_prometheus"]
+__all__ = ["prom_line", "render_prometheus"]
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
-_LEADING_DIGIT = re.compile(r"^[0-9]")
-
-
-def prom_name(dotted: str, prefix: str = "repro_") -> str:
-    """Exposition-safe metric name for a dotted registry name."""
-    name = _SANITIZE.sub("_", dotted)
-    name = re.sub(r"__+", "_", name).strip("_")
-    if _LEADING_DIGIT.match(name):
-        name = "_" + name
-    return prefix + name
 
 
 def _escape_label(value: str) -> str:
@@ -60,40 +32,7 @@ def prom_line(name: str, value, labels: Optional[Dict[str, str]] = None
     return f"{name}{label_part} {value}"
 
 
-def _numeric_samples(dotted: str, value) -> Iterable[Tuple[str, object]]:
-    """Expand one snapshot entry into (suffix, number) samples."""
-    if isinstance(value, bool):
-        yield "", int(value)
-    elif isinstance(value, (int, float)):
-        yield "", value
-    elif isinstance(value, dict):
-        # Histogram.get() shape — and any other numeric sub-dict a
-        # provider slipped past flatten() renders the same way.
-        for stat, sub in value.items():
-            if isinstance(sub, bool):
-                yield f"_{stat}", int(sub)
-            elif isinstance(sub, (int, float)):
-                yield f"_{stat}", sub
-
-
-def render_prometheus(snapshot: Dict[str, object], prefix: str = "repro_",
-                      extra_lines: Optional[Iterable[str]] = None) -> str:
-    """The full exposition document for one registry snapshot.
-
-    ``extra_lines`` appends pre-rendered sample lines (e.g. the campaign
-    point-state gauges the server adds with labels) after the snapshot's
-    metrics.  The result ends with a newline, as the format requires.
-    """
-    lines = []
-    seen = set()
-    for dotted in sorted(snapshot):
-        for suffix, number in _numeric_samples(dotted, snapshot[dotted]):
-            name = prom_name(dotted, prefix) + suffix
-            if name in seen:
-                continue
-            seen.add(name)
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(prom_line(name, number))
-    for line in extra_lines or ():
-        lines.append(line)
+def render_prometheus(lines: Iterable[str]) -> str:
+    """The exposition document for pre-rendered sample lines; it ends
+    with a newline, as the format requires."""
     return "\n".join(lines) + "\n"

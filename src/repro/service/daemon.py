@@ -843,7 +843,7 @@ class CampaignService:
                                    c["lease_expired"], labels))
             lines.append(prom_line("repro_service_campaign_audits_pending",
                                    c.get("audits_pending", 0), labels))
-        return render_prometheus({}, extra_lines=lines)
+        return render_prometheus(lines)
 
     # ------------------------------------------------------------ handler
     def _handler_class(self):

@@ -5,6 +5,11 @@ from repro.core import Core, CoreConfig, NullEngine, PreExecutionEngine
 from repro.core.engine_api import PreExecutionEngine as Base
 from repro.isa import Assembler
 from repro.memory import MemoryConfig
+from repro.phelps import PhelpsConfig, PhelpsEngine
+
+# The hooks the core binds per run() instead of looking up per uop.
+RESOLVED_HOOKS = ("fetch_override", "note_fetched", "checkpoint",
+                  "on_squash", "retire_blocked", "on_retire")
 
 
 def _tiny_program():
@@ -12,6 +17,19 @@ def _tiny_program():
     a.li("x1", 1)
     a.li("x2", 2)
     a.add("x3", "x1", "x2")
+    a.halt()
+    return a.build()
+
+
+def _loop_program():
+    """A counted loop: conditional branches to predict, and a loop exit
+    that mispredicts and squashes."""
+    a = Assembler()
+    a.li("x1", 0)
+    a.li("x2", 40)
+    a.label("loop")
+    a.addi("x1", "x1", 1)
+    a.blt("x1", "x2", "loop")
     a.halt()
     return a.build()
 
@@ -73,11 +91,27 @@ class TestHookDelivery:
         assert set(retired) <= set(fetched)
 
     def test_hook_wrapped_after_construction_is_called(self):
-        """The core skips the no-op ``note_fetched``, but a wrapper put on
-        the engine instance after the core is built (a profiler, a
-        tracer) still sees every fetched uop."""
-        core = Core(_tiny_program(), config=CoreConfig().scaled())
-        fetched = []
-        core.engine.note_fetched = lambda thread, uop: fetched.append(uop.pc)
-        core.run()
-        assert fetched[:4] == [0x1000, 0x1004, 0x1008, 0x100c]
+        """The core resolves its per-uop engine hooks once per ``run()``,
+        skipping the no-op defaults, but a wrapper put on the engine
+        instance after the core is built (a profiler, a tracer) is still
+        called: for every resolved hook, on a null-engine core and on a
+        Phelps core, without changing the run."""
+        for make_engine in (NullEngine, lambda: PhelpsEngine(PhelpsConfig())):
+            plain = Core(_loop_program(), config=CoreConfig().scaled(),
+                         engine=make_engine()).run()
+            core = Core(_loop_program(), config=CoreConfig().scaled(),
+                        engine=make_engine())
+            calls = {name: [] for name in RESOLVED_HOOKS}
+            for name in RESOLVED_HOOKS:
+                def wrapper(*args, _orig=getattr(core.engine, name),
+                            _seen=calls[name]):
+                    _seen.append(args)
+                    return _orig(*args)
+                setattr(core.engine, name, wrapper)
+            stats = core.run()
+            assert stats.halted and stats.cycles == plain.cycles
+            assert stats.retired == plain.retired
+            missed = [name for name, seen in calls.items() if not seen]
+            assert not missed, (make_engine, missed)
+            fetched = [uop.pc for _, uop in calls["note_fetched"]]
+            assert fetched[:3] == [0x1000, 0x1004, 0x1008]

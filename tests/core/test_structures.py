@@ -190,26 +190,11 @@ class TestStoreQueue:
         sq.insert(_uop(1, Opcode.SD, addr=0x100, value=10, pred_enabled=False))
         assert sq.forward_source(5, 0x100) is None
 
-    def test_unresolved_older_detection(self):
-        sq = StoreQueue(8)
-        s = _uop(1, Opcode.SD)  # no address yet
-        sq.insert(s)
-        assert sq.unresolved_older(5)
-        s.mem_addr = 0x100
-        assert not sq.unresolved_older(5)
-
     def test_overflow_raises(self):
         sq = StoreQueue(1)
         sq.insert(_uop(1, Opcode.SD))
         with pytest.raises(RuntimeError):
             sq.insert(_uop(2, Opcode.SD))
-
-    def test_squash_from(self):
-        sq = StoreQueue(8)
-        sq.insert(_uop(1, Opcode.SD))
-        sq.insert(_uop(5, Opcode.SD))
-        sq.squash_from(3)
-        assert [e.seq for e in sq.entries] == [1]
 
 
 class TestLoadQueue:

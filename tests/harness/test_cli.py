@@ -42,6 +42,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "speedup" in out
 
+    def test_compare_runs_through_compare_engines(self, capsys, monkeypatch):
+        """``repro compare`` tabulates ``compare_engines``; a baseline that
+        retired nothing in zero cycles gives ``n/a`` speedups."""
+        from types import SimpleNamespace
+
+        from repro import cli
+
+        calls = []
+
+        def fake(workload, engines, max_instructions):
+            calls.append((workload, list(engines), max_instructions))
+            stats = SimpleNamespace(retired=0)
+            return {e: SimpleNamespace(stats=stats, cycles=0, ipc=0.0,
+                                       mpki=0.0) for e in engines}
+
+        monkeypatch.setattr(cli, "compare_engines", fake)
+        assert main(["compare", "astar", "--engines", "baseline", "phelps",
+                     "-n", "5"]) == 0
+        assert calls == [("astar", ["baseline", "phelps"], 5)]
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if "baseline" in line or "phelps" in line]
+        assert len(rows) == 2 and all("n/a" in row for row in rows)
+
 
 class TestObservabilityExports:
     """``run --metrics-json`` / ``--trace-out``: the files tools read."""

@@ -1,16 +1,6 @@
-"""Prometheus text exposition of registry snapshots."""
+"""Prometheus text exposition of the daemon's sample lines."""
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.promtext import prom_line, prom_name, render_prometheus
-
-
-def test_name_sanitization():
-    assert prom_name("core.skip.walk_cycles") == "repro_core_skip_walk_cycles"
-    assert prom_name("phelps.queues.0x118.consumed") == \
-        "repro_phelps_queues_0x118_consumed"
-    assert prom_name("weird..name--x") == "repro_weird_name_x"
-    # A leading digit after the prefix is legal; a bare leading digit is not.
-    assert prom_name("0bad", prefix="") == "_0bad"
+from repro.obs.promtext import prom_line, render_prometheus
 
 
 def test_prom_line_labels_and_escaping():
@@ -20,50 +10,23 @@ def test_prom_line_labels_and_escaping():
     assert line == 'm{b="x",status="do\\"ne"} 1'
 
 
-def test_render_counters_and_histograms():
-    reg = MetricsRegistry()
-    reg.counter("core.cycles").inc(42)
-    h = reg.histogram("mem.latency")
-    h.observe(10)
-    h.observe(30)
-    text = render_prometheus(reg.snapshot())
-    assert "# TYPE repro_core_cycles gauge" in text
-    assert "repro_core_cycles 42" in text
-    assert "repro_mem_latency_count 2" in text
-    assert "repro_mem_latency_sum 40.0" in text
-    assert "repro_mem_latency_min 10" in text
-    assert text.endswith("\n")
-
-
-def test_non_numeric_values_are_skipped():
-    text = render_prometheus({"a.name": "a-string", "a.list": [1, 2],
-                              "a.none": None, "a.num": 7})
-    assert "a_name" not in text
-    assert "a_list" not in text
-    assert "repro_a_num 7" in text
-
-
-def test_colliding_names_keep_first():
-    text = render_prometheus({"a.b": 1, "a_b": 2})
-    samples = [l for l in text.splitlines() if not l.startswith("#")]
-    assert samples == ["repro_a_b 1"]
-
-
 def test_extra_lines_appended():
     extra = [prom_line("repro_campaign_points", 4, {"status": "done"})]
-    text = render_prometheus({}, extra_lines=extra)
+    text = render_prometheus(extra)
     assert 'repro_campaign_points{status="done"} 4' in text
 
 
 def test_valid_exposition_shape():
     """Every non-comment line must be `name[{labels}] value` with a
     parseable float value — the format scrapers actually check."""
-    reg = MetricsRegistry()
-    reg.counter("x.y").inc()
-    reg.gauge("z").set(1.5)
-    for line in render_prometheus(reg.snapshot()).splitlines():
+    lines = [prom_line("repro_x_y", 1), prom_line("repro_z", 1.5),
+             prom_line("repro_w", False, {"worker": "a"})]
+    text = render_prometheus(lines)
+    assert text.endswith("\n")
+    for line in text.splitlines():
         if not line or line.startswith("#"):
             continue
         name, value = line.rsplit(" ", 1)
         float(value)
         assert name[0].isalpha() or name[0] == "_"
+    assert render_prometheus([]) == "\n"
