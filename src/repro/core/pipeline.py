@@ -98,7 +98,8 @@ class Core:
 
         self.hierarchy = MemoryHierarchy(mem_config)
         # Committed architectural memory (main-thread retired stores only).
-        self.mem: Dict[int, int] = {a: to_i64(v) for a, v in program.data.items()}
+        # Program words are copied as given: loads normalize what they read.
+        self.mem: Dict[int, int] = dict(program.data)
 
         self.predictor = predictor if predictor is not None else TageSCL()
         self.btb = BranchTargetBuffer()
@@ -404,14 +405,17 @@ class Core:
             if u.pred_phys_dest is not None:
                 thread.pred_rmt.map[inst.pred_rd] = u.old_pred_phys_dest
                 self.pred_pool.release(tid, u.pred_phys_dest)
-            if inst.is_load:
-                thread.lq.remove(u)
-            elif inst.is_store:
-                thread.sq.remove(u)
             u.state = squashed_state
             squashed.append(u)
             if on_squash is not None:
                 on_squash(thread, u)
+        # The LQ and SQ hold exactly the ROB's loads and stores in seq
+        # order, so the squashed ones are a suffix of each: cut it once.
+        for entries in (thread.lq.entries, thread.sq.entries):
+            keep = len(entries)
+            while keep and entries[keep - 1].seq >= cutoff_seq:
+                keep -= 1
+            del entries[keep:]
         return squashed
 
     def _recover_to(self, thread: ThreadContext, uop: Uop, refetch_pc: int,
@@ -433,8 +437,7 @@ class Core:
                     self.ras.pop()
             if self.oracle is not None:
                 mark = uop.oracle_mark if inclusive else uop.oracle_mark_after
-                if mark is not None:
-                    self.oracle.undo.rewind(self.oracle, mark)
+                self.oracle.undo.rewind(self.oracle, mark)
         thread.fetch.redirect(refetch_pc)
         thread.fetch_halted = False
 
@@ -502,8 +505,8 @@ class Core:
                 uop.spec_ckpt = spec_ckpt
                 if oracle is not None:
                     uop.oracle_mark = oracle.undo.mark()
-                    if not oracle.halted:
-                        uop.oracle_outcome = oracle.step()
+                    uop.oracle_outcome = (None if oracle.halted
+                                          else oracle.step())
                     uop.oracle_mark_after = oracle.undo.mark()
             seq += 1
             age += 1
@@ -585,10 +588,10 @@ class Core:
     # ------------------------------------------------------------------
     def _dispatch_thread(self, thread: ThreadContext) -> None:
         fq = thread.frontend_q
-        if not fq:
-            return
-        cfg = self.config
         cycle = self.cycle
+        if not fq or fq[0][0] > cycle:
+            return  # nothing has left the frontend yet
+        cfg = self.config
         iq_size = cfg.iq_size
         pred_quota = cfg.pred_fl_size // 2
         tid = thread.id
@@ -768,14 +771,14 @@ class Core:
         srcs = uop.phys_srcs
         a = self.prf.value[srcs[0]] if srcs else 0  # LI has no sources
         uop.result = inst.alu_fn(a, inst.imm)
-        self._schedule_wb(uop, self.cycle + inst.latency)
+        self.wb_events[self.cycle + inst.latency].append(uop)
 
     def _exec_alu_rr(self, thread: ThreadContext, uop: Uop) -> None:
         inst = uop.inst
         value = self.prf.value
         srcs = uop.phys_srcs
         uop.result = inst.alu_fn(value[srcs[0]], value[srcs[1]])
-        self._schedule_wb(uop, self.cycle + inst.latency)
+        self.wb_events[self.cycle + inst.latency].append(uop)
 
     def _exec_load(self, thread: ThreadContext, uop: Uop) -> None:
         inst = uop.inst
@@ -797,7 +800,8 @@ class Core:
             else:
                 uop.result = to_i64(thread.read_value(addr))
                 done = self.hierarchy.load(inst.pc, addr, self.cycle)
-        self._schedule_wb(uop, done)
+        # The only variable latency: write back no earlier than next cycle.
+        self.wb_events[max(done, self.cycle + 1)].append(uop)
 
     def _exec_store(self, thread: ThreadContext, uop: Uop) -> None:
         inst = uop.inst
@@ -813,7 +817,7 @@ class Core:
         if victim is not None:
             thread.load_violations += 1
             self._recover_to(thread, victim, victim.pc, inclusive=True)
-        self._schedule_wb(uop, self.cycle + 1)
+        self.wb_events[self.cycle + 1].append(uop)
 
     def _exec_cbr(self, thread: ThreadContext, uop: Uop) -> None:
         inst = uop.inst
@@ -821,7 +825,7 @@ class Core:
         srcs = uop.phys_srcs
         uop.taken = inst.branch_fn(value[srcs[0]], value[srcs[1]])
         uop.actual_target = inst.imm if uop.taken else inst.pc + 4
-        self._schedule_wb(uop, self.cycle + 1)
+        self.wb_events[self.cycle + 1].append(uop)
 
     def _exec_pred(self, thread: ThreadContext, uop: Uop) -> None:
         inst = uop.inst
@@ -829,14 +833,14 @@ class Core:
         srcs = uop.phys_srcs
         uop.taken = inst.branch_fn(value[srcs[0]], value[srcs[1]])
         uop.pred_enabled = self._pred_enabled(uop)
-        self._schedule_wb(uop, self.cycle + 1)
+        self.wb_events[self.cycle + 1].append(uop)
 
     def _exec_jal(self, thread: ThreadContext, uop: Uop) -> None:
         inst = uop.inst
         uop.result = inst.pc + 4
         uop.taken = True
         uop.actual_target = inst.imm
-        self._schedule_wb(uop, self.cycle + 1)
+        self.wb_events[self.cycle + 1].append(uop)
 
     def _exec_jalr(self, thread: ThreadContext, uop: Uop) -> None:
         inst = uop.inst
@@ -844,14 +848,14 @@ class Core:
         uop.result = inst.pc + 4
         uop.taken = True
         uop.actual_target = (base + inst.imm) & ~1
-        self._schedule_wb(uop, self.cycle + 1)
+        self.wb_events[self.cycle + 1].append(uop)
 
     def _exec_mov(self, thread: ThreadContext, uop: Uop) -> None:
         if uop.livein_value is not None:
             uop.result = to_i64(uop.livein_value)
         else:
             uop.result = self.prf.value[uop.phys_srcs[0]]
-        self._schedule_wb(uop, self.cycle + 1)
+        self.wb_events[self.cycle + 1].append(uop)
 
     def _pred_enabled(self, uop: Uop) -> bool:
         """Predication rule (Section V-H), with the optional second source
@@ -865,10 +869,6 @@ class Core:
             enabled = enabled or self.pred_prf.consumer_enabled(
                 uop.pred_phys_src2, bool(inst.pred_dir2))
         return enabled
-
-    def _schedule_wb(self, uop: Uop, done_cycle: int) -> None:
-        uop.ready_cycle = max(done_cycle, self.cycle + 1)
-        self.wb_events[uop.ready_cycle].append(uop)
 
     # ------------------------------------------------------------------
     # Writeback.

@@ -21,6 +21,13 @@ _FETCHED = UopState.FETCHED  # bound once: an Enum member read is slow
 class Uop:
     """One dynamic instruction instance."""
 
+    # Slots without an initializer below are written before any read:
+    # ``pred_taken``/``pred_target`` by fetch's ``_predict`` for every
+    # branch, read only when a branch resolves; the ``oracle_*`` marks and
+    # outcome by fetch for every main-thread uop when the perfect-
+    # prediction oracle exists, read only then; ``pending`` by dispatch
+    # before the uop can be woken; ``old_phys_dest``/``old_pred_phys_dest``
+    # with ``phys_dest``/``pred_phys_dest``, read only when those are set.
     __slots__ = (
         "inst", "thread_id", "seq", "pc", "state",
         # fetch-time prediction info
@@ -32,7 +39,7 @@ class Uop:
         "pred_phys_src", "pred_phys_src2", "pred_phys_dest", "old_pred_phys_dest",
         # execution results
         "result", "taken", "actual_target", "mem_addr", "store_value",
-        "ready_cycle", "pred_enabled", "forward_seq",
+        "pred_enabled", "forward_seq",
         # flags
         "mispredicted", "livein_value", "age",
     )
@@ -44,30 +51,21 @@ class Uop:
         self.seq = seq
         self.pc = inst.pc
         self.state = _FETCHED
-        self.pred_taken = False  # only branches are predicted
-        self.pred_target: Optional[int] = None
         self.predictor_meta: Any = None
         # Main thread: the (predictor, RAS, engine) speculative state before
         # this uop was fetched, shared by the uops between two branches.
         self.spec_ckpt: Optional[tuple] = None
         self.queue_token: Any = None        # prediction-queue consumption record
-        self.oracle_mark: Optional[int] = None
-        self.oracle_mark_after: Optional[int] = None
-        self.oracle_outcome: Any = None
-        self.pending = 0
         self.phys_srcs: Sequence[int] = ()  # renamed at dispatch
         self.phys_dest: Optional[int] = None
-        self.old_phys_dest: Optional[int] = None
         self.pred_phys_src: Optional[int] = None
         self.pred_phys_src2: Optional[int] = None
         self.pred_phys_dest: Optional[int] = None
-        self.old_pred_phys_dest: Optional[int] = None
         self.result: Optional[int] = None
         self.taken: Optional[bool] = None
         self.actual_target: Optional[int] = None
         self.mem_addr: Optional[int] = None
         self.store_value: Optional[int] = None
-        self.ready_cycle: Optional[int] = None
         self.pred_enabled: Optional[bool] = None  # predication outcome (PRED/SD)
         self.forward_seq: Optional[int] = None  # seq of store this load forwarded from
         self.mispredicted = False

@@ -210,9 +210,10 @@ class TageSCL(BranchPredictor):
         # Copy-on-write checkpoint cache: the pipeline checkpoints the
         # predictor at every fetch group and after every branch, but
         # speculative state only mutates on branches, so consecutive
-        # checkpoints share one frozen (ghr, dict-copy) tuple.  Invalidated by every mutation of the
-        # ghr or the speculative loop iterators; ``restore`` copies, so a
-        # shared checkpoint is never mutated through the live dict.
+        # checkpoints share one frozen (ghr, dict-copy, folded registers)
+        # tuple.  Invalidated by every mutation of the ghr or the
+        # speculative loop iterators; ``restore`` copies, so a shared
+        # checkpoint is never mutated through the live dict.
         self._ckpt = None
         # Per-PC fold memo for the statistical corrector (pure function).
         self._sc_fold: Dict[int, int] = {}
@@ -223,114 +224,89 @@ class TageSCL(BranchPredictor):
     # ------------------------------------------------------------------
     # Prediction.
     # ------------------------------------------------------------------
-    def _base_index(self, pc: int) -> int:
-        return (pc >> 2) & self._base_mask
-
-    def _tage_lookup(self, pc: int) -> Tuple[bool, dict]:
-        t0 = self._tables[0]
-        fh = self._folds
+    def predict(self, pc: int) -> PredictorMeta:
+        """TAGE, then the statistical corrector, then the loop predictor,
+        in one pass.  The payload is the flat tuple ``update`` unpacks:
+        the two lane words (every table's index and tag hash, see
+        :meth:`_table_lookups`), the provider and alt (table, index), the
+        base index, the provider/alt/TAGE predictions and the SC state."""
+        self.predictions += 1
         pc_folds = self._pc_folds.get(pc)
         if pc_folds is None:
             # The PC folds, repeated in every lane.
+            t0, ones = self._tables[0], self._folds.ones
             pc_folds = self._pc_folds[pc] = (
-                fold_bits(pc >> 2, t0.index_bits) * fh.ones,
-                fold_bits(pc >> 2, t0.tag_bits) * fh.ones)
-        bits = fh.bits
-        b_idx, b_idx2, b_tag, b_tag2 = self._fold_roles
+                fold_bits(pc >> 2, t0.index_bits) * ones,
+                fold_bits(pc >> 2, t0.tag_bits) * ones)
+        bits = self._folds.bits
+        b_idx, b_idx2, b_tag, b_tag2, idx_mask, tag_mask = self._hash
         # Every lane's index and tag hash at once; each table reads its
         # history length's lane.
         idx_lanes = pc_folds[0] ^ (bits >> b_idx) ^ ((bits >> b_idx2) << 1)
         tag_lanes = pc_folds[1] ^ (bits >> b_tag) ^ ((bits >> b_tag2) << 1)
-        idx_mask, tag_mask = t0._mask, t0._tag_mask
-        lookups = [None] * len(self._tables)
         # Longest history first: provider = longest-history hit, alt =
-        # next-longest.  Every table's (index, tag) is kept for allocation.
-        provider, alt = None, None
-        for t, table, shift in self._probes:
+        # next-longest.  A tag of 0 means "invalid", so hashes map 0 to 1.
+        provider = alt = p_idx = a_idx = None
+        for t, tags, shift in self._probes:
             idx = (idx_lanes >> shift) & idx_mask
-            tag = ((tag_lanes >> shift) & tag_mask) or 1  # 0 means "invalid"
-            lookups[t] = (idx, tag)
-            if alt is None and table.tags[idx] == tag:
+            if tags[idx] == (((tag_lanes >> shift) & tag_mask) or 1):
                 if provider is None:
-                    provider = (t, idx)
+                    provider, p_idx = t, idx
                 else:
-                    alt = (t, idx)
-        base_idx = self._base_index(pc)
+                    alt, a_idx = t, idx
+                    break
+        base_idx = (pc >> 2) & self._base_mask
         base_pred = self._base[base_idx] >= 2
-
-        if alt is not None:
-            t, idx = alt
-            alt_pred = self._tables[t].ctrs[idx] >= 4
+        tables = self._tables
+        alt_pred = base_pred if alt is None else tables[alt].ctrs[a_idx] >= 4
+        if provider is None:
+            provider_pred = pred = base_pred
         else:
-            alt_pred = base_pred
-
-        if provider is not None:
-            t, idx = provider
-            ctr = self._tables[t].ctrs[idx]
-            provider_pred = ctr >= 4
-            newly_allocated = self._tables[t].useful[idx] == 0 and ctr in (3, 4)
-            if newly_allocated and self._use_alt_on_na >= 8:
-                pred = alt_pred
-                used_alt = True
-            else:
-                pred = provider_pred
-                used_alt = False
-        else:
-            provider_pred = base_pred
-            pred = base_pred
-            used_alt = False
-
-        info = {
-            "lookups": lookups,
-            "provider": provider,
-            "alt": alt,
-            "base_idx": base_idx,
-            "provider_pred": provider_pred,
-            "alt_pred": alt_pred,
-            "used_alt": used_alt,
-            "tage_pred": pred,
-        }
-        return pred, info
-
-    def _sc_lookup(self, pc: int, tage_pred: bool, info: dict) -> Tuple[bool, dict]:
-        """Statistical corrector: may invert a weak TAGE prediction."""
-        i1 = self._sc_fold.get(pc)
-        if i1 is None:
-            i1 = self._sc_fold[pc] = fold_bits(pc >> 2, 10)
-        # fold_bits(v, 10) is the identity for v < 1024, so the folded
-        # 8-bit history image is just the raw low history byte.
-        i2 = (i1 ^ (self._ghr & 0xFF)) & 1023
-        total = self._sc_pc[i1] + self._sc_hist[i2] + (5 if tage_pred else -5)
-        sc_pred = total >= 0
-        use_sc = abs(total) > self._sc_threshold and sc_pred != tage_pred
-        sc_info = {"i1": i1, "i2": i2, "total": total, "use_sc": use_sc}
-        return (sc_pred if use_sc else tage_pred), sc_info
-
-    def _loop_lookup(self, pc: int) -> Tuple[Optional[bool], bool]:
-        """Returns (prediction, valid) from the loop predictor."""
-        entry = self._loops.get(pc)
-        if entry is None or entry.confidence < self.config.loop_confidence:
-            return None, False
-        spec_iter = self._loop_spec_iter.get(pc, entry.arch_iter)
-        return spec_iter < entry.trip, True
-
-    def predict(self, pc: int) -> PredictorMeta:
-        self.predictions += 1
-        pred, info = self._tage_lookup(pc)
-        if info["provider"] is not None:
             self.provider_hits += 1
-        sc_info = None
-        if self.config.use_sc:
-            pred, sc_info = self._sc_lookup(pc, pred, info)
-        loop_used = False
-        if self.config.use_loop:
-            loop_pred, valid = self._loop_lookup(pc)
-            if valid:
-                pred = loop_pred
-                loop_used = True
-        info["sc"] = sc_info
-        info["loop_used"] = loop_used
-        return PredictorMeta(taken=pred, payload=info)
+            table = tables[provider]
+            ctr = table.ctrs[p_idx]
+            provider_pred = pred = ctr >= 4
+            # A newly allocated provider defers to the alt prediction
+            # while the use-alt-on-newly-allocated counter favours it.
+            if ((ctr == 3 or ctr == 4) and table.useful[p_idx] == 0
+                    and self._use_alt_on_na >= 8):
+                pred = alt_pred
+        tage_pred = pred
+        cfg = self.config
+        if cfg.use_sc:
+            # Statistical corrector: may invert a weak TAGE prediction.
+            # fold_bits(v, 10) is the identity for v < 1024, so the folded
+            # 8-bit history image is just the raw low history byte.
+            sc_i1 = self._sc_fold.get(pc)
+            if sc_i1 is None:
+                sc_i1 = self._sc_fold[pc] = fold_bits(pc >> 2, 10)
+            sc_i2 = (sc_i1 ^ (self._ghr & 0xFF)) & 1023
+            sc_total = (self._sc_pc[sc_i1] + self._sc_hist[sc_i2]
+                        + (5 if pred else -5))
+            use_sc = ((sc_total >= 0) != pred
+                      and abs(sc_total) > self._sc_threshold)
+            if use_sc:
+                pred = not pred
+        else:
+            sc_i1 = sc_i2 = sc_total = None
+            use_sc = False
+        if cfg.use_loop:
+            # Loop predictor: a confident entry predicts the exit exactly.
+            entry = self._loops.get(pc)
+            if entry is not None and entry.confidence >= cfg.loop_confidence:
+                pred = self._loop_spec_iter.get(pc, entry.arch_iter) < entry.trip
+        return PredictorMeta(pred, (
+            idx_lanes, tag_lanes, provider, p_idx, alt, a_idx, base_idx,
+            provider_pred, alt_pred, tage_pred, sc_i1, sc_i2, sc_total, use_sc))
+
+    def _table_lookups(self, idx_lanes: int,
+                       tag_lanes: int) -> List[Tuple[int, int]]:
+        """Every tagged table's ``(index, tag)``, in table order, from a
+        prediction's two lane words."""
+        _, _, _, _, idx_mask, tag_mask = self._hash
+        return [((idx_lanes >> shift) & idx_mask,
+                 ((tag_lanes >> shift) & tag_mask) or 1)
+                for _, _, shift in reversed(self._probes)]
 
     # ------------------------------------------------------------------
     # Speculative history.
@@ -347,10 +323,12 @@ class TageSCL(BranchPredictor):
                   t0.tag_bits, t0.tag_bits - 1)
         fh = self._folds = _FoldedHistories(
             [table.history_len for table in self._tables], widths)
-        self._fold_roles = tuple(fh.group_base(w) for w in widths)
-        # (table number, table, lane offset), longest history first.
+        # The four roles' group offsets, then the index and tag masks.
+        self._hash = tuple(fh.group_base(w) for w in widths) + (
+            t0._mask, t0._tag_mask)
+        # (table number, tag column, lane offset), longest history first.
         self._probes = tuple(
-            (t, table, fh.lane_shift(table.history_len))
+            (t, table.tags, fh.lane_shift(table.history_len))
             for t, table in reversed(list(enumerate(self._tables))))
         self._pc_folds: Dict[int, Tuple[int, int]] = {}
         fh.refold(self._ghr)
@@ -366,116 +344,57 @@ class TageSCL(BranchPredictor):
             self._loop_spec_iter[pc] = cur + 1 if taken else 0
 
     def checkpoint(self) -> Any:
+        # The folded registers are a function of the GHR; carrying them
+        # lets ``restore`` adopt them instead of refolding.
         ckpt = self._ckpt
         if ckpt is None:
-            ckpt = self._ckpt = (self._ghr, dict(self._loop_spec_iter))
+            ckpt = self._ckpt = (self._ghr, dict(self._loop_spec_iter),
+                                 self._folds.bits)
         return ckpt
 
     def restore(self, state: Any) -> None:
-        self._ckpt = None
-        if state[0] != self._ghr:
-            self._folds.refold(state[0])
-        self._ghr, self._loop_spec_iter = state[0], dict(state[1])
+        self._ghr, spec_iter, self._folds.bits = state
+        self._loop_spec_iter = dict(spec_iter)
+        # The live state now equals ``state`` again, and ``state`` is
+        # never mutated, so it serves as the next checkpoint.
+        self._ckpt = state
 
     # ------------------------------------------------------------------
     # Retire-time training.
     # ------------------------------------------------------------------
-    def _allocate(self, pc: int, taken: bool, info: dict) -> None:
-        provider = info["provider"]
-        start = (provider[0] + 1) if provider is not None else 0
+    def _allocate(self, provider: Optional[int], taken: bool,
+                  idx_lanes: int, tag_lanes: int) -> None:
+        start = 0 if provider is None else provider + 1
         if start >= len(self._tables):
             return
+        lookups = self._table_lookups(idx_lanes, tag_lanes)
         # Find an entry with useful == 0 in a longer table; decay otherwise.
-        allocated = False
         for t in range(start, len(self._tables)):
-            idx, tag = info["lookups"][t]
+            idx, tag = lookups[t]
             table = self._tables[t]
             if table.useful[idx] == 0:
                 table.tags[idx] = tag
                 table.ctrs[idx] = 4 if taken else 3
-                table.useful[idx] = 0
-                allocated = True
-                break
-        if not allocated:
-            for t in range(start, len(self._tables)):
-                idx, _ = info["lookups"][t]
-                if self._tables[t].useful[idx] > 0:
-                    self._tables[t].useful[idx] -= 1
+                return
+        for t in range(start, len(self._tables)):
+            idx, _ = lookups[t]
+            if self._tables[t].useful[idx] > 0:
+                self._tables[t].useful[idx] -= 1
 
-    def _update_tage(self, pc: int, taken: bool, info: dict) -> None:
-        provider = info["provider"]
-        tage_pred = info["tage_pred"]
+    @staticmethod
+    def _train_ctr(ctrs: List[int], idx: int, taken: bool) -> None:
+        ctr = ctrs[idx]
+        if taken:
+            if ctr < 7:
+                ctrs[idx] = ctr + 1
+        elif ctr > 0:
+            ctrs[idx] = ctr - 1
 
-        # Use-alt-on-newly-allocated policy training.
-        if provider is not None:
-            t, idx = provider
-            table = self._tables[t]
-            ctr = table.ctrs[idx]
-            newly = table.useful[idx] == 0 and ctr in (3, 4)
-            if newly and info["provider_pred"] != info["alt_pred"]:
-                if info["provider_pred"] == taken and self._use_alt_on_na > 0:
-                    self._use_alt_on_na -= 1
-                elif info["provider_pred"] != taken and self._use_alt_on_na < 15:
-                    self._use_alt_on_na += 1
-
-        if tage_pred != taken:
-            self._allocate(pc, taken, info)
-
-        if provider is not None:
-            t, idx = provider
-            table = self._tables[t]
-            ctr = table.ctrs[idx]
-            if taken and ctr < 7:
-                table.ctrs[idx] = ctr + 1
-            elif not taken and ctr > 0:
-                table.ctrs[idx] = ctr - 1
-            if info["provider_pred"] != info["alt_pred"]:
-                if info["provider_pred"] == taken:
-                    if table.useful[idx] < (1 << self.config.useful_bits) - 1:
-                        table.useful[idx] += 1
-                elif table.useful[idx] > 0:
-                    table.useful[idx] -= 1
-            # Train the alt/base when the provider entry is weak.
-            if ctr in (3, 4):
-                self._train_alt(pc, taken, info)
-        else:
-            self._train_base(pc, taken, info)
-
-        self._update_count += 1
-        if self._update_count % self.config.useful_reset_period == 0:
-            for table in self._tables:
-                table.useful = [u >> 1 for u in table.useful]
-
-    def _train_base(self, pc: int, taken: bool, info: dict) -> None:
-        idx = info["base_idx"]
+    def _train_base(self, idx: int, taken: bool) -> None:
         v = self._base[idx]
         self._base[idx] = min(3, v + 1) if taken else max(0, v - 1)
 
-    def _train_alt(self, pc: int, taken: bool, info: dict) -> None:
-        alt = info["alt"]
-        if alt is None:
-            self._train_base(pc, taken, info)
-        else:
-            t, idx = alt
-            table = self._tables[t]
-            ctr = table.ctrs[idx]
-            if taken and ctr < 7:
-                table.ctrs[idx] = ctr + 1
-            elif not taken and ctr > 0:
-                table.ctrs[idx] = ctr - 1
-
-    def _update_sc(self, taken: bool, info: dict) -> None:
-        sc = info.get("sc")
-        if sc is None:
-            return
-        # Perceptron-style: train on use or low confidence.
-        if sc["use_sc"] or abs(sc["total"]) <= self._sc_threshold * 2:
-            delta = 1 if taken else -1
-            self._sc_pc[sc["i1"]] = max(-31, min(31, self._sc_pc[sc["i1"]] + delta))
-            self._sc_hist[sc["i2"]] = max(-31, min(31, self._sc_hist[sc["i2"]] + delta))
-
     def _update_loop(self, pc: int, taken: bool) -> None:
-        self._ckpt = None  # may mutate _loop_spec_iter (eviction below)
         entry = self._loops.get(pc)
         if entry is None:
             if not taken:
@@ -487,6 +406,7 @@ class TageSCL(BranchPredictor):
                     return
                 del self._loops[victim]
                 self._loop_spec_iter.pop(victim, None)
+                self._ckpt = None  # the checkpointed iterators changed
             entry = _LoopEntry(pc)
             self._loops[pc] = entry
         if taken:
@@ -507,16 +427,59 @@ class TageSCL(BranchPredictor):
         info = meta.payload
         if info is None:  # defensive: prediction made without lookup
             return
-        self._update_tage(pc, taken, info)
-        if self.config.use_sc:
-            self._update_sc(taken, info)
+        (idx_lanes, tag_lanes, provider, p_idx, alt, a_idx, base_idx,
+         provider_pred, alt_pred, tage_pred, sc_i1, sc_i2, sc_total,
+         use_sc) = info
+        if provider is not None:
+            table = self._tables[provider]
+            ctr = table.ctrs[p_idx]
+            weak = ctr == 3 or ctr == 4
+            # Use-alt-on-newly-allocated policy training.
+            if weak and table.useful[p_idx] == 0 and provider_pred != alt_pred:
+                if provider_pred == taken:
+                    if self._use_alt_on_na > 0:
+                        self._use_alt_on_na -= 1
+                elif self._use_alt_on_na < 15:
+                    self._use_alt_on_na += 1
+        if tage_pred != taken:
+            # Allocation only touches tables longer than the provider's.
+            self._allocate(provider, taken, idx_lanes, tag_lanes)
+        if provider is None:
+            self._train_base(base_idx, taken)
+        else:
+            self._train_ctr(table.ctrs, p_idx, taken)
+            if provider_pred != alt_pred:
+                useful = table.useful[p_idx]
+                if provider_pred == taken:
+                    if useful < (1 << self.config.useful_bits) - 1:
+                        table.useful[p_idx] = useful + 1
+                elif useful > 0:
+                    table.useful[p_idx] = useful - 1
+            # Train the alt/base when the provider entry is weak.
+            if weak:
+                if alt is None:
+                    self._train_base(base_idx, taken)
+                else:
+                    self._train_ctr(self._tables[alt].ctrs, a_idx, taken)
+        self._update_count += 1
+        if self._update_count % self.config.useful_reset_period == 0:
+            for tagged in self._tables:
+                tagged.useful = [u >> 1 for u in tagged.useful]
+
+        if self.config.use_sc and (
+                use_sc or abs(sc_total) <= self._sc_threshold * 2):
+            # Perceptron-style: train on use or low confidence.
+            delta = 1 if taken else -1
+            self._sc_pc[sc_i1] = max(-31, min(31, self._sc_pc[sc_i1] + delta))
+            self._sc_hist[sc_i2] = max(-31, min(31, self._sc_hist[sc_i2] + delta))
         if self.config.use_loop:
             self._update_loop(pc, taken)
 
     # ------------------------------------------------------------------
     # Compact serialization: counter columns pickle as packed bytes, the
-    # pure-function memos are dropped (rebuilt on demand), and the folded
-    # histories are recomputed from the GHR.
+    # pure-function memos and derived hashing tables are dropped (rebuilt
+    # on demand or by ``_init_folds``), and the folded histories are
+    # recomputed from the GHR.
     # ------------------------------------------------------------------
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -525,7 +488,7 @@ class TageSCL(BranchPredictor):
         state["_sc_hist"] = array("b", state["_sc_hist"]).tobytes()
         state["_sc_fold"] = {}
         state["_ckpt"] = None
-        for key in ("_folds", "_fold_roles", "_probes", "_pc_folds"):
+        for key in ("_folds", "_hash", "_probes", "_pc_folds"):
             del state[key]
         return state
 

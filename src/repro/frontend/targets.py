@@ -1,10 +1,11 @@
 """Branch-target structures: BTB, return-address stack, indirect predictor.
 
 Our simulator pre-decodes instructions at fetch (the code image is a Python
-object), so direct branch targets are always known; the BTB is still
-modelled because Phelps' Delinquent Branch Table training and the fetch
-unit's loop-bound checks use its hit/miss behaviour, and because indirect
-jumps (JALR) genuinely need target prediction.
+object), so direct branch targets are always known and fetch never probes
+the BTB: it is trained at retire with each taken conditional branch's
+target (and seeded by sampling warmup) and carried in snapshots, but no
+pipeline stage or engine reads it.  Indirect jumps (JALR) take their
+targets from the return-address stack and the indirect predictor.
 
 Columnar layout: each BTB set is a pair of parallel flat int lists
 (tags / targets, MRU first) probed with C-speed ``list.index``; the RAS

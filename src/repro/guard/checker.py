@@ -12,7 +12,9 @@ wrong IPC figure.
 
 At ``guard_level="full"`` a structural sanitizer additionally sweeps the
 pipeline every ``guard_check_interval`` cycles: freelist/RMT/AMT
-consistency, ROB and LSQ program ordering, IQ occupancy accounting, and
+consistency, ROB program ordering, each LQ/SQ holding exactly the ROB's
+loads/stores in order (squash recovery cuts them as seq suffixes), IQ
+occupancy accounting, and
 the engine-facing queue invariants (prediction-queue head iteration never
 ahead of the main thread's speculative iteration, visit-queue bounds).
 
@@ -175,11 +177,18 @@ class SimGuard:
                 if u.state.value == "dispatched":
                     dispatched += 1
 
-            for q, name in ((t.lq, "LQ"), (t.sq, "SQ")):
+            rob_loads = [u for u in t.rob if u.inst.is_load]
+            rob_stores = [u for u in t.rob if u.inst.is_store]
+            for q, name, in_rob, what in ((t.lq, "LQ", rob_loads, "loads"),
+                                          (t.sq, "SQ", rob_stores, "stores")):
                 if len(q.entries) > q.capacity:
                     bad.append(f"thread {t.id} {name} over capacity")
                 if any(a.seq >= b.seq for a, b in zip(q.entries, q.entries[1:])):
                     bad.append(f"thread {t.id} {name} out of program order")
+                # Uops compare by identity.
+                if q.entries != in_rob:
+                    bad.append(f"thread {t.id} {name} is not the ROB's "
+                               f"{what} in order")
 
         if dispatched != core.iq_count:
             bad.append(f"IQ accounting skew: counted {dispatched} dispatched "

@@ -1,17 +1,22 @@
 """Storage structures against recorded behaviour digests.
 
 Each test drives one storage class (PRF, predicate PRF, shared pool,
-rename map, BTB, cache) through a seeded random operation sequence and
-folds every observable result — return values, ``free_count``/``held_by``,
-``mapped_physical``, the final columns, cache stats — into a sha256.  The
-digest must equal the one in :data:`DIGESTS`.  Those values were recorded
-while the pre-columnar object-graph twins still existed, and both
-implementations produced them, so a match means the class still behaves
-exactly like the object-graph design it replaced: same allocation order,
-same LRU order, same wakeup lists, same stats.  The ``regfile`` digest
+rename map, BTB, cache, TAGE-SC-L predictor) through a seeded random
+operation sequence and folds every observable result — return values,
+``free_count``/``held_by``, ``mapped_physical``, the final columns, cache
+stats — into a sha256.  The digest must equal the one in :data:`DIGESTS`.
+The storage values were recorded while the pre-columnar object-graph
+twins still existed, and both implementations produced them, so a match
+means the class still behaves exactly like the object-graph design it
+replaced: same allocation order, same LRU order, same wakeup lists, same
+stats.  The ``regfile`` digest
 was re-recorded when ``PhysRegFile.drop_waiters`` was deleted and its
 operation left the drive: the implementation that had matched the old
-digest produced the new one before the deletion.
+digest produced the new one before the deletion.  The two ``tage``
+digests were recorded on the multi-pass predictor (per-stage lookup
+dicts, checkpoints refolded from the GHR on restore) that the one-pass
+``TageSCL.predict`` replaced, so a match means the same predictions,
+checkpoints and final tables.
 
 The whole-core half of the exactness argument is the recorded run fixture
 (``tests/core/test_exactness_fixture.py``).
@@ -19,11 +24,13 @@ The whole-core half of the exactness argument is the recorded run fixture
 
 import dataclasses
 import hashlib
+import pickle
 import random
 
 from repro.core.freelist import SharedPhysPool
 from repro.core.regfile import PhysRegFile, PredRegFile
 from repro.core.rename import RenameMapTable
+from repro.frontend.tage import TageConfig, TageSCL
 from repro.frontend.targets import BranchTargetBuffer
 from repro.memory.cache import Cache
 
@@ -40,7 +47,17 @@ DIGESTS = {
         "40c3dffa3ce5f9b3878e4323e33429cd3ecb1ee934b0a2413874006335656dfa",
     "cache":
         "b8ef721ffc8bbef84a84e46941c99f09c26a3fac493a21b3b94266ca9fc89a81",
+    "tage":
+        "0eee78a3b51cc2594bd2dbeb83ae091f5416f05c0b3a9d54148cebcad51ce962",
+    "tage_small":
+        "a1e0bcacbd1644c79507de2c26888460529f16bdf8671c9568fa2f4c5632aa35",
 }
+
+# A small TAGE geometry without the SC and L components; its short
+# usefulness-reset period lets the drive cross several resets.
+SMALL_TAGE = TageConfig(num_tables=4, table_entries=64, base_entries=256,
+                        tag_bits=7, min_history=3, max_history=200,
+                        use_sc=False, use_loop=False, useful_reset_period=512)
 
 
 class _Trace:
@@ -173,6 +190,65 @@ def drive_cache(cache) -> str:
     return trace.hexdigest()
 
 
+def drive_tage(config) -> str:
+    """Fetch-order predictions with speculative history, retire-order
+    training, squash recovery to an in-flight branch's checkpoint, and
+    pickle round trips of the live predictor."""
+    rng = random.Random(17)
+    trace = _Trace()
+    p = TageSCL(config)
+    pcs = [0x4000 + 4 * rng.randrange(1024) for _ in range(96)]
+    # Per-PC behaviour: a loop trip count, a taken bias, or random (0).
+    kinds = {pc: rng.choice((3, 7, 20, 0.9, 0.1, 0)) for pc in pcs}
+    visits = dict.fromkeys(pcs, 0)
+    inflight = []  # (pc, meta, checkpoint before the prediction), oldest first
+
+    def outcome(pc):
+        kind, n = kinds[pc], visits[pc]
+        visits[pc] = n + 1
+        if isinstance(kind, int) and kind:
+            return n % (kind + 1) != kind
+        return rng.random() < (kind or 0.5)
+
+    for _ in range(8000):
+        roll = rng.random()
+        if roll < 0.45 or not inflight:
+            pc = rng.choice(pcs)
+            ckpt = p.checkpoint()
+            meta = p.predict(pc)
+            # A checkpoint's history and loop iterators; the folded
+            # registers it may also carry are a function of the history.
+            trace("predict", pc, meta.taken, ckpt[0], sorted(ckpt[1].items()))
+            p.spec_update(pc, meta.taken)
+            inflight.append((pc, meta, ckpt))
+        elif roll < 0.8:
+            pc, meta, _ = inflight.pop(0)
+            p.update(pc, outcome(pc), meta)
+        elif roll < 0.87:
+            # A fetch group without a branch: a checkpoint and no shift.
+            ckpt = p.checkpoint()
+            trace("checkpoint", ckpt[0], sorted(ckpt[1].items()))
+        elif roll < 0.97:
+            # Mispredict recovery: drop the younger branches, restore the
+            # pre-fetch state and shift in the other direction.
+            i = rng.randrange(len(inflight))
+            pc, meta, ckpt = inflight[i]
+            del inflight[i + 1:]
+            p.restore(ckpt)
+            p.spec_update(pc, not meta.taken)
+            trace("restored", p._ghr)
+        else:
+            p = pickle.loads(pickle.dumps(p))
+    trace("final", p._ghr, p._use_alt_on_na, p._update_count,
+          p.predictions, p.provider_hits, p._base, p._sc_pc, p._sc_hist,
+          sorted(p._loop_spec_iter.items()),
+          sorted((pc, e.trip, e.confidence, e.arch_iter)
+                 for pc, e in p._loops.items()))
+    for table in p._tables:
+        trace("table", table.tags, table.ctrs, table.useful)
+    return trace.hexdigest()
+
+
 def test_regfile_equivalence():
     assert drive_regfile(PhysRegFile(64)) == DIGESTS["regfile"]
 
@@ -198,3 +274,11 @@ def test_btb_equivalence():
 def test_cache_equivalence():
     cache = Cache(4096, ways=4, name="equiv")
     assert drive_cache(cache) == DIGESTS["cache"]
+
+
+def test_tage_equivalence():
+    assert drive_tage(TageConfig()) == DIGESTS["tage"]
+
+
+def test_tage_small_equivalence():
+    assert drive_tage(SMALL_TAGE) == DIGESTS["tage_small"]

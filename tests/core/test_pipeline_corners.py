@@ -200,3 +200,30 @@ class TestMemoryPressure:
         assert stats.mispredicts > 0
         buf = p.addr_of("buf")
         assert core.mem.get(buf, 0) == ref.mem.get(buf, 0)
+
+
+class TestProgramImage:
+    def test_out_of_range_words_load_signed(self):
+        """The core copies the program image as given; a word at or past
+        2**63 and a negative word load as the same signed values the
+        in-order executor sees, and the commit guard agrees on every
+        load and register write."""
+        words = [(1 << 64) - 5, -7, 1 << 63, (1 << 63) - 1]
+
+        def prog(a):
+            base = a.data("words", words)
+            a.li("x1", base)
+            for i in range(len(words)):
+                a.ld(f"x{5 + i}", "x1", 8 * i)
+            a.add("x9", "x5", "x6")
+            a.halt()
+
+        program = _build(prog)
+        assert program.data[min(program.data)] == words[0]  # not normalized
+        core = small_core(program, guard_level="commit")
+        stats = core.run()
+        assert stats.halted and core.guard.checked == stats.retired
+        golden = run_program(program)
+        expected = [-5, -7, -(1 << 63), (1 << 63) - 1, -12]
+        assert [golden.regs[r] for r in range(5, 10)] == expected
+        assert [arch_reg(core, r) for r in range(5, 10)] == expected

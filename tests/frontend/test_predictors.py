@@ -225,9 +225,9 @@ class TestTage:
             else:
                 p = pickle.loads(pickle.dumps(p))
             pc = 0x1000 + 4 * pick
-            _, info = p._tage_lookup(pc)
-            assert info["lookups"] == [_fold_bits_index_tag(t, pc, p._ghr)
-                                       for t in p._tables]
+            idx_lanes, tag_lanes = p.predict(pc).payload[:2]
+            assert p._table_lookups(idx_lanes, tag_lanes) == [
+                _fold_bits_index_tag(t, pc, p._ghr) for t in p._tables]
 
     def test_history_lengths_are_geometric(self):
         cfg = TageConfig(num_tables=6, min_history=4, max_history=128)

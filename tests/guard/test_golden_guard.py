@@ -9,6 +9,7 @@ import pytest
 from repro.core import Core, CoreConfig
 from repro.guard.errors import DivergenceError, InvariantViolation
 from repro.harness.simulator import RunConfig, simulate
+from repro.memory import MemoryConfig
 from repro.phelps import PhelpsConfig, PhelpsEngine
 from repro.workloads import build_workload
 
@@ -38,6 +39,46 @@ def test_full_level_sweeps_clean():
     result = simulate(cfg)
     assert result.stats.metrics["guard.checked"] == result.stats.retired
     assert result.stats.metrics["guard.sweeps"] > 0
+
+
+# 400-cycle DRAM and no prefetchers: most fetched work is wrong-path, so
+# squashes (and the LSQ suffix cuts they make) are frequent.
+_SLOW_DRAM = MemoryConfig(dram_latency=400, enable_l1_prefetcher=False,
+                          enable_l2_prefetcher=False)
+
+
+def test_full_level_sweeps_clean_under_frequent_squashes():
+    cfg = RunConfig(workload="sssp", max_instructions=3000,
+                    core=CoreConfig(guard_level="full"), memory=_SLOW_DRAM,
+                    observe=True)
+    result = simulate(cfg)
+    assert result.stats.metrics["guard.checked"] == result.stats.retired
+    assert result.stats.metrics["guard.sweeps"] > 0
+    assert result.stats.mispredicts > 50
+
+
+def test_squashed_load_left_in_lq_detected():
+    core = Core(build_workload("sssp"), config=CoreConfig(guard_level="full"),
+                mem_config=_SLOW_DRAM)
+    squash = core._squash_thread
+    leaked = []
+
+    def leaky_squash(thread, cutoff_seq):
+        squashed = squash(thread, cutoff_seq)
+        # A renamed load came out of the ROB: put it back in the LQ.
+        load = next((u for u in squashed if u.inst.is_load and u.phys_srcs),
+                    None)
+        if load is not None and not leaked:
+            leaked.append(load)
+            thread.lq.entries.append(load)
+        return squashed
+
+    core._squash_thread = leaky_squash
+    with pytest.raises(InvariantViolation) as exc:
+        core.run(max_instructions=3000)
+    assert leaked
+    assert any("LQ is not the ROB's loads" in v
+               for v in exc.value.report.violations)
 
 
 def test_guard_off_is_absent():
