@@ -545,18 +545,16 @@ def _cmd_worker(args) -> int:
         poll_interval=args.poll_interval,
         max_idle_polls=args.max_idle_polls,
         max_points=args.max_points,
-        max_misses=args.max_misses,
         cache_dir=args.cache_dir,
         log=not args.quiet)
     report = work_service(args.connect, options)
     print(f"worker {report.worker_id}: {report.completed} completed "
           f"({report.cache_hits} from cache), {report.failed} failed, "
           f"{report.lease_lost} leases lost, {report.claimed} claims")
-    if report.http_retries or report.breaker_opens or report.renew_misses:
+    if report.renew_misses or report.publish_retries:
         print(f"worker {report.worker_id}: transport "
-              f"{report.http_retries} retries, "
-              f"{report.breaker_opens} breaker opens, "
-              f"{report.renew_misses} renew misses")
+              f"{report.renew_misses} renew misses, "
+              f"{report.publish_retries} publish retries")
     return 0
 
 
@@ -944,15 +942,13 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--poll-interval", type=float, default=0.5,
                         help="idle wait after a /claim that got no work")
     worker.add_argument("--max-idle-polls", type=int, default=0,
-                        help="exit after this many consecutive empty "
-                             "polls (0 = poll forever)")
+                        help="exit after this many consecutive claims "
+                             "that got no point, whether the daemon "
+                             "answered empty or could not be reached "
+                             "(0 = poll forever)")
     worker.add_argument("--max-points", type=int, default=0,
                         help="exit after claiming this many points "
                              "(0 = unbounded)")
-    worker.add_argument("--max-misses", type=int, default=0,
-                        help="exit after this many consecutive failed "
-                             "polls (0 = never: the circuit breaker "
-                             "paces reconnection to a dead daemon)")
     worker.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="local run cache (workers never use the "
                              "daemon's filesystem; results still reach "

@@ -12,6 +12,13 @@ from typing import List, Optional
 from repro.core.uop import Uop
 
 
+def _not_head(uop: Uop, entries: List[Uop], kind: str) -> RuntimeError:
+    head = entries[0].seq if entries else None
+    return RuntimeError(f"retiring {kind} seq {uop.seq} is not the {kind} "
+                        f"queue head (head seq {head}): the queue no longer "
+                        "mirrors the ROB")
+
+
 class StoreQueue:
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -25,11 +32,13 @@ class StoreQueue:
             raise RuntimeError("store queue overflow (dispatch must check)")
         self.entries.append(uop)
 
-    def remove(self, uop: Uop) -> None:
-        try:
-            self.entries.remove(uop)
-        except ValueError:
-            pass
+    def retire(self, uop: Uop) -> None:
+        """Drop the head, which must be the retiring ``uop``: the queue
+        holds the ROB's stores in seq order and retire pops the ROB head."""
+        entries = self.entries
+        if not entries or entries[0] is not uop:
+            raise _not_head(uop, entries, "store")
+        del entries[0]
 
     def forward_source(self, load_seq: int, addr: int) -> Optional[Uop]:
         """Youngest store older than ``load_seq`` with a resolved matching
@@ -41,7 +50,6 @@ class StoreQueue:
             if st.mem_addr == addr and st.store_value is not None and st.pred_enabled is not False:
                 best = st
         return best
-
 
 
 class LoadQueue:
@@ -57,11 +65,13 @@ class LoadQueue:
             raise RuntimeError("load queue overflow (dispatch must check)")
         self.entries.append(uop)
 
-    def remove(self, uop: Uop) -> None:
-        try:
-            self.entries.remove(uop)
-        except ValueError:
-            pass
+    def retire(self, uop: Uop) -> None:
+        """Drop the head, which must be the retiring ``uop``: the queue
+        holds the ROB's loads in seq order and retire pops the ROB head."""
+        entries = self.entries
+        if not entries or entries[0] is not uop:
+            raise _not_head(uop, entries, "load")
+        del entries[0]
 
     def find_violation(self, store: Uop) -> Optional[Uop]:
         """Oldest *younger* load that executed to the same address without

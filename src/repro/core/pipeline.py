@@ -964,7 +964,7 @@ class Core:
             self.guard.on_retire(thread, uop)
 
         if inst.is_store:
-            thread.sq.remove(uop)
+            thread.sq.retire(uop)
             if uop.pred_enabled is not False:
                 thread.commit_store(uop.mem_addr, uop.store_value)
                 if is_main:
@@ -973,7 +973,7 @@ class Core:
             elif not is_main:
                 self.stats.helper_stores_suppressed += 1
         elif inst.is_load:
-            thread.lq.remove(uop)
+            thread.lq.retire(uop)
         elif inst.is_cond_branch:
             thread.retired_branches += 1
             if uop.mispredicted:

@@ -19,12 +19,9 @@ state machine the local ``sweep`` drives:
   lease endpoints), the in-memory point tables, one control thread that
   activates, reaps and supervises the in-daemon worker pool, and
   Prometheus service gauges.
-* :mod:`repro.service.httpclient` — the resilient worker-side HTTP
-  client: timeouts, deterministic-jitter retries, status-aware error
-  handling, a circuit breaker.
-* :mod:`repro.service.chaosproxy` — a seeded network-fault proxy
-  (latency, drops, 500s, truncation, duplicate delivery, response-body
-  corruption) the chaos tests put between workers and the daemon.
+* :mod:`repro.service.httpclient` — the worker-side HTTP client: one
+  retry policy per request (timeout, deterministic-jitter backoff,
+  status-aware error handling).
 * :mod:`repro.service.integrity` — the result-integrity subsystem:
   seeded sampled audit re-execution on a *different* worker, fingerprint
   voting with a daemon-side tie-break on mismatch, per-worker reputation
@@ -35,10 +32,8 @@ state machine the local ``sweep`` drives:
 from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
                                  TenantPolicy, ValidationError,
                                  configs_from_spec)
-from repro.service.httpclient import (CircuitOpen, ClientStats,
-                                      HttpStatusError, NotFound,
-                                      ServiceClient, TransportError)
-from repro.service.chaosproxy import ChaosProxy, FaultPlan
+from repro.service.httpclient import (HttpStatusError, ServiceClient,
+                                      TransportError)
 from repro.service.integrity import (IntegrityConfig, IntegrityMonitor,
                                      IntegrityViolation, WorkerReputation,
                                      should_audit)
@@ -53,14 +48,9 @@ __all__ = [
     "ServiceState",
     "configs_from_spec",
     "ServiceClient",
-    "ClientStats",
     "HttpStatusError",
-    "NotFound",
     "TransportError",
-    "CircuitOpen",
     "RemoteJournal",
-    "ChaosProxy",
-    "FaultPlan",
     "IntegrityConfig",
     "IntegrityMonitor",
     "IntegrityViolation",

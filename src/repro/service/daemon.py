@@ -173,15 +173,14 @@ class CampaignService:
                 audit_rate=self.config.audit_rate,
                 audit_seed=self.config.audit_seed,
                 quarantine_threshold=self.config.quarantine_threshold,
-                reputation_window=self.config.reputation_window,
-                poison_workers=self.config.poison_workers),
+                reputation_window=self.config.reputation_window),
             run_config=lambda config: entry_from_result(simulate(config)),
             events=self.events, log=self._log)
         # HTTP-protocol health (the repro_service_http_* metrics).
         self.http_requests: Dict[str, int] = {}
         self.http_retries = 0        # requests arriving with Attempt > 1
         self.http_duplicates = 0     # publishes answered, not applied
-        self._worker_breaker_opens: Dict[str, int] = {}
+        self._worker_requests: Dict[str, int] = {}
         self._http_lock = threading.Lock()
         # The point tables: every transition holds this one lock.
         self._lock = threading.RLock()
@@ -625,7 +624,9 @@ class CampaignService:
         client's ``X-Repro-Attempt`` header: a chaos-injected 500 never
         reaches us, but the retried request that follows it does — so
         ``repro_service_http_retries_total`` is scrapeable evidence the
-        resilient client actually retried.
+        client actually retried.  ``X-Repro-Worker`` counts requests per
+        worker (``repro_service_worker_requests_total``), so a worker's
+        first request is what makes it visible in ``/metrics``.
         """
         with self._http_lock:
             self.http_requests[endpoint] = \
@@ -637,12 +638,8 @@ class CampaignService:
                 pass
             worker = headers.get("X-Repro-Worker")
             if worker:
-                try:
-                    opens = int(headers.get("X-Repro-Breaker-Opens", 0))
-                except (TypeError, ValueError):
-                    opens = 0
-                self._worker_breaker_opens[worker] = max(
-                    self._worker_breaker_opens.get(worker, 0), opens)
+                self._worker_requests[worker] = \
+                    self._worker_requests.get(worker, 0) + 1
 
     def _configs(self, record: CampaignRecord) -> Dict[str, RunConfig]:
         """``key -> RunConfig`` for one campaign (memoised)."""
@@ -785,7 +782,7 @@ class CampaignService:
             http_requests = dict(self.http_requests)
             http_retries = self.http_retries
             http_duplicates = self.http_duplicates
-            breaker_opens = dict(self._worker_breaker_opens)
+            worker_requests = dict(self._worker_requests)
         for endpoint, n in sorted(http_requests.items()):
             lines.append(prom_line("repro_service_http_requests_total", n,
                                    {"endpoint": endpoint}))
@@ -793,10 +790,9 @@ class CampaignService:
                                http_retries))
         lines.append(prom_line("repro_service_http_duplicates_total",
                                http_duplicates))
-        for worker, opens in sorted(breaker_opens.items()):
-            lines.append(prom_line(
-                "repro_service_worker_breaker_opens_total", opens,
-                {"worker": worker}))
+        for worker, n in sorted(worker_requests.items()):
+            lines.append(prom_line("repro_service_worker_requests_total", n,
+                                   {"worker": worker}))
         audits = self.integrity.counters()
         lines.append(prom_line("repro_service_audit_scheduled_total",
                                audits["audits_scheduled"]))

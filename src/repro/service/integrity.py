@@ -34,11 +34,12 @@ systematically:
   crossing the threshold quarantines the worker: ``/claim`` answers it
   shutdown, and the supervisor respawns a pool slot under a fresh
   identity.
-* **Poison points** — the lease layer's reaper consults
-  ``poison_workers`` (see :func:`repro.harness.lease.reap_shard`): a
-  point whose attempts failed under that many *distinct* workers is the
-  point's fault, not the fleet's, and transitions to the terminal
-  ``poisoned`` status instead of burning every worker in turn.
+* **Poison points** — the daemon's reaper consults
+  ``ServiceConfig.poison_workers`` (see
+  :func:`repro.harness.lease.reap_shard`): a point whose attempts failed
+  under that many *distinct* workers is the point's fault, not the
+  fleet's, and transitions to the terminal ``poisoned`` status instead
+  of burning every worker in turn.
 """
 
 import hashlib
@@ -101,7 +102,6 @@ class IntegrityConfig:
     audit_seed: int = 0
     quarantine_threshold: float = 5.0   # rolling score that quarantines
     reputation_window: float = 600.0    # seconds of history that count
-    poison_workers: int = 3        # distinct failing workers -> poisoned
 
 
 class WorkerReputation:

@@ -9,12 +9,12 @@ shard), publishes the result with ``/complete`` (or ``/fail``), and
 claims the next.  :class:`RemoteJournal` is that protocol's client
 side.  A worker **never touches the campaign root** —
 it is never even told the path — so worker hosts need no shared
-filesystem.  All HTTP goes through the resilient
-:class:`~repro.service.httpclient.ServiceClient` (retries, backoff,
-circuit breaker): a daemon restart or a flaky link degrades the worker
-to a breaker-paced reconnect loop instead of an exit.
-``WorkerOptions.max_misses`` (0 = never) bounds how many consecutive
-failed claims are tolerated before giving up.
+filesystem.  All HTTP goes through the retrying
+:class:`~repro.service.httpclient.ServiceClient`: a daemon restart or a
+flaky link costs the worker retries and idle polls, not an exit.
+``WorkerOptions.max_idle_polls`` (0 = never) bounds how many
+consecutive claims may yield no point, whether the daemon answered
+empty or could not be reached.
 
 A worker that loses its lease mid-simulation (the reaper requeued it, or
 a resume fenced it out) gets :class:`~repro.harness.lease.LeaseLost`
@@ -46,13 +46,17 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.simulator import RunConfig, simulate
-from repro.service.httpclient import (CircuitOpen, HttpStatusError,
-                                      ServiceClient, TransportError)
+from repro.service.httpclient import (HttpStatusError, ServiceClient,
+                                      TransportError)
 from repro.harness.lease import LeaseLost
 
 __all__ = ["RemoteJournal", "WorkerOptions", "work_service"]
 
 INJECT_ENV = "REPRO_SERVICE_INJECT"
+
+# How long a finished point's /complete or /fail keeps being retried
+# through transport failures before the worker leaves it to the reaper.
+PUBLISH_DEADLINE = 120.0
 
 
 @dataclass
@@ -61,21 +65,11 @@ class WorkerOptions:
 
     worker_id: str = ""
     heartbeat_interval: float = 1.0
-    poll_interval: float = 0.5     # idle wait between empty claims
+    poll_interval: float = 0.5     # wait after a claim that got no point
     max_idle_polls: int = 0        # 0 = poll forever (daemon pool mode)
     max_points: int = 0            # 0 = unbounded
-    max_misses: int = 0            # consecutive failed claims before exit
-    #                                (0 = never die: the circuit breaker
-    #                                paces reconnection instead)
     cache_dir: Optional[str] = None
     log: bool = True
-    # Resilient-client knobs.
-    http_timeout: float = 10.0
-    http_retries: int = 4
-    http_backoff: float = 0.25
-    breaker_threshold: int = 5
-    breaker_reset_seconds: float = 5.0
-    publish_retry_seconds: float = 120.0
 
     def __post_init__(self):
         if not self.worker_id:
@@ -96,8 +90,6 @@ class WorkerReport:
     released: int = 0
     campaigns: List[str] = field(default_factory=list)
     # Transport health.
-    http_retries: int = 0
-    breaker_opens: int = 0
     renew_misses: int = 0
     publish_retries: int = 0
 
@@ -177,32 +169,30 @@ class RemoteJournal:
 
     Error philosophy, per operation:
 
-    * ``claim`` — transport errors propagate (the loop decides whether
-      to back off or move on).
+    * ``claim`` — transport errors propagate (the loop counts them as
+      idle polls).
     * ``renew`` — only an authoritative ``409`` becomes
       :class:`LeaseLost`.  Transport errors are swallowed and counted
       (``renew_misses``): the daemon may requeue the point while we are
       dark, but first-done-wins makes finishing anyway safe, and
       abandoning real compute because of a blip would be strictly worse.
-    * ``complete``/``fail`` — retried until ``publish_retry_seconds`` is
-      exhausted, riding through breaker-open windows.  The daemon's point
-      table answers a repeat from the shard (a done point this worker
-      completed, a failure already recorded at the claimed generation,
-      which ``fail`` sends), so a dropped response cannot double-apply
-      and a daemon restart mid-publish costs only patience.  Completion
-      bodies carry the full run-cache entry, so the daemon publishes to
-      the journal *and* the shared cache on its side of the wire.
+    * ``complete``/``fail`` — retried through transport failures until
+      :data:`PUBLISH_DEADLINE` passes.  The daemon's point table answers
+      a repeat from the shard (a done point this worker completed, a
+      failure already recorded at the claimed generation, which ``fail``
+      sends), so a dropped response cannot double-apply and a daemon
+      restart mid-publish costs only patience.  Completion bodies carry
+      the full run-cache entry, so the daemon publishes to the journal
+      *and* the shared cache on its side of the wire.
     * ``release_held`` — hands back exactly the points still held.
 
     ``held`` maps each held key to the campaign and generation its claim
     named; every later request for the key goes to that campaign.
     """
 
-    def __init__(self, client: ServiceClient, worker_id: str,
-                 publish_retry_seconds: float = 120.0, log=None):
+    def __init__(self, client: ServiceClient, worker_id: str, log=None):
         self.client = client
         self.worker_id = worker_id
-        self.publish_retry_seconds = publish_retry_seconds
         self.held: Dict[str, Tuple[str, int]] = {}
         self.shutdown = False
         self.renew_misses = 0
@@ -252,19 +242,14 @@ class RemoteJournal:
                 raise LeaseLost(key, self.worker_id,
                                 holder=info.get("holder")) from exc
             self.renew_misses += 1
-        except (TransportError, CircuitOpen):
+        except TransportError:
             self.renew_misses += 1
 
     def _publish(self, path: str, body: Dict) -> Dict:
-        deadline = time.monotonic() + self.publish_retry_seconds
+        deadline = time.monotonic() + PUBLISH_DEADLINE
         while True:
             try:
                 return self.client.post(path, body)
-            except CircuitOpen as exc:
-                if time.monotonic() >= deadline:
-                    raise
-                self.publish_retries += 1
-                time.sleep(min(max(exc.retry_in, 0.05), 1.0))
             except TransportError:
                 if time.monotonic() >= deadline:
                     raise
@@ -276,7 +261,7 @@ class RemoteJournal:
         try:
             doc = self._publish("/complete", self._body(
                 key, entry=entry, source=source))
-        except (TransportError, CircuitOpen, HttpStatusError) as exc:
+        except (TransportError, HttpStatusError) as exc:
             # The result is lost to us but not to the campaign: the
             # reaper requeues the point and a deterministic rerun
             # publishes the identical entry.
@@ -290,7 +275,7 @@ class RemoteJournal:
         try:
             self._publish("/fail", self._body(
                 key, error=error, generation=self.held.get(key, (0, 0))[1]))
-        except (TransportError, CircuitOpen, HttpStatusError) as exc:
+        except (TransportError, HttpStatusError) as exc:
             self._log(f"fail-report of {key} not applied ({exc}); "
                       "the reaper will requeue it")
         self.held.pop(key, None)
@@ -301,7 +286,7 @@ class RemoteJournal:
         for key in sorted(self.held):
             try:
                 doc = self.client.post("/release", self._body(key))
-            except (TransportError, CircuitOpen, HttpStatusError):
+            except (TransportError, HttpStatusError):
                 continue  # the reaper covers what courtesy cannot
             if doc.get("released"):
                 released += 1
@@ -384,43 +369,25 @@ def work_service(base_url: str, options: Optional[WorkerOptions] = None
     """Work for a daemon: claim one point (or audit run), run it, repeat.
 
     The loop ends when the daemon asks (``{"shutdown": true}``),
-    ``max_idle_polls`` consecutive claims get nothing (0 = never),
-    ``max_points`` claims were made, or — only when ``max_misses`` is
-    nonzero — that many consecutive claims failed outright.  With the
-    default ``max_misses=0`` an unreachable daemon never kills the
-    worker: the circuit breaker fails claims fast and the loop becomes a
-    slow reconnect loop until the daemon returns.
+    ``max_points`` claims were made, or ``max_idle_polls`` consecutive
+    claims yielded no point (0 = never).  A claim the daemon answered
+    empty and one that could not reach it count alike, so with the
+    default ``max_idle_polls=0`` an unreachable daemon never kills the
+    worker: it polls every ``poll_interval`` until the daemon returns.
     """
     options = options or WorkerOptions()
     report = WorkerReport(worker_id=options.worker_id)
     injection = _Injection(options.worker_id)
-    client = ServiceClient(
-        base_url, worker_id=options.worker_id,
-        timeout=options.http_timeout, retries=options.http_retries,
-        backoff=options.http_backoff,
-        breaker_threshold=options.breaker_threshold,
-        breaker_reset_seconds=options.breaker_reset_seconds)
-    remote = RemoteJournal(
-        client, options.worker_id,
-        publish_retry_seconds=options.publish_retry_seconds,
-        log=lambda msg: _log(options, msg))
+    client = ServiceClient(base_url, worker_id=options.worker_id)
+    remote = RemoteJournal(client, options.worker_id,
+                           log=lambda msg: _log(options, msg))
     cache = RunCache(options.cache_dir) if options.cache_dir else None
     idle = 0
-    misses = 0
     while not (options.max_points and report.claimed >= options.max_points):
         try:
             got = remote.claim()
-        except (CircuitOpen, TransportError, HttpStatusError) as exc:
-            misses += 1
-            if options.max_misses and misses >= options.max_misses:
-                _log(options, f"daemon unreachable ({exc}) for {misses} "
-                              "consecutive claims; exiting")
-                break
-            time.sleep(min(max(exc.retry_in, 0.05), 2.0)
-                       if isinstance(exc, CircuitOpen)
-                       else options.poll_interval)
-            continue
-        misses = 0
+        except (TransportError, HttpStatusError):
+            got = None
         if remote.shutdown:
             _log(options, "daemon asked for shutdown")
             break
@@ -442,8 +409,6 @@ def work_service(base_url: str, options: Optional[WorkerOptions] = None
                    injection=injection, audit=bool(shard.get("audit")))
     # Courtesy: hand back exactly the points still held (normally none).
     report.released = remote.release_held()
-    report.http_retries = client.stats.retries
-    report.breaker_opens = client.stats.breaker_opens
     report.renew_misses = remote.renew_misses
     report.publish_retries = remote.publish_retries
     return report

@@ -237,3 +237,49 @@ class TestLoadQueue:
         lq.insert(ld1)
         st = _uop(2, Opcode.SD, addr=0x100)
         assert lq.find_violation(st) is ld1
+
+
+class TestRetireHead:
+    @pytest.mark.parametrize("queue_cls,op", [(LoadQueue, Opcode.LD),
+                                              (StoreQueue, Opcode.SD)])
+    def test_retire_drops_the_head_and_refuses_anything_else(self, queue_cls,
+                                                             op):
+        q = queue_cls(8)
+        older, younger = _uop(1, op), _uop(2, op)
+        q.insert(older)
+        q.insert(younger)
+        with pytest.raises(RuntimeError, match="queue head"):
+            q.retire(younger)
+        assert q.entries == [older, younger]
+        q.retire(older)
+        assert q.entries == [younger]
+        q.retire(younger)
+        with pytest.raises(RuntimeError, match="queue head"):
+            q.retire(younger)
+
+    def test_a_load_missing_from_its_queue_stops_the_run(self):
+        """The core's retire must notice an LSQ that stopped mirroring the
+        ROB, not pass over the missing load."""
+        from repro.isa import Assembler
+        from tests.core.conftest import small_core
+
+        a = Assembler("loads")
+        buf = a.data("buf", list(range(16)))
+        a.li("x5", buf)
+        a.li("x6", 0)
+        a.li("x7", 200)
+        a.label("loop")
+        a.ld("x8", "x5", 0)
+        a.addi("x6", "x6", 1)
+        a.blt("x6", "x7", "loop")
+        a.halt()
+        core = small_core(a.build())
+        lq = core.main.lq
+        for _ in range(10_000):
+            if lq.entries:
+                break
+            core.tick()
+        assert lq.entries, "no load reached the load queue"
+        del lq.entries[0]
+        with pytest.raises(RuntimeError, match="load queue head"):
+            core.run()

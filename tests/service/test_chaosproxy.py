@@ -15,7 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.service.chaosproxy import FAULTS, ChaosProxy, FaultPlan
+from tests.service.chaosproxy import FAULTS, ChaosProxy, FaultPlan
 
 
 class _CountingHandler(BaseHTTPRequestHandler):

@@ -764,7 +764,7 @@ class TestAuditCli:
 
 class TestChaosCorruptFault:
     def test_corrupt_fault_garbles_only_complete_bodies(self):
-        from repro.service.chaosproxy import _corrupt_complete_response
+        from tests.service.chaosproxy import _corrupt_complete_response
 
         response = (b"HTTP/1.0 200 OK\r\nContent-Length: 16\r\n\r\n"
                     b'{"accepted":true')
@@ -790,7 +790,7 @@ class TestChaosCorruptFault:
         to a local run.  (Rate < 1.0 so a clean confirmation eventually
         gets through — at 1.0 the worker can never learn the publish
         landed, which is the right behaviour but never ends.)"""
-        from repro.service.chaosproxy import ChaosProxy, FaultPlan
+        from tests.service.chaosproxy import ChaosProxy, FaultPlan
         from repro.service.worker import WorkerOptions, work_service
 
         config = quick_config(tmp_path)
@@ -806,9 +806,7 @@ class TestChaosCorruptFault:
                     "status") == "active", timeout=30, what="activation")
                 report = work_service(proxy.url, WorkerOptions(
                     worker_id="wchaos", max_idle_polls=3, log=False,
-                    poll_interval=0.05, heartbeat_interval=0.2,
-                    http_retries=2, http_backoff=0.01,
-                    breaker_reset_seconds=0.05, publish_retry_seconds=30.0))
+                    poll_interval=0.05, heartbeat_interval=0.2))
                 assert report.completed == 4
                 assert proxy.counters()["injected"]["corrupt"] >= 1
                 assert svc.http_duplicates >= 1  # a repeated publish

@@ -10,6 +10,7 @@ finishes bit-identical (``entry_fingerprint``) to an in-process
 import json
 import os
 import pathlib
+import socket
 import subprocess
 import sys
 import threading
@@ -22,13 +23,14 @@ import pytest
 import repro
 from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
                                     run_campaign)
-from repro.service.chaosproxy import ChaosProxy, FaultPlan
 from repro.service.daemon import CampaignService, ServiceConfig
 from repro.service.httpclient import ServiceClient
 from repro.harness.lease import LeaseLost
 from repro.service.queue import configs_from_spec
 from repro.service.worker import (INJECT_ENV, RemoteJournal, WorkerOptions,
                                   work_service)
+
+from tests.service.chaosproxy import ChaosProxy, FaultPlan
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -115,10 +117,7 @@ def reference():
 
 def worker_options(**overrides):
     kwargs = dict(worker_id="rw1", heartbeat_interval=0.2, poll_interval=0.1,
-                  max_idle_polls=40, log=False, http_timeout=5.0,
-                  http_retries=2, http_backoff=0.02,
-                  breaker_threshold=2, breaker_reset_seconds=0.3,
-                  publish_retry_seconds=30.0)
+                  max_idle_polls=40, log=False)
     kwargs.update(overrides)
     return WorkerOptions(**kwargs)
 
@@ -228,6 +227,10 @@ class TestLeaseProtocol:
             _status, metrics = get(f"{svc.url}/metrics")
             assert "repro_service_http_duplicates_total 1" in metrics
             assert "repro_service_http_requests_total" in metrics
+            # Only the claim went through rw1's client (the publishes
+            # above carry no X-Repro-Worker header).
+            assert ('repro_service_worker_requests_total{worker="rw1"} 1'
+                    in metrics)
 
     def test_stale_fail_is_fenced_over_http(self, tmp_path):
         """A worker whose lease lapsed cannot fail the point's new
@@ -322,12 +325,30 @@ class TestRemoteWorker:
                      == "done", timeout=30, what="campaign done")
             assert journal_fingerprints(campaign_dir(svc, cid)) == reference
 
+    def test_unreachable_daemon_counts_as_idle_polls(self):
+        """A claim that cannot reach the daemon yields no point, so it
+        counts toward ``max_idle_polls`` exactly like an empty answer:
+        the worker gives up after two failed claims."""
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        box = {}
+        thread = threading.Thread(target=lambda: box.update(
+            report=work_service(f"http://127.0.0.1:{port}",
+                                worker_options(max_idle_polls=2))),
+            daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "the worker kept polling a dead URL"
+        report = box["report"]
+        assert (report.claimed, report.idle_polls) == (0, 2)
+
     def test_worker_rides_through_daemon_restart(self, tmp_path,
                                                  reference):
         """Stop the daemon mid-campaign and restart it on a new port (the
-        chaos proxy retargets); the connected worker degrades to the
-        breaker's reconnect loop, resumes, and completes every point
-        exactly once — no duplicate completions, fingerprints identical."""
+        chaos proxy retargets); the connected worker retries and polls
+        through the outage, resumes, and completes every point exactly
+        once — no duplicate completions, fingerprints identical."""
         config = quick_config(tmp_path)
         svc_a = CampaignService(config).start()
         svc_b = None
@@ -350,8 +371,7 @@ class TestRemoteWorker:
                 == "done")
             wait_for(lambda: done() >= 1, timeout=60, what="first point")
             svc_a.stop()
-            # The worker hits the dead daemon: breaker_threshold (2)
-            # consecutive failed connections open its breaker.
+            # The worker hits the dead daemon: its connections fail.
             dark = proxy.counters()["connections"]
             wait_for(lambda: proxy.counters()["connections"] >= dark + 3,
                      timeout=30, interval=0.02, what="failed connections")
@@ -363,11 +383,9 @@ class TestRemoteWorker:
             thread.join(timeout=60)
             assert not thread.is_alive()
             report = report_box["report"]
-            # Every point completed exactly once, by this worker; the
-            # breaker actually engaged during the outage.
+            # Every point completed exactly once, by this worker.
             assert report.completed == 4
             assert report.failed == 0
-            assert report.breaker_opens >= 1
             assert journal_fingerprints(root) == reference
         finally:
             proxy.stop()
