@@ -63,15 +63,14 @@ def main() -> None:
         # 1. Submit.
         spec = {"workloads": ["astar", "sssp"],
                 "engines": ["baseline", "phelps"],
-                "instructions": args.n, "tenant": "example"}
+                "instructions": args.n}
         req = urllib.request.Request(
             f"{base}/campaigns", data=json.dumps(spec).encode(),
             method="POST", headers={"Content-Type": "application/json"})
         with urllib.request.urlopen(req, timeout=10) as resp:
             record = json.loads(resp.read().decode())
         cid = record["id"]
-        print(f"submitted    : {cid} ({record['total_points']} points "
-              f"for tenant {record['tenant']})")
+        print(f"submitted    : {cid} ({record['total_points']} points)")
 
         # 2. One status poll, showing the per-point lease view.
         doc = get_json(f"{base}/campaigns/{cid}")

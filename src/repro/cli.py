@@ -186,7 +186,7 @@ def _cmd_sweep(args) -> int:
     """Journaled sweep of a spec's points (a fresh ``-w x -e`` cross
     product, or a ``--resume``d manifest's spec in either form):
     process-pool fan-out, shard caching, kill-and-resume."""
-    from repro.service.queue import configs_from_spec
+    from repro.harness.spec import configs_from_spec
 
     if args.resume:
         if args.workloads or args.engines or args.instructions is not None:
@@ -487,31 +487,10 @@ def _cmd_watch(args) -> int:
         view = frame() or view
 
 
-def _parse_tenants(specs):
-    """``name=weight[:max_leased]`` strings -> {name: TenantPolicy}."""
-    from repro.service import TenantPolicy
-
-    tenants = {}
-    for spec in specs or ():
-        name, _, policy = spec.partition("=")
-        if not name or not policy:
-            raise ValueError(f"bad --tenant {spec!r} "
-                             f"(want name=weight[:max_leased])")
-        weight, _, cap = policy.partition(":")
-        tenants[name] = TenantPolicy(weight=float(weight),
-                                     max_leased=int(cap) if cap else None)
-    return tenants
-
-
 def _cmd_service(args) -> int:
     """The campaign daemon: sweeps as a service over HTTP."""
     from repro.service import CampaignService, ServiceConfig
 
-    try:
-        tenants = _parse_tenants(args.tenant)
-    except ValueError as exc:
-        print(f"service: {exc}", file=sys.stderr)
-        return 2
     config = ServiceConfig(
         root=args.root, host=args.host, port=args.port,
         workers=args.workers, lease_seconds=args.lease_seconds,
@@ -521,7 +500,6 @@ def _cmd_service(args) -> int:
         max_attempts=args.max_attempts,
         heartbeat_interval=args.heartbeat_interval,
         drain_seconds=args.drain_seconds,
-        tenants=tenants,
         audit_rate=args.audit_rate,
         audit_seed=args.audit_seed,
         quarantine_threshold=args.quarantine_threshold,
@@ -572,8 +550,7 @@ def _cmd_audit(args) -> int:
     import pathlib
 
     from repro.harness.campaign import entry_fingerprint
-    from repro.service.integrity import should_audit
-    from repro.service.queue import configs_from_spec
+    from repro.harness.spec import configs_from_spec, should_audit
 
     root = pathlib.Path(args.dir)
     try:
@@ -901,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "Retry-After")
     service.add_argument("--max-active", type=int, default=4,
                          help="campaigns executing concurrently; the rest "
-                              "queue in weighted-fair order")
+                              "queue by priority, then submission order")
     service.add_argument("--max-attempts", type=int, default=3,
                          help="per-point attempt cap for failed-point "
                               "retries (0 = no retries)")
@@ -911,9 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="SIGTERM grace: stop offering work, wait "
                               "this long for leased points to land, "
                               "record the interruption, then exit")
-    service.add_argument("--tenant", action="append", metavar="SPEC",
-                         help="tenant policy name=weight[:max_leased], "
-                              "repeatable (e.g. --tenant ci=2.0:4)")
     service.add_argument("--audit-rate", type=float, default=0.0,
                          help="fraction of completed points re-executed "
                               "on a different worker and fingerprint-"

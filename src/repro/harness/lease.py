@@ -55,7 +55,7 @@ local worker processes, so a point moves the same way on both paths:
   worker other than the original completer, renewed, failed and reaped
   through the same transitions as a point — a lapsed or failed run goes
   back to ``pending`` until :data:`MAX_AUDIT_ATTEMPTS` — and counts as a
-  lease for the drain and the tenant quotas.
+  lease for the drain.
 
 The table is the single writer of its campaign's shards.  It is loaded
 once (:func:`~repro.harness.campaign.activate`, or :meth:`PointTable.load`

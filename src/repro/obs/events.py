@@ -114,10 +114,9 @@ class EventTrace:
 
     # Campaign service (repro.service): daemon lifecycle.  All host-level
     # (cycle 0), like campaign_interrupted above.
-    def campaign_submitted(self, campaign: str, tenant: str,
-                           points: int) -> None:
+    def campaign_submitted(self, campaign: str, points: int) -> None:
         self.emit(0, "campaign_submitted", "campaign", campaign=campaign,
-                  tenant=tenant, points=points)
+                  points=points)
 
     def campaign_activated(self, campaign: str, points: int,
                            deduped: int) -> None:

@@ -8,8 +8,9 @@ standing service with one lease authority, the daemon, which holds each
 campaign in a :class:`~repro.harness.lease.PointTable` — the same point
 state machine the local ``sweep`` drives:
 
-* :mod:`repro.service.queue` — submission specs, tenants, quotas,
-  priorities, weighted fair scheduling, and back-pressure accounting.
+* :mod:`repro.service.queue` — campaign records, ``(-priority, seq)``
+  scheduling order, and back-pressure accounting (specs are expanded
+  and validated by :mod:`repro.harness.spec`).
 * :mod:`repro.service.worker` — the pull-model worker loop: ask the
   daemon for a point, simulate it (renewing the lease from the heartbeat
   hook), publish the result, repeat — all over HTTP, never touching the
@@ -29,33 +30,22 @@ state machine the local ``sweep`` drives:
   breaker that stops a crash-looping config from burning the fleet.
 """
 
-from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
-                                 TenantPolicy, ValidationError,
-                                 configs_from_spec)
+from repro.service.queue import BackPressure, CampaignRecord, ServiceState
 from repro.service.httpclient import (HttpStatusError, ServiceClient,
                                       TransportError)
-from repro.service.integrity import (IntegrityConfig, IntegrityMonitor,
-                                     IntegrityViolation, WorkerReputation,
-                                     should_audit)
+from repro.service.integrity import IntegrityMonitor
 from repro.service.worker import RemoteJournal, WorkerOptions, work_service
 from repro.service.daemon import CampaignService, ServiceConfig
 
 __all__ = [
-    "ValidationError",
     "BackPressure",
-    "TenantPolicy",
     "CampaignRecord",
     "ServiceState",
-    "configs_from_spec",
     "ServiceClient",
     "HttpStatusError",
     "TransportError",
     "RemoteJournal",
-    "IntegrityConfig",
     "IntegrityMonitor",
-    "IntegrityViolation",
-    "WorkerReputation",
-    "should_audit",
     "WorkerOptions",
     "work_service",
     "CampaignService",

@@ -49,7 +49,8 @@ HTTP API (JSON unless noted)::
 
 The five ``POST`` lease endpoints are the remote-execution protocol, and
 ``/claim`` is all of the scheduling: one request picks the campaign
-(weighted-fair, quota-exact) and leases a point or an audit run in it.
+(highest priority, then oldest) and leases a point or an audit run in
+it.
 Workers never see the campaign filesystem (the claim answer carries no
 path; only the operator views under ``/campaigns`` show ``dir``), and
 the lease length is always the daemon's ``lease_seconds``.  A repeated
@@ -78,7 +79,7 @@ import sys
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
@@ -88,12 +89,11 @@ from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.simulator import RunConfig, simulate
 from repro.obs.events import EventTrace
 from repro.obs.promtext import CONTENT_TYPE, prom_line, render_prometheus
-from repro.service.integrity import IntegrityConfig, IntegrityMonitor
 from repro.harness.lease import (APPLIED, REPEAT, STALE, LeaseLost,
                                  PointTable)
-from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
-                                 TenantPolicy, ValidationError,
-                                 configs_from_spec)
+from repro.harness.spec import ValidationError, configs_from_spec
+from repro.service.integrity import IntegrityMonitor
+from repro.service.queue import BackPressure, CampaignRecord, ServiceState
 from repro.workloads import workload_names
 
 __all__ = ["CampaignService", "ServiceConfig"]
@@ -101,7 +101,7 @@ __all__ = ["CampaignService", "ServiceConfig"]
 _INDEX = """repro campaign service
   GET    /campaigns             list campaigns + queue gauges
   POST   /campaigns             submit {workloads, engines, instructions} or
-                                {points: [...]}, tenant?, priority? -> {id}
+                                {points: [...]}, priority? -> {id}
   GET    /campaigns/<id>        status
   GET    /campaigns/<id>/results  done-point result entries
   GET    /campaigns/<id>/stream   SSE status frames
@@ -133,15 +133,12 @@ class ServiceConfig:
     max_queued_points: int = 100_000
     max_active_campaigns: int = 4
     max_attempts: int = 3          # failed-point retries (reaper)
-    retry_after: float = 5.0       # the 429 Retry-After hint
     drain_seconds: float = 30.0    # SIGTERM: grace for leased points
-    tenants: Dict[str, TenantPolicy] = field(default_factory=dict)
     log: bool = True
     # Result-integrity subsystem (repro.service.integrity).
     audit_rate: float = 0.0        # fraction of completions re-executed
     audit_seed: int = 0
     quarantine_threshold: float = 5.0
-    reputation_window: float = 600.0
     poison_workers: int = 3        # distinct failing workers -> poisoned
     #                                (0 disables the breaker)
 
@@ -155,9 +152,7 @@ class CampaignService:
         self.state = ServiceState(
             workload_names(),
             max_queued_points=self.config.max_queued_points,
-            max_active_campaigns=self.config.max_active_campaigns,
-            retry_after=self.config.retry_after,
-            tenants=self.config.tenants)
+            max_active_campaigns=self.config.max_active_campaigns)
         self.events = EventTrace()
         self.cache = (RunCache(self.config.cache_dir)
                       if self.config.cache_dir else None)
@@ -169,11 +164,9 @@ class CampaignService:
         # daemon-local arbitration executor (a straight deterministic
         # re-simulation; tests inject a stub via integrity.run_config).
         self.integrity = IntegrityMonitor(
-            IntegrityConfig(
-                audit_rate=self.config.audit_rate,
-                audit_seed=self.config.audit_seed,
-                quarantine_threshold=self.config.quarantine_threshold,
-                reputation_window=self.config.reputation_window),
+            audit_rate=self.config.audit_rate,
+            audit_seed=self.config.audit_seed,
+            quarantine_threshold=self.config.quarantine_threshold,
             run_config=lambda config: entry_from_result(simulate(config)),
             events=self.events, log=self._log)
         # HTTP-protocol health (the repro_service_http_* metrics).
@@ -330,10 +323,11 @@ class CampaignService:
         """Re-adopt campaigns journaled by a previous daemon incarnation.
 
         Everything needed to resume lives in ``campaign.json`` (the spec
-        plus the ``service`` submission metadata written at activation);
-        the point table is loaded from the shards, once, leases and audit
-        leases alike.  Only an arbitration dies with the process: its
-        audit runs again.
+        plus the ``service`` submission metadata written at activation;
+        a ``tenant`` an older daemon wrote there is ignored); the point
+        table is loaded from the shards, once, leases and audit leases
+        alike.  Only an arbitration dies with the process: its audit
+        runs again.
         """
         for manifest_path in sorted(self.root.glob("*/campaign.json")):
             table = PointTable.load(CampaignJournal(manifest_path.parent),
@@ -344,8 +338,7 @@ class CampaignService:
             meta = spec.get("service") or {}
             cid = meta.get("id") or manifest_path.parent.name
             record = CampaignRecord(
-                id=cid, tenant=meta.get("tenant", "default"),
-                priority=int(meta.get("priority", 0)),
+                id=cid, priority=int(meta.get("priority", 0)),
                 spec={k: v for k, v in spec.items()
                       if k not in ("cache_dir", "service")},
                 dir=str(manifest_path.parent),
@@ -406,8 +399,7 @@ class CampaignService:
         spec_doc = dict(record.spec)
         spec_doc["cache_dir"] = self.config.cache_dir
         spec_doc["service"] = {
-            "id": record.id, "tenant": record.tenant,
-            "priority": record.priority, "seq": record.seq,
+            "id": record.id, "priority": record.priority, "seq": record.seq,
             "submitted_unix": record.submitted_unix,
         }
         table, deduped = activate(journal, list(configs.values()),
@@ -528,10 +520,8 @@ class CampaignService:
     def _submit(self, doc: Dict) -> CampaignRecord:
         record = self.state.submit(
             doc, make_dir=lambda cid: self.root / cid)
-        self.events.campaign_submitted(record.id, record.tenant,
-                                       record.total_points)
-        self._log(f"submitted {record.id} by {record.tenant}: "
-                  f"{record.total_points} points")
+        self.events.campaign_submitted(record.id, record.total_points)
+        self._log(f"submitted {record.id}: {record.total_points} points")
         self._wake.set()
         return record
 
@@ -577,11 +567,11 @@ class CampaignService:
 
         In order: the drain and quarantine answers; the point or audit
         run ``worker`` already holds in any active campaign; else, in
-        weighted-fair order without tenants at their quota, the first
-        pending point of a campaign, then a pending audit of a point
-        ``worker`` did not complete.  The new lease is folded into its
-        campaign record before the lock is let go, so the next claim
-        sees it and quotas are exact.
+        ``(-priority, seq)`` campaign order, the first pending point of
+        a campaign, then a pending audit of a point ``worker`` did not
+        complete.  The new lease is taken and folded into its campaign
+        record before the lock is let go, so racing claims never lease
+        one point twice.
         """
         if self._stopping.is_set() or self._draining.is_set():
             return {"key": None, "shutdown": True}
@@ -810,7 +800,7 @@ class CampaignService:
                                audits["complete_rejects"]))
         lines.append(prom_line("repro_service_points_poisoned_total",
                                self.points_poisoned))
-        quarantined = self.integrity.reputation.quarantined()
+        quarantined = self.integrity.quarantined()
         lines.append(prom_line("repro_service_workers_quarantined",
                                len(quarantined)))
         for worker in sorted(quarantined):
@@ -819,14 +809,8 @@ class CampaignService:
         for status, n in sorted(snap["by_status"].items()):
             lines.append(prom_line("repro_service_campaigns", n,
                                    {"status": status}))
-        for tenant, depth in sorted(self.state.tenant_queue_depth().items()):
-            lines.append(prom_line("repro_service_tenant_queue_depth",
-                                   depth, {"tenant": tenant}))
-        for tenant, peak in sorted(snap["peak_leased"].items()):
-            lines.append(prom_line("repro_service_tenant_peak_leased",
-                                   peak, {"tenant": tenant}))
         for c in snap["campaigns"]:
-            labels = {"campaign": c["id"], "tenant": c["tenant"]}
+            labels = {"campaign": c["id"]}
             for status in ("pending", "running", "done", "failed",
                            "poisoned"):
                 lines.append(prom_line(
@@ -903,6 +887,31 @@ class CampaignService:
 
             _LEASE_OPS = ("claim", "renew", "complete", "fail", "release")
 
+            def _read_json(self) -> Optional[Dict]:
+                """The request body as a JSON object, or None once a 400
+                is answered: a ``Content-Length`` that is not a
+                non-negative integer, a body that is not JSON, or JSON
+                that is not an object."""
+                try:
+                    length = int(self.headers.get("Content-Length") or 0)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    self._send_json({"error": "bad Content-Length"},
+                                    code=400)
+                    return None
+                try:
+                    doc = json.loads(self.rfile.read(length) or b"{}")
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    self._send_json({"error": f"invalid JSON: {exc}"},
+                                    code=400)
+                    return None
+                if not isinstance(doc, dict):
+                    self._send_json({"error": "body must be a JSON object"},
+                                    code=400)
+                    return None
+                return doc
+
             def do_POST(self):
                 parts = self._route()
                 if len(parts) == 1 and parts[0] in self._LEASE_OPS:
@@ -913,11 +922,9 @@ class CampaignService:
                                b"not found\n")
                     return
                 try:
-                    length = int(self.headers.get("Content-Length") or 0)
-                    try:
-                        doc = json.loads(self.rfile.read(length) or b"{}")
-                    except json.JSONDecodeError as exc:
-                        raise ValidationError(f"invalid JSON: {exc}")
+                    doc = self._read_json()
+                    if doc is None:
+                        return
                     record = service._submit(doc)
                 except ValidationError as exc:
                     self._send_json({"error": str(exc)}, code=400)
@@ -937,16 +944,8 @@ class CampaignService:
                 """One remote lease endpoint: parse JSON, dispatch, reply."""
                 service._count_http(op, self.headers)
                 try:
-                    length = int(self.headers.get("Content-Length") or 0)
-                    try:
-                        doc = json.loads(self.rfile.read(length) or b"{}")
-                    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                        self._send_json({"error": f"invalid JSON: {exc}"},
-                                        code=400)
-                        return
-                    if not isinstance(doc, dict):
-                        self._send_json({"error": "body must be an object"},
-                                        code=400)
+                    doc = self._read_json()
+                    if doc is None:
                         return
                     status, response = service._lease_rpc(op, doc)
                     self._send_json(response, code=status)

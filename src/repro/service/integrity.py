@@ -12,25 +12,27 @@ systematically:
 
 * **Audit sampling** (:meth:`IntegrityMonitor.consider`, called on
   the completion that makes a point ``done``) — a seeded,
-  deterministic sample (:func:`should_audit`) of worker-completed
-  points gets a ``pending`` audit.  The audit lives in the point shard
-  (an ``audit`` sub-document that never touches the result ``entry``,
-  so fingerprints are unaffected), and the audit *run* is a lease in
-  the campaign's :class:`~repro.harness.lease.PointTable` like any
-  other: claimed through ``/claim`` by a worker other than the original
-  completer, renewed, failed and reaped there, and reloaded from the
-  shards on a daemon restart.  This module decides only what to sample
+  deterministic sample (:func:`~repro.harness.spec.should_audit`) of
+  worker-completed points gets a ``pending`` audit.  The audit lives in
+  the point shard (an ``audit`` sub-document that never touches the
+  result ``entry``, so fingerprints are unaffected), and the audit
+  *run* is a lease in the campaign's
+  :class:`~repro.harness.lease.PointTable` like any other: claimed
+  through ``/claim`` by a worker other than the original completer,
+  renewed, failed and reaped there, and reloaded from the shards on a
+  daemon restart.  This module decides only what to sample
   and what an audit result means.
 * **Arbitration** (:meth:`IntegrityMonitor.on_audit_complete`) — a
   matching audit is a cheap pass.  On mismatch a third, daemon-local
   tie-break execution runs and majority vote decides; the losing entry
   is quarantined beside the journal via the shared ``*.corrupt``
   machinery (:func:`repro.utils.shards.quarantine_shard`), the journal
-  and run cache are atomically repaired with the winner, and a typed
-  :class:`IntegrityViolation` diagnostic bundle is written for the
-  post-mortem.
-* **Worker reputation** (:class:`WorkerReputation`) — mismatches,
-  crashes, and lease expiries fold into a rolling per-worker score;
+  and run cache are atomically repaired with the winner, and the
+  diagnostic report is written beside the journal as
+  ``<key>.integrity.json`` for the post-mortem.
+* **Worker reputation** (:meth:`IntegrityMonitor.record_misbehaviour`)
+  — mismatches, crashes, and lease expiries fold into a rolling
+  per-worker score over the last ``REPUTATION_WINDOW`` seconds;
   crossing the threshold quarantines the worker: ``/claim`` answers it
   shutdown, and the supervisor respawns a pool slot under a fresh
   identity.
@@ -46,143 +48,57 @@ import hashlib
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.harness.campaign import entry_fingerprint
 from repro.harness.lease import PointTable
+from repro.harness.spec import should_audit
 from repro.utils.shards import atomic_write_json, quarantine_shard
 
-__all__ = ["IntegrityConfig", "IntegrityMonitor", "IntegrityViolation",
-           "WorkerReputation", "should_audit", "REPUTATION_WEIGHTS"]
+__all__ = ["IntegrityMonitor", "REPUTATION_WEIGHTS", "REPUTATION_WINDOW"]
 
 # Rolling-score weights per reputation event kind.  A mismatch is direct
 # evidence of bad data; a crash or lease expiry is circumstantial (the
 # point itself may be pathological), so they weigh less.
 REPUTATION_WEIGHTS = {"mismatch": 4.0, "crash": 2.0, "lease_expired": 1.0}
-
-
-def should_audit(key: str, rate: float, seed: int = 0) -> bool:
-    """Deterministically sample ``key`` at ``rate`` under ``seed``.
-
-    The decision is a pure function of (seed, key): the same campaign
-    audited twice samples the same points, and changing the seed redraws
-    the sample without touching any journal state.
-    """
-    if rate <= 0.0:
-        return False
-    if rate >= 1.0:
-        return True
-    digest = hashlib.sha256(f"{seed}:{key}".encode()).digest()
-    draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-    return draw < rate
-
-
-class IntegrityViolation(RuntimeError):
-    """An audit mismatch that arbitration resolved (or failed to).
-
-    Carries the full diagnostic ``report`` — fingerprints, workers,
-    verdict — which is also written as a JSON bundle beside the journal
-    so the evidence survives the process.
-    """
-
-    def __init__(self, campaign: str, key: str, report: Dict):
-        self.campaign = campaign
-        self.key = key
-        self.report = report
-        super().__init__(f"integrity violation on {campaign}/{key}: "
-                         f"{report.get('verdict')}")
-
-
-@dataclass
-class IntegrityConfig:
-    """Knobs for one daemon's integrity subsystem."""
-
-    audit_rate: float = 0.0        # fraction of completions re-executed
-    audit_seed: int = 0
-    quarantine_threshold: float = 5.0   # rolling score that quarantines
-    reputation_window: float = 600.0    # seconds of history that count
-
-
-class WorkerReputation:
-    """Rolling per-worker misbehaviour scores with a quarantine line.
-
-    Events decay by falling out of the window rather than by weighting:
-    a worker is judged on what it did recently, and an old incident
-    cannot quarantine it forever — but an actual quarantine is permanent
-    for the process (the supervisor replaces the worker, it does not
-    parole it).
-    """
-
-    def __init__(self, threshold: float = 5.0, window: float = 600.0,
-                 clock: Callable[[], float] = time.monotonic):
-        self.threshold = threshold
-        self.window = window
-        self._clock = clock
-        self._events: Dict[str, Deque[Tuple[float, float, str]]] = {}
-        self._quarantined: Dict[str, str] = {}
-        self._lock = threading.Lock()
-
-    def record(self, worker: str, kind: str) -> bool:
-        """Fold one event in; True when this event quarantines ``worker``."""
-        if not worker or worker == "?":
-            return False
-        weight = REPUTATION_WEIGHTS.get(kind, 1.0)
-        now = self._clock()
-        with self._lock:
-            events = self._events.setdefault(worker, deque())
-            events.append((now, weight, kind))
-            if worker in self._quarantined:
-                return False
-            if self._score_locked(worker, now) >= self.threshold:
-                kinds = sorted({k for _, _, k in events})
-                self._quarantined[worker] = "+".join(kinds)
-                return True
-        return False
-
-    def _score_locked(self, worker: str, now: float) -> float:
-        events = self._events.get(worker)
-        if not events:
-            return 0.0
-        while events and now - events[0][0] > self.window:
-            events.popleft()
-        return sum(w for _, w, _ in events)
-
-    def score(self, worker: str) -> float:
-        with self._lock:
-            return self._score_locked(worker, self._clock())
-
-    def is_quarantined(self, worker: str) -> bool:
-        with self._lock:
-            return worker in self._quarantined
-
-    def quarantined(self) -> Dict[str, str]:
-        with self._lock:
-            return dict(self._quarantined)
+# Seconds of reputation history that count toward the score.
+REPUTATION_WINDOW = 600.0
 
 
 class IntegrityMonitor:
-    """The daemon's integrity brain: sampling, arbitration, reputation.
+    """The daemon's integrity book: sampling, arbitration, reputation.
 
-    Thread-safe; the daemon calls in from the HTTP handler threads
-    (sampling and audit verdicts on completion), the reaper
-    (lease-expiry blame), and the supervisor (crash blame).
+    Thread-safe under one lock; the daemon calls in from the HTTP
+    handler threads (sampling and audit verdicts on completion), the
+    reaper (lease-expiry blame), and the supervisor (crash blame).
     ``run_config`` is the arbitration executor — ``RunConfig -> entry``;
     the default (installed by the daemon) simulates locally, tests
-    inject a stub.
+    inject a stub.  ``clock`` times reputation events (tests pass a
+    fake).
+
+    Reputation events decay by falling out of the window rather than by
+    weighting: a worker is judged on what it did recently, and an old
+    incident cannot quarantine it forever — but an actual quarantine is
+    permanent for the process (the supervisor replaces the worker, it
+    does not parole it).
     """
 
-    def __init__(self, config: Optional[IntegrityConfig] = None,
+    def __init__(self, audit_rate: float = 0.0, audit_seed: int = 0,
+                 quarantine_threshold: float = 5.0,
                  run_config: Optional[Callable] = None,
-                 events=None, log: Optional[Callable[[str], None]] = None):
-        self.config = config or IntegrityConfig()
+                 events=None, log: Optional[Callable[[str], None]] = None,
+                 clock: Callable[[], float] = time.monotonic):
+        self.audit_rate = audit_rate
+        self.audit_seed = audit_seed
+        self.quarantine_threshold = quarantine_threshold
         self.run_config = run_config
         self.events = events
         self._log = log or (lambda msg: None)
-        self.reputation = WorkerReputation(
-            threshold=self.config.quarantine_threshold,
-            window=self.config.reputation_window)
+        self._clock = clock
         self._lock = threading.Lock()
+        # worker -> (time, weight, kind) events inside the window.
+        self._events: Dict[str, Deque[Tuple[float, float, str]]] = {}
+        self._quarantined: Dict[str, str] = {}   # worker -> event kinds
         # Counters behind the repro_service_audit_* metrics.
         self.audits_scheduled = 0
         self.audits_passed = 0
@@ -208,8 +124,7 @@ class IntegrityMonitor:
             return False
         if shard.get("audit") is not None:
             return False
-        if not should_audit(key, self.config.audit_rate,
-                            self.config.audit_seed):
+        if not should_audit(key, self.audit_rate, self.audit_seed):
             table.mark(key, "done", audit={"status": "skipped"})
             return False
         with self._lock:
@@ -339,7 +254,6 @@ class IntegrityMonitor:
             "blamed_worker": loser_worker,
             "unix": round(time.time(), 3),
         }
-        violation = IntegrityViolation(campaign, key, report)
 
         # Quarantine the losing entry's bytes (evidence, not deletion),
         # then atomically install the winner in the journal (+ cache).
@@ -382,23 +296,51 @@ class IntegrityMonitor:
         if loser_worker is not None:
             self.record_misbehaviour(loser_worker, "mismatch")
         self._log(f"arbitration on {campaign}/{key}: {verdict} "
-                  f"(blamed: {loser_worker}): {violation}")
+                  f"(blamed: {loser_worker})")
 
     # -------------------------------------------------------- reputation
     def record_misbehaviour(self, worker: str, kind: str) -> bool:
         """Fold one reputation event in; True when it quarantines."""
-        newly = self.reputation.record(worker, kind)
-        if newly:
-            score = self.reputation.score(worker)
-            if self.events is not None:
-                self.events.worker_quarantined(worker, score, kind)
-            self._log(f"worker {worker} QUARANTINED "
-                      f"(score {score:.1f} >= "
-                      f"{self.reputation.threshold:.1f}, last: {kind})")
-        return newly
+        if not worker or worker == "?":
+            return False
+        now = self._clock()
+        with self._lock:
+            events = self._events.setdefault(worker, deque())
+            events.append((now, REPUTATION_WEIGHTS.get(kind, 1.0), kind))
+            if worker in self._quarantined:
+                return False
+            score = self._score_locked(worker, now)
+            if score < self.quarantine_threshold:
+                return False
+            self._quarantined[worker] = "+".join(
+                sorted({k for _, _, k in events}))
+        if self.events is not None:
+            self.events.worker_quarantined(worker, score, kind)
+        self._log(f"worker {worker} QUARANTINED "
+                  f"(score {score:.1f} >= "
+                  f"{self.quarantine_threshold:.1f}, last: {kind})")
+        return True
+
+    def _score_locked(self, worker: str, now: float) -> float:
+        events = self._events.get(worker)
+        if not events:
+            return 0.0
+        while events and now - events[0][0] > REPUTATION_WINDOW:
+            events.popleft()
+        return sum(w for _, w, _ in events)
+
+    def score(self, worker: str) -> float:
+        with self._lock:
+            return self._score_locked(worker, self._clock())
 
     def is_quarantined(self, worker: str) -> bool:
-        return self.reputation.is_quarantined(worker)
+        with self._lock:
+            return worker in self._quarantined
+
+    def quarantined(self) -> Dict[str, str]:
+        """``worker -> the event kinds behind its quarantine``."""
+        with self._lock:
+            return dict(self._quarantined)
 
     # ----------------------------------------------------------- metrics
     def counters(self) -> Dict[str, int]:

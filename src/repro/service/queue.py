@@ -1,4 +1,4 @@
-"""Submission queue: specs, tenants, quotas, fairness, back-pressure.
+"""Submission queue: campaign records, priority order, back-pressure.
 
 Pure bookkeeping — no HTTP, no filesystem — so every scheduling rule is
 unit-testable in microseconds.  The daemon owns one :class:`ServiceState`
@@ -7,20 +7,12 @@ through it under its lock.
 
 Scheduling model
 ----------------
-A campaign is submitted by a *tenant* with a *priority*.  Campaigns are
-*activated* (journal prepared, points claimable) up to a cap, and
-:meth:`ServiceState.schedule` lists the active campaigns with work in
-**weighted fair order**: the tenant with the smallest ``leased /
-weight`` deficit goes first, ties break by priority (higher first) then
-submission order.  A tenant at its ``max_leased`` quota is skipped
-entirely — its campaigns stay queued or idle-active while other
-tenants' workers proceed, which is exactly the isolation property the
-quotas exist to give.
-
-The daemon's ``/claim`` walks that order, leases, and folds the new
-lease back in (:meth:`ServiceState.refresh_counts`) within one hold of
-its lock, so the next claim already sees it: quotas are exact, with no
-window between reading the order and taking the lease.
+A campaign is submitted with a *priority*.  Campaigns are *activated*
+(journal prepared, points claimable) up to a cap, and
+:meth:`ServiceState.schedule` lists the active campaigns with work; both
+go in ``(-priority, seq)`` order: higher priority first, then submission
+order.  The daemon's ``/claim`` walks that order and leases within one
+hold of its lock, so two racing claims never take the same point.
 
 Back-pressure
 -------------
@@ -32,22 +24,16 @@ and active campaigns.  A submission that would cross the bound raises
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.harness.simulator import RunConfig
+# configs_from_spec is re-exported: callers import the expander from here.
+from repro.harness.spec import (ValidationError, configs_from_spec,
+                                validate_spec)
 
-__all__ = ["ValidationError", "BackPressure", "TenantPolicy",
-           "CampaignRecord", "ServiceState", "configs_from_spec",
-           "validate_spec"]
+__all__ = ["BackPressure", "CampaignRecord", "ServiceState",
+           "configs_from_spec", "RETRY_AFTER"]
 
-# Hard ceiling on points per submission: a cross product past this is a
-# spec mistake, not a workload (the queue bound handles real volume).
-MAX_POINTS_PER_CAMPAIGN = 4096
-MAX_INSTRUCTIONS = 50_000_000
-
-
-class ValidationError(ValueError):
-    """A submission spec is malformed (HTTP 400)."""
+RETRY_AFTER = 5.0   # seconds, the 429 Retry-After hint
 
 
 class BackPressure(RuntimeError):
@@ -61,105 +47,11 @@ class BackPressure(RuntimeError):
                          f"retry after {retry_after:.0f}s")
 
 
-# Submission fields; a spec is a cross product or a point list.
-_CROSS_FIELDS = ("workloads", "engines", "instructions")
-_SUBMIT_FIELDS = {*_CROSS_FIELDS, "points", "tenant", "priority"}
-
-
-def validate_spec(doc: Dict, known_workloads) -> Tuple[Dict, List[RunConfig]]:
-    """``(normalized spec, configs)`` of one submission, or
-    :class:`ValidationError` (HTTP 400): unknown field, workload or
-    engine, an instruction budget outside ``[1, MAX_INSTRUCTIONS]``,
-    over ``MAX_POINTS_PER_CAMPAIGN`` points, both forms at once, or a
-    host path (``snapshot_dir``/``checkpoint_dir``) in a point."""
-    if not isinstance(doc, dict):
-        raise ValidationError("submission body must be a JSON object")
-    unknown = sorted(set(doc) - _SUBMIT_FIELDS)
-    if unknown:
-        raise ValidationError(f"unknown fields: {unknown}")
-    if "points" in doc:
-        if any(f in doc for f in _CROSS_FIELDS):
-            raise ValidationError("give 'points' or a cross product, "
-                                  "not both")
-        spec = {"points": doc["points"]}
-        if (not isinstance(spec["points"], list) or not spec["points"]
-                or not all(isinstance(p, dict) for p in spec["points"])):
-            raise ValidationError("'points' must be a non-empty list of "
-                                  "RunConfig objects")
-        if any(p.get(f) is not None for p in spec["points"]
-               for f in ("snapshot_dir", "checkpoint_dir")):
-            raise ValidationError("host paths (snapshot_dir, "
-                                  "checkpoint_dir) are not accepted")
-        count = len(spec["points"])
-    else:
-        spec = {"instructions": doc.get("instructions", 100_000)}
-        for f in ("workloads", "engines"):
-            names = doc.get(f)
-            if (not isinstance(names, list) or not names
-                    or not all(isinstance(n, str) for n in names)):
-                raise ValidationError(f"{f!r} must be a non-empty list "
-                                      "of names")
-            spec[f] = list(dict.fromkeys(names))
-        count = len(spec["workloads"]) * len(spec["engines"])
-    if count > MAX_POINTS_PER_CAMPAIGN:
-        raise ValidationError(f"{count} points exceeds the per-campaign "
-                              f"cap of {MAX_POINTS_PER_CAMPAIGN}")
-    try:
-        configs = configs_from_spec(spec)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"invalid point: {exc}") from None
-    for c in configs:
-        n = c.max_instructions
-        if (not isinstance(n, int) or isinstance(n, bool)
-                or not 1 <= n <= MAX_INSTRUCTIONS):
-            raise ValidationError("instruction budgets must be ints in "
-                                  f"[1, {MAX_INSTRUCTIONS}]")
-    unknown = sorted({str(c.workload) for c in configs}
-                     - set(known_workloads))
-    if unknown:
-        raise ValidationError(f"unknown workloads: {unknown}")
-    if "points" in spec:
-        spec = {"points": [c.to_dict() for c in configs]}
-    return spec, configs
-
-
-def configs_from_spec(spec: Dict) -> List[RunConfig]:
-    """The one spec expander (daemon, ``sweep``, ``audit``): the cross
-    product of ``{"workloads", "engines", "instructions"}``, or
-    ``{"points": [RunConfig.to_dict(), ...]}``, deduplicated by
-    ``cache_key()`` in first-seen order."""
-    if "points" not in spec:
-        # Distinct (workload, engine) names mint distinct keys.
-        return [RunConfig(workload=w, engine=e,
-                          max_instructions=spec["instructions"])
-                for w in dict.fromkeys(spec["workloads"])
-                for e in dict.fromkeys(spec["engines"])]
-    unique: Dict[str, RunConfig] = {}
-    for point in spec["points"]:
-        config = RunConfig.from_dict(point)
-        unique.setdefault(config.cache_key(), config)
-    return list(unique.values())
-
-
-@dataclass
-class TenantPolicy:
-    """Per-tenant scheduling policy.
-
-    ``weight`` scales the fair-share deficit (2.0 = entitled to twice
-    the leased points of a weight-1.0 tenant under contention);
-    ``max_leased`` hard-caps concurrently leased points (None = no cap).
-    """
-
-    weight: float = 1.0
-    max_leased: Optional[int] = None
-
-
 @dataclass
 class CampaignRecord:
     """One submitted campaign's service-side state."""
 
     id: str
-    tenant: str
     priority: int
     spec: Dict
     dir: str
@@ -185,7 +77,7 @@ class CampaignRecord:
 
     def to_dict(self) -> Dict:
         return {
-            "id": self.id, "tenant": self.tenant, "priority": self.priority,
+            "id": self.id, "priority": self.priority,
             "spec": self.spec, "dir": self.dir, "status": self.status,
             "submitted_unix": self.submitted_unix,
             "finished_unix": self.finished_unix,
@@ -201,40 +93,18 @@ class ServiceState:
 
     def __init__(self, known_workloads,
                  max_queued_points: int = 100_000,
-                 max_active_campaigns: int = 4,
-                 retry_after: float = 5.0,
-                 tenants: Optional[Dict[str, TenantPolicy]] = None,
-                 default_policy: Optional[TenantPolicy] = None):
+                 max_active_campaigns: int = 4):
         self.known_workloads = set(known_workloads)
         self.max_queued_points = max_queued_points
         self.max_active_campaigns = max_active_campaigns
-        self.retry_after = retry_after
-        self.tenants = dict(tenants or {})
-        self.default_policy = default_policy or TenantPolicy()
         self.campaigns: Dict[str, CampaignRecord] = {}
-        self.peak_leased: Dict[str, int] = {}
         self._seq = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ intake
-    def policy(self, tenant: str) -> TenantPolicy:
-        return self.tenants.get(tenant, self.default_policy)
-
-    def queue_depth(self) -> int:
-        with self._lock:
-            return self._queue_depth_locked()
-
     def _queue_depth_locked(self) -> int:
         return sum(c.remaining() for c in self.campaigns.values()
                    if c.status in ("queued", "active"))
-
-    def tenant_queue_depth(self) -> Dict[str, int]:
-        with self._lock:
-            out: Dict[str, int] = {}
-            for c in self.campaigns.values():
-                if c.status in ("queued", "active"):
-                    out[c.tenant] = out.get(c.tenant, 0) + c.remaining()
-            return out
 
     def submit(self, doc: Dict, make_dir) -> CampaignRecord:
         """Validate + enqueue one submission; raises
@@ -244,10 +114,6 @@ class ServiceState:
         directory (the daemon owns the filesystem layout).
         """
         spec, configs = validate_spec(doc, self.known_workloads)
-        tenant = doc.get("tenant", "default")
-        if not isinstance(tenant, str) or not tenant \
-                or len(tenant) > 64 or "/" in tenant:
-            raise ValidationError("'tenant' must be a short name")
         priority = doc.get("priority", 0)
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise ValidationError("'priority' must be an int")
@@ -255,11 +121,11 @@ class ServiceState:
             depth = self._queue_depth_locked()
             if depth + len(configs) > self.max_queued_points:
                 raise BackPressure(depth, self.max_queued_points,
-                                   self.retry_after)
+                                   RETRY_AFTER)
             self._seq += 1
             cid = f"c{self._seq:04d}"
             record = CampaignRecord(
-                id=cid, tenant=tenant, priority=priority,
+                id=cid, priority=priority,
                 spec=spec, dir=str(make_dir(cid)),
                 submitted_unix=round(time.time(), 3), seq=self._seq,
                 total_points=len(configs))
@@ -289,49 +155,28 @@ class ServiceState:
             return record
 
     # -------------------------------------------------------- scheduling
-    def _tenant_leased_locked(self) -> Dict[str, int]:
-        leased: Dict[str, int] = {}
-        for c in self.campaigns.values():
-            if c.status == "active":
-                leased[c.tenant] = leased.get(c.tenant, 0) + c.leased
-        return leased
-
-    def _fair_order_locked(self, records: List[CampaignRecord],
-                           leased: Dict[str, int]) -> List[CampaignRecord]:
-        def sort_key(c: CampaignRecord):
-            deficit = leased.get(c.tenant, 0) / max(
-                self.policy(c.tenant).weight, 1e-9)
-            return (deficit, -c.priority, c.seq)
-        return sorted(records, key=sort_key)
+    @staticmethod
+    def _ordered(records: List[CampaignRecord]) -> List[CampaignRecord]:
+        return sorted(records, key=lambda c: (-c.priority, c.seq))
 
     def to_activate(self) -> List[CampaignRecord]:
-        """Queued campaigns that should activate now, in fair order."""
+        """Queued campaigns that should activate now, in order."""
         with self._lock:
             active = [c for c in self.campaigns.values()
                       if c.status == "active"]
             slots = self.max_active_campaigns - len(active)
             if slots <= 0:
                 return []
-            queued = [c for c in self.campaigns.values()
-                      if c.status == "queued"]
-            leased = self._tenant_leased_locked()
-            return self._fair_order_locked(queued, leased)[:slots]
+            return self._ordered([c for c in self.campaigns.values()
+                                  if c.status == "queued"])[:slots]
 
     def schedule(self) -> List[CampaignRecord]:
-        """Active campaigns with pending points or audits, in
-        weighted-fair order, skipping tenants at their quota."""
+        """Active campaigns with pending points or audits, in order."""
         with self._lock:
-            leased = self._tenant_leased_locked()
-            claimable = [c for c in self.campaigns.values()
-                         if c.status == "active"
-                         and (c.counts.get("pending", 0) > 0
-                              or c.audits_pending > 0)]
-            eligible = []
-            for c in self._fair_order_locked(claimable, leased):
-                cap = self.policy(c.tenant).max_leased
-                if cap is None or leased.get(c.tenant, 0) < cap:
-                    eligible.append(c)
-            return eligible
+            return self._ordered([c for c in self.campaigns.values()
+                                  if c.status == "active"
+                                  and (c.counts.get("pending", 0) > 0
+                                       or c.audits_pending > 0)])
 
     # -------------------------------------------------------- refreshing
     def refresh_counts(self, cid: str, counts: Dict[str, int],
@@ -370,9 +215,6 @@ class ServiceState:
                                      else "done")
                     record.finished_unix = round(time.time(), 3)
                     finished_now = True
-            for tenant, n in self._tenant_leased_locked().items():
-                if n > self.peak_leased.get(tenant, 0):
-                    self.peak_leased[tenant] = n
             return finished_now
 
     def mark_active(self, cid: str, deduped: int = 0) -> None:
@@ -395,5 +237,4 @@ class ServiceState:
                 "by_status": by_status,
                 "queued_points": self._queue_depth_locked(),
                 "max_queued_points": self.max_queued_points,
-                "peak_leased": dict(self.peak_leased),
             }

@@ -1,5 +1,5 @@
 """Daemon end-to-end: HTTP lifecycle, worker death + reaper healing,
-back-pressure, tenant quotas, recovery, SSE.
+back-pressure, claim order, recovery, SSE.
 
 These tests run the real daemon with its real subprocess worker pool
 against real (tiny) simulations, because the acceptance bar is an HTTP
@@ -7,6 +7,7 @@ campaign finishing bit-identical to the local ``sweep`` path after a
 worker is killed mid-flight.
 """
 
+import http.client
 import json
 import pathlib
 import re
@@ -21,9 +22,10 @@ import pytest
 from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
                                     run_campaign)
 from repro.harness.runcache import RunCache
+from repro.harness.spec import configs_from_spec
 from repro.obs.live import read_campaign
 from repro.service.daemon import _INDEX, CampaignService, ServiceConfig
-from repro.service.queue import TenantPolicy, configs_from_spec
+from repro.service.queue import RETRY_AFTER
 from repro.service.worker import INJECT_ENV, WorkerOptions, work_service
 
 
@@ -151,16 +153,15 @@ class TestHTTPSurface:
                 == b"not found\n"
 
     def test_back_pressure_returns_429_with_retry_after(self, tmp_path):
-        config = quick_config(tmp_path, max_queued_points=5,
-                              retry_after=9.0)
+        config = quick_config(tmp_path, max_queued_points=5)
         with CampaignService(config) as svc:
             code, doc, _ = post(f"{svc.url}/campaigns", SPEC)  # 4 points
             assert code == 201
             cid = doc["id"]
             code, doc, headers = post(f"{svc.url}/campaigns", SPEC)
             assert code == 429
-            assert headers["Retry-After"] == "9"
-            assert doc["retry_after"] == 9.0
+            assert headers["Retry-After"] == str(int(RETRY_AFTER))
+            assert doc["retry_after"] == RETRY_AFTER
             # Cancelling the queued campaign frees the budget.
             req = urllib.request.Request(
                 f"{svc.url}/campaigns/{cid}", method="DELETE")
@@ -168,6 +169,37 @@ class TestHTTPSurface:
                 assert json.loads(resp.read())["status"] == "cancelled"
             code, _, _ = post(f"{svc.url}/campaigns", SPEC)
             assert code == 201
+
+    def test_a_submission_with_a_tenant_is_rejected(self, tmp_path):
+        """The daemon is single-tenant: a ``tenant`` (and so any quota a
+        caller meant by it) is an unknown field, not silently dropped."""
+        with CampaignService(quick_config(tmp_path)) as svc:
+            code, doc, _ = post(f"{svc.url}/campaigns",
+                                {**SPEC, "tenant": "alice"})
+            assert code == 400
+            assert "unknown fields: ['tenant']" in doc["error"]
+            assert get(f"{svc.url}/campaigns")[1]["campaigns"] == []
+
+    def test_malformed_content_length_gets_400(self, tmp_path):
+        """A ``Content-Length`` that is not a non-negative integer is
+        answered 400 instead of killing the handler (``abc``) or
+        reading until the client hangs up (``-1``)."""
+        with CampaignService(quick_config(tmp_path)) as svc:
+            for path in ("/campaigns", "/claim"):
+                for length in ("abc", "-1"):
+                    conn = http.client.HTTPConnection(
+                        "127.0.0.1", svc.port, timeout=10)
+                    try:
+                        conn.putrequest("POST", path)
+                        conn.putheader("Content-Length", length)
+                        conn.endheaders()
+                        resp = conn.getresponse()
+                        assert resp.status == 400, (path, length)
+                        assert json.loads(resp.read()) == {
+                            "error": "bad Content-Length"}
+                    finally:
+                        conn.close()
+            assert get(f"{svc.url}/healthz") == (200, {"ok": True})
 
     def test_cache_warm_campaign_and_sse_stream(self, tmp_path):
         """With every point in the run cache, activation dedups the whole
@@ -246,27 +278,6 @@ class TestWorkerPoolEndToEnd:
                 for k, v in results["results"].items()} \
             == {k: entry_fingerprint(v) for k, v in reference.items()}
 
-    def test_tenant_quota_caps_concurrent_leases(self, tmp_path):
-        """A max_leased=1 tenant with two pool workers never holds two
-        leases at once, and its campaign still completes; the pool
-        workers schedule with /claim alone."""
-        config = quick_config(
-            tmp_path, workers=2,
-            tenants={"small": TenantPolicy(max_leased=1)})
-        with CampaignService(config) as svc:
-            wait_for(lambda: svc.live_workers() == 2, timeout=30,
-                     what="worker pool")
-            _, doc, _ = post(f"{svc.url}/campaigns",
-                             {**SPEC, "tenant": "small"})
-            cid = doc["id"]
-            wait_for(
-                lambda: get(f"{svc.url}/campaigns/{cid}")[1].get(
-                    "status") == "done",
-                what="quota-capped campaign to finish")
-            assert svc.state.peak_leased.get("small", 0) == 1
-            assert "schedule" not in svc.http_requests
-            assert svc.http_requests["claim"] >= 4
-
 
 def claim(svc, worker):
     return post(f"{svc.url}/claim", {"worker": worker})[1]
@@ -274,30 +285,36 @@ def claim(svc, worker):
 
 class TestClaimScheduling:
     """``/claim`` schedules and leases in one step under the daemon's
-    lock, so quotas are exact with no offer bookkeeping and no timers."""
+    lock, so racing claims never share a point, with no offer
+    bookkeeping and no timers."""
 
     def test_racing_claims_get_an_exact_quota(self, tmp_path):
-        """Four racers per round (more than the cores) on a max_leased=1
-        tenant: exactly one wins, and its completion frees the slot for
-        the next round at once."""
-        config = quick_config(tmp_path, lease_seconds=60.0,
-                              tenants={"small": TenantPolicy(max_leased=1)})
+        """Four racers per round (more than the cores) on a 16-point
+        campaign: each racer leases its own point, no point is leased
+        twice across the rounds, and the completions finish the
+        campaign."""
+        spec = {**SPEC, "workloads": ["astar", "perlbench", "bfs", "sssp"],
+                "engines": ["baseline", "phelps", "br", "perfbp"]}
+        config = quick_config(tmp_path, lease_seconds=60.0)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)   # interleave the racers finely
+        leased = []
         try:
             with CampaignService(config) as svc:
-                cid = activate(svc, {**SPEC, "tenant": "small"})
+                cid = activate(svc, spec)
                 for round_no in range(4):
                     won = self._race(svc, round_no)
-                    assert won["campaign"] == cid
-                    assert claim(svc, "late") == {"key": None}   # held
-                    code, doc, _ = post(f"{svc.url}/complete", {
-                        "campaign": cid, "worker": won["worker"],
-                        "key": won["key"], "entry": {
-                            "cycles": 1, "config": won["config"]}})
-                    assert (code, doc["accepted"]) == (200, True)
+                    assert {a["campaign"] for a in won} == {cid}
+                    leased += [a["key"] for a in won]
+                    for a in won:
+                        code, doc, _ = post(f"{svc.url}/complete", {
+                            "campaign": cid, "worker": a["worker"],
+                            "key": a["key"], "entry": {
+                                "cycles": 1, "config": a["config"]}})
+                        assert (code, doc["accepted"]) == (200, True)
+                assert len(leased) == len(set(leased)) == 16
+                assert set(leased) == set(svc._tables[cid].keys)
                 assert svc.state.get(cid).status == "done"
-                assert svc.state.peak_leased["small"] == 1
         finally:
             sys.setswitchinterval(switch)
 
@@ -317,18 +334,20 @@ class TestClaimScheduling:
         for t in threads:
             t.join(timeout=30)
         assert not any(t.is_alive() for t in threads), round_no
-        winners = [{**a, "worker": w} for w, a in answers.items() if a["key"]]
-        assert len(answers) == 4 and len(winners) == 1, (round_no, answers)
-        return winners[0]
+        won = [{**a, "worker": w} for w, a in answers.items() if a["key"]]
+        assert len(won) == 4, (round_no, answers)
+        assert len({a["key"] for a in won}) == 4, (round_no, answers)
+        return won
 
     def test_a_held_lease_is_answered_before_fair_order(self, tmp_path):
         """A repeated claim returns the lease the worker holds in any
-        campaign, even when weighted fairness now prefers another."""
+        campaign, even when a higher-priority campaign now has a pending
+        point."""
         with CampaignService(quick_config(tmp_path)) as svc:
-            first = activate(svc, {**SPEC, "tenant": "a"})
+            first = activate(svc)
             held = claim(svc, "w1")
-            second = activate(svc, {**SPEC, "tenant": "b"})
-            # Tenant b holds no lease, so it is first in fair order now.
+            second = activate(svc, {**SPEC, "priority": 5})
+            # The new campaign outranks the first for fresh claims.
             assert claim(svc, "w2")["campaign"] == second
             again = claim(svc, "w1")
             assert (again["campaign"], again["key"]) == (first, held["key"])
@@ -353,6 +372,23 @@ class TestRecovery:
             # adopted one instead of reusing it.
             _, doc2, _ = post(f"{svc2.url}/campaigns", SPEC)
             assert doc2["id"] != cid
+
+    def test_a_tenant_in_an_older_manifest_is_ignored(self, tmp_path):
+        """A campaign journaled by a multi-tenant daemon (``tenant`` in
+        the manifest's ``service`` metadata) is recovered, and keeps its
+        priority and id."""
+        with CampaignService(quick_config(tmp_path)) as svc:
+            cid = activate(svc, {**SPEC, "priority": 3})
+            journal = CampaignJournal(svc.state.get(cid).dir)
+        manifest = journal.load_manifest()
+        manifest["spec"]["service"]["tenant"] = "alice"
+        journal.write_manifest(manifest)
+        with CampaignService(quick_config(tmp_path)) as svc2:
+            record = svc2.state.get(cid).to_dict()
+            assert (record["status"], record["priority"],
+                    record["total_points"]) == ("active", 3, 4)
+            assert "tenant" not in record
+            assert claim(svc2, "w1")["campaign"] == cid
 
 
 def activate(svc, spec=SPEC):

@@ -21,11 +21,10 @@ from repro.harness.runcache import entry_from_result
 from repro.harness.simulator import RunConfig, simulate
 from repro.obs.events import EventTrace
 from repro.obs.live import live_view, render_watch
-from repro.service.daemon import CampaignService, ServiceConfig
-from repro.service.integrity import (IntegrityConfig, IntegrityMonitor,
-                                     WorkerReputation, should_audit)
 from repro.harness.lease import PointTable
-from repro.service.queue import configs_from_spec
+from repro.harness.spec import configs_from_spec, should_audit
+from repro.service.daemon import CampaignService, ServiceConfig
+from repro.service.integrity import REPUTATION_WINDOW, IntegrityMonitor
 from repro.service.worker import INJECT_ENV
 
 from tests.service.test_daemon import get, post, quick_config, wait_for
@@ -75,32 +74,43 @@ class TestShouldAudit:
 
 
 class TestWorkerReputation:
+    """The monitor's reputation book, driven by a fake clock."""
+
+    @staticmethod
+    def _monitor(now, threshold=5.0):
+        return IntegrityMonitor(quarantine_threshold=threshold,
+                                events=EventTrace(), clock=lambda: now[0])
+
     def test_threshold_crossing_quarantines_once(self):
-        rep = WorkerReputation(threshold=5.0, window=600.0)
-        assert rep.record("w1", "mismatch") is False   # 4.0 < 5.0
-        assert rep.score("w1") == 4.0
-        assert rep.record("w1", "lease_expired") is True   # 5.0 crosses
-        assert rep.is_quarantined("w1")
+        monitor = self._monitor([0.0])
+        record = monitor.record_misbehaviour
+        assert record("w1", "mismatch") is False   # 4.0 < 5.0
+        assert monitor.score("w1") == 4.0
+        assert record("w1", "lease_expired") is True   # 5.0 crosses
+        assert monitor.is_quarantined("w1")
         # Already quarantined: further events never "re-quarantine".
-        assert rep.record("w1", "mismatch") is False
-        assert rep.quarantined() == {"w1": "lease_expired+mismatch"}
-        assert not rep.is_quarantined("w2")
+        assert record("w1", "mismatch") is False
+        assert monitor.quarantined() == {"w1": "lease_expired+mismatch"}
+        assert not monitor.is_quarantined("w2")
+        assert [e.name for e in monitor.events.buffer] \
+            == ["worker_quarantined"]
 
     def test_events_age_out_of_the_window(self):
         now = [0.0]
-        rep = WorkerReputation(threshold=5.0, window=10.0,
-                               clock=lambda: now[0])
-        rep.record("w1", "mismatch")           # t=0, weight 4
-        now[0] = 20.0                          # ...falls out of window
-        assert rep.score("w1") == 0.0
-        assert rep.record("w1", "mismatch") is False  # 4.0 again, clean
-        assert not rep.is_quarantined("w1")
+        monitor = self._monitor(now)
+        monitor.record_misbehaviour("w1", "mismatch")   # t=0, weight 4
+        now[0] = REPUTATION_WINDOW                      # still counts
+        assert monitor.score("w1") == 4.0
+        now[0] = REPUTATION_WINDOW + 1.0                # ...now out
+        assert monitor.score("w1") == 0.0
+        assert monitor.record_misbehaviour("w1", "mismatch") is False
+        assert not monitor.is_quarantined("w1")
 
     def test_anonymous_workers_are_ignored(self):
-        rep = WorkerReputation(threshold=1.0)
-        assert rep.record("", "mismatch") is False
-        assert rep.record("?", "mismatch") is False
-        assert rep.quarantined() == {}
+        monitor = self._monitor([0.0], threshold=1.0)
+        assert monitor.record_misbehaviour("", "mismatch") is False
+        assert monitor.record_misbehaviour("?", "mismatch") is False
+        assert monitor.quarantined() == {}
 
 
 class TestPoisonBreaker:
@@ -150,8 +160,7 @@ class TestMonitorUnit:
     def _monitor(self, **overrides):
         kwargs = dict(audit_rate=1.0, quarantine_threshold=4.0)
         kwargs.update(overrides)
-        return IntegrityMonitor(IntegrityConfig(**kwargs),
-                                events=EventTrace())
+        return IntegrityMonitor(**kwargs, events=EventTrace())
 
     def _done(self, journal, key, worker, entry):
         journal.mark(key, "done", entry=entry, completed_by=worker,
@@ -438,7 +447,7 @@ class TestRepeatedAuditPublish:
             code, again, _ = post(f"{svc.url}/complete", done)
             assert (code, again) == (200, first)
             assert svc.integrity.counters()["audits_passed"] == 1
-            assert svc.integrity.reputation.score("w2") == 0.0
+            assert svc.integrity.score("w2") == 0.0
             assert svc.http_duplicates == 1
 
 
@@ -464,7 +473,7 @@ class TestAuditLeases:
             audit = svc._tables[cid].read_point(key)["audit"]
             assert audit["status"] == "pending" and "worker" not in audit
             assert svc.lease_expirations == 1
-            assert svc.integrity.reputation.score("w2") == 1.0
+            assert svc.integrity.score("w2") == 1.0
             assert svc.state.get(cid).status == "active"
             # The completer may not audit itself; a third worker may.
             _, claim, _ = post(f"{svc.url}/claim", {"worker": "w1"})
@@ -696,7 +705,7 @@ class TestRestartRecovery:
                 "status") == "done", what="re-audited campaign")
             assert svc2.integrity.counters()["audits_passed"] >= 1
             assert svc2.lease_expirations >= 1
-            assert svc2.integrity.reputation.score("svc-w0") == 1.0
+            assert svc2.integrity.score("svc-w0") == 1.0
             _, results = get(f"{svc2.url}/campaigns/{cid}/results")
         reference = run_campaign(configs_from_spec(SPEC), jobs=1)
         assert {k: entry_fingerprint(v)

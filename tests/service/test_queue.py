@@ -1,13 +1,13 @@
-"""ServiceState contracts: validation, back-pressure, fairness, quotas."""
+"""ServiceState contracts: validation, back-pressure, priority order."""
 
 import pytest
 
 from repro.core import CoreConfig
 from repro.harness.simulator import ENGINES, RunConfig
 from repro.phelps import PhelpsConfig
-from repro.service.queue import (MAX_POINTS_PER_CAMPAIGN, BackPressure,
-                                 ServiceState, TenantPolicy, ValidationError,
-                                 configs_from_spec, validate_spec)
+from repro.harness.spec import (MAX_POINTS_PER_CAMPAIGN, ValidationError,
+                                configs_from_spec, validate_spec)
+from repro.service.queue import RETRY_AFTER, BackPressure, ServiceState
 
 KNOWN = ("astar", "bfs", "sssp", "perlbench")
 
@@ -18,11 +18,11 @@ def make_state(**kwargs):
 
 
 def submit(state, workloads=("astar",), engines=("baseline",),
-           tenant="default", priority=0, instructions=1000):
+           priority=0, instructions=1000):
     return state.submit({"workloads": list(workloads),
                          "engines": list(engines),
                          "instructions": instructions,
-                         "tenant": tenant, "priority": priority},
+                         "priority": priority},
                         make_dir=lambda cid: f"/c/{cid}")
 
 
@@ -65,6 +65,8 @@ class TestSpecValidation:
         {"workloads": ["astar"], "engines": ["baseline"], "seed": 1},
         {"points": [{"workload": "astar", "rob_size": 316}]},
         {"points": [{"workload": "astar", "core": {"rob": 316}}]},
+        {"workloads": ["astar"], "engines": ["baseline"],
+         "tenant": "alice"},                                 # no tenants
     ])
     def test_unknown_field_is_rejected(self, doc):
         with pytest.raises(ValidationError):
@@ -121,6 +123,11 @@ class TestSpecValidation:
         assert spec == _points(*configs)
         assert configs_from_spec(spec)[1].core == deep.core
 
+    def test_queue_reexports_the_expander(self):
+        """perfbench imports the expander from ``repro.service.queue``."""
+        from repro.service import queue
+        assert queue.configs_from_spec is configs_from_spec
+
     def test_points_form_submits(self):
         state = make_state()
         record = state.submit(
@@ -140,13 +147,13 @@ class TestSubmitAndBackPressure:
         assert submit(state).id == "c0002"
 
     def test_back_pressure_past_queue_bound(self):
-        state = make_state(max_queued_points=5, retry_after=7.0)
+        state = make_state(max_queued_points=5)
         submit(state, workloads=("astar", "bfs"),
                engines=("baseline", "phelps"))  # 4 queued
         with pytest.raises(BackPressure) as exc:
             submit(state, workloads=("astar", "bfs"),
                    engines=("baseline",))       # +2 would cross 5
-        assert exc.value.retry_after == 7.0
+        assert exc.value.retry_after == RETRY_AFTER
         assert exc.value.depth == 4
         # A submission that still fits goes through.
         assert submit(state).total_points == 1
@@ -157,13 +164,8 @@ class TestSubmitAndBackPressure:
                         engines=("baseline", "phelps"))
         state.mark_active(record.id)
         state.refresh_counts(record.id, {"done": 4}, 0, 0)
-        assert state.queue_depth() == 0
+        assert state.snapshot()["queued_points"] == 0
         submit(state)  # no BackPressure
-
-    def test_bad_tenant_rejected(self):
-        state = make_state()
-        with pytest.raises(ValidationError):
-            submit(state, tenant="a/b")
 
     def test_cancel_only_touches_live_campaigns(self):
         state = make_state()
@@ -187,43 +189,25 @@ class TestScheduling:
         state.mark_active(high.id)
         assert state.to_activate() == []  # cap reached
 
-    def test_weighted_fair_order_prefers_starved_tenant(self):
-        state = make_state(
-            tenants={"big": TenantPolicy(weight=1.0),
-                     "small": TenantPolicy(weight=1.0)})
-        a = submit(state, tenant="big", workloads=("astar", "bfs"))
-        b = submit(state, tenant="small", workloads=("astar", "bfs"))
-        state.mark_active(a.id)
-        state.mark_active(b.id)
-        state.refresh_counts(a.id, {"pending": 1, "running": 1}, 1, 0)
-        state.refresh_counts(b.id, {"pending": 2}, 0, 0)
-        # big already holds a lease; small's deficit is lower.
-        assert [c.id for c in state.schedule()] == [b.id, a.id]
-
-    def test_weight_scales_the_fair_share(self):
-        state = make_state(
-            tenants={"heavy": TenantPolicy(weight=4.0)})
-        a = submit(state, tenant="heavy", workloads=("astar", "bfs"))
-        b = submit(state, tenant="light", workloads=("astar", "bfs"))
-        state.mark_active(a.id)
-        state.mark_active(b.id)
-        state.refresh_counts(a.id, {"pending": 1, "running": 2}, 2, 0)
-        state.refresh_counts(b.id, {"pending": 1, "running": 1}, 1, 0)
-        # heavy: 2 leased / weight 4 = 0.5 < light: 1 / 1 = 1.0
-        assert [c.id for c in state.schedule()] == [a.id, b.id]
-
-    def test_quota_capped_tenant_is_skipped(self):
-        state = make_state(
-            tenants={"small": TenantPolicy(max_leased=1)})
-        a = submit(state, tenant="small", workloads=("astar", "bfs"))
-        b = submit(state, tenant="other")
-        state.mark_active(a.id)
-        state.mark_active(b.id)
-        state.refresh_counts(a.id, {"pending": 1, "running": 1}, 1, 0)
-        state.refresh_counts(b.id, {"pending": 1}, 0, 0)
-        eligible = [c.id for c in state.schedule()]
-        assert a.id not in eligible   # at quota
-        assert b.id in eligible       # other tenants proceed
+    def test_order_is_priority_then_submission(self):
+        """Activation and ``schedule()`` both go by ``(-priority, seq)``:
+        higher priority first, and the older of two equal campaigns
+        first, however many points either holds leased."""
+        state = make_state(max_active_campaigns=3)
+        old = submit(state, workloads=("astar", "bfs"))
+        high = submit(state, priority=2)
+        new = submit(state, workloads=("astar", "bfs"))
+        low = submit(state, priority=-1)
+        assert [c.id for c in state.to_activate()] \
+            == [high.id, old.id, new.id]
+        for record in (old, high, new, low):
+            state.mark_active(record.id)
+        state.refresh_counts(old.id, {"pending": 1, "running": 1}, 1, 0)
+        state.refresh_counts(high.id, {"pending": 1}, 0, 0)
+        state.refresh_counts(new.id, {"pending": 2}, 0, 0)
+        state.refresh_counts(low.id, {"pending": 1}, 0, 0)
+        assert [c.id for c in state.schedule()] \
+            == [high.id, old.id, new.id, low.id]
 
     def test_cancelled_campaigns_are_never_offered(self):
         state = make_state()
@@ -240,4 +224,3 @@ class TestScheduling:
         assert snap["by_status"] == {"queued": 1}
         assert snap["queued_points"] == 2
         assert snap["campaigns"][0]["id"] == record.id
-        assert state.tenant_queue_depth() == {"default": 2}

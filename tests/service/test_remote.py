@@ -26,7 +26,7 @@ from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
 from repro.service.daemon import CampaignService, ServiceConfig
 from repro.service.httpclient import ServiceClient
 from repro.harness.lease import LeaseLost
-from repro.service.queue import configs_from_spec
+from repro.harness.spec import configs_from_spec
 from repro.service.worker import (INJECT_ENV, RemoteJournal, WorkerOptions,
                                   work_service)
 

@@ -20,9 +20,9 @@ from repro.harness.campaign import (CampaignJournal, entry_fingerprint,
                                     run_campaign)
 from repro.harness.runcache import RunCache
 from repro.harness.simulator import RunConfig
+from repro.harness.spec import configs_from_spec
 from repro.phelps import PhelpsConfig
 from repro.service.daemon import CampaignService
-from repro.service.queue import configs_from_spec
 from repro.service.worker import (INJECT_ENV, RemoteJournal, WorkerOptions,
                                   work_service)
 
