@@ -5,10 +5,13 @@ Phelps (``repro.phelps.controller``) and Branch Runahead
 :class:`NullEngine`.  The pipeline calls these hooks at well-defined
 points; the engine may in turn drive core-level actions (full squash,
 re-partitioning, spawning helper thread contexts) through the ``core``
-reference it is given at attach time.
+reference it is given at attach time.  The engine keeps that reference as
+a weak proxy: the core owns its engine, so a strong back-edge would make
+every core a reference cycle that outlives its last user.
 """
 
 import pickle
+import weakref
 from typing import Any, Optional, Tuple
 
 from repro.core.uop import Uop
@@ -18,21 +21,20 @@ from repro.core.thread import ThreadContext
 class PreExecutionEngine:
     """Default no-op engine."""
 
-    # Observability handles; left as the class-level None on
+    # Observability events handle; left as the class-level None on
     # observability-off runs so subclass attributes are never clobbered.
-    obs = None
     events = None
 
     def attach(self, core) -> None:
         """Called once when the engine is installed on a core.
 
-        If the core carries an observability hub, the engine registers its
-        metric providers and keeps a direct events handle (``self.events``
-        is None on observability-off runs — call sites must guard)."""
-        self.core = core
+        ``self.core`` becomes a weak proxy to ``core``.  If the core
+        carries an observability hub, the engine registers its metric
+        providers and keeps a direct events handle (``self.events`` is
+        None on observability-off runs — call sites must guard)."""
+        self.core = weakref.proxy(core)
         hub = getattr(core, "obs", None)
         if hub is not None:
-            self.obs = hub
             self.events = hub.events
             self._register_metrics(hub.registry)
 
@@ -125,7 +127,7 @@ class PreExecutionEngine:
         apart from the attach-time handles; engines holding closures over
         live objects override this to strip and re-wire them."""
         return pickle.dumps({k: v for k, v in self.__dict__.items()
-                             if k not in ("core", "obs", "events")})
+                             if k not in ("core", "events")})
 
     def restore_warm(self, payload: Optional[bytes]) -> None:
         """Adopt warm state from :meth:`warm_state` after :meth:`attach`.

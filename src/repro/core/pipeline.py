@@ -60,6 +60,25 @@ _ISSUED, _RETIRED = UopState.ISSUED, UopState.RETIRED
 _HB_STRIDE = 256
 
 
+def _memory_hooks(mem: Dict[int, int]):
+    """The ``read_value`` / ``commit_store`` thread hooks over the
+    committed image ``mem``: closures, so a thread holding them does not
+    hold the core."""
+    get = mem.get
+
+    def read_committed(addr: int) -> int:
+        return get(addr & ~7, 0)
+
+    def commit_store(addr: int, value: int) -> None:
+        mem[addr & ~7] = value
+
+    return read_committed, commit_store
+
+
+def _discard_store(addr: int, value: int) -> None:
+    """Retire-time store side of a helper thread that commits nothing."""
+
+
 def _engine_hook(engine: PreExecutionEngine, name: str):
     """``engine``'s hook ``name``, or None when neither its class nor the
     instance overrides the no-op default."""
@@ -99,26 +118,15 @@ class Core:
         self.hierarchy = MemoryHierarchy(mem_config)
         # Committed architectural memory (main-thread retired stores only).
         # Program words are copied as given: loads normalize what they read.
+        # Never rebound: the thread memory hooks are closures over this dict
+        # (bound methods of the core would be reference cycles).
         self.mem: Dict[int, int] = dict(program.data)
+        self.read_committed, commit_store = _memory_hooks(self.mem)
 
         self.predictor = predictor if predictor is not None else TageSCL()
         self.btb = BranchTargetBuffer()
         self.ras = ReturnAddressStack()
         self.indirect = IndirectTargetPredictor()
-
-        # Execute-stage dispatch table, indexed by ``Instruction.exec_kind``
-        # (see repro.isa.opcodes.DECODE); K_NONE uops never reach execute.
-        self._exec_handlers = (
-            self._exec_alu_ri,   # K_ALU_RI
-            self._exec_alu_rr,   # K_ALU_RR
-            self._exec_load,     # K_LOAD
-            self._exec_store,    # K_STORE
-            self._exec_cbr,      # K_CBR
-            self._exec_pred,     # K_PRED
-            self._exec_jal,      # K_JAL
-            self._exec_jalr,     # K_JALR
-            self._exec_mov,      # K_MOV
-        )
 
         self.oracle: Optional[ArchState] = None
         if cfg.perfect_branch_prediction:
@@ -129,8 +137,8 @@ class Core:
         self.plan = PartitionPlan(cfg, "MT_ONLY")
         self.main = ThreadContext(0, ThreadKind.MAIN, MainFetchUnit(program),
                                   self.plan.share("MT"))
-        self.main.read_value = self._read_committed
-        self.main.commit_store = self._commit_store_main
+        self.main.read_value = self.read_committed
+        self.main.commit_store = commit_store
         self.main.resume_pc = program.entry
         self.threads: List[ThreadContext] = [self.main]
         self._next_thread_id = 1
@@ -211,12 +219,14 @@ class Core:
         cycle-accurate simulation there.  Non-zero architectural registers
         get a physical register (value written, ready) mapped in both the
         speculative RMT and the committed AMT; the committed memory image
-        is replaced wholesale.  Must be called on a fresh core (cycle 0,
-        empty pipeline).
+        is replaced wholesale, in place (``mem`` is never rebound).  Must
+        be called on a fresh core (cycle 0, empty pipeline).
         """
         if self.cycle != 0 or self.main.rob or self.main.frontend_q:
             raise RuntimeError("boot_state requires a fresh core")
-        self.mem = {a & ~7: to_i64(v) for a, v in mem.items()}
+        image = {a & ~7: to_i64(v) for a, v in mem.items()}
+        self.mem.clear()
+        self.mem.update(image)
         for idx in range(1, min(len(regs), self.main.rmt.num_logical)):
             value = to_i64(regs[idx])
             if value == 0:
@@ -281,15 +291,6 @@ class Core:
         restore_into(self, state)
 
     # ------------------------------------------------------------------
-    # Memory plumbing.
-    # ------------------------------------------------------------------
-    def _read_committed(self, addr: int) -> int:
-        return self.mem.get(addr & ~7, 0)
-
-    def _commit_store_main(self, addr: int, value: int) -> None:
-        self.mem[addr & ~7] = value
-
-    # ------------------------------------------------------------------
     # Thread/partition management (engine-driven, across full squashes).
     # ------------------------------------------------------------------
     def _rebuild_thread_snapshot(self) -> None:
@@ -310,8 +311,10 @@ class Core:
         share = self.plan.share(role)
         ctx = ThreadContext(self._next_thread_id, kind, fetch_unit, share)
         self._next_thread_id += 1
-        ctx.read_value = self._read_committed  # engine typically overrides
-        ctx.commit_store = lambda addr, value: None
+        # Helpers read committed memory; an engine may route their
+        # retired stores somewhere (Phelps: the speculative cache).
+        ctx.read_value = self.read_committed
+        ctx.commit_store = _discard_store
         ctx.resume_pc = 0
         self.threads.append(ctx)
         self._rebuild_thread_snapshot()
@@ -764,7 +767,7 @@ class Core:
         uop.state = _ISSUED
         self._tick_work = True
         self.iq_count -= 1
-        self._exec_handlers[uop.inst.exec_kind](thread, uop)
+        self._exec_handlers[uop.inst.exec_kind](self, thread, uop)
 
     def _exec_alu_ri(self, thread: ThreadContext, uop: Uop) -> None:
         inst = uop.inst
@@ -856,6 +859,22 @@ class Core:
         else:
             uop.result = self.prf.value[uop.phys_srcs[0]]
         self.wb_events[self.cycle + 1].append(uop)
+
+    # Execute-stage dispatch table, indexed by ``Instruction.exec_kind``
+    # (see repro.isa.opcodes.DECODE); K_NONE uops never reach execute.
+    # Plain functions called with the core: a tuple of bound methods on
+    # the instance would be a reference cycle.
+    _exec_handlers = (
+        _exec_alu_ri,   # K_ALU_RI
+        _exec_alu_rr,   # K_ALU_RR
+        _exec_load,     # K_LOAD
+        _exec_store,    # K_STORE
+        _exec_cbr,      # K_CBR
+        _exec_pred,     # K_PRED
+        _exec_jal,      # K_JAL
+        _exec_jalr,     # K_JALR
+        _exec_mov,      # K_MOV
+    )
 
     def _pred_enabled(self, uop: Uop) -> bool:
         """Predication rule (Section V-H), with the optional second source

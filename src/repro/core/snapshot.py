@@ -21,9 +21,9 @@ are cycle-exact against each other, not against ``snapshot_interval=0``.)
 Restore mutates an existing fresh core **in place**: the predictor,
 hierarchy, and engine objects adopt the snapshotted ``__dict__`` rather
 than being replaced, because attach-time wiring holds references to the
-object identities (the obs registry's ``memory`` provider is the bound
-method ``core.hierarchy.stats``; engine metric providers close over the
-engine instance).
+object identities (engine metric providers close over the engine
+instance; the thread memory hooks close over the ``core.mem`` dict, which
+is refilled rather than rebound).
 
 :class:`SnapshotStore` persists blobs one-file-per-run-key with the
 shared atomic-write + quarantine discipline of
@@ -153,7 +153,9 @@ def restore_into(core, state: Dict) -> None:
 
     if state["partition_mode"] != core.plan.mode:
         core.set_partition_mode(state["partition_mode"])
-    core.mem = dict(state["mem"])
+    # In place: the thread memory hooks are closures over ``core.mem``.
+    core.mem.clear()
+    core.mem.update(state["mem"])
     for idx, value in state["mapped"]:
         phys = core.pool.allocate(main.id, main.share.prf_quota)
         if phys is None:

@@ -23,6 +23,7 @@ retired uop and zero per cycle (the pipeline only calls ``on_cycle`` when
 a sanitizer is installed); see ``guard`` in BENCH_perf.json.
 """
 
+import weakref
 from typing import List, Optional
 
 from repro.guard.errors import (DivergenceError, DivergenceReport,
@@ -35,10 +36,13 @@ __all__ = ["SimGuard"]
 
 
 class SimGuard:
-    """Per-core guard state: the golden model plus sanitizer bookkeeping."""
+    """Per-core guard state: the golden model plus sanitizer bookkeeping.
+
+    The core owns its guard, so the guard reaches the core through a weak
+    proxy rather than a strong back-edge."""
 
     def __init__(self, core):
-        self.core = core
+        self.core = weakref.proxy(core)
         self.level = core.config.guard_level
         self.interval = max(1, core.config.guard_check_interval)
         self.golden = ArchState(core.program)

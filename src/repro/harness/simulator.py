@@ -86,8 +86,18 @@ class RunConfig:
                              "resume from architectural checkpoints)")
 
     def to_dict(self) -> dict:
-        """The full nested-dataclass serialization (JSON-ready)."""
-        return dataclasses.asdict(self)
+        """The full nested-dataclass serialization (JSON-ready).
+
+        The same document as ``dataclasses.asdict(self)``: the top-level
+        fields are scalars, so only the nested configs go through
+        ``asdict`` and its deep copy."""
+        doc = {}
+        for f in _RUN_FIELDS:
+            value = getattr(self, f.name)
+            if value is not None and f.name in _NESTED_CONFIGS:
+                value = dataclasses.asdict(value)
+            doc[f.name] = value
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -127,6 +137,7 @@ class RunConfig:
 _NESTED_CONFIGS = {"core": CoreConfig, "memory": MemoryConfig,
                    "phelps_config": PhelpsConfig,
                    "observe_config": ObserveConfig}
+_RUN_FIELDS = dataclasses.fields(RunConfig)
 
 
 @dataclass

@@ -70,19 +70,29 @@ class Assembler:
 
     def data(self, name: str, values: Sequence[int]) -> int:
         """Allocate and initialize a data array; returns its base address."""
-        base = self.alloc(name, len(values))
-        for i, v in enumerate(values):
-            self._data[base + i * WORD] = int(v)
+        n = len(values)
+        base = self._reserve(name, n)
+        self._data.update(zip(range(base, base + n * WORD, WORD),
+                              map(int, values)))
         return base
 
     def alloc(self, name: str, num_words: int) -> int:
         """Reserve ``num_words`` zero-initialized 8-byte words."""
+        base = self._reserve(name, num_words)
+        self._data.update(dict.fromkeys(
+            range(base, base + num_words * WORD, WORD), 0))
+        return base
+
+    def _reserve(self, name: str, num_words: int) -> int:
+        """Claim the next ``num_words`` words for symbol ``name``.  The
+        cursor only moves forward, so the region holds no word yet: the
+        bulk fills in :meth:`data` and :meth:`alloc` never overwrite."""
         if name in self._data_symbols:
             raise ValueError(f"duplicate data symbol {name!r}")
         base = self._data_cursor
+        if self._data and next(reversed(self._data)) >= base:
+            raise RuntimeError(f"data region of {name!r} is not fresh")
         self._data_symbols[name] = base
-        for i in range(num_words):
-            self._data.setdefault(base + i * WORD, 0)
         self._data_cursor = base + max(num_words, 1) * WORD
         return base
 
@@ -244,7 +254,11 @@ class Assembler:
 
     # ------------------------------------------------------------------
     def build(self) -> Program:
-        """Resolve label references and freeze the program."""
+        """Resolve label references and hand the program over.
+
+        The :class:`Program` adopts this assembler's instruction list and
+        its data, label and symbol dicts without copying them, so the
+        assembler must not be used after building."""
         for inst in self._insts:
             if isinstance(inst.imm, _LabelRef):
                 name = inst.imm.name

@@ -25,10 +25,12 @@ class Program:
         data_symbols: Optional[Dict[str, int]] = None,
         name: str = "program",
     ):
+        # The dicts are adopted, not copied: the assembler hands over its
+        # own, and every consumer (core, executor) copies ``data`` itself.
         self.instructions = instructions
-        self.data = dict(data or {})
-        self.labels = dict(labels or {})
-        self.data_symbols = dict(data_symbols or {})
+        self.data = data if data is not None else {}
+        self.labels = labels if labels is not None else {}
+        self.data_symbols = data_symbols if data_symbols is not None else {}
         self.name = name
         self._by_pc = {inst.pc: inst for inst in instructions}
         if instructions:

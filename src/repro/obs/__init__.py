@@ -16,6 +16,7 @@ Enable via ``RunConfig(observe=True)`` (or any CLI flag that implies it:
 pay one ``is None`` test per cycle and nothing else.
 """
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -70,6 +71,49 @@ class ObserveConfig:
     pipeline_trace_limit: int = 20_000
 
 
+def _core_metrics(core) -> Dict:
+    return {
+        "cycles": core.cycle,
+        "retired": core.main.retired,
+        "retired_branches": core.main.retired_branches,
+        "mispredicts": core.main.mispredicts,
+        "load_violations": core.main.load_violations,
+        "helper_retired": core.stats.helper_retired,
+        "helper_stores_suppressed": core.stats.helper_stores_suppressed,
+        "full_squashes": core.stats.full_squashes,
+        "idle_cycles_skipped": core.stats.idle_cycles_skipped,
+        "threads": len(core.threads),
+        # Idle-skip self-diagnosis (flattens to core.skip.*): walks run,
+        # engine vetoes, and successful clock jumps — the data behind
+        # ``perf --explain-skip``.
+        "skip": {
+            "walk_cycles": core.stats.skip_walk_cycles,
+            "vetoes": core.stats.skip_vetoes,
+            "bulk_advances": core.stats.skip_bulk_advances,
+        },
+    }
+
+
+class _CoreProvider:
+    """A registry provider that reads the core through a weak proxy: live
+    values while the core lives, the last values read once it is freed
+    (every run ends with a registry snapshot, so those are final)."""
+
+    __slots__ = ("core", "read", "last")
+
+    def __init__(self, core, read):
+        self.core = weakref.proxy(core)
+        self.read = read
+        self.last: Dict = {}
+
+    def __call__(self) -> Dict:
+        try:
+            self.last = self.read(self.core)
+        except ReferenceError:
+            pass
+        return self.last
+
+
 class Observability:
     """Per-run telemetry hub handed to :class:`~repro.core.pipeline.Core`."""
 
@@ -92,29 +136,13 @@ class Observability:
 
         Called once at the end of ``Core.__init__`` (after the engine has
         attached, so the profiler wraps the engine's final ``on_cycle``).
+        The ``core`` and ``memory`` providers hold the core weakly, so a
+        kept hub (``SimResult.obs``) does not keep the machine alive.
         """
-        self.registry.register_provider("core", lambda: {
-            "cycles": core.cycle,
-            "retired": core.main.retired,
-            "retired_branches": core.main.retired_branches,
-            "mispredicts": core.main.mispredicts,
-            "load_violations": core.main.load_violations,
-            "helper_retired": core.stats.helper_retired,
-            "helper_stores_suppressed": core.stats.helper_stores_suppressed,
-            "full_squashes": core.stats.full_squashes,
-            "idle_cycles_skipped": core.stats.idle_cycles_skipped,
-            "threads": len(core.threads),
-            # Idle-skip self-diagnosis (flattens to core.skip.*): walks
-            # run, engine vetoes, and successful clock jumps — the data
-            # behind ``perf --explain-skip``.
-            "skip": {
-                "walk_cycles": core.stats.skip_walk_cycles,
-                "vetoes": core.stats.skip_vetoes,
-                "bulk_advances": core.stats.skip_bulk_advances,
-            },
-        })
         self.registry.register_provider(
-            "memory", core.hierarchy.stats)
+            "core", _CoreProvider(core, _core_metrics))
+        self.registry.register_provider(
+            "memory", _CoreProvider(core, lambda c: c.hierarchy.stats()))
         if self.config.pipeline_trace:
             from repro.core.trace import PipelineTracer
             self.tracer = PipelineTracer(core,

@@ -70,9 +70,7 @@ class PhelpsEngine(PreExecutionEngine):
     # ==================================================================
     def attach(self, core) -> None:
         super().attach(core)
-        if self.events is not None:
-            events = self.events
-            self.dbt.on_evict = lambda pc: events.dbt_evict(core.cycle, pc)
+        self._wire_evict_event()
 
     def _register_metrics(self, registry) -> None:
         super()._register_metrics(registry)  # engine.* <- self.stats()
@@ -377,7 +375,6 @@ class PhelpsEngine(PreExecutionEngine):
 
     def _install_memory(self, ctx: ThreadContext) -> None:
         ctx.spec_cache = self.spec_cache
-        ctx.read_value = self.core._read_committed
         ctx.commit_store = self.spec_cache.write
 
     def _terminate(self, reason: str = "exit") -> None:
@@ -424,11 +421,17 @@ class PhelpsEngine(PreExecutionEngine):
 
     def restore_warm(self, payload) -> None:
         super().restore_warm(payload)
-        if self.events is not None:
-            events, core = self.events, self.core
-            self.dbt.on_evict = lambda pc: events.dbt_evict(core.cycle, pc)
-        else:
+        self._wire_evict_event()
+
+    def _wire_evict_event(self) -> None:
+        """Point ``dbt.on_evict`` at the events trace (None without one).
+        The closure reads the cycle through the weak core proxy, so the
+        DBT never holds the core."""
+        if self.events is None:
             self.dbt.on_evict = None
+            return
+        events, core = self.events, self.core
+        self.dbt.on_evict = lambda pc: events.dbt_evict(core.cycle, pc)
 
     # ==================================================================
     # Misprediction taxonomy (Fig. 14).

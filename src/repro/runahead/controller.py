@@ -159,8 +159,6 @@ class BranchRunaheadEngine(PhelpsEngine):
         unit = BRFetchUnit(row.inner_insts, self.bimodal,
                            speculative=self.br_cfg.speculative_triggering)
         ito = core.add_helper_thread(ThreadKind.INNER_ONLY, unit, "ITO")
-        ito.read_value = core._read_committed
-        ito.commit_store = lambda addr, value: None
         moves = unit.inject_moves(row.mt_liveins_outer)
         self.ht_threads["ITO"] = ito
         self._trigger_moves_pending = moves

@@ -724,7 +724,7 @@ class CampaignService:
             return 400, {"error": "missing entry"}
         problem = self._entry_config_problem(key, entry)
         if problem is not None:
-            self.integrity.complete_rejects += 1
+            self.integrity.note_complete_reject()
             self._log(f"rejected completion of {cid}/{key} from "
                       f"{worker}: {problem[1]}")
             return 422, {"error": problem[0], "detail": problem[1],

@@ -135,6 +135,12 @@ class IntegrityMonitor:
         return True
 
     # -------------------------------------------------------- completion
+    def note_complete_reject(self) -> None:
+        """Count one completion refused because its entry does not match
+        the point's config (``repro_service_complete_rejects_total``)."""
+        with self._lock:
+            self.complete_rejects += 1
+
     def on_audit_complete(self, campaign: str, table: PointTable,
                           key: str, worker: str, entry: Dict,
                           cache=None, config=None,

@@ -26,8 +26,11 @@ def embed_graph(a: Assembler, adj: List[List[int]]) -> Tuple[int, int]:
 
 def make_worklist(n_nodes: int, length: int, seed: int) -> List[int]:
     """A frontier-like worklist (nodes may repeat, as across BFS levels)."""
+    if length > 0 and n_nodes < 1:
+        raise ValueError(f"make_worklist needs n_nodes >= 1, got {n_nodes}")
     rng = random.Random(seed)
-    return [rng.randrange(n_nodes) for _ in range(length)]
+    draw = rng._randbelow  # randrange(n)'s values (see graphs.py)
+    return [draw(n_nodes) for _ in range(length)]
 
 
 def make_walk_worklist(adj: List[List[int]], length: int, seed: int) -> List[int]:

@@ -30,7 +30,7 @@ def build_pr(adj: Optional[List[List[int]]] = None, worklist_len: int = 4096,
 
     a = Assembler("pr")
     off_base, nbr_base = embed_graph(a, adj)
-    score_init = [rng.randrange(0, 200) for _ in range(n)]
+    score_init = [rng._randbelow(200) for _ in range(n)]  # randrange(0, 200)
     score = a.data("score", score_init)
     worklist = a.data("worklist", make_worklist(n, worklist_len, seed + 2))
 

@@ -30,7 +30,7 @@ def build_sssp(adj: Optional[List[List[int]]] = None, worklist_len: int = 4096,
 
     a = Assembler("sssp")
     off_base, nbr_base = embed_graph(a, adj)
-    dist_init = [rng.randrange(0, 1000) for _ in range(n)]
+    dist_init = [rng._randbelow(1000) for _ in range(n)]  # randrange(0, 1000)
     dist = a.data("dist", dist_init)
     worklist = a.data("worklist", make_worklist(n, worklist_len, seed + 2))
 

@@ -10,14 +10,29 @@ Substitutes for the paper's input datasets (DESIGN.md §3):
 
 All return adjacency lists; :func:`to_csr` flattens to (offsets, neighbors)
 arrays suitable for embedding in a workload's data segment.
+
+The generators (and the workload builders) draw ``rng._randbelow(n)``
+where the natural call is ``rng.randrange(n)``: CPython's ``randrange``
+returns exactly ``_randbelow(n)`` for ``n > 0`` (and ``lo + _randbelow(hi
+- lo)`` for two arguments), so the values are the same at a fraction of
+the per-call cost.  ``tests/workloads/test_program_digests.py`` pins every
+built image.  ``_randbelow`` is defined for ``n > 0`` only (it never
+returns for an empty range), so each caller raises ``ValueError`` where
+``randrange`` would have, before its first draw.
 """
 
 import random
 from typing import Dict, List, Tuple
 
 
-def _dedup_sorted(neighbors: List[int], self_node: int) -> List[int]:
-    return sorted({n for n in neighbors if n != self_node})
+def _dedup_sorted(adj: List[List[int]]) -> List[List[int]]:
+    """Each node's neighbours, deduplicated, sorted, self-loops dropped."""
+    out = []
+    for i, ns in enumerate(adj):
+        unique = set(ns)
+        unique.discard(i)
+        out.append(sorted(unique))
+    return out
 
 
 def road_network(nodes: int = 1024, seed: int = 1) -> List[List[int]]:
@@ -27,25 +42,28 @@ def road_network(nodes: int = 1024, seed: int = 1) -> List[List[int]]:
     distribution and long shortest paths.
     """
     rng = random.Random(seed)
+    coin = rng.random
     side = int(nodes ** 0.5)
     n = side * side
+    if n < 1:
+        raise ValueError(f"road_network needs nodes >= 1, got {nodes}")
     adj: List[List[int]] = [[] for _ in range(n)]
-
-    def add_edge(u, v):
-        adj[u].append(v)
-        adj[v].append(u)
-
     for r in range(side):
         for c in range(side):
             u = r * side + c
-            if c + 1 < side and rng.random() < 0.7:
-                add_edge(u, u + 1)
-            if r + 1 < side and rng.random() < 0.7:
-                add_edge(u, u + side)
+            ns = adj[u]
+            if c + 1 < side and coin() < 0.7:
+                ns.append(u + 1)
+                adj[u + 1].append(u)
+            if r + 1 < side and coin() < 0.7:
+                ns.append(u + side)
+                adj[u + side].append(u)
     # A few long-range shortcuts (highways).
     for _ in range(max(1, n // 100)):
-        add_edge(rng.randrange(n), rng.randrange(n))
-    return [_dedup_sorted(ns, i) for i, ns in enumerate(adj)]
+        u, v = rng._randbelow(n), rng._randbelow(n)
+        adj[u].append(v)
+        adj[v].append(u)
+    return _dedup_sorted(adj)
 
 
 def web_graph(nodes: int = 1024, out_degree: int = 4, seed: int = 2) -> List[List[int]]:
@@ -56,24 +74,26 @@ def web_graph(nodes: int = 1024, out_degree: int = 4, seed: int = 2) -> List[Lis
     for u in range(1, nodes):
         picks = set()
         for _ in range(min(out_degree, u)):
-            picks.add(targets[rng.randrange(len(targets))])
+            picks.add(targets[rng._randbelow(len(targets))])
         for v in picks:
             adj[u].append(v)
             adj[v].append(u)
             targets.extend([u, v])
-    return [_dedup_sorted(ns, i) for i, ns in enumerate(adj)]
+    return _dedup_sorted(adj)
 
 
 def uniform_graph(nodes: int = 1024, avg_degree: float = 4.0, seed: int = 3) -> List[List[int]]:
     rng = random.Random(seed)
     adj: List[List[int]] = [[] for _ in range(nodes)]
     edges = int(nodes * avg_degree / 2)
+    if edges > 0 and nodes < 1:
+        raise ValueError(f"uniform_graph needs nodes >= 1, got {nodes}")
     for _ in range(edges):
-        u, v = rng.randrange(nodes), rng.randrange(nodes)
+        u, v = rng._randbelow(nodes), rng._randbelow(nodes)
         if u != v:
             adj[u].append(v)
             adj[v].append(u)
-    return [_dedup_sorted(ns, i) for i, ns in enumerate(adj)]
+    return _dedup_sorted(adj)
 
 
 GRAPHS = {

@@ -13,7 +13,10 @@ from repro.workloads.registry import register
 
 
 def _random_words(rng, n, lo=0, hi=2**16):
-    return [rng.randrange(lo, hi) for _ in range(n)]
+    if n > 0 and hi <= lo:
+        raise ValueError(f"empty range [{lo}, {hi})")
+    draw, width = rng._randbelow, hi - lo  # randrange(lo, hi)'s values
+    return [lo + draw(width) for _ in range(n)]
 
 
 @register("mcf")

@@ -1,6 +1,8 @@
 """The PreExecutionEngine contract: the NullEngine must be a true no-op,
 and every hook the pipeline calls must exist with a safe default."""
 
+import weakref
+
 from repro.core import Core, CoreConfig, NullEngine, PreExecutionEngine
 from repro.core.engine_api import PreExecutionEngine as Base
 from repro.isa import Assembler
@@ -57,9 +59,12 @@ class TestNullEngine:
         assert stats.halted
 
     def test_attach_stores_core_reference(self):
+        # A weak proxy, not the core itself: the core owns the engine.
         e = NullEngine()
         core = Core(_tiny_program(), engine=e)
-        assert e.core is core
+        assert isinstance(e.core, weakref.ProxyType)
+        assert e.core in weakref.getweakrefs(core)
+        assert e.core.engine is e and e.core.main is core.main
 
 
 class RecordingEngine(PreExecutionEngine):

@@ -6,6 +6,7 @@ through JSON and back mints the same ``cache_key()``.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -95,3 +96,40 @@ def test_omitted_fields_take_defaults():
 def test_unknown_field_raises_type_error(doc):
     with pytest.raises(TypeError):
         RunConfig.from_dict(doc)
+
+
+def _asdict_key(config):
+    """``cache_key`` as it was minted through ``dataclasses.asdict``: the
+    reference ``to_dict()``'s field walk must reproduce key for key."""
+    doc = dataclasses.asdict(config)
+    doc.pop("checkpoint_dir", None)
+    doc.pop("snapshot_dir", None)
+    if not doc.get("snapshot_interval"):
+        doc.pop("snapshot_interval", None)
+    payload = json.dumps(doc, sort_keys=True, default=str)
+    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return f"{config.workload}-{config.engine}-{digest}"
+
+
+@pytest.mark.parametrize("interval", [0, 5000])
+def test_cache_key_matches_asdict_reference(interval):
+    config = RunConfig(
+        workload="bfs", engine="phelps", max_instructions=45_000,
+        core=CoreConfig(guard_level="commit").with_window(512),
+        memory=MemoryConfig(dram_latency=400, enable_l1_prefetcher=False),
+        phelps_config=PhelpsConfig().ablation_b1_s1(),
+        observe_config=ObserveConfig(watches=("core.cycles",), profile=True),
+        checkpoint_dir="/ckpt", snapshot_interval=interval,
+        snapshot_dir="/snap")
+    assert config.to_dict() == dataclasses.asdict(config)
+    assert config.cache_key() == _asdict_key(config)
+    # Storage locations stay out of the key.
+    assert config.cache_key() == dataclasses.replace(
+        config, checkpoint_dir=None, snapshot_dir=None).cache_key()
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=RUN_CONFIGS)
+def test_cache_key_matches_asdict_reference_for_any_config(config):
+    assert config.to_dict() == dataclasses.asdict(config)
+    assert config.cache_key() == _asdict_key(config)

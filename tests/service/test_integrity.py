@@ -9,6 +9,7 @@ terminal ``poisoned`` status without stalling the rest of the sweep.
 
 import dataclasses
 import json
+import sys
 import threading
 import time
 
@@ -166,6 +167,32 @@ class TestMonitorUnit:
         journal.mark(key, "done", entry=entry, completed_by=worker,
                      source="worker")
         return journal.read_point(key)
+
+    def test_complete_reject_is_counted_under_the_lock(self):
+        monitor = self._monitor()
+        with monitor._lock:
+            t = threading.Thread(target=monitor.note_complete_reject)
+            t.start()
+            t.join(timeout=0.2)
+            assert t.is_alive() and monitor.complete_rejects == 0
+        t.join(timeout=5)
+        assert not t.is_alive() and monitor.complete_rejects == 1
+        # More threads than cores, switching often: a lost update shows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: [monitor.note_complete_reject()
+                                for _ in range(500)]) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert monitor.complete_rejects == 4001
+        assert monitor.counters()["complete_rejects"] == 4001
 
     def test_audit_lifecycle_pass(self, tmp_path):
         journal = make_journal(tmp_path)

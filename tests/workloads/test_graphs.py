@@ -1,5 +1,9 @@
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.workloads.gap.common import make_worklist
 from repro.workloads.graphs import (
     graph_stats,
     road_network,
@@ -7,6 +11,7 @@ from repro.workloads.graphs import (
     uniform_graph,
     web_graph,
 )
+from repro.workloads.spec17 import _random_words
 
 
 class TestGenerators:
@@ -68,3 +73,37 @@ class TestCSR:
         assert offsets[-1] == len(neighbors)
         for u, ns in enumerate(adj):
             assert neighbors[offsets[u]:offsets[u + 1]] == ns
+
+
+class TestEmptyRanges:
+    """The builders draw with ``Random._randbelow``, which never returns
+    for an empty range: each raises ``ValueError`` first, as
+    ``randrange`` did."""
+
+    def test_road_network_without_nodes_raises(self):
+        with pytest.raises(ValueError):
+            road_network(0)
+
+    def test_uniform_graph_without_nodes_is_empty(self):
+        assert uniform_graph(0) == []
+        with pytest.raises(ValueError):
+            uniform_graph(-4, avg_degree=-4.0)
+
+    def test_worklist_over_no_nodes_raises(self):
+        assert make_worklist(0, 0, 0) == []
+        with pytest.raises(ValueError):
+            make_worklist(0, 1, 0)
+
+    def test_random_words_over_an_empty_range_raises(self):
+        rng = random.Random(0)
+        assert _random_words(rng, 0, 5, 5) == []
+        with pytest.raises(ValueError):
+            _random_words(rng, 1, 5, 5)
+
+    def test_draws_match_randrange(self):
+        ref = random.Random(9)
+        assert make_worklist(37, 200, 9) == [ref.randrange(37)
+                                             for _ in range(200)]
+        ref = random.Random(4)
+        assert _random_words(random.Random(4), 50, 3, 900) == [
+            ref.randrange(3, 900) for _ in range(50)]
