@@ -8,9 +8,9 @@ sweeps justify the paper's choices on our substrate.
 
 import dataclasses
 
-from repro.harness import ascii_table
+from repro.harness import ascii_table, speedup
 
-from benchmarks.common import PHELPS, config_for, emit, run_figure, speedup_of
+from benchmarks.common import PHELPS, config_for, emit, run_figure
 
 
 def _sweep(figure, workload, settings, phelps_of):
@@ -33,7 +33,7 @@ def test_queue_depth_sweep(benchmark):
 
     table = benchmark.pedantic(collect, rounds=1, iterations=1)
     base = table["baseline"]
-    rows = [[d, speedup_of(table[d], base), table[d]["mpki"],
+    rows = [[d, speedup(table[d], base), table[d]["mpki"],
              table[d]["engine"]["queue"]["not_timely"]] for d in depths]
     emit("ablation_queue_depth", ascii_table(
         ["queue depth", "speedup", "MPKI", "not timely"], rows))
@@ -41,9 +41,9 @@ def test_queue_depth_sweep(benchmark):
     # Depth 4 strangles runahead relative to the paper's 32.
     assert table[4]["engine"]["queue"]["not_timely"] >= \
         table[32]["engine"]["queue"]["not_timely"]
-    assert speedup_of(table[32], base) >= speedup_of(table[4], base) * 0.98
+    assert speedup(table[32], base) >= speedup(table[4], base) * 0.98
     # Diminishing returns beyond 32 (the paper's choice is near the knee).
-    assert speedup_of(table[128], base) <= speedup_of(table[32], base) * 1.10
+    assert speedup(table[128], base) <= speedup(table[32], base) * 1.10
 
 
 def test_spec_cache_geometry_sweep(benchmark):
@@ -61,7 +61,7 @@ def test_spec_cache_geometry_sweep(benchmark):
     rows = []
     for g in geometries:
         e = table[g]
-        rows.append([f"{g[0]}x{g[1]}", speedup_of(e, base), e["mpki"],
+        rows.append([f"{g[0]}x{g[1]}", speedup(e, base), e["mpki"],
                      e["engine"]["queue_wrong"], e["engine"]["spec_cache_losses"]])
     emit("ablation_spec_cache", ascii_table(
         ["geometry", "speedup", "MPKI", "wrong outcomes", "evictions"], rows))
@@ -83,12 +83,12 @@ def test_epoch_length_sweep(benchmark):
 
     table = benchmark.pedantic(collect, rounds=1, iterations=1)
     base = table["baseline"]
-    rows = [[ep, speedup_of(table[ep], base), table[ep]["mpki"],
+    rows = [[ep, speedup(table[ep], base), table[ep]["mpki"],
              table[ep]["engine"]["activations"]] for ep in epochs]
     emit("ablation_epoch_length", ascii_table(
         ["epoch length", "speedup", "MPKI", "activations"], rows))
 
     # All three deploy and win; 50k deploys at 100k-instruction regions
     # only just in time, so the mid value should be at least competitive.
-    assert all(speedup_of(table[ep], base) > 1.0 for ep in epochs[:2])
-    assert speedup_of(table[20_000], base) >= speedup_of(table[50_000], base) * 0.95
+    assert all(speedup(table[ep], base) > 1.0 for ep in epochs[:2])
+    assert speedup(table[20_000], base) >= speedup(table[50_000], base) * 0.95

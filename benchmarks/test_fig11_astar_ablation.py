@@ -5,9 +5,9 @@ Paper: BR-non-spec < BR-spec (29%) < Phelps full (47%); MPKI 29.5 -> 2.68
 ordering, with b1->s1 no better than b1 (unsuppressed stores poison b1).
 """
 
-from repro.harness import ascii_table
+from repro.harness import ascii_table, speedup
 
-from benchmarks.common import PHELPS, config_for, emit, run_figure, speedup_of
+from benchmarks.common import PHELPS, config_for, emit, run_figure
 
 CONFIGS = [
     ("BR-non-spec", "br_nonspec", None),
@@ -31,7 +31,7 @@ def _collect():
     for label, config in configs.items():
         r = entries[config.cache_key()]
         results[label] = r
-        rows.append([label, speedup_of(r, base), r["mpki"], r["ipc"]])
+        rows.append([label, speedup(r, base), r["mpki"], r["ipc"]])
     rows.insert(0, ["baseline", 1.0, base["mpki"], base["ipc"]])
     return base, results, rows
 
@@ -51,10 +51,10 @@ def test_fig11_astar_ablation(benchmark):
     # Shape assertions from the paper:
     assert full["mpki"] < b1b2["mpki"] < b1["mpki"]          # feature order
     assert b1s1["mpki"] >= b1["mpki"] * 0.9                  # s1 w/o b2 hurts
-    assert speedup_of(full, base) > speedup_of(br, base)     # Phelps > BR
-    assert speedup_of(br, base) >= speedup_of(br_ns, base) * 0.98  # spec >= non-spec
+    assert speedup(full, base) > speedup(br, base)     # Phelps > BR
+    assert speedup(br, base) >= speedup(br_ns, base) * 0.98  # spec >= non-spec
     assert full["mpki"] < base["mpki"] * 0.75                # big MPKI cut
 
-    benchmark.extra_info["full_speedup"] = speedup_of(full, base)
+    benchmark.extra_info["full_speedup"] = speedup(full, base)
     benchmark.extra_info["full_mpki"] = full["mpki"]
     benchmark.extra_info["baseline_mpki"] = base["mpki"]

@@ -7,10 +7,10 @@ delinquent); BR at or below 1.0 on most workloads with BR-12w recovering;
 perfBP as the ceiling.
 """
 
-from repro.harness import ascii_table
+from repro.harness import ascii_table, speedup
 
 from benchmarks.common import (ALL_WORKLOADS, GAP_WORKLOADS, config_for,
-                               emit, run_figure, speedup_of)
+                               emit, run_figure)
 
 ENGINES = ["perfbp", "phelps", "br", "br12"]
 
@@ -30,10 +30,10 @@ def test_fig12a_speedups(benchmark):
     rows = []
     for w in ALL_WORKLOADS:
         base = table[w]["baseline"]
-        rows.append([w] + [speedup_of(table[w][e], base) for e in ENGINES])
+        rows.append([w] + [speedup(table[w][e], base) for e in ENGINES])
     emit("fig12a_speedup", ascii_table(["workload"] + ENGINES, rows))
 
-    sp = {w: {e: speedup_of(table[w][e], table[w]["baseline"]) for e in ENGINES}
+    sp = {w: {e: speedup(table[w][e], table[w]["baseline"]) for e in ENGINES}
           for w in ALL_WORKLOADS}
 
     # perfBP is (near) the ceiling everywhere.

@@ -6,10 +6,10 @@ less accuracy because its store-to-load distances are long (the main
 thread usually retires the store first).
 """
 
-from repro.harness import ascii_table
+from repro.harness import ascii_table, speedup
 
 from benchmarks.common import (GAP_WORKLOADS, PHELPS, config_for, emit,
-                               run_figure, speedup_of)
+                               run_figure)
 
 WORKLOADS = GAP_WORKLOADS + ["astar"]
 
@@ -35,8 +35,8 @@ def test_fig12b_store_importance(benchmark):
         base = table[w]["baseline"]
         rows.append([
             w,
-            speedup_of(table[w]["with"], base),
-            speedup_of(table[w]["without"], base),
+            speedup(table[w]["with"], base),
+            speedup(table[w]["without"], base),
             table[w]["with"]["mpki"],
             table[w]["without"]["mpki"],
         ])

@@ -7,10 +7,9 @@ Shape targets: (a) large MPKI reductions on most GAP kernels + astar;
 high-ILP kernels (the paper's exchange2: 31%).
 """
 
-from repro.harness import ascii_table
+from repro.harness import ascii_table, speedup
 
-from benchmarks.common import (GAP_WORKLOADS, config_for, emit, run_figure,
-                               speedup_of)
+from benchmarks.common import GAP_WORKLOADS, config_for, emit, run_figure
 
 WORKLOADS = GAP_WORKLOADS + ["astar"]
 
@@ -81,7 +80,7 @@ def test_fig13c_partitioning_cost(benchmark):
     slowdowns = {}
     for w, entry in table.items():
         part = entry["partition_only"]
-        slow = 1 - speedup_of(part, entry["baseline"])
+        slow = 1 - speedup(part, entry["baseline"])
         slowdowns[w] = slow
         rows.append([w, entry["baseline"]["ipc"], part["ipc"],
                      f"{100 * slow:.1f}%"])

@@ -7,9 +7,9 @@ penalty); bfs wins on all three input graphs.
 """
 
 from repro.core import CoreConfig
-from repro.harness import ascii_table
+from repro.harness import ascii_table, speedup
 
-from benchmarks.common import config_for, emit, run_figure, speedup_of
+from benchmarks.common import config_for, emit, run_figure
 
 WINDOWS = [316, 632, 1024]
 DEPTHS = [11, 15, 19]
@@ -44,7 +44,7 @@ def test_fig15a_window_size(benchmark):
     rows = []
     sp = {}
     for w in WINDOW_WORKLOADS:
-        sp[w] = {rob: speedup_of(table[w][rob]["phelps"], table[w][rob]["baseline"])
+        sp[w] = {rob: speedup(table[w][rob]["phelps"], table[w][rob]["baseline"])
                  for rob in WINDOWS}
         rows.append([w] + [sp[w][rob] for rob in WINDOWS])
     emit("fig15a_window", ascii_table(["workload"] + [f"ROB {r}" for r in WINDOWS], rows))
@@ -66,7 +66,7 @@ def test_fig15a_pipeline_depth(benchmark):
     rows = []
     sp = {}
     for w in table:
-        sp[w] = {d: speedup_of(table[w][d]["phelps"], table[w][d]["baseline"])
+        sp[w] = {d: speedup(table[w][d]["phelps"], table[w][d]["baseline"])
                  for d in DEPTHS}
         rows.append([w] + [sp[w][d] for d in DEPTHS])
     emit("fig15a_depth", ascii_table(["workload"] + [f"{d} stages" for d in DEPTHS], rows))
@@ -88,7 +88,7 @@ def test_fig15b_bfs_inputs(benchmark):
     rows = []
     sp = {}
     for w in BFS_INPUTS:
-        sp[w] = speedup_of(table[w]["phelps"], table[w]["baseline"])
+        sp[w] = speedup(table[w]["phelps"], table[w]["baseline"])
         rows.append([w, sp[w], table[w]["baseline"]["mpki"], table[w]["phelps"]["mpki"]])
     emit("fig15b_bfs_inputs", ascii_table(
         ["input", "speedup", "baseline MPKI", "Phelps MPKI"], rows))

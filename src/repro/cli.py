@@ -4,10 +4,9 @@
 
     python -m repro list
     python -m repro run astar --engine phelps -n 80000
-    python -m repro run astar bfs sssp --engine phelps --jobs 4
     python -m repro run astar --engine phelps --metrics-json m.json --trace-out t.json
     python -m repro stats astar --engine phelps
-    python -m repro compare bfs --engines baseline phelps perfbp
+    python -m repro sweep -w bfs -e baseline phelps perfbp
     python -m repro sweep -w astar bfs -e baseline phelps --jobs 4
     python -m repro sweep -w astar -e baseline phelps --manifest camp/
     python -m repro sweep --resume camp/
@@ -28,9 +27,8 @@ import argparse
 import sys
 
 from repro.harness import (CampaignJournal, RunCache, RunConfig, ascii_table,
-                           compare_engines, entry_from_result, epoch_table,
-                           interrupt_guard, metrics_report, poll_interrupt,
-                           run_campaign, simulate)
+                           entry_from_result, epoch_table, interrupt_guard,
+                           metrics_report, run_campaign, simulate, speedup)
 from repro.obs import ObserveConfig, write_chrome_trace
 from repro.utils.shards import atomic_write_json
 from repro.phelps import PhelpsConfig
@@ -61,8 +59,8 @@ exit codes:
      commit for CoreConfig.watchdog_cycles cycles (SimulationHang)
   4  golden-model divergence: committed architectural state disagreed
      with the oracle functional executor (DivergenceError)
-  5  worker failure: a sweep point (or a point of run -w A B) failed
-     on every attempt (SimulationFailed)
+  5  worker failure: a point of a sweep or an audit failed on every
+     attempt (SimulationFailed)
   6  invariant violation: the cycle-level sanitizer found inconsistent
      microarchitectural state (InvariantViolation)
   7  perf regression: perf --compare found a same-host slowdown past the
@@ -101,43 +99,12 @@ def _metrics_payload(result) -> dict:
     }
 
 
-def _print_run_summary(entry: dict, verbose: bool = False) -> None:
-    """Summary of one result entry (:func:`entry_from_result`)."""
-    cfg = entry["config"]
-    print(f"{cfg['workload']} [{cfg['engine']}] "
-          f"{entry['retired']:,} insts in {entry['cycles']:,} cycles "
-          f"({entry['wall_seconds']:.1f}s wall)")
-    print(f"  IPC {entry['ipc']:.3f}  MPKI {entry['mpki']:.2f}  "
-          f"mispredicts {entry['mispredicts']:,}  "
-          f"helper insts {entry['helper_retired']:,}")
-    if verbose and entry["engine"]:
-        for k, v in entry["engine"].items():
-            print(f"  {k}: {v}")
-
-
 def _cmd_run(args) -> int:
-    if len(args.workloads) > 1:
-        if args.metrics_json or args.trace_out or args.profile:
-            print("run: --metrics-json/--trace-out/--profile need a single "
-                  "workload", file=sys.stderr)
-            return 2
-        configs = [RunConfig(workload=w, engine=args.engine,
-                             max_instructions=args.instructions,
-                             observe=args.observe,
-                             snapshot_interval=args.snapshot_interval,
-                             snapshot_dir=args.snapshot_dir)
-                   for w in args.workloads]
-        entries = run_campaign(configs, jobs=args.jobs)
-        for config in configs:
-            _print_run_summary(entries[config.cache_key()],
-                               verbose=args.verbose)
-        return 0
-    workload = args.workloads[0]
     observe = bool(args.observe or args.metrics_json or args.trace_out
                    or args.profile)
     ocfg = ObserveConfig(profile=args.profile,
                          pipeline_trace=bool(args.trace_out)) if observe else None
-    cfg = RunConfig(workload=workload, engine=args.engine,
+    cfg = RunConfig(workload=args.workload, engine=args.engine,
                     max_instructions=args.instructions,
                     observe=observe, observe_config=ocfg,
                     snapshot_interval=args.snapshot_interval,
@@ -147,7 +114,13 @@ def _cmd_run(args) -> int:
     if result.resumed_at is not None:
         print(f"  resumed from snapshot at {result.resumed_at:,} retired "
               f"instructions ({args.snapshot_dir})")
-    _print_run_summary(entry_from_result(result), verbose=args.verbose)
+    print(f"{args.workload} [{args.engine}] {s.retired:,} insts in "
+          f"{s.cycles:,} cycles ({result.wall_seconds:.1f}s wall)")
+    print(f"  IPC {s.ipc:.3f}  MPKI {s.mpki:.2f}  mispredicts "
+          f"{s.mispredicts:,}  helper insts {s.helper_retired:,}")
+    if args.verbose:
+        for k, v in entry_from_result(result)["engine"].items():
+            print(f"  {k}: {v}")
     if args.metrics_json:
         atomic_write_json(args.metrics_json, _metrics_payload(result),
                           indent=1, default=str)
@@ -163,23 +136,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    results = compare_engines(args.workload, args.engines,
-                              max_instructions=args.instructions)
-    rows = []
-    base_rate = None
-    for engine in args.engines:
-        r = results[engine]
-        # A run can halt (or wedge) with 0 cycles or 0 retired; report
-        # "n/a" rather than dividing by zero.
-        rate = r.stats.retired / r.cycles if r.cycles else 0.0
-        if base_rate is None:
-            base_rate = rate
-        speedup = rate / base_rate if base_rate else None
-        rows.append([engine, r.ipc, r.mpki,
-                     speedup if speedup is not None else "n/a"])
-    print(ascii_table(["engine", "IPC", "MPKI", "speedup"], rows))
-    return 0
+def _print_progress(p) -> None:
+    """One line per finished, retried or failed campaign point."""
+    label = f"{p.config.workload}/{p.config.engine}"
+    if p.kind == "done":
+        print(f"  [{p.done_count}/{p.total}] {label} "
+              f"({p.wall_seconds:.1f}s)")
+    elif p.kind == "retry":
+        print(f"  retry {label}")
+    elif p.kind == "failed":
+        print(f"  FAILED {label}: {p.error}", file=sys.stderr)
 
 
 def _cmd_sweep(args) -> int:
@@ -218,22 +184,12 @@ def _cmd_sweep(args) -> int:
     cache_dir = args.cache_dir or spec_doc.get("cache_dir")
     cache = RunCache(cache_dir) if cache_dir else None
 
-    def _progress(p) -> None:
-        label = f"{p.config.workload}/{p.config.engine}"
-        if p.kind == "done":
-            print(f"  [{p.done_count}/{p.total}] {label} "
-                  f"({p.wall_seconds:.1f}s)")
-        elif p.kind == "retry":
-            print(f"  retry {label}")
-        elif p.kind == "failed":
-            print(f"  FAILED {label}: {p.error}", file=sys.stderr)
-
     print(f"sweep: {len(configs)} points (jobs={args.jobs or 'auto'}"
           + (f", journal={journal.root}" if journal is not None else "")
           + ")")
     entries = run_campaign(configs, journal=journal, cache=cache,
                            jobs=args.jobs, timeout=args.timeout,
-                           progress=_progress if not args.quiet else None,
+                           progress=None if args.quiet else _print_progress,
                            spec=spec_doc,
                            heartbeat_interval=args.heartbeat_interval)
 
@@ -241,11 +197,11 @@ def _cmd_sweep(args) -> int:
     rows, base = [], {}
     for config in configs:
         entry = entries[config.cache_key()]
-        rate = entry["retired"] / max(entry["cycles"], 1)
-        first = base.setdefault(config.workload, rate)
+        first = base.setdefault(config.workload, entry)
+        ratio = speedup(entry, first)
         rows.append([config.workload, config.engine, entry["ipc"],
                      entry["mpki"], entry["cycles"],
-                     rate / first if first else "n/a"])
+                     "n/a" if ratio is None else ratio])
     print(ascii_table(["workload", "engine", "IPC", "MPKI", "cycles",
                        "speedup"], rows))
     return 0
@@ -540,8 +496,9 @@ def _cmd_audit(args) -> int:
     """Offline sampled re-execution of a campaign's published entries.
 
     The deterministic-simulator counterpart of the service's live audit
-    scheduler: re-run a seeded sample of the done points and demand
-    bit-identical ``entry_fingerprint``s.  Any divergence means the
+    scheduler: re-run a seeded sample of the done points as one campaign
+    (no journal, no cache) and demand bit-identical
+    ``entry_fingerprint``s.  Any divergence means the
     stored entry was not produced by this simulator on this input —
     bit-rot, a corrupted worker, or a stale cache — and exits
     ``EXIT_INTEGRITY`` (8) so CI can gate on it.
@@ -566,11 +523,11 @@ def _cmd_audit(args) -> int:
         print(f"audit: manifest has no runnable spec: {exc!r}",
               file=sys.stderr)
         return 2
-    audited = mismatched = sampled_out = unreadable = 0
+    stored = {}
+    sampled_out = unreadable = 0
     for meta in manifest.get("points", ()):
         key = meta.get("key")
-        config = configs.get(key)
-        if not key or config is None:
+        if key not in configs:
             continue
         try:
             shard = _json.loads((root / f"{key}.json").read_text())
@@ -583,17 +540,20 @@ def _cmd_audit(args) -> int:
         if not should_audit(key, args.rate, args.seed):
             sampled_out += 1
             continue
-        audited += 1
-        fresh = entry_from_result(simulate(config))
-        if entry_fingerprint(fresh) == entry_fingerprint(entry):
+        stored[key] = entry
+    fresh = run_campaign([configs[key] for key in stored])
+    mismatched = 0
+    for key, entry in stored.items():
+        if entry_fingerprint(fresh[key]) == entry_fingerprint(entry):
             if not args.quiet:
                 print(f"audit: {key} ok")
         else:
             mismatched += 1
+            config = configs[key]
             print(f"audit: MISMATCH {key} "
                   f"({config.workload}/{config.engine}): stored entry "
                   f"does not reproduce", file=sys.stderr)
-    print(f"audit: {audited} re-executed, {mismatched} mismatched, "
+    print(f"audit: {len(stored)} re-executed, {mismatched} mismatched, "
           f"{sampled_out} outside the sample, {unreadable} unreadable")
     return EXIT_INTEGRITY if mismatched else 0
 
@@ -629,8 +589,6 @@ def _guard_phelps_config() -> PhelpsConfig:
 
 
 def _cmd_guard(args) -> int:
-    import dataclasses
-
     from repro.core import CoreConfig
 
     workloads = args.workloads or list(workload_names())
@@ -654,38 +612,35 @@ def _cmd_guard(args) -> int:
             print(f"  report -> {args.bundle}")
         return 0 if report["failed"] == 0 else 1
 
-    engines = args.engines
     core_cfg = CoreConfig(guard_level=args.level,
                           guard_check_interval=args.interval)
+    configs = [RunConfig(workload=workload, engine=engine,
+                         max_instructions=args.instructions, core=core_cfg,
+                         phelps_config=(_guard_phelps_config()
+                                        if engine in ("phelps", "br", "br12",
+                                                      "br_nonspec")
+                                        else None),
+                         observe=True)
+               for workload in workloads for engine in args.engines]
+    # In-process (jobs=1), so a guard error propagates typed to main(),
+    # which maps it to its exit code and writes --bundle if given.
+    entries = run_campaign(configs, jobs=1, progress=_print_progress)
     failures = 0
-    pairs = [(w, e) for w in workloads for e in engines]
-    with interrupt_guard():
-        for i, (workload, engine) in enumerate(pairs):
-            # SIGINT/SIGTERM stop the matrix between runs (exit 130 via
-            # main()); completed rows have already been printed.
-            poll_interrupt(done=i, total=len(pairs))
-            phelps_cfg = (_guard_phelps_config()
-                          if engine in ("phelps", "br", "br12", "br_nonspec")
-                          else None)
-            cfg = RunConfig(workload=workload, engine=engine,
-                            max_instructions=args.instructions,
-                            core=dataclasses.replace(core_cfg),
-                            phelps_config=phelps_cfg, observe=True)
-            # A guard error raised here propagates to main(), which maps
-            # it to its exit code and writes --bundle if given.
-            result = simulate(cfg)
-            checked = int(result.stats.metrics.get("guard.checked", 0))
-            sweeps = int(result.stats.metrics.get("guard.sweeps", 0))
-            if checked == 0:
-                print(f"  FAILED {workload}/{engine}: guard checked nothing",
-                      file=sys.stderr)
-                failures += 1
-                continue
-            print(f"  ok     {workload:12s} {engine:10s} "
-                  f"{result.stats.retired:,} retired, {checked:,} checked"
-                  + (f", {sweeps:,} invariant sweeps" if sweeps else ""))
-    total = len(workloads) * len(engines)
-    print(f"guard: {total} runs, {failures} failed "
+    for config in configs:
+        entry = entries[config.cache_key()]
+        checked = int(entry["metrics"].get("guard.checked", 0))
+        sweeps = int(entry["metrics"].get("guard.sweeps", 0))
+        if checked == 0:
+            print(f"  FAILED {config.workload}/{config.engine}: guard "
+                  f"checked nothing", file=sys.stderr)
+            failures += 1
+            continue
+        print(f"  ok     {config.workload:12s} {config.engine:10s} "
+              f"{entry['retired']:,} retired, {checked:,} checked"
+              + (f", {sweeps:,} invariant sweeps" if sweeps else ""))
+    # Counts the entries, not the configs: a point the campaign dropped
+    # shows as a short count.
+    print(f"guard: {len(entries)} runs, {failures} failed "
           f"(level={args.level}, n={args.instructions:,})")
     return 0 if failures == 0 else 1
 
@@ -733,13 +688,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available workloads").set_defaults(fn=_cmd_list)
 
-    run = sub.add_parser("run", help="simulate one or more workloads on one engine")
-    run.add_argument("workloads", nargs="+", metavar="workload")
+    run = sub.add_parser("run", help="simulate one workload on one engine "
+                                     "(several points: use sweep)")
+    run.add_argument("workload")
     run.add_argument("--engine", default="baseline", choices=_ENGINE_CHOICES)
     run.add_argument("-n", "--instructions", type=int, default=100_000)
-    run.add_argument("-j", "--jobs", type=int, default=None,
-                     help="worker processes for multi-workload runs "
-                          "(default: CPU count; 1 = serial in-process)")
     run.add_argument("-v", "--verbose", action="store_true")
     run.add_argument("--observe", action="store_true",
                      help="enable the observability layer (metrics registry, "
@@ -769,9 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="run one workload with full observability and "
                       "pretty-print counters + per-epoch timeseries")
     stats.add_argument("workload")
-    stats.add_argument("--engine", default="phelps",
-                       choices=["baseline", "perfbp", "phelps", "br",
-                                "br_nonspec", "br12", "partition_only"])
+    stats.add_argument("--engine", default="phelps", choices=_ENGINE_CHOICES)
     stats.add_argument("-n", "--instructions", type=int, default=100_000)
     stats.add_argument("--prefix", default="",
                        help="only show counters under this dotted prefix "
@@ -779,17 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--profile", action="store_true")
     stats.set_defaults(fn=_cmd_stats)
 
-    cmp_ = sub.add_parser("compare", help="run several engines on one workload")
-    cmp_.add_argument("workload")
-    cmp_.add_argument("--engines", nargs="+",
-                      default=["baseline", "phelps", "perfbp"])
-    cmp_.add_argument("-n", "--instructions", type=int, default=100_000)
-    cmp_.set_defaults(fn=_cmd_compare)
-
     sweep = sub.add_parser(
         "sweep", help="workload x engine cross product with process-pool "
                       "fan-out, a sharded result cache, and a resumable "
-                      "campaign journal",
+                      "campaign journal; speedups are against each "
+                      "workload's first engine",
         epilog=_EXIT_CODE_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sweep.add_argument("-w", "--workloads", nargs="+", default=None,

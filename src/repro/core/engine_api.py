@@ -16,6 +16,7 @@ from typing import Any, Optional, Tuple
 
 from repro.core.uop import Uop
 from repro.core.thread import ThreadContext
+from repro.obs.metrics import WeakProvider
 
 
 class PreExecutionEngine:
@@ -40,8 +41,10 @@ class PreExecutionEngine:
 
     def _register_metrics(self, registry) -> None:
         """Default wiring: the engine's ``stats()`` dict, flattened under
-        ``engine.*``.  Engines add finer-grained providers on top."""
-        registry.register_provider("engine", self.stats)
+        ``engine.*``.  Engines add finer-grained providers on top, each a
+        :class:`WeakProvider`, so a kept registry holds no engine."""
+        registry.register_provider("engine",
+                                   WeakProvider(self, lambda e: e.stats()))
 
     # ------------------------------------------------------------ fetch
     def fetch_override(self, thread: ThreadContext, inst) -> Optional[Tuple[bool, Any]]:

@@ -30,6 +30,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.semantics import mem_effective_address
 from repro.memory import MemoryConfig, MemoryHierarchy
+from repro.obs.metrics import WeakProvider
 from repro.utils.bits import to_i64
 
 from repro.core.config import CoreConfig, PartitionPlan
@@ -190,7 +191,8 @@ class Core:
             if cfg.guard_level == "full":
                 self._sanitizer = self.guard
             if obs is not None:
-                obs.registry.register_provider("guard", self.guard.metrics)
+                obs.registry.register_provider(
+                    "guard", WeakProvider(self.guard, lambda g: g.metrics()))
         if obs is not None:
             obs.attach_core(self)
         self._resolve_engine_hooks()

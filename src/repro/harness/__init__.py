@@ -1,15 +1,13 @@
 """Simulation harness: run configuration, campaigns, reporting."""
 
 from repro.harness.simulator import RunConfig, SimResult, simulate
-from repro.harness.experiment import compare_engines, speedup
 from repro.harness.parallel import (Progress, SimulationFailed,
-                                    SweepInterrupted, interrupt_guard,
-                                    poll_interrupt)
+                                    SweepInterrupted, interrupt_guard)
 from repro.harness.campaign import (CampaignJournal, activate,
                                     entry_fingerprint, run_campaign)
 from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.reporting import (ascii_table, epoch_table, format_series,
-                                     metrics_report)
+                                     metrics_report, speedup)
 from repro.harness.plots import grouped_bars, hbar_chart, line_plot, stacked_percent_rows
 from repro.harness.regions import (DegenerateRegionError, Region,
                                    evaluate_regions, region_config,
@@ -24,16 +22,14 @@ __all__ = [
     "SimulationFailed",
     "SweepInterrupted",
     "interrupt_guard",
-    "poll_interrupt",
     "CampaignJournal",
     "activate",
     "entry_fingerprint",
     "run_campaign",
     "RunCache",
     "entry_from_result",
-    "compare_engines",
-    "speedup",
     "ascii_table",
+    "speedup",
     "epoch_table",
     "format_series",
     "metrics_report",

@@ -78,9 +78,9 @@ class _InterruptState:
         self.interrupted = False
 
 
-# Stack of active guards: nested ``interrupt_guard`` uses (e.g. ``guard
-# --matrix`` wrapping a sweep) share the outermost state, so one Ctrl-C
-# stops every layer and handlers are installed exactly once.
+# Stack of active guards: nested ``interrupt_guard`` uses share the
+# outermost state, so one Ctrl-C stops every layer and handlers are
+# installed exactly once.
 _ACTIVE: List[_InterruptState] = []
 
 
@@ -131,8 +131,8 @@ def poll_interrupt(done: int = 0, total: int = 0) -> None:
     """Raise :class:`SweepInterrupted` if an active guard caught a signal.
 
     A no-op outside any :func:`interrupt_guard`, so library code can call
-    it unconditionally at loop boundaries (``guard --matrix`` iterations,
-    sampled-region evaluation) without caring who set the guard up.
+    it unconditionally at loop boundaries (sampled-region evaluation)
+    without caring who set the guard up.
     """
     if _ACTIVE and _ACTIVE[-1].interrupted:
         raise SweepInterrupted(done, total)

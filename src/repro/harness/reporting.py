@@ -26,6 +26,14 @@ def ascii_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(out)
 
 
+def speedup(entry: Dict, baseline: Dict) -> Optional[float]:
+    """Instruction-rate ratio of two result entries (robust to slightly
+    different retire counts); None when the baseline retired nothing."""
+    base_rate = baseline["retired"] / max(baseline["cycles"], 1)
+    rate = entry["retired"] / max(entry["cycles"], 1)
+    return rate / base_rate if base_rate else None
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"

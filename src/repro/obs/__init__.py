@@ -16,7 +16,6 @@ Enable via ``RunConfig(observe=True)`` (or any CLI flag that implies it:
 pay one ``is None`` test per cycle and nothing else.
 """
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -25,7 +24,7 @@ from repro.obs.events import (EventTrace, Event, pipeline_trace_events,
 from repro.obs.live import (HeartbeatTicker, live_view, read_campaign,
                             render_watch)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               NullRegistry, flatten)
+                               NullRegistry, WeakProvider, flatten)
 from repro.obs.profile import StageProfiler
 from repro.obs.promtext import render_prometheus
 from repro.obs.timeseries import DEFAULT_WATCHES, EpochSampler
@@ -94,26 +93,6 @@ def _core_metrics(core) -> Dict:
     }
 
 
-class _CoreProvider:
-    """A registry provider that reads the core through a weak proxy: live
-    values while the core lives, the last values read once it is freed
-    (every run ends with a registry snapshot, so those are final)."""
-
-    __slots__ = ("core", "read", "last")
-
-    def __init__(self, core, read):
-        self.core = weakref.proxy(core)
-        self.read = read
-        self.last: Dict = {}
-
-    def __call__(self) -> Dict:
-        try:
-            self.last = self.read(self.core)
-        except ReferenceError:
-            pass
-        return self.last
-
-
 class Observability:
     """Per-run telemetry hub handed to :class:`~repro.core.pipeline.Core`."""
 
@@ -140,9 +119,9 @@ class Observability:
         kept hub (``SimResult.obs``) does not keep the machine alive.
         """
         self.registry.register_provider(
-            "core", _CoreProvider(core, _core_metrics))
+            "core", WeakProvider(core, _core_metrics))
         self.registry.register_provider(
-            "memory", _CoreProvider(core, lambda c: c.hierarchy.stats()))
+            "memory", WeakProvider(core, lambda c: c.hierarchy.stats()))
         if self.config.pipeline_trace:
             from repro.core.trace import PipelineTracer
             self.tracer = PipelineTracer(core,

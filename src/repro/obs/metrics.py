@@ -17,6 +17,7 @@ The disabled path is a :class:`NullRegistry` whose instruments are shared
 no-op singletons, so guarded call sites cost one attribute test.
 """
 
+import weakref
 from typing import Callable, Dict, Iterable, List, Optional
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
+    "WeakProvider",
     "flatten",
 ]
 
@@ -126,6 +128,27 @@ class Histogram:
         return {"count": self.count, "sum": self.total, "mean": self.mean,
                 "min": self.min if self.min is not None else 0,
                 "max": self.max if self.max is not None else 0}
+
+
+class WeakProvider:
+    """A provider that reads its owner (the core, an engine, the guard)
+    through a weak proxy: live values while the owner lives, the last
+    values read once it is freed (every run ends with a registry
+    snapshot, so those are final)."""
+
+    __slots__ = ("owner", "read", "last")
+
+    def __init__(self, owner, read: Callable[[object], Dict]):
+        self.owner = weakref.proxy(owner)
+        self.read = read
+        self.last: Dict = {}
+
+    def __call__(self) -> Dict:
+        try:
+            self.last = self.read(self.owner)
+        except ReferenceError:
+            pass
+        return self.last
 
 
 class MetricsRegistry:

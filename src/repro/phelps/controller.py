@@ -19,6 +19,7 @@ from repro.core.engine_api import PreExecutionEngine
 from repro.core.thread import ThreadContext, ThreadKind
 from repro.core.uop import Uop
 from repro.isa.opcodes import Opcode
+from repro.obs.metrics import WeakProvider
 
 from repro.phelps.config import PhelpsConfig
 from repro.phelps.dbt import DelinquentBranchTable
@@ -76,7 +77,8 @@ class PhelpsEngine(PreExecutionEngine):
         super()._register_metrics(registry)  # engine.* <- self.stats()
         # Per-branch-PC queue drill-down: phelps.queues.<pc>.{deposits,
         # consumed, consumed_wrong, not_timely}.
-        registry.register_provider("phelps.queues", lambda: self.queues.per_pc)
+        registry.register_provider(
+            "phelps.queues", WeakProvider(self, lambda e: e.queues.per_pc))
 
     # ==================================================================
     # Fetch hooks.

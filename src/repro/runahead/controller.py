@@ -15,6 +15,7 @@ from repro.core.thread import ThreadContext, ThreadKind
 from repro.core.uop import Uop
 from repro.frontend import BimodalPredictor
 from repro.isa.opcodes import Opcode
+from repro.obs.metrics import WeakProvider
 from repro.phelps.controller import PhelpsEngine
 from repro.phelps.loop_table import LoopTableEntry
 from repro.phelps.slicer import HelperThreadBuilder
@@ -43,7 +44,8 @@ class BranchRunaheadEngine(PhelpsEngine):
     # ----------------------------------------------------- observability
     def _register_metrics(self, registry) -> None:
         super()._register_metrics(registry)
-        registry.register_provider("br.queues", lambda: self.brqueues.per_pc)
+        registry.register_provider(
+            "br.queues", WeakProvider(self, lambda e: e.brqueues.per_pc))
 
     # ------------------------------------------------------------ fetch
     def fetch_override(self, thread: ThreadContext, inst):

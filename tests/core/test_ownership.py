@@ -6,7 +6,8 @@ the thread memory hooks are closures over ``Core.mem``, which is never
 rebound.  So the last user dropping a core (or its ``SimResult``) frees
 the whole machine at once, with the cyclic collector switched off, and
 leaves no cyclic garbage behind.  A kept ``SimResult.obs`` answers from
-the values its providers read at the end of the run.
+the values its providers read at the end of the run, and holds neither
+the engine nor the guard.
 """
 
 import contextlib
@@ -49,14 +50,15 @@ def no_collector():
             gc.enable()
 
 
-def _simulate_tracking(config, monkeypatch):
-    """``simulate(config)`` plus a weak reference to the core it built."""
+def _simulate_tracking(config, monkeypatch, part=lambda core: core):
+    """``simulate(config)`` plus a weak reference to the core it built
+    (or to ``part(core)``)."""
     refs = []
     build = simulator._build_core
 
     def tracking(cfg):
         core, obs, program = build(cfg)
-        refs.append(weakref.ref(core))
+        refs.append(weakref.ref(part(core)))
         return core, obs, program
 
     monkeypatch.setattr(simulator, "_build_core", tracking)
@@ -117,6 +119,31 @@ def test_kept_obs_answers_after_the_core_is_freed(monkeypatch):
     assert obs.events.emitted > 0 and obs.events.events()
     trace = obs.chrome_trace()
     assert trace and all("ph" in e for e in trace)
+
+
+# Observed runs whose engine or guard registers metric providers.
+KEPT_OBS = {
+    "engine": CONFIGS["phelps-observe"],
+    "guard": RunConfig(workload="astar", max_instructions=N, observe=True,
+                       core=CoreConfig(guard_level="commit")),
+}
+
+
+@pytest.mark.parametrize("part", sorted(KEPT_OBS))
+def test_kept_obs_holds_no_engine_or_guard(part, monkeypatch):
+    with no_collector():
+        result, ref = _simulate_tracking(
+            KEPT_OBS[part], monkeypatch,
+            part=lambda core: getattr(core, part))
+        # The core died when simulate() returned; its engine (with the
+        # Phelps tables) and its guard (with the golden memory image)
+        # died with it, though the result keeps its metrics registry.
+        assert ref() is None
+    snap = result.obs.registry.snapshot()
+    assert snap == result.stats.metrics
+    assert any(name.startswith(part + ".") for name in snap)
+    if part == "guard":
+        assert snap["guard.checked"] == result.stats.retired > 0
 
 
 def _load_program():
